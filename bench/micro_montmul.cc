@@ -81,8 +81,8 @@ void BM_MontSqrAdx(benchmark::State& state) {
 }
 BENCHMARK(BM_MontSqrAdx)->Arg(1024)->Arg(2048)->Arg(4096);
 
-// The batched entry point the fold engine uses for its per-row
-// ToMontgomery conversions; rows/s is the interesting figure.
+// The batched entry point one-shot MultiExp uses to convert plain-residue
+// bases; rows/s is the interesting figure.
 void BM_ToMontgomeryBatch(benchmark::State& state) {
   ChaCha20Rng rng(13);
   const BigInt m = ExactBitsOdd(rng, 2048);

@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the batched multi-exponentiation
 // kernel behind the server's homomorphic fold: naive per-row
 // ScalarMultiply + Add ladder vs Straus vs Pippenger vs the threaded
-// Pippenger split used by SumServer with worker slices.
+// Pippenger split, and the whole chunked FoldEngine query.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,9 @@
 #include "bigint/mont_backend.h"
 #include "bigint/montgomery.h"
 #include "common/thread_pool.h"
+#include "core/fold_engine.h"
 #include "crypto/chacha20_rng.h"
+#include "crypto/paillier.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -207,6 +209,48 @@ void BM_Fold2048BackendAdx(benchmark::State& state) {
   RunFold2048(state, MontBackendKind::kAdx);
 }
 BENCHMARK(BM_Fold2048BackendAdx)->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------
+// One served-shape query through FoldEngine: a 2048-row column under a
+// 512-bit key, uploaded as four 512-row chunks, then Finish. Arg is the
+// exponent width: 7 bits (sum over 7-bit values) or 36 bits (sum of
+// squares over 18-bit values).
+
+void BM_FoldEngine2048Chunked(benchmark::State& state) {
+  static const PaillierKeyPair* kp = [] {
+    ChaCha20Rng rng(19);
+    return new PaillierKeyPair(
+        Paillier::GenerateKeyPair(512, rng).ValueOrDie());
+  }();
+  const PaillierPublicKey& pub = kp->public_key;
+  const size_t exp_bits = static_cast<size_t>(state.range(0));
+  const bool square = exp_bits > 32;
+  const uint64_t value_bound = uint64_t{1} << (square ? exp_bits / 2 : exp_bits);
+  constexpr size_t kRows = 2048;
+  constexpr size_t kChunk = 512;
+  ChaCha20Rng rng(23);
+  std::vector<uint32_t> values(kRows);
+  std::vector<PaillierCiphertext> cts(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    values[i] = static_cast<uint32_t>(rng.NextBelow(value_bound));
+    cts[i].value = RandomBelow(rng, pub.n_squared());
+  }
+  const Database db("bench", values);
+  const ExponentTransform transform =
+      square ? ExponentTransform::Square() : ExponentTransform::Identity();
+  for (auto _ : state) {
+    FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db), transform,
+                      0, kRows);
+    for (size_t start = 0; start < kRows; start += kChunk) {
+      benchmark::DoNotOptimize(engine.FoldChunk(
+          start,
+          std::span<const PaillierCiphertext>(cts.data() + start, kChunk)));
+    }
+    benchmark::DoNotOptimize(engine.Finish(std::nullopt));
+  }
+}
+BENCHMARK(BM_FoldEngine2048Chunked)->Arg(7)->Arg(36)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

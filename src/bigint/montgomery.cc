@@ -1,9 +1,12 @@
 #include "bigint/montgomery.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <new>
 #include <utility>
 
 #include "bigint/modarith.h"
@@ -31,13 +34,32 @@ uint64_t InverseMod2_64(uint64_t x) {
 // values (the ScalarMultiply regime) are 32-128 bits wide at most.
 constexpr size_t kSmallExpBits = 48;
 
-// Bits [window * width, (window + 1) * width) of |e|, little-endian.
+// Bits [window * width, (window + 1) * width) of |e|, little-endian;
+// width < 64.
 size_t WindowDigit(const BigInt& e, size_t window, size_t width) {
-  size_t digit = 0;
-  for (size_t b = 0; b < width; ++b) {
-    if (e.Bit(window * width + b)) digit |= (size_t{1} << b);
+  const std::vector<uint64_t>& limbs = e.limbs();
+  const size_t bit = window * width;
+  const size_t index = bit / 64;
+  const size_t offset = bit % 64;
+  if (index >= limbs.size()) return 0;
+  uint64_t v = limbs[index] >> offset;
+  if (offset + width > 64 && index + 1 < limbs.size()) {
+    v |= limbs[index + 1] << (64 - offset);
   }
-  return digit;
+  return static_cast<size_t>(v & ((uint64_t{1} << width) - 1));
+}
+
+// *sum += x over little-endian limb magnitudes.
+void AddLimbs(std::vector<uint64_t>* sum, const std::vector<uint64_t>& x) {
+  if (sum->size() < x.size()) sum->resize(x.size(), 0);
+  uint64_t carry = 0;
+  for (size_t i = 0; i < sum->size() && (i < x.size() || carry != 0); ++i) {
+    const unsigned __int128 s = static_cast<unsigned __int128>((*sum)[i]) +
+                                (i < x.size() ? x[i] : 0) + carry;
+    (*sum)[i] = static_cast<uint64_t>(s);
+    carry = static_cast<uint64_t>(s >> 64);
+  }
+  if (carry != 0) sum->push_back(carry);
 }
 
 // Approximate multiplication counts for the two MultiExp schedules, with
@@ -63,7 +85,7 @@ std::pair<size_t, double> PickStrausWindow(size_t k, size_t bits) {
 std::pair<size_t, double> PickPippengerWindow(size_t k, size_t bits) {
   size_t best_w = 1;
   double best_cost = -1;
-  for (size_t w = 1; w <= 16; ++w) {
+  for (size_t w = 1; w <= MontgomeryContext::kMaxPippengerWindow; ++w) {
     const double windows = static_cast<double>((bits + w - 1) / w);
     // Per window: up to k bucket insertions, then the gap-walk reduction
     // over the m <= min(k, 2^w - 1) occupied buckets: ~2 mults per
@@ -124,6 +146,12 @@ void MontgomeryContext::MontMul(const Limbs& a, const Limbs& b,
   assert(out != &a && out != &b);
   out->resize(n_);
   backend_->mul(View(), a.data(), b.data(), out->data());
+  backend_->mul_ops->Increment();
+}
+
+void MontgomeryContext::MontMulRaw(const uint64_t* a, const uint64_t* b,
+                                   uint64_t* out) const {
+  backend_->mul(View(), a, b, out);
   backend_->mul_ops->Increment();
 }
 
@@ -296,138 +324,203 @@ MontgomeryContext::Limbs MontgomeryContext::StrausMont(
   return acc;
 }
 
-MontgomeryContext::Limbs MontgomeryContext::PippengerMont(
-    const std::vector<Limbs>& bases, const std::vector<const BigInt*>& exps,
-    size_t max_bits, size_t window) const {
-  // Pippenger bucket method. Per window of the exponents (most
-  // significant first): shift the accumulator by `window` squarings,
-  // drop each base into the bucket named by its digit, then combine the
-  // buckets. Writing the occupied digits in descending order
-  // d_1 > ... > d_m (with d_{m+1} = 0) and S_i = prod_{j<=i} B_{d_j},
-  //   prod_d B_d^d = prod_i S_i^{d_i - d_{i+1}},
-  // so walking only the occupied buckets and raising the running
-  // product to each gap costs ~2 mults per occupied bucket plus
-  // log2(gap) squarings per hop — never a pass over all 2^w digits.
-  const size_t k = bases.size();
-  const size_t bucket_count = size_t{1} << window;
-  const size_t windows = (max_bits + window - 1) / window;
+void MontgomeryContext::MultiExpAccumulator::Unmap::operator()(
+    uint64_t* p) const {
+  munmap(p, bytes);
+}
 
-  std::vector<Limbs> buckets(bucket_count);
-  std::vector<bool> used(bucket_count, false);
-  std::vector<size_t> digits;  // occupied digits of the current window
-  digits.reserve(std::min(k, bucket_count));
-  // Deferred second-and-later bucket inserts, batched per window:
-  // (digit, base limbs) in arrival order.
-  std::vector<std::pair<size_t, const uint64_t*>> pending;
-  std::vector<uint8_t> in_group(bucket_count, 0);
-  std::vector<const uint64_t*> group_a;
-  std::vector<const uint64_t*> group_b;
-  std::vector<uint64_t*> group_out;
-  Limbs acc = one_mont_;
-  Limbs tmp;
+// A fresh anonymous mapping of `limbs` zero limbs. Pages become resident
+// only when written.
+std::unique_ptr<uint64_t[], MontgomeryContext::MultiExpAccumulator::Unmap>
+MontgomeryContext::MultiExpAccumulator::MapBuckets(size_t limbs) {
+  const size_t bytes = limbs * sizeof(uint64_t);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return {static_cast<uint64_t*>(p), Unmap{bytes}};
+}
 
-  // out = a^e in Montgomery form, e >= 1, by binary square-and-multiply.
-  auto pow_uint = [this, &tmp](const Limbs& a, size_t e, Limbs* out) {
-    *out = a;
-    size_t top = 0;
-    while ((e >> (top + 1)) != 0) ++top;
-    for (size_t b = top; b-- > 0;) {
-      MontSqr(*out, &tmp);
-      out->swap(tmp);
-      if ((e >> b) & 1) {
-        MontMul(*out, a, &tmp);
-        out->swap(tmp);
-      }
+MontgomeryContext::MultiExpAccumulator::MultiExpAccumulator(
+    const MontgomeryContext& mont, size_t expected_terms)
+    : mont_(&mont), expected_terms_(expected_terms) {}
+
+void MontgomeryContext::MultiExpAccumulator::Add(
+    std::span<const BigInt* const> bases,
+    std::span<const BigInt* const> exponents) {
+  assert(bases.size() == exponents.size());
+  const MontgomeryContext& mont = *mont_;
+  const size_t n = mont.n_;
+  size_t max_bits = 0;
+  for (const BigInt* e : exponents) {
+    assert(!e->IsNegative());
+    max_bits = std::max(max_bits, e->BitLength());
+    AddLimbs(&exponent_sum_, e->limbs());
+  }
+  if (max_bits == 0) return;  // every term is c^0 = 1
+  if (window_ == 0) {
+    window_ = PickPippengerWindow(std::max(expected_terms_, bases.size()),
+                                  max_bits)
+                  .first;
+    in_group_.assign(size_t{1} << window_, 0);
+  }
+  const size_t bucket_count = size_t{1} << window_;
+  const size_t windows = (max_bits + window_ - 1) / window_;
+  if (windows_.size() < windows) {
+    // Map the new windows' buckets together; pages stay untouched (and
+    // not resident) until a bucket on them is written.
+    const size_t stride = bucket_count * n;
+    const size_t opened = windows - windows_.size();
+    mappings_.push_back(MapBuckets(opened * stride));
+    for (size_t j = 0; j < opened; ++j) {
+      Window& win = windows_.emplace_back();
+      win.buckets = mappings_.back().get() + j * stride;
+      win.used.assign(bucket_count, 0);
     }
-  };
+  }
 
-  Limbs running;
-  Limbs total;
-  Limbs gap_pow;
-  for (size_t w = windows; w-- > 0;) {
-    if (w != windows - 1) {
-      for (size_t s = 0; s < window; ++s) {
-        MontSqr(acc, &tmp);
-        acc.swap(tmp);
-      }
+  // n-limb views of the bases. BigInt drops high zero limbs, so a base
+  // that short is padded once here; moving a Limbs keeps its buffer, so
+  // the views survive padded_ growing.
+  base_limbs_.clear();
+  padded_.clear();
+  for (const BigInt* base : bases) {
+    assert(!base->IsNegative() && base->limbs().size() <= n);
+    if (base->limbs().size() == n) {
+      base_limbs_.push_back(base->limbs().data());
+    } else {
+      padded_.push_back(mont.ToFixed(*base));
+      base_limbs_.push_back(padded_.back().data());
     }
+  }
 
-    for (size_t d : digits) used[d] = false;
-    digits.clear();
-    pending.clear();
-    for (size_t i = 0; i < k; ++i) {
-      const size_t digit = WindowDigit(*exps[i], w, window);
+  for (size_t j = 0; j < windows; ++j) {
+    Window& win = windows_[j];
+    pending_.clear();
+    for (size_t i = 0; i < bases.size(); ++i) {
+      const size_t digit = WindowDigit(*exponents[i], j, window_);
       if (digit == 0) continue;
-      if (used[digit]) {
-        pending.emplace_back(digit, bases[i].data());
+      if (win.used[digit]) {
+        // Deferred: one multiply into an occupied bucket.
+        pending_.emplace_back(digit, base_limbs_[i]);
       } else {
-        buckets[digit] = bases[i];
-        used[digit] = true;
-        digits.push_back(digit);
+        std::copy_n(base_limbs_[i], n, win.buckets + digit * n);
+        win.used[digit] = 1;
+        win.digits.push_back(digit);
       }
     }
     // Flush the deferred bucket multiplies in batches: inserts into
     // *distinct* buckets are independent products, so consecutive
     // pending entries run as one batched call until a digit repeats —
-    // that boundary preserves the per-bucket multiply order, keeping
-    // the result bit-identical to the serial insert loop.
-    for (size_t start = 0; start < pending.size();) {
+    // that boundary preserves the per-bucket multiply order.
+    for (size_t start = 0; start < pending_.size();) {
       size_t end = start;
-      while (end < pending.size() && !in_group[pending[end].first]) {
-        in_group[pending[end].first] = 1;
+      while (end < pending_.size() && !in_group_[pending_[end].first]) {
+        in_group_[pending_[end].first] = 1;
         ++end;
       }
-      group_a.clear();
-      group_b.clear();
-      group_out.clear();
+      group_a_.clear();
+      group_b_.clear();
+      group_out_.clear();
       for (size_t p = start; p < end; ++p) {
-        const size_t d = pending[p].first;
-        in_group[d] = 0;
-        group_a.push_back(buckets[d].data());
-        group_b.push_back(pending[p].second);
-        group_out.push_back(buckets[d].data());
+        const size_t d = pending_[p].first;
+        in_group_[d] = 0;
+        uint64_t* bucket = win.buckets + d * n;
+        group_a_.push_back(bucket);
+        group_b_.push_back(pending_[p].second);
+        group_out_.push_back(bucket);
       }
-      MontMulBatch(group_a.size(), group_a.data(), group_b.data(),
-                   group_out.data());
+      mont.MontMulBatch(group_a_.size(), group_a_.data(), group_b_.data(),
+                        group_out_.data());
       start = end;
     }
-    if (digits.empty()) continue;
+  }
+}
+
+BigInt MontgomeryContext::MultiExpAccumulator::Finish() const {
+  // Per window (most significant first): shift the accumulator by w
+  // squarings, then combine the window's buckets. Writing the occupied
+  // digits in descending order d_1 > ... > d_m (with d_{m+1} = 0) and
+  // S_i = prod_{j<=i} B_{d_j},
+  //   prod_d B_d^d = prod_i S_i^{d_i - d_{i+1}},
+  // so walking only the occupied buckets and raising the running
+  // product to each gap costs ~2 mults per occupied bucket plus
+  // log2(gap) squarings per hop — never a pass over all 2^w digits.
+  const MontgomeryContext& mont = *mont_;
+  const size_t n = mont.n_;
+  Limbs acc;
+  Limbs tmp;
+  Limbs running;
+  Limbs total;
+  Limbs gap_pow;
+  bool have_acc = false;  // acc == 1 until the first occupied window
+
+  // out = a^e in Montgomery form, e >= 1, by binary square-and-multiply.
+  auto pow_uint = [&mont, &tmp](const Limbs& a, size_t e, Limbs* out) {
+    *out = a;
+    size_t top = 0;
+    while ((e >> (top + 1)) != 0) ++top;
+    for (size_t b = top; b-- > 0;) {
+      mont.MontSqr(*out, &tmp);
+      out->swap(tmp);
+      if ((e >> b) & 1) {
+        mont.MontMul(*out, a, &tmp);
+        out->swap(tmp);
+      }
+    }
+  };
+
+  std::vector<size_t> digits;
+  for (size_t j = windows_.size(); j-- > 0;) {
+    if (have_acc) {
+      for (size_t s = 0; s < window_; ++s) {
+        mont.MontSqr(acc, &tmp);
+        acc.swap(tmp);
+      }
+    }
+    const Window& win = windows_[j];
+    if (win.digits.empty()) continue;
+    digits = win.digits;
     std::sort(digits.begin(), digits.end(), std::greater<size_t>());
 
-    bool have_total = false;
     for (size_t idx = 0; idx < digits.size(); ++idx) {
-      const size_t d = digits[idx];
+      const uint64_t* bucket = win.buckets + digits[idx] * n;
       if (idx == 0) {
-        running = buckets[d];
+        running.assign(bucket, bucket + n);
       } else {
-        MontMul(running, buckets[d], &tmp);
+        tmp.resize(n);
+        mont.MontMulRaw(running.data(), bucket, tmp.data());
         running.swap(tmp);
       }
       const size_t next = idx + 1 < digits.size() ? digits[idx + 1] : 0;
-      const size_t gap = d - next;
-      if (!have_total) {
+      const size_t gap = digits[idx] - next;
+      if (idx == 0) {
         pow_uint(running, gap, &total);
-        have_total = true;
       } else if (gap == 1) {
-        MontMul(total, running, &tmp);
+        mont.MontMul(total, running, &tmp);
         total.swap(tmp);
       } else {
         pow_uint(running, gap, &gap_pow);
-        MontMul(total, gap_pow, &tmp);
+        mont.MontMul(total, gap_pow, &tmp);
         total.swap(tmp);
       }
     }
-    MontMul(acc, total, &tmp);
-    acc.swap(tmp);
+    if (have_acc) {
+      mont.MontMul(acc, total, &tmp);
+      acc.swap(tmp);
+    } else {
+      acc.swap(total);
+      have_acc = true;
+    }
   }
-  return acc;
+  if (!have_acc) return mont.OneMontgomery();
+  return BigInt::FromLimbs(std::move(acc));
 }
 
 BigInt MontgomeryContext::MultiExpMontgomery(
     std::span<const BigInt> bases_mont, std::span<const BigInt> exponents,
     MultiExpSchedule schedule) const {
   assert(bases_mont.size() == exponents.size());
-  std::vector<Limbs> bases;
+  std::vector<const BigInt*> bases;
   std::vector<const BigInt*> exps;
   bases.reserve(bases_mont.size());
   exps.reserve(exponents.size());
@@ -435,7 +528,7 @@ BigInt MontgomeryContext::MultiExpMontgomery(
   for (size_t i = 0; i < bases_mont.size(); ++i) {
     assert(!exponents[i].IsNegative());
     if (exponents[i].IsZero()) continue;  // c^0 = 1: no-op factor
-    bases.push_back(ToFixed(bases_mont[i]));
+    bases.push_back(&bases_mont[i]);
     exps.push_back(&exponents[i]);
     max_bits = std::max(max_bits, exponents[i].BitLength());
   }
@@ -443,13 +536,21 @@ BigInt MontgomeryContext::MultiExpMontgomery(
 
   const size_t k = exps.size();
   const auto [straus_w, straus_cost] = PickStrausWindow(k, max_bits);
-  const auto [pip_w, pip_cost] = PickPippengerWindow(k, max_bits);
+  const double pip_cost = PickPippengerWindow(k, max_bits).second;
   const bool use_straus =
       schedule == MultiExpSchedule::kStraus ||
       (schedule == MultiExpSchedule::kAuto && straus_cost <= pip_cost);
-  Limbs out = use_straus ? StrausMont(bases, exps, max_bits, straus_w)
-                         : PippengerMont(bases, exps, max_bits, pip_w);
-  return BigInt::FromLimbs(std::move(out));
+  if (!use_straus) {
+    // One-shot Pippenger: the streaming accumulator fed once, sized for
+    // exactly these k terms.
+    MultiExpAccumulator acc(*this, k);
+    acc.Add(bases, exps);
+    return acc.Finish();
+  }
+  std::vector<Limbs> fixed;
+  fixed.reserve(k);
+  for (const BigInt* base : bases) fixed.push_back(ToFixed(*base));
+  return BigInt::FromLimbs(StrausMont(fixed, exps, max_bits, straus_w));
 }
 
 BigInt MontgomeryContext::MultiExp(std::span<const BigInt> bases,

@@ -9,16 +9,24 @@
 // x86-64 MULX/ADX kernel — and every multiply, square, and batched
 // conversion routes through it. Modular exponentiation with a 4-bit
 // fixed window over Montgomery residues is the workhorse of Paillier
-// encryption/decryption, and the batched MultiExp kernel (Pippenger
-// buckets with a Straus fallback for small batches) is the workhorse of
-// the server's homomorphic fold prod_i c_i^{e_i} mod m — the component
-// the paper measures as dominant at every database size.
+// encryption/decryption, and the batched multi-exponentiation (Pippenger
+// buckets with a Straus fallback for small one-shot batches) is the
+// workhorse of the server's homomorphic fold prod_i c_i^{e_i} mod m —
+// the component the paper measures as dominant at every database size.
+//
+// There is one Pippenger implementation, the streaming
+// MultiExpAccumulator: terms are dropped into per-window buckets over
+// any number of Add calls and the bucket reduction runs once, in
+// Finish. One-shot MultiExp/MultiExpMontgomery is a single Add + Finish;
+// the server's FoldEngine keeps one accumulator open for a whole query.
 
 #ifndef PPSTATS_BIGINT_MONTGOMERY_H_
 #define PPSTATS_BIGINT_MONTGOMERY_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -58,8 +66,8 @@ class MontgomeryContext {
 
   /// Batched ToMontgomery: element-for-element identical results, but
   /// the conversions run through the backend's batch entry point so
-  /// independent multiplies can interleave (the fold engine's per-row
-  /// conversion path).
+  /// independent multiplies can interleave (one-shot MultiExp converts
+  /// its bases this way).
   std::vector<BigInt> ToMontgomeryBatch(std::span<const BigInt> xs) const;
 
   /// Converts a Montgomery-form value back to a canonical residue.
@@ -99,6 +107,12 @@ class MontgomeryContext {
       std::span<const BigInt> bases_mont, std::span<const BigInt> exponents,
       MultiExpSchedule schedule = MultiExpSchedule::kAuto) const;
 
+  /// Widest Pippenger window. Caps the bucket state of a
+  /// MultiExpAccumulator independent of how many terms it folds.
+  static constexpr size_t kMaxPippengerWindow = 9;
+
+  class MultiExpAccumulator;
+
  private:
   using Limbs = std::vector<uint64_t>;
 
@@ -111,6 +125,8 @@ class MontgomeryContext {
   // separate tmp and swap.
   void MontMul(const Limbs& a, const Limbs& b, Limbs* out) const;
   void MontSqr(const Limbs& a, Limbs* out) const;
+  // MontMul over bare n-limb arrays (the accumulator's flat buckets).
+  void MontMulRaw(const uint64_t* a, const uint64_t* b, uint64_t* out) const;
 
   // Batched Montgomery products out[i] = a[i] * b[i] over already-sized
   // n-limb arrays. An output may alias its own product's inputs, never
@@ -123,9 +139,6 @@ class MontgomeryContext {
   Limbs StrausMont(const std::vector<Limbs>& bases,
                    const std::vector<const BigInt*>& exps, size_t max_bits,
                    size_t window) const;
-  Limbs PippengerMont(const std::vector<Limbs>& bases,
-                      const std::vector<const BigInt*>& exps, size_t max_bits,
-                      size_t window) const;
 
   Limbs ToFixed(const BigInt& x) const;  // pad/truncate to n limbs
 
@@ -138,6 +151,99 @@ class MontgomeryContext {
   // Resolved multiplication backend; points at a process-lifetime ops
   // table (bigint/mont_backend.cc), so copies of the context stay valid.
   const MontBackendOps* backend_ = nullptr;
+};
+
+/// Streaming Pippenger multi-exponentiation: the running Montgomery-form
+/// product prod_i bases[i]^exponents[i] over every term passed to Add,
+/// across any number of calls.
+///
+/// Exponent bits are cut into windows of w bits. Each window keeps its
+/// own bucket array for the accumulator's whole life: Add drops a base
+/// into bucket (window j, digit d) of every window its exponent touches
+/// — the first base in a bucket is a copy, later ones one multiply each,
+/// deferred and flushed through the backend's batched multiply in groups
+/// that preserve per-bucket order. Finish runs the gap-walk bucket
+/// reduction and the shared squaring ladder once for everything added,
+/// so splitting a fold over many Add calls costs the same as one call.
+///
+/// w comes from the MultiExp cost model at the first Add with a nonzero
+/// exponent, sized for `expected_terms` terms of that batch's widest
+/// exponent, and never exceeds kMaxPippengerWindow; a later, wider
+/// exponent just opens more windows. Buckets live in anonymous mappings,
+/// one per batch of windows opened, unmapped with the accumulator: only
+/// pages holding occupied buckets become resident, and they go back to
+/// the OS when the fold ends rather than stranding in whichever pool
+/// thread's malloc arena allocated them.
+/// Bucket state is bounded by ceil(b / w) * 2^w buckets of 8n bytes, b
+/// the widest exponent added: with w <= 9 that is at most
+/// 64 KiB per window for a 512-bit Paillier key (1024-bit n^2, 16 limbs)
+/// and 128 KiB for a 1024-bit key. The server fold's exponents (32-bit
+/// row values and their squares/products, <= 64 bits, <= 8 windows) cap
+/// it at 512 KiB and 1 MiB per accumulator, whatever the row count.
+///
+/// Bases are n-limb canonical residues (< m), taken as Montgomery-form
+/// values. A caller holding plain residues c can pass them unconverted:
+/// c is the Montgomery form of c * R^-1 (R = 2^(64 n)), so Finish returns
+/// the Montgomery form of prod c_i^e_i * R^-sum(e_i), and one
+/// MulMontgomery by the plain residue R^sum(e_i) mod m — that is,
+/// Exp(OneMontgomery(), exponent_sum()), since the Montgomery form of 1
+/// is R mod m — yields prod c_i^e_i exactly, as a canonical residue.
+///
+/// Not thread-safe; the FoldEngine keeps one per worker slice. The
+/// context must outlive the accumulator.
+class MontgomeryContext::MultiExpAccumulator {
+ public:
+  MultiExpAccumulator(const MontgomeryContext& mont, size_t expected_terms);
+
+  /// Adds bases[i]^exponents[i] for every i. Spans must have equal
+  /// length; every base must be < the modulus and every exponent >= 0.
+  /// Zero-exponent terms are skipped. Pointers are only read during the
+  /// call.
+  void Add(std::span<const BigInt* const> bases,
+           std::span<const BigInt* const> exponents);
+
+  /// The Montgomery-form product of every term added so far (the
+  /// Montgomery form of 1 when there are none). Does not consume the
+  /// buckets: more terms may be added and Finish called again.
+  BigInt Finish() const;
+
+  /// Sum of the exponents added so far.
+  BigInt exponent_sum() const { return BigInt::FromLimbs(exponent_sum_); }
+
+  /// True until a term with a nonzero exponent has been added.
+  bool empty() const { return windows_.empty(); }
+
+  /// Window width in bits; 0 until the first nonzero exponent arrives.
+  size_t window_bits() const { return window_; }
+
+ private:
+  struct Unmap {
+    explicit Unmap(size_t mapped_bytes = 0) : bytes(mapped_bytes) {}
+    void operator()(uint64_t* p) const;
+    size_t bytes;
+  };
+  struct Window {
+    uint64_t* buckets = nullptr;  // 2^w buckets of n limbs, in mappings_
+    std::vector<uint8_t> used;    // per digit: bucket holds a value
+    std::vector<size_t> digits;   // occupied digits, in arrival order
+  };
+
+  static std::unique_ptr<uint64_t[], Unmap> MapBuckets(size_t limbs);
+
+  const MontgomeryContext* mont_;
+  size_t expected_terms_;
+  size_t window_ = 0;
+  std::vector<Window> windows_;  // index j covers bits [j w, (j+1) w)
+  std::vector<std::unique_ptr<uint64_t[], Unmap>> mappings_;
+  Limbs exponent_sum_;
+  // Add's scratch, kept to avoid per-call allocation.
+  std::vector<std::pair<size_t, const uint64_t*>> pending_;
+  std::vector<uint8_t> in_group_;
+  std::vector<const uint64_t*> base_limbs_;
+  std::vector<Limbs> padded_;
+  std::vector<const uint64_t*> group_a_;
+  std::vector<const uint64_t*> group_b_;
+  std::vector<uint64_t*> group_out_;
 };
 
 }  // namespace ppstats

@@ -1,7 +1,6 @@
 #include "core/fold_engine.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "bigint/modarith.h"
 #include "common/thread_pool.h"
@@ -116,9 +115,14 @@ FoldEngine::FoldEngine(const PaillierPublicKey& pub,
       rows_(std::move(rows)),
       transform_(transform),
       end_(end),
-      worker_threads_(worker_threads),
-      next_expected_(begin),
-      accumulator_mont_(pub_.mont_n2().OneMontgomery()) {}
+      next_expected_(begin) {
+  const size_t threads = std::max<size_t>(worker_threads, 1);
+  const size_t rows_per_slice = (end - begin + threads - 1) / threads;
+  slices_.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    slices_.emplace_back(pub_.mont_n2(), rows_per_slice);
+  }
+}
 
 Status FoldEngine::FoldChunk(size_t start_row,
                              std::span<const PaillierCiphertext> cts) {
@@ -136,38 +140,48 @@ Status FoldEngine::FoldChunk(size_t start_row,
   if (start_row + cts.size() > end_) {
     return Status::ProtocolError("index chunk overruns the database");
   }
+  for (const PaillierCiphertext& ct : cts) {
+    if (ct.value.IsNegative() || ct.value >= pub_.n_squared()) {
+      return Status::ProtocolError("index ciphertext outside [0, n^2)");
+    }
+  }
 
   std::vector<uint64_t> values(cts.size());
   PPSTATS_RETURN_IF_ERROR(rows_->ReadRows(start_row, values));
 
-  const MontgomeryContext& mont = pub_.mont_n2();
-  BigInt partial = SlicedFoldMontgomery(
-      mont, cts.size(), worker_threads_,
-      [this, &mont, &cts, &values, start_row](size_t begin, size_t end,
-                                              std::vector<BigInt>* bases,
-                                              std::vector<BigInt>* exps) {
-        // Gather the slice's live rows first, then convert them to
-        // Montgomery form in one batched call: the backend interleaves
-        // the independent conversions instead of running one multiply
-        // per row.
-        std::vector<BigInt> raw;
-        raw.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          BigInt exponent =
-              transform_.RowExponent(start_row + i, values[i]);
-          if (exponent.IsZero()) continue;  // E(I)^0 == 1: no-op factor
-          raw.push_back(cts[i].value);
-          exps->push_back(Mod(exponent, pub_.n()));
-        }
-        std::vector<BigInt> rows_mont = mont.ToMontgomeryBatch(raw);
-        bases->insert(bases->end(),
-                      std::make_move_iterator(rows_mont.begin()),
-                      std::make_move_iterator(rows_mont.end()));
-      });
-  accumulator_mont_ = mont.MulMontgomery(accumulator_mont_, partial);
-  next_expected_ = start_row + cts.size();
+  // Ciphertexts go into the accumulators as decoded: no copy, no
+  // conversion to Montgomery form (Finish corrects for that).
+  const size_t count = cts.size();
+  const size_t threads = std::min(slices_.size(), std::max<size_t>(count, 1));
+  const size_t stride = (count + threads - 1) / threads;
+  auto fold_slice = [this, &cts, &values, start_row, count,
+                     stride](size_t t) {
+    const size_t begin = std::min(t * stride, count);
+    const size_t end = std::min(begin + stride, count);
+    std::vector<const BigInt*> bases;
+    std::vector<BigInt> exps;
+    bases.reserve(end - begin);
+    exps.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      BigInt exponent = transform_.RowExponent(start_row + i, values[i]);
+      if (exponent.IsZero()) continue;  // E(I)^0 == 1: no-op factor
+      if (exponent >= pub_.n()) exponent = Mod(exponent, pub_.n());
+      bases.push_back(&cts[i].value);
+      exps.push_back(std::move(exponent));
+    }
+    std::vector<const BigInt*> exp_ptrs;
+    exp_ptrs.reserve(exps.size());
+    for (const BigInt& e : exps) exp_ptrs.push_back(&e);
+    slices_[t].Add(bases, exp_ptrs);
+  };
+  if (threads <= 1) {
+    fold_slice(0);
+  } else {
+    ThreadPool::Shared().Run(threads, fold_slice);
+  }
+  next_expected_ = start_row + count;
   chunks->Increment();
-  rows->Add(cts.size());
+  rows->Add(count);
   return Status::OK();
 }
 
@@ -176,8 +190,30 @@ Result<PaillierCiphertext> FoldEngine::Finish(
   if (!done()) {
     return Status::FailedPrecondition("fold has uncovered rows");
   }
-  // The single conversion out of Montgomery form in the fold's lifetime.
-  PaillierCiphertext out{pub_.mont_n2().FromMontgomery(accumulator_mont_)};
+  const MontgomeryContext& mont = pub_.mont_n2();
+  std::vector<BigInt> partials(slices_.size());
+  auto reduce = [this, &partials](size_t t) {
+    partials[t] = slices_[t].Finish();
+  };
+  if (slices_.size() <= 1) {
+    reduce(0);
+  } else {
+    ThreadPool::Shared().Run(slices_.size(), reduce);
+  }
+  BigInt product = mont.OneMontgomery();
+  BigInt exponent_sum;
+  for (size_t t = 0; t < slices_.size(); ++t) {
+    if (slices_[t].empty()) continue;
+    product = mont.MulMontgomery(product, partials[t]);
+    exponent_sum += slices_[t].exponent_sum();
+  }
+  // Every base went in as c, the Montgomery form of c * R^-1, so product
+  // is the Montgomery form of prod c^e * R^-sum(e). One Montgomery
+  // multiply by the plain residue R^sum(e) (OneMontgomery() is R mod n^2)
+  // cancels that factor and is the fold's only conversion out of
+  // Montgomery form: the result is the canonical prod c^e.
+  const BigInt r_pow = mont.Exp(mont.OneMontgomery(), exponent_sum);
+  PaillierCiphertext out{mont.MulMontgomery(product, r_pow)};
   if (blinding.has_value()) {
     return Paillier::AddPlaintext(pub_, out, *blinding);
   }

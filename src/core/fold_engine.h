@@ -5,14 +5,27 @@
 // StreamingSumServer, the packed Damgård–Jurik multi-sum, the PIR row
 // folds — is this fold over a different row source and exponent rule.
 // The engine owns the chunk ordering, the ThreadPool slicing, and the
-// Montgomery-form accumulator; rows come from a pluggable RowSource and
+// Montgomery-form accumulators; rows come from a pluggable RowSource and
 // exponents from the query layer's ExponentTransform.
 //
+// The Paillier fold is conversion-free and chunk-spanning. Each worker
+// slice keeps one streaming Pippenger accumulator
+// (MontgomeryContext::MultiExpAccumulator) open for the whole query, so
+// chunks only drop terms into buckets and the bucket reduction runs once,
+// in Finish. Ciphertexts go in as decoded, with no per-row conversion to
+// Montgomery form: a canonical residue c is the Montgomery form of
+// c * R^-1, so the fold yields prod c_i^e_i * R^-sum(e_i) in Montgomery
+// form, and Finish Montgomery-multiplies it once by the plain residue
+// R^sum(e_i) (about BitLength(sum e_i) operations to compute). That one
+// multiply cancels the R^-sum(e_i) and is the fold's single conversion
+// out of Montgomery form.
+//
 // Bit-for-bit invariant: multiplication mod n^2 is associative,
-// commutative, and exact, and the Montgomery conversions are exact, so
-// the final canonical residue is independent of chunking and slicing —
-// the engine's output is identical to a per-row exponentiate-and-
-// multiply server for every transform, partition, and thread count.
+// commutative, and exact, Montgomery products of canonical operands are
+// canonical, and the R-power correction is exact, so the final residue
+// is independent of chunking and slicing — the engine's output is
+// identical to a per-row exponentiate-and-multiply server for every
+// transform, partition, and thread count.
 
 #ifndef PPSTATS_CORE_FOLD_ENGINE_H_
 #define PPSTATS_CORE_FOLD_ENGINE_H_
@@ -106,27 +119,34 @@ BigInt SlicedMultiExpMontgomery(const MontgomeryContext& mont,
                                 size_t worker_threads);
 
 /// The chunked fold behind every Paillier sum server: consumes index
-/// ciphertext chunks in row order over [begin, end), accumulates in
-/// Montgomery form, and produces the final (optionally blinded)
-/// ciphertext with a single conversion out of Montgomery form.
+/// ciphertext chunks in row order over [begin, end), drops them into one
+/// streaming Pippenger accumulator per worker slice, and produces the
+/// final (optionally blinded) ciphertext with one bucket reduction per
+/// slice and a single conversion out of Montgomery form.
 class FoldEngine {
  public:
   /// Folds rows [begin, end) of `rows` (pass 0, rows->size() for the
   /// whole column). Per-row exponents come from `transform`; chunks are
-  /// split across `worker_threads` slices of the shared ThreadPool.
+  /// split across `worker_threads` slices of the shared ThreadPool. The
+  /// accumulators' window width is sized for end - begin rows.
   FoldEngine(const PaillierPublicKey& pub, std::unique_ptr<RowSource> rows,
              ExponentTransform transform, size_t begin, size_t end,
              size_t worker_threads = 1);
 
   /// Folds one chunk covering rows [start_row, start_row + cts.size()).
-  /// Chunks must arrive in order with no gaps, overlap, or overrun.
+  /// Chunks must arrive in order with no gaps, overlap, or overrun, and
+  /// every ciphertext must be a canonical residue in [0, n^2) — the
+  /// conversion-free fold is only exact on those — else the whole chunk
+  /// is rejected with ProtocolError and nothing is folded.
   [[nodiscard]] Status FoldChunk(size_t start_row, std::span<const PaillierCiphertext> cts);
 
   /// True once chunks have covered every row in [begin, end).
   bool done() const { return next_expected_ >= end_; }
 
-  /// Converts the accumulator out of Montgomery form (the only
-  /// conversion in the fold's lifetime) and applies `blinding`.
+  /// Runs each slice's bucket reduction (the fold's only one), combines
+  /// the slices, Montgomery-multiplies by the plain residue R^sum(e_i) —
+  /// undoing the conversion-free inputs' R^-1 factors and leaving
+  /// Montgomery form in one step — and applies `blinding`.
   /// Requires done().
   [[nodiscard]] Result<PaillierCiphertext> Finish(const std::optional<BigInt>& blinding);
 
@@ -138,10 +158,10 @@ class FoldEngine {
   std::unique_ptr<RowSource> rows_;
   ExponentTransform transform_;
   size_t end_ = 0;
-  size_t worker_threads_ = 1;
   size_t next_expected_ = 0;
-  // Running product, kept in Montgomery form mod n^2 across all chunks.
-  BigInt accumulator_mont_;
+  // One accumulator per worker slice, open across all chunks; slice t of
+  // every chunk goes to slices_[t].
+  std::vector<MontgomeryContext::MultiExpAccumulator> slices_;
 };
 
 }  // namespace ppstats

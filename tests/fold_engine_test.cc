@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "bigint/modarith.h"
 #include "core/streaming_server.h"
 #include "crypto/chacha20_rng.h"
 #include "db/workload.h"
+#include "obs/metrics.h"
 
 namespace ppstats {
 namespace {
@@ -204,6 +208,200 @@ TEST(FoldEngineTest, FileBackedEngineMatchesInMemory) {
   ASSERT_TRUE(file_engine.FoldChunk(0, cts).ok());
   EXPECT_EQ(memory_engine.Finish(std::nullopt).ValueOrDie(),
             file_engine.Finish(std::nullopt).ValueOrDie());
+}
+
+// Folds `cts` through a fresh engine in `chunk`-row chunks.
+PaillierCiphertext FoldInChunks(const PaillierPublicKey& pub,
+                                const Database& db,
+                                ExponentTransform transform,
+                                std::span<const PaillierCiphertext> cts,
+                                size_t chunk, size_t threads,
+                                const std::optional<BigInt>& blinding) {
+  FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db), transform,
+                    0, db.size(), threads);
+  for (size_t start = 0; start < cts.size(); start += chunk) {
+    const size_t len = std::min(chunk, cts.size() - start);
+    EXPECT_TRUE(engine.FoldChunk(start, cts.subspan(start, len)).ok());
+  }
+  EXPECT_TRUE(engine.done());
+  return engine.Finish(blinding).ValueOrDie();
+}
+
+TEST(FoldEngineDifferentialTest, MatchesWeightedFoldAcrossShapes) {
+  // The conversion-free, chunk-spanning fold against the one-shot
+  // Paillier::WeightedFold, bit for bit. Rows: zero values (exponent 0),
+  // the edge residues 1 and n^2 - 1 as ciphertexts (0 only on a
+  // zero-exponent row, else the whole product is 0 — see below), and a
+  // column whose later rows have wider exponents than the first chunk's,
+  // so the accumulators open new windows mid-query.
+  const PaillierPublicKey& pub = SharedKeyPair().public_key;
+  const BigInt& n2 = pub.n_squared();
+  ChaCha20Rng rng(6);
+  constexpr size_t kRows = 700;
+  std::vector<uint32_t> values(kRows);
+  std::vector<uint32_t> others(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    const auto r = static_cast<uint32_t>(rng.NextUint64());
+    // Rows [0, 512) hold 4-bit values; later rows up to 32 bits.
+    values[i] = i % 7 == 0 ? 0 : (i < 512 ? r % 16 : r);
+    others[i] = static_cast<uint32_t>(i * 2654435761u);
+  }
+  Database db("d", values);
+  Database other("o", others);
+  std::vector<PaillierCiphertext> cts(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    cts[i].value = RandomBelow(rng, n2);
+  }
+  cts[7].value = BigInt(0);  // row 7 holds value 0
+  cts[2].value = BigInt(1);
+  cts[3].value = n2 - BigInt(1);
+  cts[600].value = BigInt(1);
+  cts[601].value = n2 - BigInt(1);
+
+  struct Transform {
+    const char* name;
+    ExponentTransform transform;
+  };
+  const std::vector<Transform> transforms = {
+      {"identity", ExponentTransform::Identity()},
+      {"square", ExponentTransform::Square()},
+      {"product", ExponentTransform::ProductWith(&other)},
+  };
+  for (const Transform& t : transforms) {
+    std::vector<BigInt> exponents;
+    for (size_t i = 0; i < kRows; ++i) {
+      exponents.push_back(t.transform.RowExponent(i, db.value(i)));
+    }
+    const PaillierCiphertext reference =
+        Paillier::WeightedFold(pub, cts, exponents);
+    ASSERT_GT(reference.value, BigInt(1)) << t.name;
+    const BigInt blinding(123456789);
+    const PaillierCiphertext blinded =
+        Paillier::AddPlaintext(pub, reference, blinding).ValueOrDie();
+    for (size_t chunk : {size_t{1}, size_t{3}, size_t{512}, kRows}) {
+      for (size_t threads : {1u, 3u}) {
+        EXPECT_EQ(FoldInChunks(pub, db, t.transform, cts, chunk, threads,
+                               std::nullopt),
+                  reference)
+            << t.name << " chunk=" << chunk << " threads=" << threads;
+        EXPECT_EQ(FoldInChunks(pub, db, t.transform, cts, chunk, threads,
+                               blinding),
+                  blinded)
+            << t.name << " blinded chunk=" << chunk
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(FoldEngineDifferentialTest, ZeroCiphertextWithLiveExponentFoldsToZero) {
+  // 0 is a canonical residue the decoder accepts; raised to a nonzero
+  // exponent it zeroes the product, in every chunking and slicing, with
+  // and without blinding — exactly as WeightedFold does.
+  const PaillierPublicKey& pub = SharedKeyPair().public_key;
+  ChaCha20Rng rng(9);
+  Database db("d", {3, 0, 5, 9, 2});
+  std::vector<PaillierCiphertext> cts(db.size());
+  for (PaillierCiphertext& ct : cts) ct.value = RandomBelow(rng, pub.n_squared());
+  cts[2].value = BigInt(0);
+  const std::vector<BigInt> exponents(db.values().begin(), db.values().end());
+  const PaillierCiphertext reference =
+      Paillier::WeightedFold(pub, cts, exponents);
+  ASSERT_EQ(reference.value, BigInt(0));
+  const BigInt blinding(77);
+  for (size_t chunk : {size_t{1}, size_t{3}, db.size()}) {
+    for (size_t threads : {1u, 3u}) {
+      EXPECT_EQ(FoldInChunks(pub, db, ExponentTransform::Identity(), cts,
+                             chunk, threads, std::nullopt),
+                reference);
+      EXPECT_EQ(FoldInChunks(pub, db, ExponentTransform::Identity(), cts,
+                             chunk, threads, blinding),
+                Paillier::AddPlaintext(pub, reference, blinding).ValueOrDie());
+    }
+  }
+}
+
+TEST(FoldEngineDifferentialTest, AllZeroExponentsFoldToOne) {
+  Database db("d", {0, 0, 0});
+  std::vector<PaillierCiphertext> cts(3);
+  for (PaillierCiphertext& ct : cts) ct.value = BigInt(5);
+  for (size_t threads : {1u, 3u}) {
+    EXPECT_EQ(FoldInChunks(SharedKeyPair().public_key, db,
+                           ExponentTransform::Identity(), cts, 1, threads,
+                           std::nullopt)
+                  .value,
+              BigInt(1));
+  }
+}
+
+TEST(FoldEngineTest, RejectsCiphertextsOutsideTheResidueRange) {
+  // The conversion-free fold is only exact on canonical residues, so
+  // FoldChunk itself (not just the wire decoder) must refuse anything
+  // >= n^2 before it reaches the accumulator, and leave the fold intact.
+  const PaillierPublicKey& pub = SharedKeyPair().public_key;
+  const BigInt& n2 = pub.n_squared();
+  Database db("d", {1, 2});
+  ChaCha20Rng rng(7);
+  std::vector<PaillierCiphertext> good = EncryptWeights({1, 1}, rng);
+  const BigInt too_wide = BigInt(1) << (64 * (n2.LimbCount() + 1));
+  for (const BigInt& bad : {n2, n2 + BigInt(1), too_wide}) {
+    FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
+                      ExponentTransform::Identity(), 0, db.size());
+    std::vector<PaillierCiphertext> chunk = {good[0], PaillierCiphertext{bad}};
+    EXPECT_EQ(engine.FoldChunk(0, chunk).code(), StatusCode::kProtocolError)
+        << bad.BitLength() << "-bit ciphertext";
+    ASSERT_TRUE(engine.FoldChunk(0, good).ok());
+    EXPECT_EQ(engine.Finish(std::nullopt).ValueOrDie(),
+              Paillier::WeightedFold(pub, good,
+                                     std::vector<BigInt>{BigInt(1), BigInt(2)}));
+  }
+}
+
+uint64_t MontOps() {
+  uint64_t total = 0;
+  for (const auto& [name, value] :
+       obs::MetricRegistry::Global().Snapshot().counters) {
+    if (name.rfind("mont.", 0) == 0) total += value;
+  }
+  return total;
+}
+
+TEST(FoldEngineOpCountTest, ChunkedFoldPaysOneReductionAndNoConversions) {
+  // Exact Montgomery operation budget for the served query shape: a
+  // 2048-row column of 7-bit values under a 512-bit key, uploaded in four
+  // 512-row chunks. Per-row conversion to Montgomery form (+2048) or a
+  // bucket reduction per chunk (+~750) would blow through it.
+  static const PaillierKeyPair* kp = [] {
+    ChaCha20Rng rng(4343);
+    return new PaillierKeyPair(
+        Paillier::GenerateKeyPair(512, rng).ValueOrDie());
+  }();
+  const PaillierPublicKey& pub = kp->public_key;
+  ChaCha20Rng rng(8);
+  constexpr size_t kRows = 2048;
+  std::vector<uint32_t> values(kRows);
+  std::vector<PaillierCiphertext> cts(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    values[i] = static_cast<uint32_t>(rng.NextBelow(128));
+    cts[i].value = RandomBelow(rng, pub.n_squared());
+  }
+  Database db("d", values);
+
+  const uint64_t before = MontOps();
+  FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
+                    ExponentTransform::Identity(), 0, kRows);
+  for (size_t start = 0; start < kRows; start += 512) {
+    ASSERT_TRUE(engine
+                    .FoldChunk(start, std::span<const PaillierCiphertext>(
+                                          cts.data() + start, 512))
+                    .ok());
+  }
+  const PaillierCiphertext result = engine.Finish(std::nullopt).ValueOrDie();
+  const uint64_t ops = MontOps() - before;
+  RecordProperty("mont_ops", std::to_string(ops));
+  EXPECT_LE(ops, 2300u);
+  std::vector<BigInt> exponents(values.begin(), values.end());
+  EXPECT_EQ(result, Paillier::WeightedFold(pub, cts, exponents));
 }
 
 }  // namespace

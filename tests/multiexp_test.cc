@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -179,6 +180,113 @@ TEST(MultiExpTest, WeightedFoldDecryptsToWeightedSum) {
   EXPECT_EQ(Paillier::Decrypt(SharedKeyPair().private_key, folded)
                 .ValueOrDie(),
             expected);
+}
+
+std::vector<const BigInt*> Pointers(std::span<const BigInt> values) {
+  std::vector<const BigInt*> out;
+  for (const BigInt& v : values) out.push_back(&v);
+  return out;
+}
+
+TEST(MultiExpAccumulatorTest, ArbitrarySplitsMatchOneShot) {
+  // The streaming accumulator fed in any split equals one-shot
+  // MultiExpMontgomery over the same terms — including a first batch of
+  // narrow exponents followed by wider ones, which opens windows after
+  // the width has been fixed, zero exponents, and bases short enough
+  // that BigInt stores fewer than n limbs (they must be padded).
+  const BigInt& m = SharedKeyPair().public_key.n_squared();
+  MontgomeryContext ctx(m);
+  ChaCha20Rng rng(47);
+  constexpr size_t kTerms = 300;
+  std::vector<BigInt> bases_mont;
+  std::vector<BigInt> exps;
+  for (size_t i = 0; i < kTerms; ++i) {
+    bases_mont.push_back(ctx.ToMontgomery(RandomBelow(rng, m)));
+    const size_t bits = i < 100 ? 5 : (i < 200 ? 40 : 130);
+    exps.push_back(i % 11 == 0 ? BigInt(0) : RandomBits(rng, bits));
+  }
+  bases_mont[5] = BigInt(2);
+  bases_mont[6] = BigInt(1);
+  bases_mont[150] = BigInt(1);
+  bases_mont[151] = m - BigInt(1);
+  const BigInt expected = ctx.MultiExpMontgomery(bases_mont, exps);
+
+  const std::vector<const BigInt*> base_ptrs = Pointers(bases_mont);
+  const std::vector<const BigInt*> exp_ptrs = Pointers(exps);
+  const std::span<const BigInt* const> all_bases(base_ptrs);
+  const std::span<const BigInt* const> all_exps(exp_ptrs);
+  for (size_t split : {size_t{1}, size_t{7}, size_t{100}, kTerms}) {
+    for (size_t expected_terms : {size_t{1}, kTerms, size_t{100000}}) {
+      MontgomeryContext::MultiExpAccumulator acc(ctx, expected_terms);
+      for (size_t start = 0; start < kTerms; start += split) {
+        const size_t len = std::min(split, kTerms - start);
+        acc.Add(all_bases.subspan(start, len), all_exps.subspan(start, len));
+      }
+      EXPECT_LE(acc.window_bits(), MontgomeryContext::kMaxPippengerWindow);
+      EXPECT_EQ(acc.Finish(), expected)
+          << "split=" << split << " expected_terms=" << expected_terms;
+    }
+  }
+
+  // Random splits, with Finish between batches: Finish does not consume.
+  MontgomeryContext::MultiExpAccumulator acc(ctx, kTerms);
+  BigInt sum(0);
+  for (size_t start = 0; start < kTerms;) {
+    const size_t len = std::min<size_t>(1 + rng.NextBelow(40), kTerms - start);
+    acc.Add(all_bases.subspan(start, len), all_exps.subspan(start, len));
+    for (size_t i = start; i < start + len; ++i) sum += exps[i];
+    start += len;
+    std::span<const BigInt> b(bases_mont.data(), start);
+    std::span<const BigInt> e(exps.data(), start);
+    EXPECT_EQ(acc.Finish(), ctx.MultiExpMontgomery(b, e)) << "prefix " << start;
+  }
+  EXPECT_EQ(acc.exponent_sum(), sum);
+}
+
+TEST(MultiExpAccumulatorTest, EmptyAndZeroExponentsFinishToOne) {
+  MontgomeryContext ctx(SharedKeyPair().public_key.n_squared());
+  MontgomeryContext::MultiExpAccumulator acc(ctx, 10);
+  EXPECT_TRUE(acc.empty());
+  EXPECT_EQ(acc.Finish(), ctx.OneMontgomery());
+  const std::vector<BigInt> bases = {BigInt(3), BigInt(4)};
+  const std::vector<BigInt> zeros(2, BigInt(0));
+  acc.Add(Pointers(bases), Pointers(zeros));
+  EXPECT_TRUE(acc.empty());
+  EXPECT_EQ(acc.window_bits(), 0u);
+  EXPECT_EQ(acc.Finish(), ctx.OneMontgomery());
+  EXPECT_TRUE(acc.exponent_sum().IsZero());
+}
+
+TEST(MultiExpAccumulatorTest, CanonicalInputsCorrectedByRPower) {
+  // The server fold's conversion-free identity: feeding canonical
+  // residues c (the Montgomery forms of c R^-1) and Montgomery-multiplying
+  // once by the plain residue R^sum(e) gives exactly prod c^e.
+  const BigInt& m = SharedKeyPair().public_key.n_squared();
+  MontgomeryContext ctx(m);
+  ChaCha20Rng rng(48);
+  std::vector<BigInt> bases = {BigInt(0), BigInt(1), m - BigInt(1)};
+  std::vector<BigInt> exps = {BigInt(3), BigInt(9), BigInt(2)};
+  for (size_t i = 0; i < 60; ++i) {
+    bases.push_back(RandomBelow(rng, m));
+    exps.push_back(RandomBits(rng, 20));
+  }
+  // OneMontgomery() is R mod m, so this is R^sum(e) mod m.
+  auto r_pow = [&ctx](const BigInt& e) {
+    return ctx.Exp(ctx.OneMontgomery(), e);
+  };
+  MontgomeryContext::MultiExpAccumulator acc(ctx, bases.size());
+  acc.Add(Pointers(bases), Pointers(exps));
+  EXPECT_EQ(ctx.MulMontgomery(acc.Finish(), r_pow(acc.exponent_sum())),
+            NaiveFold(bases, exps, m));
+  // Without the zero base the product is a unit, so the check is not
+  // trivially 0 == 0.
+  std::vector<BigInt> units(bases.begin() + 1, bases.end());
+  std::vector<BigInt> unit_exps(exps.begin() + 1, exps.end());
+  MontgomeryContext::MultiExpAccumulator unit_acc(ctx, units.size());
+  unit_acc.Add(Pointers(units), Pointers(unit_exps));
+  EXPECT_EQ(ctx.MulMontgomery(unit_acc.Finish(),
+                              r_pow(unit_acc.exponent_sum())),
+            NaiveFold(units, unit_exps, m));
 }
 
 }  // namespace

@@ -438,6 +438,10 @@ TEST(TransportBackpressureTest, CloseMidFlushDeadlineBoundsTeardown) {
   int fd = RawConnectUnix(path);
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(SendAll(fd, upload.blob));
+  // SendAll can return before the reactor accepts; until then
+  // active_sessions() is trivially 0.
+  ASSERT_TRUE(
+      WaitFor([&] { return host.SnapshotStats().sessions_accepted == 1; }));
   // Never read: the goodbye arrives, the session enters closing with a
   // backed-up outbox, and the flush deadline must evict it while the
   // socket stays open on our side.
@@ -472,6 +476,8 @@ TEST(TransportBackpressureTest, WriteDeadlineEvictsNeverDrainingPeer) {
   int fd = RawConnectUnix(path);
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(SendAll(fd, upload.blob));
+  ASSERT_TRUE(
+      WaitFor([&] { return host.SnapshotStats().sessions_accepted == 1; }));
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; },
                       seconds(10)))
       << "stalled session was never evicted";
