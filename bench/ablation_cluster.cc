@@ -7,7 +7,9 @@
 // measured path is exactly the fan-out: header round-trip, index
 // upload, per-shard slicing, shard folds, homomorphic merge. With the
 // total rows fixed, each shard folds 1/N of the column; q/s should
-// rise (or at worst hold) as shards are added.
+// rise (or at worst hold) as shards are added. Every host runs in this
+// one process and folds on its shared ThreadPool, so this is an
+// in-process micro-benchmark; deployed shards are separate processes.
 //
 // BM_ClusterPartialQuery is the shard-kill point: a 4-shard cluster
 // with one shard stopped and the partial-result policy enabled, so
@@ -87,9 +89,7 @@ std::unique_ptr<BenchCluster> StartCluster(size_t shards,
     if (!registry->Register(Database("v", std::move(slice))).ok()) {
       return nullptr;
     }
-    ServiceHostOptions options;
-    options.engine = ServiceEngine::kThreaded;
-    auto host = std::make_unique<ServiceHost>(registry.get(), options);
+    auto host = std::make_unique<ServiceHost>(registry.get());
     if (!host->Start("tcp:127.0.0.1:0").ok()) return nullptr;
     ShardDescriptor shard;
     shard.id = static_cast<uint32_t>(s);
@@ -116,7 +116,6 @@ std::unique_ptr<BenchCluster> StartCluster(size_t shards,
   if (!cluster->coordinator->Validate().ok()) return nullptr;
 
   ServiceHostOptions host_options;
-  host_options.engine = ServiceEngine::kThreaded;
   host_options.router_factory = cluster->coordinator->RouterFactory();
   cluster->host =
       std::make_unique<ServiceHost>(&cluster->map_registry, host_options);

@@ -1,11 +1,13 @@
 // Ablation: multi-session service throughput. The paper measures one
 // client against one server; a deployment serves many analysts at once.
-// This table drives the concurrent ServiceHost (accept thread + one
-// session thread per client, folds on the shared ThreadPool) with 1..8
-// simultaneous clients running mixed-kind queries over one connection
-// each, and reports aggregate queries/sec. Near-flat scaling up to the
-// core count means session isolation adds no serialization beyond the
-// shared fold pool; each query's result is checked against plaintext.
+// This table drives the concurrent ServiceHost (epoll reactor threads,
+// folds on the shared work-stealing ThreadPool) with 1..8 simultaneous
+// clients running mixed-kind queries over one connection each, and
+// reports aggregate queries/sec. Near-flat scaling up to the core count
+// means session isolation adds no serialization beyond the shared fold
+// pool; each query's result is checked against plaintext. The table
+// runs over both transports (unix socket and TCP loopback), isolating
+// what TCP framing/loopback costs against the same workload.
 //
 // --chaos switches to the robustness variant: ~1% of frames on each
 // side of the wire are faulted (delay/truncate/garble/drop/disconnect,
@@ -15,23 +17,14 @@
 // counts, quantifying what the robustness layer costs under a noisy
 // transport.
 //
-// --engine=threaded|reactor selects the ServiceHost engine (default
-// threaded): thread-per-session, or the epoll reactor with folds on the
-// shared work-stealing pool. Comparing the two tables isolates what the
-// event-driven engine costs (or saves) at each client count. The
-// fault-free table runs over both transports (unix socket and TCP
-// loopback), isolating what TCP framing/loopback costs against the same
-// workload.
-//
-// The reactor run appends a second table: 32 pipelining clients (all
-// request frames pre-encrypted and blasted without reading, responses
-// drained afterwards, decrypt deferred past the timer) against a server
-// with a minimal SO_SNDBUF, so the per-session outbox genuinely
-// accumulates frames. The axis compares the gathered-writev outbox
-// against one send() per frame on the identical byte stream.
+// A second table drives 32 pipelining clients (all request frames
+// pre-encrypted and blasted without reading, responses drained
+// afterwards, decrypt deferred past the timer) against a server with a
+// minimal SO_SNDBUF, so the per-session outbox genuinely accumulates
+// frames and the gathered-writev flush path carries the load.
 //
 // When PPSTATS_BENCH_JSON_DIR is set the fault-free tables are written
-// to <dir>/BENCH_ablation_service_host_<engine>.json.
+// to <dir>/BENCH_ablation_service_host.json.
 
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -58,11 +51,10 @@
 
 namespace {
 
-int RunChaosMode(ppstats::ServiceEngine engine, const char* engine_name);
+int RunChaosMode();
 
-/// One row of the 32-client outbox axis (reactor engine only).
+/// The 32-client pipelined outbox table's row.
 struct OutboxRow {
-  const char* outbox;
   size_t clients;
   size_t queries;
   double wall_s;
@@ -81,29 +73,15 @@ int main(int argc, char** argv) {
   using namespace ppstats::bench;
 
   bool chaos = false;
-  ServiceEngine engine = ServiceEngine::kThreaded;
-  const char* engine_name = "threaded";
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--chaos")) {
       chaos = true;
-    } else if (!std::strcmp(argv[i], "--engine=reactor") ||
-               (!std::strcmp(argv[i], "--engine") && i + 1 < argc &&
-                !std::strcmp(argv[i + 1], "reactor") && ++i)) {
-      engine = ServiceEngine::kReactor;
-      engine_name = "reactor";
-    } else if (!std::strcmp(argv[i], "--engine=threaded") ||
-               (!std::strcmp(argv[i], "--engine") && i + 1 < argc &&
-                !std::strcmp(argv[i + 1], "threaded") && ++i)) {
-      engine = ServiceEngine::kThreaded;
-      engine_name = "threaded";
     } else {
-      std::fprintf(stderr,
-                   "usage: ablation_service_host [--chaos] "
-                   "[--engine=threaded|reactor]\n");
+      std::fprintf(stderr, "usage: ablation_service_host [--chaos]\n");
       return 2;
     }
   }
-  if (chaos) return RunChaosMode(engine, engine_name);
+  if (chaos) return RunChaosMode();
 
   const size_t n = FullScale() ? 10000 : 2000;
   const size_t queries_per_client = 4;
@@ -118,9 +96,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("Ablation: concurrent sessions at n=%zu, %zu queries/client, "
-              "engine=%s (measured)\n",
-              n, queries_per_client, engine_name);
+  std::printf("Ablation: concurrent sessions at n=%zu, %zu queries/client "
+              "(measured)\n",
+              n, queries_per_client);
   std::printf("%10s %10s %12s %14s %12s %10s\n", "transport", "clients",
               "queries", "wall (s)", "queries/s", "correct");
 
@@ -139,7 +117,6 @@ int main(int argc, char** argv) {
     for (size_t clients : {1u, 2u, 4u, 8u}) {
       ServiceHostOptions options;
       options.default_column = "age";
-      options.engine = engine;
       options.reactor_threads = 2;
       ServiceHost host(&registry, options);
       // Port 0 binds an ephemeral port; bound_uri() is what clients dial.
@@ -208,16 +185,11 @@ int main(int argc, char** argv) {
       "the cores\nsaturate, then flattens; tcp loopback tracks unix within "
       "framing overhead;\n'correct yes' on every row is the invariant.\n\n");
 
-  // The outbox flush axis only exists on the reactor engine (the
-  // threaded engine writes each frame synchronously from its session
-  // thread).
-  std::vector<OutboxRow> outbox_rows;
-  if (engine == ServiceEngine::kReactor) outbox_rows = RunOutboxTable();
+  std::vector<OutboxRow> outbox_rows = RunOutboxTable();
 
   if (const char* dir = std::getenv("PPSTATS_BENCH_JSON_DIR")) {
     std::string json = "{\n";
     json += "  \"figure\": \"ablation_service_host\",\n";
-    json += std::string("  \"engine\": \"") + engine_name + "\",\n";
     json += "  \"unit\": \"queries_per_second\",\n  \"points\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       char line[200];
@@ -238,10 +210,10 @@ int main(int argc, char** argv) {
         char line[240];
         std::snprintf(
             line, sizeof(line),
-            "    {\"outbox\": \"%s\", \"clients\": %zu, \"queries\": %zu, "
+            "    {\"clients\": %zu, \"queries\": %zu, "
             "\"wall_s\": %.6f, \"qps\": %.2f, \"correct\": %s, "
             "\"writev_calls\": %llu, \"writev_frames\": %llu}%s\n",
-            outbox_rows[i].outbox, outbox_rows[i].clients,
+            outbox_rows[i].clients,
             outbox_rows[i].queries, outbox_rows[i].wall_s, outbox_rows[i].qps,
             outbox_rows[i].correct ? "true" : "false",
             static_cast<unsigned long long>(outbox_rows[i].writev_calls),
@@ -252,10 +224,8 @@ int main(int argc, char** argv) {
       json += "  ]";
     }
     json += "\n}\n";
-    (void)obs::WriteFileAtomic(std::string(dir) +
-                                   "/BENCH_ablation_service_host_" +
-                                   engine_name + ".json",
-                               json);
+    (void)obs::WriteFileAtomic(
+        std::string(dir) + "/BENCH_ablation_service_host.json", json);
   }
   return 0;
 }
@@ -287,9 +257,8 @@ uint32_t FrameLenAt(const ppstats::Bytes& buf, size_t off) {
 // header and index chunk + goodbye) is encrypted and framed before the
 // timer starts, then blasted without reading; responses are drained
 // into stored frames during the timed phase and only decrypted and
-// checked afterwards. The identical byte stream runs against both
-// outbox modes, so the axis isolates gathered writev vs one send() per
-// frame on the server's flush path.
+// checked afterwards, so the timed phase measures the server's
+// gathered-writev flush path.
 std::vector<OutboxRow> RunOutboxTable() {
   using namespace ppstats;
   using namespace ppstats::bench;
@@ -354,22 +323,20 @@ std::vector<OutboxRow> RunOutboxTable() {
   }
 
   std::printf("Outbox flush: %zu pipelining clients, %zu queries each, "
-              "server SO_SNDBUF=4096, engine=reactor (measured)\n",
+              "server SO_SNDBUF=4096 (measured)\n",
               kClients, kQueries);
-  std::printf("%10s %10s %12s %14s %12s %10s %14s %14s\n", "outbox", "clients",
-              "queries", "wall (s)", "queries/s", "correct", "writev calls",
+  std::printf("%10s %12s %14s %12s %10s %14s %14s\n", "clients", "queries",
+              "wall (s)", "queries/s", "correct", "writev calls",
               "writev frames");
 
   std::vector<OutboxRow> out;
   const std::string path = "/tmp/ppstats_svc_outbox.sock";
   bool failed = false;
-  // One timed run of one outbox mode against a fresh host.
-  auto run_trial = [&](bool writev) -> OutboxRow {
+  // One timed run against a fresh host.
+  auto run_trial = [&]() -> OutboxRow {
     ServiceHostOptions options;
     options.default_column = "age";
-    options.engine = ServiceEngine::kReactor;
     options.reactor_threads = 2;
-    options.outbox_writev = writev;
     options.so_sndbuf = 4096;
     ServiceHost host(&registry, options);
     if (!host.Start("unix:" + path).ok()) {
@@ -514,42 +481,36 @@ std::vector<OutboxRow> RunOutboxTable() {
       }
     }
 
-    const char* mode = writev ? "writev" : "send";
     size_t total = kClients * kQueries;
-    return OutboxRow{mode,         kClients, total,        wall,
-                     total / wall, correct,  writev_calls, writev_frames};
+    return OutboxRow{kClients, total,   wall,         total / wall,
+                     correct,  writev_calls, writev_frames};
   };
 
-  // The syscall savings under test are a few ms against ~15 ms of
-  // scheduler noise per trial, so each mode reports its best of three
-  // runs; an incorrect run disqualifies the mode outright.
+  // A trial is ~0.1 s against ~15 ms of scheduler noise, so the table
+  // reports the best of three runs; an incorrect run is reported at
+  // once.
   const int kTrials = 3;
-  for (bool writev : {false, true}) {
-    OutboxRow best{};
-    for (int trial = 0; trial < kTrials; ++trial) {
-      OutboxRow row = run_trial(writev);
-      if (failed) return out;
-      if (trial == 0 || !row.correct ||
-          (best.correct && row.qps > best.qps)) {
-        best = row;
-      }
-      if (!row.correct) break;
+  OutboxRow best{};
+  for (int trial = 0; trial < kTrials; ++trial) {
+    OutboxRow row = run_trial();
+    if (failed) return out;
+    if (trial == 0 || !row.correct || (best.correct && row.qps > best.qps)) {
+      best = row;
     }
-    std::printf("%10s %10zu %12zu %14.3f %12.2f %10s %14llu %14llu\n",
-                best.outbox, best.clients, best.queries, best.wall_s, best.qps,
-                best.correct ? "yes" : "NO",
-                static_cast<unsigned long long>(best.writev_calls),
-                static_cast<unsigned long long>(best.writev_frames));
-    out.push_back(best);
+    if (!row.correct) break;
   }
+  std::printf("%10zu %12zu %14.3f %12.2f %10s %14llu %14llu\n", best.clients,
+              best.queries, best.wall_s, best.qps, best.correct ? "yes" : "NO",
+              static_cast<unsigned long long>(best.writev_calls),
+              static_cast<unsigned long long>(best.writev_frames));
+  out.push_back(best);
   std::printf(
-      "\nexpected shape: both rows correct; the writev row matches or beats "
-      "send\n(fewer syscalls per flush) and its frame counter shows multiple "
+      "\nexpected shape: correct, and the frame counter shows multiple "
       "frames per\ngathered call.\n\n");
   return out;
 }
 
-int RunChaosMode(ppstats::ServiceEngine engine, const char* engine_name) {
+int RunChaosMode() {
   using namespace ppstats;
   using namespace ppstats::bench;
 
@@ -569,15 +530,13 @@ int RunChaosMode(ppstats::ServiceEngine engine, const char* engine_name) {
   faults.delay_ms = 20;
 
   std::printf("Ablation: goodput under ~1%% injected faults per frame, "
-              "both directions, n=%zu, engine=%s (measured)\n", n,
-              engine_name);
+              "both directions, n=%zu (measured)\n", n);
   std::printf("%10s %12s %10s %14s %12s %10s %10s\n", "clients", "queries",
               "ok", "wall (s)", "goodput q/s", "faults", "redials");
 
   for (size_t clients : {1u, 2u, 4u, 8u}) {
     ServiceHostOptions options;
     options.default_column = "age";
-    options.engine = engine;
     options.reactor_threads = 2;
     options.io_deadline_ms = 5000;
     options.fault_injection = faults;

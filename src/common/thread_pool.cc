@@ -218,7 +218,11 @@ Status ThreadPool::TrySubmit(Task task, size_t queue_depth) {
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  // At least two workers, even on a 1-CPU host: an in-process cluster's
+  // coordinator session parks one worker on its blocking shard fan-out,
+  // and the reactor shards it waits on need another for their folds.
+  static ThreadPool pool(
+      std::max(kMinSharedWorkers, std::thread::hardware_concurrency()));
   return pool;
 }
 

@@ -75,7 +75,11 @@ class ThreadPool {
     return pending_tasks_.load(std::memory_order_relaxed);
   }
 
-  /// Process-wide pool sized to the hardware; created on first use.
+  /// Floor on Shared()'s worker count (see thread_pool.cc).
+  static constexpr unsigned kMinSharedWorkers = 2;
+
+  /// Process-wide pool sized to the hardware (at least
+  /// kMinSharedWorkers); created on first use.
   static ThreadPool& Shared();
 
  private:

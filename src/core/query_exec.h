@@ -1,10 +1,10 @@
 // The query execution seam between the session protocol drivers and
 // whatever actually answers a query.
 //
-// Both server engines (the blocking ServerSession loop and the reactor
-// ServerProtocolFsm) speak the same v1/v2 frame protocol but used to be
-// hard-wired to a local SumServer fold. This header splits that
-// dependency in two:
+// The server protocol (ServerProtocolFsm, driven by the blocking
+// ServerSession::Serve or by the reactor host) speaks the v1/v2 frame
+// protocol but used to be hard-wired to a local SumServer fold. This
+// header splits that dependency in two:
 //
 //  * QueryRouter — per-session policy object: resolves a QueryHeader
 //    (or the v1 implicit default query) into an opened query. The
@@ -54,9 +54,10 @@ struct ShardBlindConfig {
 /// interchangeable to the protocol drivers.
 ///
 /// Threading: like its QueryRouter, an execution belongs to exactly
-/// one session and is only ever driven from that session's driver
-/// thread (the blocking ServerSession loop or the reactor shard that
-/// owns the connection), so implementations hold no locks. Anything
+/// one session and is only ever driven by that session's FSM, which
+/// its driver never calls concurrently (the blocking ServerSession
+/// thread, or one pool task at a time under the reactor host), so
+/// implementations hold no locks. Anything
 /// an implementation fans out to other threads internally (e.g. the
 /// SumServer worker pool) must be joined before HandleRequest returns.
 class QueryExecution {

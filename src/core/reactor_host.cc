@@ -21,21 +21,26 @@ namespace ppstats {
 
 namespace {
 
-/// Same values as the threaded engine (core/service_host.cc).
+/// Cap on the accept-failure backoff. Transient fd exhaustion usually
+/// clears in milliseconds; anything longer and we still want the host
+/// probing regularly rather than sleeping through recovery.
 constexpr uint32_t kMaxAcceptBackoffMs = 100;
+
+/// Bound on the over-capacity hello drain and on flushing the
+/// rejection frame: the frame is tiny, so this only guards against a
+/// client that connects and then neither talks nor reads.
 constexpr uint32_t kRejectWriteDeadlineMs = 100;
 
-/// Inbound frame size limit — matches WrapSocket's default, so both
-/// engines reject the same hostile length prefixes.
+/// Inbound frame size limit — matches WrapSocket's default, so the host
+/// rejects the same hostile length prefixes a blocking channel does.
 constexpr size_t kMaxMessageBytes = size_t{1} << 28;
 
 /// recv() scratch size per call; the read loop drains to EAGAIN anyway
 /// (edge-triggered contract), this only bounds one copy.
 constexpr size_t kReadChunkBytes = 64 * 1024;
 
-/// Frames gathered into one sendmsg() when the writev outbox is on.
-/// Well under IOV_MAX; one batch per syscall, re-gathered after partial
-/// writes.
+/// Frames gathered into one sendmsg(). Well under IOV_MAX; one batch
+/// per syscall, re-gathered after partial writes.
 constexpr size_t kWritevBatchFrames = 64;
 
 }  // namespace
@@ -217,9 +222,9 @@ void ReactorEngine::Stop() {
   }
   {
     // Drain: sessions in flight run to completion (bounded by the I/O
-    // deadline when one is set), exactly like the threaded engine's
-    // reaper join. Worker completions keep landing on the reactors
-    // until the last session finalizes, so the loops must stay up.
+    // deadline when one is set). Worker completions keep landing on the
+    // reactors until the last session finalizes, so the loops must stay
+    // up.
     MutexLock lock(drain_mu_);
     while (live_sessions_ > 0) drain_cv_.Wait(drain_mu_);
   }
@@ -253,8 +258,7 @@ void ReactorEngine::AcceptPass(size_t shard) {
     if (!next.ok()) {
       if (next.status().code() != StatusCode::kResourceExhausted) {
         // The listener is dead (shutdown or a hard kernel error); stop
-        // accepting on this shard, like the threaded accept loop
-        // returning.
+        // accepting on this shard.
         RemoveListener(shard);
         return;
       }
@@ -297,10 +301,10 @@ void ReactorEngine::OpenSession(size_t shard, int fd, bool reject) {
     session->mode = SessionState::Mode::kRejecting;
   } else {
     counters_.accepted->Increment();
-    // Ids count accepted sessions only, like the threaded engine — so
-    // fault_seed + id addresses the same session under either engine
-    // whenever the accept order is deterministic (single-client chaos
-    // tests; multi-shard runs only promise id uniqueness).
+    // Ids count accepted sessions only (rejected connects get none), so
+    // fault_seed + id addresses the same session across runs whenever
+    // the accept order is deterministic (single-client chaos tests;
+    // multi-shard runs only promise id uniqueness).
     session->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
     serving_count_.fetch_add(1, std::memory_order_acq_rel);
     counters_.active->Set(
@@ -349,8 +353,9 @@ void ReactorEngine::RegisterSession(size_t shard,
     return;
   }
   if (session->mode == SessionState::Mode::kRejecting) {
-    // Best-effort hello drain before the Error frame, bounded like the
-    // threaded engine's 100ms reject read deadline.
+    // Best-effort hello drain before the Error frame, so the client
+    // never races its hello against our close: it gets to read the
+    // Error frame instead of dying on a broken pipe mid-send.
     session->reject_timer = sh.reactor->ArmTimer(
         std::chrono::milliseconds(kRejectWriteDeadlineMs),
         [this, shard, session] {
@@ -513,7 +518,7 @@ void ReactorEngine::HandleFsmOutput(size_t shard,
   if (s->closed) return;
   if (s->pending_error.has_value()) {
     // A send failed while the worker held the FSM; the session cannot
-    // continue (the blocking engine would have returned mid-Serve).
+    // continue.
     if (!s->fsm->done()) s->fsm->OnTransportError(*s->pending_error);
     FinalizeSession(shard, s);
     return;
@@ -605,33 +610,26 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
       }
       break;  // later frames must not overtake the delayed one
     }
-    ssize_t n;
-    if (options_.outbox_writev) {
-      // Gather every flushable frame behind the head into one
-      // sendmsg(): the batch stops at a delay barrier or disconnect
-      // marker, which later frames must not overtake.
-      struct iovec iov[kWritevBatchFrames];
-      size_t iov_count = 0;
-      for (const OutFrame& f : s->outbox) {
-        if (iov_count == kWritevBatchFrames || f.disconnect || f.delay_ms > 0) {
-          break;
-        }
-        const size_t off = iov_count == 0 ? s->wire_off : 0;
-        iov[iov_count].iov_base =
-            const_cast<uint8_t*>(f.wire.data() + off);
-        iov[iov_count].iov_len = f.wire.size() - off;
-        ++iov_count;
+    // Gather every flushable frame behind the head into one sendmsg():
+    // the batch stops at a delay barrier or disconnect marker, which
+    // later frames must not overtake.
+    struct iovec iov[kWritevBatchFrames];
+    size_t iov_count = 0;
+    for (const OutFrame& f : s->outbox) {
+      if (iov_count == kWritevBatchFrames || f.disconnect || f.delay_ms > 0) {
+        break;
       }
-      struct msghdr msg = {};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = iov_count;
-      n = ::sendmsg(s->fd, &msg, MSG_NOSIGNAL);
-      if (n >= 0) writev_calls_->Increment();
-    } else {
-      n = ::send(s->fd, head.wire.data() + s->wire_off,
-                 head.wire.size() - s->wire_off, MSG_NOSIGNAL);
+      const size_t off = iov_count == 0 ? s->wire_off : 0;
+      iov[iov_count].iov_base = const_cast<uint8_t*>(f.wire.data() + off);
+      iov[iov_count].iov_len = f.wire.size() - off;
+      ++iov_count;
     }
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
+    const ssize_t n = ::sendmsg(s->fd, &msg, MSG_NOSIGNAL);
     if (n >= 0) {
+      writev_calls_->Increment();
       // Advance across the batch: whole frames pop (a gathered call can
       // complete several at once), a partial tail resumes at wire_off.
       size_t sent = static_cast<size_t>(n);
@@ -646,7 +644,7 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
         ChannelMetrics& metrics = ChannelMetrics::Get();
         metrics.frames_sent->Increment();
         metrics.bytes_sent->Add(front.wire.size());
-        if (options_.outbox_writev) writev_frames_->Increment();
+        writev_frames_->Increment();
         s->wire_off = 0;
         s->outbox.pop_front();
       } while (sent > 0 && !s->outbox.empty());
@@ -658,8 +656,7 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
       ArmWriteTimer(shard, s);
       return;
     }
-    // Same "send failed" prefix on both paths, for parity with the
-    // threaded engine's SocketChannel::Send.
+    // Same "send failed" prefix as SocketChannel::Send.
     HandleSendFailure(
         shard, s, ErrnoStatus(StatusCode::kProtocolError, "send failed", errno));
     return;
@@ -732,8 +729,8 @@ void ReactorEngine::SetWriteInterest(size_t shard,
 void ReactorEngine::BeginReject(size_t shard,
                                 const std::shared_ptr<SessionState>& s) {
   CancelSessionTimer(shard, s->reject_timer);
-  // The rejection frame bypasses fault injection, like the threaded
-  // engine's RejectOverCapacity writing to the raw accepted channel.
+  // The rejection frame bypasses fault injection: it is the host's
+  // answer, not a protocol frame of the session.
   AppendOutbound(
       s,
       EncodeErrorFrame(
@@ -773,8 +770,8 @@ void ReactorEngine::HandleReadFailure(size_t shard,
                                       Status error) {
   CancelSessionTimer(shard, s->read_timer);
   if (s->mode == SessionState::Mode::kRejecting) {
-    // Parity with RejectOverCapacity: the hello drain is best-effort
-    // (Receive().IgnoreError()); the Error frame is sent regardless.
+    // The hello drain is best effort; the Error frame is sent
+    // regardless.
     if (!s->closing) BeginReject(shard, s);
     return;
   }
@@ -819,9 +816,9 @@ void ReactorEngine::FinalizeSession(size_t shard,
   shards_[shard].sessions.erase(s->fd);
 
   if (s->mode == SessionState::Mode::kServing) {
-    // Same outcome mapping as the threaded ServeOne: the FSM's own
-    // abort status wins; a send-path failure only surfaces when the
-    // protocol itself ended cleanly.
+    // Same outcome mapping as ServerSession::Serve: the FSM's own abort
+    // status wins; a send-path failure only surfaces when the protocol
+    // itself ended cleanly.
     Status status = s->fsm->final_status();
     if (status.ok() && !s->fsm->done()) {
       status = Status::Internal("session closed before completion");

@@ -1,15 +1,13 @@
-// ReactorEngine: the event-driven session engine behind
-// ServiceHost::Start when ServiceHostOptions::engine == kReactor.
+// ReactorEngine: the event-driven session engine behind ServiceHost.
 //
-// Instead of one blocking thread per client, a fixed set of reactor
-// threads (net/reactor.h) owns every fd non-blocking: the listeners and
-// all session sockets. Every shard owns its own listener — TCP shards
-// bind the same address with SO_REUSEPORT so the kernel load-balances
-// connections across them; AF_UNIX shards share one listening file
-// description via dup() — so a session is accepted on, and pinned to,
-// the shard that will serve it, with no cross-shard handoff and no
-// accept bottleneck on shard 0. Each session is driven as an explicit
-// state machine:
+// A fixed set of reactor threads (net/reactor.h) owns every fd
+// non-blocking: the listeners and all session sockets. Every shard owns
+// its own listener — TCP shards bind the same address with SO_REUSEPORT
+// so the kernel load-balances connections across them; AF_UNIX shards
+// share one listening file description via dup() — so a session is
+// accepted on, and pinned to, the shard that will serve it, with no
+// cross-shard handoff and no accept bottleneck on shard 0. Each session
+// is driven as an explicit state machine:
 //
 //   accept ─▶ read bytes ─▶ parse length-prefixed frames ─▶ inbox
 //     inbox ─▶ ThreadPool::Submit(fsm.OnFrame)   (CPU work off-loop)
@@ -21,22 +19,25 @@
 // the shared work-stealing ThreadPool, so CPU parallelism stays bounded
 // no matter how many clients are connected — the property that lets one
 // host hold thousands of idle or slow sessions with a flat thread
-// count.
+// count. Each session's outbox flushes with one gathered sendmsg() over
+// every pending frame.
 //
-// Parity with the threaded engine (core/service_host.cc) is a hard
-// requirement — same Error frames, same counters, same eviction and
-// rejection behavior:
+// The engine's contract with its clients:
 //  * io_deadline_ms is a whole-frame deadline. The read timer arms when
 //    the host starts waiting for a frame and is cancelled only by a
-//    complete frame, so a client trickling single bytes (Slowloris)
-//    is still evicted. Stalled writes are bounded the same way.
-//  * Over-capacity connects get the ResourceExhausted Error frame after
-//    a best-effort hello drain, then the socket closes.
-//  * Session outcomes map onto the same host.* counters, and queries
-//    are counted before their response frame reaches the wire.
-//  * options.fault_injection applies the same per-send fault plan
-//    (FrameFaultPlanner) in the same RNG draw order, so chaos seeds
-//    reproduce identical fault sequences under either engine.
+//    complete frame, so a client trickling single bytes (Slowloris) is
+//    still evicted, with the FSM's DeadlineExceeded Error frame.
+//    Stalled writes are bounded the same way.
+//  * Over-capacity connects get a ResourceExhausted Error frame after a
+//    best-effort hello drain (bounded at 100 ms), then the socket
+//    closes.
+//  * Session outcomes map onto the host.* counters, and queries are
+//    counted before their response frame reaches the wire, so a client
+//    holding its answer always finds the query in SnapshotStats().
+//  * options.fault_injection runs each session's outbound frames
+//    through a FrameFaultPlanner seeded with fault_seed + session id, in
+//    the same RNG draw order as a blocking FaultInjectingChannel, so a
+//    chaos seed replays an identical fault sequence.
 
 #ifndef PPSTATS_CORE_REACTOR_HOST_H_
 #define PPSTATS_CORE_REACTOR_HOST_H_
@@ -63,9 +64,8 @@ namespace ppstats {
 /// See the file comment. Owned by ServiceHost; one engine per Start().
 class ReactorEngine {
  public:
-  /// The owning host's registry-backed counters; the engine bumps the
-  /// same instruments the threaded engine does, so SnapshotStats() is
-  /// engine-agnostic.
+  /// The owning host's registry-backed counters, which back
+  /// ServiceHost::SnapshotStats().
   struct HostCounters {
     obs::Counter* accepted = nullptr;
     obs::Counter* ok = nullptr;
@@ -97,8 +97,8 @@ class ReactorEngine {
   const Endpoint& endpoint() const { return endpoint_; }
 
   /// Stops accepting, waits for in-flight sessions to drain (bounded by
-  /// io_deadline_ms when set, exactly like the threaded engine), then
-  /// stops and joins every reactor thread. Idempotent.
+  /// io_deadline_ms when set), then stops and joins every reactor
+  /// thread. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }

@@ -1,38 +1,40 @@
-// ServiceHost: a concurrent multi-session server over AF_UNIX sockets.
+// ServiceHost: a concurrent multi-session server over AF_UNIX or TCP
+// sockets.
 //
-// One accept-loop thread hands each incoming connection to its own
-// session thread (sessions do blocking channel I/O); the homomorphic
-// folds inside every session share the process-wide ThreadPool via
-// SumServer's worker_threads, so CPU parallelism is bounded regardless
-// of how many clients connect. Client public keys are deserialized
-// through one shared PublicKeyCache, so repeat sessions from the same
-// client skip the Montgomery-context rebuild.
+// The host is a thin shell over ReactorEngine (core/reactor_host.h): a
+// fixed set of event-loop threads owns every socket non-blocking, each
+// session is one ServerProtocolFsm, and frame processing (handshake,
+// homomorphic folds) runs on the process-wide ThreadPool, so CPU
+// parallelism and the thread count stay bounded however many clients
+// connect. Client public keys are deserialized through one shared
+// PublicKeyCache, so repeat sessions from the same client skip the
+// Montgomery-context rebuild.
 //
 // Robustness layer (the daemon must survive slow, crashing, and
 // malformed clients):
-//  * Per-session I/O deadlines (io_deadline_ms) evict a client that
-//    stalls mid-protocol instead of pinning its session thread forever.
-//  * A session reaper joins finished session threads promptly, so a
-//    long-running daemon's thread count returns to baseline between
-//    clients instead of accumulating handles until Stop().
+//  * io_deadline_ms is a whole-frame deadline: a client that does not
+//    complete its next frame in time (a trickler included) is evicted
+//    with a DeadlineExceeded Error frame; stalled writes are bounded
+//    the same way.
 //  * max_sessions caps concurrency; over-limit connects are answered
 //    with a ResourceExhausted Error frame and closed, which clients
 //    treat as retryable (net/retry.h).
-//  * The accept loop survives transient accept() failures (fd
-//    exhaustion, memory pressure) with capped backoff; only listener
-//    shutdown stops it.
+//  * Accepting survives transient accept() failures (fd exhaustion,
+//    memory pressure) with capped backoff; only listener shutdown stops
+//    it.
 //
 // Observability: every host owns a private obs::MetricRegistry. Session
 // outcomes and query counts live there as registry counters (the Stats
 // struct is a thin snapshot view over them), which makes SnapshotStats()
-// safe to call at any moment — queries are counted by the session before
-// their SumResponse reaches the wire, so live stats are never behind
-// what clients have observed. When stats_json_path is set, a dumper
-// thread periodically writes the merged host + process metrics as one
-// JSON document (atomic rename), and Stop() writes a final snapshot.
+// safe to call at any moment — queries are counted before their
+// SumResponse reaches the wire, so live stats are never behind what
+// clients have observed. When stats_json_path is set, a dumper thread
+// periodically writes the merged host + process metrics as one JSON
+// document (atomic rename), and Stop() writes a final snapshot.
 //
-// This is the deployment wrapper around ServerSession; the measured
-// experiment harnesses keep driving protocol objects directly.
+// The measured experiment harnesses keep driving protocol objects
+// directly; ServerSession::Serve drives the same FSM over one blocking
+// channel.
 
 #ifndef PPSTATS_CORE_SERVICE_HOST_H_
 #define PPSTATS_CORE_SERVICE_HOST_H_
@@ -40,12 +42,10 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -58,16 +58,6 @@
 namespace ppstats {
 
 class ReactorEngine;
-
-/// Which concurrency engine serves sessions.
-enum class ServiceEngine : uint8_t {
-  /// One blocking thread per session (the original host).
-  kThreaded,
-  /// Event-driven: a fixed set of reactor threads owns every socket
-  /// non-blocking and folds run on the shared work-stealing ThreadPool
-  /// (core/reactor_host.h). Thread count stays flat in the client count.
-  kReactor,
-};
 
 /// Host configuration.
 struct ServiceHostOptions {
@@ -82,22 +72,25 @@ struct ServiceHostOptions {
   /// ResourceExhausted Error frame. 0 = unlimited.
   size_t max_sessions = 0;
 
-  /// Per-call read/write deadline on every session channel; a client
-  /// that stalls longer than this mid-protocol is evicted with
-  /// DeadlineExceeded. 0 = block forever (the paper's assumption).
+  /// Whole-frame read/write deadline on every session: a client that
+  /// takes longer than this to complete its next frame (or to drain a
+  /// reply) is evicted with DeadlineExceeded. 0 = wait forever (the
+  /// paper's assumption).
   uint32_t io_deadline_ms = 0;
 
   /// Kernel listen(2) backlog for the socket listener.
   int accept_backlog = 16;
 
-  /// When set, every session channel is wrapped in a
-  /// FaultInjectingChannel seeded with fault_seed + session index, so
-  /// chaos tests can inject deterministic faults into the server's send
-  /// path (ServerHello / QueryAccept / SumResponse frames).
+  /// When set, every session's outbound frames pass through a
+  /// FrameFaultPlanner (net/fault_injection.h) seeded with fault_seed +
+  /// session index, so chaos tests can inject deterministic faults into
+  /// the server's send path (ServerHello / QueryAccept / SumResponse
+  /// frames). The planner draws in the same order a blocking
+  /// FaultInjectingChannel does, so a seed replays the same faults.
   std::optional<FaultInjectionOptions> fault_injection;
   uint64_t fault_seed = 0;
 
-  /// Test hook, consulted before each blocking accept. A non-OK return
+  /// Test hook, consulted before each accept. A non-OK return
   /// is handled exactly like a failed accept() with that status. Chaos
   /// tests use it to simulate fd exhaustion (EMFILE/ENFILE), which
   /// cannot be forced reliably from user space: some kernels (and
@@ -116,37 +109,27 @@ struct ServiceHostOptions {
   /// set).
   uint32_t stats_interval_ms = 0;
 
-  /// Session concurrency engine. Both engines implement identical
-  /// protocol, deadline, rejection, and counter semantics.
-  ServiceEngine engine = ServiceEngine::kReactor;
-
-  /// Reactor engine: number of event-loop threads. Every shard owns its
-  /// own listener (SO_REUSEPORT for tcp, a dup()'d description for
-  /// unix), and a session is served by the shard that accepted it.
+  /// Number of event-loop threads. Every shard owns its own listener
+  /// (SO_REUSEPORT for tcp, a dup()'d description for unix), and a
+  /// session is served by the shard that accepted it.
   size_t reactor_threads = 1;
 
-  /// Reactor engine: backend wait batch size (epoll_wait maxevents).
+  /// Backend wait batch size (epoll_wait maxevents).
   int max_events = 64;
 
-  /// Reactor engine: use the portable poll(2) backend even where epoll
-  /// is available (exercised by tests).
+  /// Use the portable poll(2) backend even where epoll is available
+  /// (exercised by tests).
   bool force_poll_backend = false;
 
-  /// Reactor engine: bound on ThreadPool tasks queued by session frame
-  /// processing. When the pool backlog reaches this depth, new frames
-  /// wait in their session's inbox instead of piling onto the pool
-  /// (backpressure, not rejection). 0 = unbounded.
+  /// Bound on ThreadPool tasks queued by session frame processing. When
+  /// the pool backlog reaches this depth, new frames wait in their
+  /// session's inbox instead of piling onto the pool (backpressure, not
+  /// rejection). 0 = unbounded.
   size_t fold_queue_depth = 0;
 
-  /// Reactor engine: flush each session's outbox with one gathered
-  /// sendmsg() over every pending frame instead of one send() per
-  /// frame. Off is kept as a bench ablation axis, not a deployment
-  /// choice.
-  bool outbox_writev = true;
-
-  /// SO_SNDBUF for accepted session sockets, both engines. 0 keeps the
-  /// kernel default; tests set tiny values to force partial writes
-  /// (the kernel clamps to its floor, ~4.6KB on Linux).
+  /// SO_SNDBUF for accepted session sockets. 0 keeps the kernel
+  /// default; tests set tiny values to force partial writes (the kernel
+  /// clamps to its floor, ~4.6KB on Linux).
   int so_sndbuf = 0;
 
   /// When set, each session's query resolution/execution is delegated
@@ -163,7 +146,7 @@ struct ServiceHostOptions {
   std::optional<ShardBlindConfig> shard_blind;
 };
 
-/// Serves ServerSessions concurrently on a filesystem socket path.
+/// Serves protocol sessions concurrently on a unix or tcp endpoint.
 class ServiceHost {
  public:
   /// Aggregate counters across all sessions served so far (reset on
@@ -201,28 +184,22 @@ class ServiceHost {
   /// Clients can dial this string verbatim (net/retry.h UriDialer).
   std::string bound_uri() const { return bound_endpoint_.ToUri(); }
 
-  /// Unblocks the accept loop and drains: sessions already in flight run
-  /// to completion (bounded by io_deadline_ms when set), their threads
-  /// are reaped, and every host thread is joined. Idempotent.
+  /// Stops accepting and drains: sessions already in flight run to
+  /// completion (bounded by io_deadline_ms when set), then every host
+  /// thread is joined. Idempotent.
   void Stop() PPSTATS_EXCLUDES(mu_);
 
-  bool running() const {
-    return accept_thread_.joinable() || reactor_engine_ != nullptr;
-  }
+  bool running() const { return engine_ != nullptr; }
 
-  /// Sessions currently being served (live session threads). The reaper
-  /// keeps this equal to the number of connected clients, so a test can
-  /// assert it returns to zero between clients.
-  size_t active_sessions() const PPSTATS_EXCLUDES(mu_);
+  /// Sessions currently being served (rejected connects excluded), so a
+  /// test can assert it returns to zero between clients.
+  size_t active_sessions() const;
 
   /// Live, race-free view of the host's counters: safe to call at any
   /// moment, including while sessions are mid-query. A query whose
   /// answer a client has already received is guaranteed to be counted
-  /// (ServerSession accounts it before the response frame is sent).
+  /// (the session accounts it before the response frame is sent).
   Stats SnapshotStats() const;
-
-  /// Alias of SnapshotStats(), kept for existing callers.
-  Stats stats() const { return SnapshotStats(); }
 
   /// The merged host + process-wide metrics this host's stats dumper
   /// exports (counters, gauges, and span histograms).
@@ -232,23 +209,16 @@ class ServiceHost {
   obs::MetricRegistry& metric_registry() { return metric_registry_; }
 
  private:
-  void AcceptLoop() PPSTATS_EXCLUDES(mu_);
-  void ReaperLoop() PPSTATS_EXCLUDES(mu_);
   void DumperLoop() PPSTATS_EXCLUDES(mu_);
-  void ServeOne(Channel& channel);
-  void RejectOverCapacity(std::unique_ptr<Channel> channel);
   void WriteStatsJson() const;
 
   const ColumnRegistry* registry_;
   ServiceHostOptions options_;
   const Database* default_column_ = nullptr;  // resolved at Start
   PublicKeyCache key_cache_;
-  /// Non-null while running with engine == kReactor; created per Start.
-  std::unique_ptr<ReactorEngine> reactor_engine_;
-  std::optional<SocketListener> listener_;
+  /// Non-null while running; created per Start.
+  std::unique_ptr<ReactorEngine> engine_;
   Endpoint bound_endpoint_;  ///< resolved listen address (set by Start)
-  std::thread accept_thread_;
-  std::thread reaper_thread_;
   std::thread dumper_thread_;
   std::chrono::steady_clock::time_point started_at_{};
 
@@ -264,17 +234,9 @@ class ServiceHost {
   obs::Counter* compute_ns_;
   obs::Gauge* active_gauge_;
 
-  mutable Mutex mu_;
-  /// Live session threads, keyed by session id.
-  std::map<uint64_t, std::thread> sessions_ PPSTATS_GUARDED_BY(mu_);
-  /// Done session threads, awaiting join by the reaper.
-  std::vector<std::thread> finished_ PPSTATS_GUARDED_BY(mu_);
-  CondVar reaper_cv_;
+  Mutex mu_;
   CondVar dumper_cv_;
-  uint64_t next_session_id_ PPSTATS_GUARDED_BY(mu_) = 0;
   bool stopping_ PPSTATS_GUARDED_BY(mu_) = false;
-  /// Accept loop gone; the reaper exits when idle.
-  bool draining_ PPSTATS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace ppstats

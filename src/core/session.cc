@@ -6,6 +6,7 @@
 
 #include "bigint/modarith.h"
 #include "core/messages.h"
+#include "core/session_fsm.h"
 #include "obs/span.h"
 
 namespace ppstats {
@@ -34,9 +35,6 @@ Status AbortWith(Channel& channel, Status status) {
   return status;
 }
 
-// Translates a received Error frame into a local Status.
-Status FromErrorFrame(BytesView frame) { return StatusFromErrorFrame(frame); }
-
 // Drives one SumClient execution over the channel (shared by the v1 and
 // v2 client paths; the per-query framing around it differs).
 // The communication spans cover time spent inside channel calls only:
@@ -59,7 +57,7 @@ Result<BigInt> RunClientQuery(Channel& channel, SumClient& client,
   recv_span.Stop();
   PPSTATS_RETURN_IF_ERROR(response.status());
   PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(*response));
-  if (type == MessageType::kError) return FromErrorFrame(*response);
+  if (type == MessageType::kError) return StatusFromErrorFrame(*response);
   if (type == MessageType::kPartialResult) {
     if (!accept_partial) {
       return AbortWith(channel,
@@ -150,7 +148,7 @@ Result<BigInt> ClientSession::RunOnce(Channel& channel) {
   PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel.Receive());
   handshake.Stop();
   PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
-  if (type == MessageType::kError) return FromErrorFrame(reply);
+  if (type == MessageType::kError) return StatusFromErrorFrame(reply);
   PPSTATS_ASSIGN_OR_RETURN(ServerHelloMessage server_hello,
                            ServerHelloMessage::Decode(reply));
   if (server_hello.protocol_version != kSessionProtocolV1) {
@@ -187,7 +185,7 @@ Status QuerySession::Connect(Channel& channel) {
   PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel.Receive());
   handshake.Stop();
   PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
-  if (type == MessageType::kError) return FromErrorFrame(reply);
+  if (type == MessageType::kError) return StatusFromErrorFrame(reply);
   PPSTATS_ASSIGN_OR_RETURN(ServerHelloMessage server_hello,
                            ServerHelloMessage::Decode(reply));
   if (server_hello.protocol_version < kSessionProtocolV1 ||
@@ -285,7 +283,7 @@ Result<BigInt> QuerySession::RunWeighted(const QuerySpec& spec,
 
     PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel_->Receive());
     PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
-    if (type == MessageType::kError) return FromErrorFrame(reply);
+    if (type == MessageType::kError) return StatusFromErrorFrame(reply);
     PPSTATS_ASSIGN_OR_RETURN(QueryAcceptMessage accept,
                              QueryAcceptMessage::Decode(reply));
     rows = accept.rows;
@@ -328,115 +326,32 @@ Status QuerySession::Finish() {
 }
 
 Status ServerSession::Serve(Channel& channel) {
-  std::shared_ptr<QueryRouter> router = options_.router;
-  if (router == nullptr) {
-    if (registry_ == nullptr && options_.default_column == nullptr) {
-      return Status::FailedPrecondition("server has no database");
+  // A blocking driver over the one server protocol machine: every
+  // inbound frame goes to the FSM, every frame it returns goes out.
+  ServerProtocolFsm fsm(registry_, options_, obs::CurrentContext().session_id);
+  Status send_status = Status::OK();
+  while (!fsm.done()) {
+    Result<Bytes> frame = channel.Receive();
+    ServerFsmOutput out;
+    if (frame.ok()) {
+      out = fsm.OnFrame(*frame);
+    } else if (frame.status().code() == StatusCode::kDeadlineExceeded) {
+      out = fsm.OnDeadline();  // the eviction Error frame
+    } else {
+      fsm.OnTransportError(frame.status());
     }
-    LocalRouterConfig config;
-    config.default_column = options_.default_column;
-    config.worker_threads = options_.worker_threads;
-    config.shard_blind = options_.shard_blind;
-    router = std::make_shared<LocalQueryRouter>(registry_, std::move(config));
-  }
-  obs::MetricRegistry* metric_registry =
-      options_.registry != nullptr ? options_.registry
-                                   : &obs::MetricRegistry::Global();
-
-  // Handshake.
-  obs::ObsSpan handshake(obs::kSpanHandshake, metric_registry);
-  PPSTATS_ASSIGN_OR_RETURN(Bytes first, channel.Receive());
-  Result<ClientHelloMessage> hello = ClientHelloMessage::Decode(first);
-  if (!hello.ok()) return AbortWith(channel, hello.status());
-  if (hello->protocol_version != kSessionProtocolV1 &&
-      hello->protocol_version != kSessionProtocolV2) {
-    return AbortWith(channel, Status::ProtocolError(
-                                  "unsupported protocol version"));
-  }
-  const uint16_t version = static_cast<uint16_t>(hello->protocol_version);
-  if (version == kSessionProtocolV1 && !router->HasDefault()) {
-    return AbortWith(channel, Status::FailedPrecondition(
-                                  "server has no default column"));
-  }
-  Result<PaillierPublicKey> pub =
-      options_.key_cache != nullptr
-          ? options_.key_cache->Deserialize(hello->public_key_blob)
-          : DeserializePublicKey(hello->public_key_blob);
-  if (!pub.ok()) return AbortWith(channel, pub.status());
-  Status hello_status = router->OnClientHello(hello->public_key_blob, *pub);
-  if (!hello_status.ok()) return AbortWith(channel, hello_status);
-  metrics_.negotiated_version = version;
-
-  ServerHelloMessage server_hello;
-  server_hello.protocol_version = version;
-  server_hello.database_size = router->DefaultRows();
-  PPSTATS_RETURN_IF_ERROR(channel.Send(server_hello.Encode()));
-  handshake.Stop();
-
-  return version == kSessionProtocolV1 ? ServeV1(channel, *pub, *router)
-                                       : ServeV2(channel, *pub, *router);
-}
-
-Status ServerSession::ServeV1(Channel& channel, const PaillierPublicKey& pub,
-                              QueryRouter& router) {
-  // The v1 implicit query: a plain sum over the whole default column.
-  Result<OpenedQuery> query = router.OpenDefault(pub);
-  if (!query.ok()) return AbortWith(channel, query.status());
-  return RunServerQuery(channel, *query->execution);
-}
-
-Status ServerSession::ServeV2(Channel& channel, const PaillierPublicKey& pub,
-                              QueryRouter& router) {
-  for (;;) {
-    PPSTATS_ASSIGN_OR_RETURN(Bytes frame, channel.Receive());
-    PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(frame));
-    if (type == MessageType::kGoodbye) return Status::OK();
-    if (type == MessageType::kError) return FromErrorFrame(frame);
-    Result<QueryHeaderMessage> header = QueryHeaderMessage::Decode(frame);
-    if (!header.ok()) return AbortWith(channel, header.status());
-
-    // Resolution (unknown kind/column, zero-row cover — a zero-row
-    // query would deadlock: the client has no chunks to send and the
-    // server would wait for one) happens inside the router.
-    Result<OpenedQuery> query = router.Open(*header, pub);
-    if (!query.ok()) return AbortWith(channel, query.status());
-
-    QueryAcceptMessage accept;
-    accept.rows = query->rows;
-    PPSTATS_RETURN_IF_ERROR(channel.Send(accept.Encode()));
-    PPSTATS_RETURN_IF_ERROR(RunServerQuery(channel, *query->execution));
-  }
-}
-
-Status ServerSession::RunServerQuery(Channel& channel,
-                                     QueryExecution& execution) {
-  // Attribute this query's fold spans to its 1-based index within the
-  // session (the session id comes from the enclosing ServiceHost).
-  obs::ScopedSpanContext context({obs::CurrentContext().session_id,
-                                  static_cast<uint64_t>(metrics_.queries + 1)});
-  while (!execution.Finished()) {
-    PPSTATS_ASSIGN_OR_RETURN(Bytes frame, channel.Receive());
-    PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(frame));
-    if (type == MessageType::kError) return FromErrorFrame(frame);
-    Result<std::optional<Bytes>> response = execution.HandleRequest(frame);
-    if (!response.ok()) return AbortWith(channel, response.status());
-    if (response->has_value()) {
-      // Account the query *before* its SumResponse reaches the wire: a
-      // client that has seen its answer is guaranteed to find the query
-      // in the host's live stats (no stale-until-Stop window).
-      ++metrics_.queries;
-      metrics_.server_compute_s += execution.compute_seconds();
-      if (options_.queries_counter != nullptr) {
-        options_.queries_counter->Increment();
+    for (const Bytes& reply : out.frames) {
+      send_status = channel.Send(reply);
+      if (!send_status.ok()) {
+        fsm.OnTransportError(send_status);
+        break;
       }
-      if (options_.compute_ns_counter != nullptr) {
-        options_.compute_ns_counter->Add(
-            static_cast<uint64_t>(execution.compute_seconds() * 1e9));
-      }
-      PPSTATS_RETURN_IF_ERROR(channel.Send(**response));
     }
   }
-  return Status::OK();
+  metrics_ = fsm.metrics();
+  // A protocol that ended cleanly still fails if its last frame did not
+  // leave; an abort keeps its own status over the Error frame's fate.
+  return fsm.final_status().ok() ? send_status : fsm.final_status();
 }
 
 }  // namespace ppstats

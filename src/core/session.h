@@ -248,8 +248,10 @@ struct ServerSessionOptions {
 };
 
 /// Serves private-sum queries from a column registry (or a single
-/// database). Handles exactly one client session per Serve call; a
-/// ServiceHost runs many of these concurrently.
+/// database) over a blocking channel: one client session per Serve
+/// call. The protocol itself lives in ServerProtocolFsm
+/// (core/session_fsm.h); Serve only moves frames between it and the
+/// channel. ServiceHost drives the same FSM from its event loop.
 class ServerSession {
  public:
   /// Single-column server: `db` is the default (and only) column.
@@ -260,20 +262,16 @@ class ServerSession {
       : registry_(registry), options_(options) {}
 
   /// Handles exactly one client session on the channel. Protocol
-  /// failures are reported to the peer (Error frame) and returned.
+  /// failures are reported to the peer (Error frame) and returned. A
+  /// receive that runs past the channel's read deadline evicts the
+  /// peer: it gets a DeadlineExceeded Error frame, and so does the
+  /// caller.
   [[nodiscard]] Status Serve(Channel& channel);
 
   /// Counters for the served session (valid after Serve returns).
   const SessionMetrics& metrics() const { return metrics_; }
 
  private:
-  [[nodiscard]] Status ServeV1(Channel& channel, const PaillierPublicKey& pub,
-                               QueryRouter& router);
-  [[nodiscard]] Status ServeV2(Channel& channel, const PaillierPublicKey& pub,
-                               QueryRouter& router);
-  [[nodiscard]] Status RunServerQuery(Channel& channel,
-                                      QueryExecution& execution);
-
   const ColumnRegistry* registry_ = nullptr;
   ServerSessionOptions options_;
   SessionMetrics metrics_;

@@ -71,8 +71,8 @@ void ServerProtocolFsm::OnHandshakeFrame(BytesView frame,
   router_ = options_.router;
   if (router_ == nullptr) {
     if (registry_ == nullptr && options_.default_column == nullptr) {
-      // Same as ServerSession::Serve: a misconfigured server fails
-      // locally, before it owes the peer any frame.
+      // A misconfigured server fails locally, before it owes the peer
+      // any frame.
       Finish(Status::FailedPrecondition("server has no database"));
       return;
     }
@@ -155,7 +155,7 @@ void ServerProtocolFsm::OnChunkFrame(BytesView frame, ServerFsmOutput& out) {
   if (*type == MessageType::kError) return Finish(StatusFromErrorFrame(frame));
 
   // Attribute this query's fold spans to its 1-based index within the
-  // session, as ServerSession::RunServerQuery does for the whole query.
+  // session.
   obs::ScopedSpanContext context(
       {session_ordinal_, static_cast<uint64_t>(metrics_.queries + 1)});
   Result<std::optional<Bytes>> response = execution_->HandleRequest(frame);

@@ -1,10 +1,9 @@
 // ServerProtocolFsm: the server side of the session protocol as a
-// sans-IO state machine.
-//
-// ServerSession::Serve drives the same protocol with blocking channel
-// calls — one thread per client. The reactor host (core/reactor_host.h)
-// cannot block, so this class re-expresses Serve as explicit
-// transitions over complete frames:
+// sans-IO state machine — the only implementation of it. Two drivers
+// move frames in and out: ServerSession::Serve over one blocking
+// channel, and the reactor host (core/reactor_host.h), which cannot
+// block. Both see the protocol as explicit transitions over complete
+// frames:
 //
 //   kHandshake ──ClientHello──▶ kAwaitQuery          (v2)
 //        │                          │  ▲
@@ -15,17 +14,19 @@
 //        ▼                          ▼
 //      kDone ◀───────────────────kDone
 //
-// The caller feeds each complete inbound frame to OnFrame() and writes
-// the returned frames to its transport in order; eviction and transport
-// failure enter through OnDeadline()/OnTransportError(). Frame
-// processing is CPU-heavy (key deserialization, homomorphic folds), so
-// event loops run OnFrame on a worker pool, never on the loop thread.
+// The driver feeds each complete inbound frame to OnFrame() and writes
+// the returned frames to its transport in order; a peer that misses its
+// deadline enters through OnDeadline() (which yields the eviction Error
+// frame), a dead transport through OnTransportError(). Frame processing
+// is CPU-heavy (key deserialization, homomorphic folds), so event loops
+// run OnFrame on a worker pool, never on the loop thread.
 //
-// Semantics match ServerSession exactly: the same Error frames on the
-// same inputs, v1 fallback, the zero-row rejection, and live-stats
-// counter parity — queries_counter is bumped *before* the SumResponse
-// frame is handed back, so a client that has its answer is guaranteed
-// to find the query in the host's snapshot.
+// Every protocol failure — bad hello, unsupported version, malformed or
+// unparseable frame, unknown kind or column, zero-row cover — aborts
+// with an Error frame carrying its status; only a server with no
+// database fails locally, without a frame. queries_counter is bumped
+// *before* the SumResponse frame is handed back, so a client that has
+// its answer is guaranteed to find the query in the host's snapshot.
 
 #ifndef PPSTATS_CORE_SESSION_FSM_H_
 #define PPSTATS_CORE_SESSION_FSM_H_
@@ -62,7 +63,7 @@ struct ServerFsmOutput {
 /// calls (the reactor host runs at most one worker task per session).
 class ServerProtocolFsm {
  public:
-  /// Mirrors ServerSession's constructor; `session_ordinal` becomes the
+  /// Takes ServerSession's arguments; `session_ordinal` becomes the
   /// 1-based session id in span contexts (0 = unattributed).
   ServerProtocolFsm(const ColumnRegistry* registry,
                     ServerSessionOptions options, uint64_t session_ordinal = 0);
@@ -86,12 +87,11 @@ class ServerProtocolFsm {
   /// (or completed v1 query), the abort status otherwise.
   const Status& final_status() const { return final_status_; }
 
-  /// Counter parity with ServerSession::metrics().
+  /// Per-session counters (ServerSession::metrics() reports these).
   const SessionMetrics& metrics() const { return metrics_; }
 
  private:
-  /// Appends an Error frame for `status` and terminates the session —
-  /// the FSM's AbortWith.
+  /// Appends an Error frame for `status` and terminates the session.
   void Abort(ServerFsmOutput& out, Status status);
   void Finish(Status status);
 

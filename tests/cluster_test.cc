@@ -1,6 +1,6 @@
 // Cluster subsystem tests: shard maps, zero-share blinding, the wire
 // extensions, and in-process coordinator fan-out over real sockets
-// against real shard ServiceHosts (both engines).
+// against real shard ServiceHosts.
 
 #include "cluster/coordinator.h"
 
@@ -24,6 +24,7 @@
 #include "crypto/zero_share.h"
 #include "db/column_registry.h"
 #include "db/database.h"
+#include "host_suite.h"
 
 namespace ppstats {
 namespace {
@@ -302,7 +303,6 @@ struct TestCluster {
 struct TestClusterConfig {
   size_t shards = 4;
   size_t rows_per_shard = 8;
-  ServiceEngine engine = ServiceEngine::kThreaded;
   bool blind = false;
   PartialResultPolicy policy = PartialResultPolicy::kFail;
   size_t shard_attempts = 1;
@@ -323,15 +323,11 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
     }
     auto registry = std::make_unique<ColumnRegistry>();
     EXPECT_TRUE(registry->Register(Database("v", slice)).ok());
+    // Shard and coordinator hosts share this process's ThreadPool::
+    // Shared(): the coordinator session parks one worker on its blocking
+    // fan-out while the shards fold on another, which the pool's
+    // two-worker floor guarantees even on a 1-CPU host.
     ServiceHostOptions options;
-    // Shard hosts stay threaded: the reactor engine folds on the
-    // process-wide shared pool, and on a 1-core box the coordinator's
-    // blocking fan-out (also a shared-pool task under the reactor
-    // engine) would starve co-located reactor shards of that worker.
-    // The engine parameter exercises the coordinator host, which is
-    // the code path this suite adds; shard hosts are ordinary servers
-    // covered by ServiceHostTest and, cross-process, by the e2e test.
-    options.engine = ServiceEngine::kThreaded;
     if (config.blind) {
       ShardBlindConfig blind;
       blind.shard_index = static_cast<uint32_t>(i);
@@ -373,7 +369,6 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
   EXPECT_TRUE(cluster->coordinator->Validate().ok());
 
   ServiceHostOptions host_options;
-  host_options.engine = config.engine;
   host_options.router_factory = cluster->coordinator->RouterFactory();
   cluster->coordinator_host = std::make_unique<ServiceHost>(
       &cluster->map_registry, host_options);
@@ -392,20 +387,13 @@ uint64_t ExpectedSum(const std::vector<uint32_t>& values,
   return sum;
 }
 
-class ClusterServiceTest : public ::testing::TestWithParam<ServiceEngine> {};
+class ClusterServiceTest : public ::testing::TestWithParam<HostEngine> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ClusterServiceTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
+PPSTATS_INSTANTIATE_HOST_SUITE(ClusterServiceTest);
 
 TEST_P(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
   TestClusterConfig config;
-  config.engine = GetParam();
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "fan_r" : "fan_t", config);
+  auto cluster = StartCluster("fan", config);
   const size_t rows = cluster->values.size();
 
   ChaCha20Rng rng(11);
@@ -448,10 +436,8 @@ TEST_P(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
 
 TEST_P(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
   TestClusterConfig config;
-  config.engine = GetParam();
   config.blind = true;
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "blind_r" : "blind_t", config);
+  auto cluster = StartCluster("blind", config);
   const size_t rows = cluster->values.size();
 
   ChaCha20Rng rng(12);
@@ -477,9 +463,7 @@ TEST_P(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
 TEST_P(ClusterServiceTest, RejectsUnknownColumns) {
   TestClusterConfig config;
   config.shards = 2;
-  config.engine = GetParam();
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "rej_r" : "rej_t", config);
+  auto cluster = StartCluster("rej", config);
   const size_t rows = cluster->values.size();
 
   ChaCha20Rng rng(13);
@@ -500,9 +484,7 @@ TEST_P(ClusterServiceTest, RejectsUnknownColumns) {
 TEST_P(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
   TestClusterConfig config;
   config.shards = 2;
-  config.engine = GetParam();
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "v1_r" : "v1_t", config);
+  auto cluster = StartCluster("v1", config);
   const size_t rows = cluster->values.size();
 
   SelectionVector selection(rows, false);

@@ -1,5 +1,5 @@
-// Unit coverage for the event-driven stack introduced with the reactor
-// ServiceHost engine: the hashed timer wheel, the reactor loop itself,
+// Unit coverage for the event-driven stack behind ServiceHost: the
+// hashed timer wheel, the reactor loop itself,
 // the sans-IO server protocol FSM, and — the property the whole design
 // exists for — thousands of simultaneous idle/slow clients served with
 // a flat process thread count.
@@ -430,8 +430,8 @@ int RawConnect(const std::string& path) {
 
 TEST(ReactorC10kTest, ThousandsOfIdleAndSlowClientsFlatThreadCount) {
   // The reactor's raison d'être: N connected-but-useless clients cost
-  // the host zero threads beyond its fixed set. The threaded engine
-  // would need one thread each.
+  // the host zero threads beyond its fixed set (a thread-per-session
+  // host would need one thread each).
   rlimit limit{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
   rlim_t want = std::min<rlim_t>(limit.rlim_max, 8192);
@@ -453,7 +453,6 @@ TEST(ReactorC10kTest, ThousandsOfIdleAndSlowClientsFlatThreadCount) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("col", {1, 2, 3})).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.reactor_threads = 2;
   options.accept_backlog = 256;
   // No I/O deadline: idle clients must be *held*, not evicted.
@@ -489,7 +488,7 @@ TEST(ReactorC10kTest, ThousandsOfIdleAndSlowClientsFlatThreadCount) {
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; },
                       seconds(30)));
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   // Idle clients hung up mid-handshake: every session resolved, none ok.
   EXPECT_EQ(stats.sessions_ok + stats.sessions_failed, kTarget);
 }
@@ -532,7 +531,6 @@ TEST(ReactorC10kTest, TcpLoopbackSpreadsAcceptsAcrossShardListeners) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("col", {1, 2, 3})).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.reactor_threads = 2;
   options.accept_backlog = 1024;
   ServiceHost host(&registry, options);

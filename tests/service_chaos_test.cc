@@ -21,6 +21,7 @@
 #include "core/service_host.h"
 #include "core/session.h"
 #include "crypto/chacha20_rng.h"
+#include "host_suite.h"
 #include "net/fault_injection.h"
 
 namespace ppstats {
@@ -66,29 +67,14 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
-// The whole matrix runs once per engine: chaos seeds must reproduce the
-// same typed outcomes under the blocking and the reactor host.
-class ServiceChaosTest : public ::testing::TestWithParam<ServiceEngine> {
+class ServiceChaosTest : public ::testing::TestWithParam<HostEngine> {
  protected:
-  ServiceHostOptions BaseOptions() const {
-    ServiceHostOptions options;
-    options.engine = GetParam();
-    return options;
-  }
-
   std::string SocketPath(const std::string& name) const {
-    const char* suffix =
-        GetParam() == ServiceEngine::kReactor ? "_r" : "_t";
-    return std::string(::testing::TempDir()) + "/" + name + suffix + ".sock";
+    return std::string(::testing::TempDir()) + "/" + name + ".sock";
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ServiceChaosTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
+PPSTATS_INSTANTIATE_HOST_SUITE(ServiceChaosTest);
 
 bool WaitFor(const std::function<bool()>& pred,
              milliseconds timeout = seconds(10 * kTimeScale)) {
@@ -208,7 +194,7 @@ TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
   // must keep serving clean clients throughout.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = kServerDeadlineMs;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("chaos_client_matrix");
@@ -232,7 +218,7 @@ TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
   }
   EXPECT_TRUE(host.running());
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   // Every chaos connect plus every clean verifier was accepted, and all
   // the clean ones ended ok.
   EXPECT_EQ(stats.sessions_accepted, 2 * chaos_runs);
@@ -250,7 +236,7 @@ TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
     for (uint64_t phase : {0u, 1u, 2u}) {
       SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
                    " phase=" + std::to_string(phase));
-      ServiceHostOptions options = BaseOptions();
+      ServiceHostOptions options;
       options.io_deadline_ms = kServerDeadlineMs;
       options.fault_injection = FaultAtPhase(kind, phase);
       options.fault_seed = ++seed;
@@ -263,7 +249,7 @@ TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
       ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
       EXPECT_TRUE(host.running());
       host.Stop();
-      EXPECT_EQ(host.stats().sessions_accepted, 1u);
+      EXPECT_EQ(host.SnapshotStats().sessions_accepted, 1u);
     }
   }
 }
@@ -273,7 +259,7 @@ TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
   // seeds: every run must terminate typed and leave the host serving.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = kServerDeadlineMs;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("chaos_sweep");
@@ -291,7 +277,7 @@ TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
   ExpectCleanClientServed(path, 424242);
   EXPECT_TRUE(host.running());
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_accepted, 17u);
+  EXPECT_EQ(host.SnapshotStats().sessions_accepted, 17u);
 }
 
 TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
@@ -300,7 +286,7 @@ TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
   // frame on the wire, and the host must keep accepting.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = kServerDeadlineMs;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("chaos_header");
@@ -325,17 +311,17 @@ TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
 
   ExpectCleanClientServed(path, 77);
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_evicted, 1u);
+  EXPECT_EQ(host.SnapshotStats().sessions_evicted, 1u);
 }
 
 TEST_P(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   // The acceptance run: 32 concurrent clients, faults injected on both
   // sides of the wire at ~1% per frame. Every client must terminate
-  // with a typed status, no session thread may leak, and the host must
+  // with a typed status, no thread may leak, and the host must
   // serve a clean client afterwards.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = 500 * kTimeScale;
   options.worker_threads = 2;
   FaultInjectionOptions server_faults;  // defaults: 1% rate, all kinds
@@ -390,7 +376,7 @@ TEST_P(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   Status after = RunChaosClient(path, std::nullopt, 999);
   EXPECT_TRUE(IsTypedOutcome(after)) << after.ToString();
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, static_cast<uint64_t>(kClients) + 2);
   // Every accepted session resolved one way or the other — none hang.
   EXPECT_EQ(stats.sessions_ok + stats.sessions_failed,

@@ -21,6 +21,7 @@
 #include "crypto/chacha20_rng.h"
 #include "crypto/key_io.h"
 #include "db/workload.h"
+#include "host_suite.h"
 
 namespace ppstats {
 namespace {
@@ -74,42 +75,27 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
-// The whole suite runs once per engine: both must expose identical
-// protocol, rejection, eviction, restart, and stats behavior.
-class ServiceHostTest : public ::testing::TestWithParam<ServiceEngine> {
+class ServiceHostTest : public ::testing::TestWithParam<HostEngine> {
  protected:
-  ServiceHostOptions BaseOptions() const {
-    ServiceHostOptions options;
-    options.engine = GetParam();
-    return options;
-  }
-
   std::string SocketPath(const char* name) const {
-    const char* suffix =
-        GetParam() == ServiceEngine::kReactor ? "_r" : "_t";
-    return std::string(::testing::TempDir()) + "/" + name + suffix + ".sock";
+    return std::string(::testing::TempDir()) + "/" + name + ".sock";
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ServiceHostTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
+PPSTATS_INSTANTIATE_HOST_SUITE(ServiceHostTest);
 
 TEST_P(ServiceHostTest, StartRequiresColumns) {
   ColumnRegistry empty;
-  ServiceHost host(&empty, BaseOptions());
+  ServiceHost host(&empty);
   EXPECT_FALSE(host.Start(SocketPath("svc_empty")).ok());
-  ServiceHost null_host(nullptr, BaseOptions());
+  ServiceHost null_host(nullptr);
   EXPECT_FALSE(null_host.Start(SocketPath("svc_null")).ok());
 }
 
 TEST_P(ServiceHostTest, UnknownDefaultColumnRejectedAtStart) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("a", {1})).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.default_column = "nope";
   ServiceHost host(&registry, options);
   EXPECT_FALSE(host.Start(SocketPath("svc_baddefault")).ok());
@@ -128,7 +114,7 @@ TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   ASSERT_TRUE(registry.Register(age).ok());
   ASSERT_TRUE(registry.Register(income).ok());
 
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.default_column = "age";
   options.worker_threads = 2;
   options.reactor_threads = 2;  // exercise multi-shard session pinning
@@ -198,7 +184,7 @@ TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   EXPECT_EQ(failures.load(), 0);
 
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, static_cast<uint64_t>(kClients));
   EXPECT_EQ(stats.sessions_ok, static_cast<uint64_t>(kClients));
   EXPECT_EQ(stats.sessions_failed, 0u);
@@ -212,7 +198,7 @@ TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   // Sole column becomes the default.
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_v1");
   ASSERT_TRUE(host.Start(path).ok());
 
@@ -255,7 +241,7 @@ TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   }
 
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, 3u);
   EXPECT_EQ(stats.sessions_ok, 2u);
   EXPECT_EQ(stats.sessions_failed, 1u);
@@ -269,7 +255,7 @@ TEST_P(ServiceHostTest, StopIsIdempotentAndRestartable) {
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_restart");
   ASSERT_TRUE(host.Start(path).ok());
   EXPECT_TRUE(host.running());
@@ -282,13 +268,12 @@ TEST_P(ServiceHostTest, StopIsIdempotentAndRestartable) {
 }
 
 TEST_P(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
-  // Threaded engine: the reaper joins finished session threads while
-  // the host keeps running. Reactor engine: sessions never get a thread
-  // at all, so the count stays at the post-Start baseline throughout.
+  // Sessions never get a thread of their own, so the count stays at the
+  // post-Start baseline throughout.
   Database db("d", {1, 2, 3, 4});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_reaper");
   ASSERT_TRUE(host.Start(path).ok());
   size_t baseline = CountProcessThreads();
@@ -310,7 +295,7 @@ TEST_P(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
   }
   EXPECT_TRUE(host.running());
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, static_cast<uint64_t>(kClients));
   EXPECT_EQ(stats.sessions_ok, static_cast<uint64_t>(kClients));
 }
@@ -319,7 +304,7 @@ TEST_P(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = 100;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("svc_evict");
@@ -343,7 +328,7 @@ TEST_P(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
   EXPECT_TRUE(host.running());
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_failed, 1u);
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
@@ -355,7 +340,7 @@ TEST_P(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = 150;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("svc_slowloris");
@@ -382,7 +367,7 @@ TEST_P(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
 
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
@@ -390,7 +375,7 @@ TEST_P(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   Database db("d", {3, 4, 5});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.max_sessions = 1;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("svc_cap");
@@ -429,14 +414,14 @@ TEST_P(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   ASSERT_TRUE(c.Finish().ok());
 
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, 2u);
   EXPECT_EQ(stats.sessions_rejected, 1u);
   EXPECT_EQ(stats.sessions_ok, 2u);
 }
 
-TEST_P(ServiceHostTest, AcceptLoopSurvivesFdExhaustion) {
-  // Regression: the accept loop used to exit permanently on any
+TEST_P(ServiceHostTest, AcceptingSurvivesFdExhaustion) {
+  // Regression: accepting used to stop permanently on any
   // accept() failure, so one EMFILE burst silently killed the daemon.
   // Real fd exhaustion cannot be forced portably (sandboxed kernels
   // skip the RLIMIT_NOFILE check on accept's fd allocation), so the
@@ -447,7 +432,7 @@ TEST_P(ServiceHostTest, AcceptLoopSurvivesFdExhaustion) {
   ASSERT_TRUE(registry.Register(db).ok());
   std::atomic<int> bursts_left{5};
   std::atomic<int> injected{0};
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.accept_fault_hook = [&]() -> Status {
     if (bursts_left.load() > 0) {
       bursts_left.fetch_sub(1);
@@ -474,8 +459,8 @@ TEST_P(ServiceHostTest, AcceptLoopSurvivesFdExhaustion) {
   EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(7));
 
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_accepted, 1u);
-  EXPECT_EQ(host.stats().sessions_ok, 1u);
+  EXPECT_EQ(host.SnapshotStats().sessions_accepted, 1u);
+  EXPECT_EQ(host.SnapshotStats().sessions_ok, 1u);
 }
 
 TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
@@ -484,7 +469,7 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   Database db("d", {9, 10});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_reset");
   ASSERT_TRUE(host.Start(path).ok());
   {
@@ -495,13 +480,13 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
     EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(19));
   }
   host.Stop();
-  ServiceHost::Stats first = host.stats();
+  ServiceHost::Stats first = host.SnapshotStats();
   EXPECT_EQ(first.sessions_accepted, 1u);
   EXPECT_EQ(first.distinct_client_keys, 1u);
 
   // Same path, fresh run: counters and key cache start from zero.
   ASSERT_TRUE(host.Start(path).ok());
-  ServiceHost::Stats fresh = host.stats();
+  ServiceHost::Stats fresh = host.SnapshotStats();
   EXPECT_EQ(fresh.sessions_accepted, 0u);
   EXPECT_EQ(fresh.queries_served, 0u);
   EXPECT_EQ(fresh.distinct_client_keys, 0u);
@@ -513,7 +498,7 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
     EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(10));
   }
   host.Stop();
-  ServiceHost::Stats second = host.stats();
+  ServiceHost::Stats second = host.SnapshotStats();
   EXPECT_EQ(second.sessions_accepted, 1u);
   EXPECT_EQ(second.distinct_client_keys, 1u);
 }
@@ -526,7 +511,7 @@ TEST_P(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
   Database db("d", {5, 6, 7});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_live");
   ASSERT_TRUE(host.Start(path).ok());
 
@@ -558,7 +543,7 @@ TEST_P(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
   Database db("d", {1, 2, 3, 4});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.stats_json_path = SocketPath("svc_stats_json") + ".json";
   options.stats_interval_ms = 20;
   std::remove(options.stats_json_path.c_str());
@@ -597,13 +582,13 @@ TEST_P(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
 
 TEST_P(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
   // A client may write its whole protocol, half-close, and only then
-  // read the replies. Both engines must serve every pipelined frame
+  // read the replies. The host must serve every pipelined frame
   // before acting on the EOF — the session ended with a clean Goodbye,
   // so it counts ok, never failed.
   Database db("d", {2, 3});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_pipeline");
   ASSERT_TRUE(host.Start(path).ok());
 
@@ -635,7 +620,7 @@ TEST_P(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
 
   EXPECT_TRUE(WaitFor([&] { return host.SnapshotStats().sessions_ok == 1; }));
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_ok, 1u);
   EXPECT_EQ(stats.sessions_failed, 0u);
 }
@@ -646,7 +631,7 @@ TEST_P(ServiceHostTest, OversizedFramePrefixFailsSessionCleanly) {
   Database db("d", {2, 3});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_oversize");
   ASSERT_TRUE(host.Start(path).ok());
 
@@ -658,7 +643,7 @@ TEST_P(ServiceHostTest, OversizedFramePrefixFailsSessionCleanly) {
   EXPECT_TRUE(WaitFor([&] { return host.SnapshotStats().sessions_failed == 1; }));
   ::close(fd);
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_ok, 0u);
+  EXPECT_EQ(host.SnapshotStats().sessions_ok, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sys/socket.h>
 
+#include <chrono>
 #include <thread>
 
 #include "core/messages.h"
@@ -134,6 +135,28 @@ TEST(SessionTest, ServerRejectsNonHelloOpening) {
   EXPECT_EQ(PeekMessageType(reply).ValueOrDie(), MessageType::kError);
   server_thread.join();
   EXPECT_FALSE(server_status.ok());
+}
+
+TEST(SessionTest, SilentClientIsEvictedWithDeadlineErrorFrame) {
+  // A peer that never sends its hello must not pin a blocking server:
+  // the read deadline evicts it, and it is told why.
+  Database db("d", {1, 2, 3});
+  auto [client_end, server_end] = DuplexPipe::Create();
+  server_end->set_read_deadline(std::chrono::milliseconds(50));
+  Status server_status = Status::OK();
+  std::thread server_thread([&db, &server_end, &server_status] {
+    ServerSession session(&db);
+    server_status = session.Serve(*server_end);
+  });
+  server_thread.join();
+  EXPECT_EQ(server_status.code(), StatusCode::kDeadlineExceeded)
+      << server_status.ToString();
+  client_end->set_read_deadline(std::chrono::milliseconds(1000));
+  Result<Bytes> reply = client_end->Receive();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(PeekMessageType(*reply).ValueOrDie(), MessageType::kError);
+  EXPECT_EQ(StatusFromErrorFrame(*reply).code(),
+            StatusCode::kDeadlineExceeded);
 }
 
 TEST(SessionTest, ClientSessionIsSingleShot) {

@@ -55,7 +55,8 @@ TEST(ThreadPoolTest, SequentialJobsReuseWorkers) {
 
 TEST(ThreadPoolTest, SharedPoolIsASingleton) {
   EXPECT_EQ(&ThreadPool::Shared(), &ThreadPool::Shared());
-  EXPECT_GE(ThreadPool::Shared().thread_count(), 1u);
+  EXPECT_GE(ThreadPool::Shared().thread_count(),
+            ThreadPool::kMinSharedWorkers);
 }
 
 TEST(ThreadPoolTest, SubmittedTasksAllExecute) {

@@ -30,6 +30,7 @@
 #include "crypto/chacha20_rng.h"
 #include "crypto/key_io.h"
 #include "db/workload.h"
+#include "host_suite.h"
 #include "net/retry.h"
 
 namespace ppstats {
@@ -158,22 +159,14 @@ TEST(TransportTcpTest, ConnectChannelRejectsUnresolvableHost) {
   EXPECT_FALSE(ConnectChannel("tcp:host.invalid:1").ok());
 }
 
-// Both engines must serve the identical session protocol over TCP.
-class TransportTcpSessionTest
-    : public ::testing::TestWithParam<ServiceEngine> {};
+class TransportTcpSessionTest : public ::testing::TestWithParam<HostEngine> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, TransportTcpSessionTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
+PPSTATS_INSTANTIATE_HOST_SUITE(TransportTcpSessionTest);
 
 TEST_P(TransportTcpSessionTest, QueriesOverTcpLoopback) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("col", {10, 20, 30, 40})).ok());
   ServiceHostOptions options;
-  options.engine = GetParam();
   options.default_column = "col";
   options.reactor_threads = 2;
   ServiceHost host(&registry, options);
@@ -340,12 +333,10 @@ bool SendAll(int fd, const Bytes& blob) {
   return true;
 }
 
-/// A pipelined client against a tiny server SO_SNDBUF: the outbox backs
-/// up mid-frame (EAGAIN at an arbitrary wire_off), and every response
-/// must still arrive byte-identical once the client drains. Runs under
-/// both flush strategies, so the partial-write resume of each is
-/// covered.
-void RunBackpressureRoundTrip(bool outbox_writev) {
+TEST(TransportBackpressureTest, WritevOutboxResumesByteIdentical) {
+  // A pipelined client against a tiny server SO_SNDBUF: the outbox
+  // backs up mid-frame (EAGAIN at an arbitrary wire_off), and every
+  // response must still arrive byte-identical once the client drains.
   const size_t kQueries = 120;
   ChaCha20Rng rng(9393);
   WorkloadGenerator gen(rng);
@@ -353,13 +344,10 @@ void RunBackpressureRoundTrip(bool outbox_writev) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.default_column = "col";
-  options.outbox_writev = outbox_writev;
   options.so_sndbuf = 4096;  // force EAGAIN mid-stream
   ServiceHost host(&registry, options);
-  std::string path = std::string(::testing::TempDir()) +
-                     (outbox_writev ? "/bp_writev.sock" : "/bp_send.sock");
+  std::string path = std::string(::testing::TempDir()) + "/bp_writev.sock";
   ASSERT_TRUE(host.Start("unix:" + path).ok());
 
   PipelinedUpload upload = BuildUpload(db, kQueries, /*goodbye=*/true, 42);
@@ -396,23 +384,11 @@ void RunBackpressureRoundTrip(bool outbox_writev) {
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
   host.Stop();
   obs::MetricsSnapshot snapshot = host.SnapshotMetrics();
-  if (outbox_writev) {
-    // The gathered path actually ran, and batched at least as many
-    // frames as it made syscalls.
-    EXPECT_GT(snapshot.CounterValue("net.writev_calls"), 0u);
-    EXPECT_GE(snapshot.CounterValue("net.writev_frames"),
-              snapshot.CounterValue("net.writev_calls"));
-  } else {
-    EXPECT_EQ(snapshot.CounterValue("net.writev_calls"), 0u);
-  }
-}
-
-TEST(TransportBackpressureTest, WritevOutboxResumesByteIdentical) {
-  RunBackpressureRoundTrip(/*outbox_writev=*/true);
-}
-
-TEST(TransportBackpressureTest, SendPerFrameOutboxResumesByteIdentical) {
-  RunBackpressureRoundTrip(/*outbox_writev=*/false);
+  // The gathered flush batched at least as many frames as it made
+  // syscalls.
+  EXPECT_GT(snapshot.CounterValue("net.writev_calls"), 0u);
+  EXPECT_GE(snapshot.CounterValue("net.writev_frames"),
+            snapshot.CounterValue("net.writev_calls"));
 }
 
 TEST(TransportBackpressureTest, CloseMidFlushDeadlineBoundsTeardown) {
@@ -426,7 +402,6 @@ TEST(TransportBackpressureTest, CloseMidFlushDeadlineBoundsTeardown) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.default_column = "col";
   options.so_sndbuf = 4096;
   options.io_deadline_ms = 300;
@@ -464,7 +439,6 @@ TEST(TransportBackpressureTest, WriteDeadlineEvictsNeverDrainingPeer) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.default_column = "col";
   options.so_sndbuf = 4096;
   options.io_deadline_ms = 300;
@@ -481,7 +455,7 @@ TEST(TransportBackpressureTest, WriteDeadlineEvictsNeverDrainingPeer) {
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; },
                       seconds(10)))
       << "stalled session was never evicted";
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_GE(stats.sessions_failed, 1u);
   ::close(fd);
   host.Stop();

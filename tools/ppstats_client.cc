@@ -10,12 +10,12 @@
 //                  [--result-mod-bits <b>] [--trace-json <path>]
 //
 // --connect takes an endpoint URI: "unix:/path", "tcp:host:port", or a
-// bare socket path (--socket is kept as a deprecated alias). Each
-// --select runs one query; --stat/--column/--column2 apply to all of
-// them. The server learns nothing about --select; the client learns
-// only the requested statistic over the selected rows. --retries redials
-// with exponential backoff + jitter when the connect or hello exchange
-// fails retryably (server at capacity, transport died);
+// bare socket path. Each --select runs one query; --stat/--column/
+// --column2 apply to all of them. The server learns nothing about
+// --select; the client learns only the requested statistic over the
+// selected rows. --retries redials with exponential backoff + jitter
+// when the connect or hello exchange fails retryably (server at
+// capacity, transport died);
 // --io-deadline-ms bounds how long any single read/write may stall and
 // --connect-deadline-ms each connect() attempt itself.
 //
@@ -103,7 +103,7 @@ ppstats::Result<ppstats::Bytes> ReadHexFile(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace ppstats;
 
-  std::string key_path, socket_path, stat = "sum", column, column2;
+  std::string key_path, connect_uri, stat = "sum", column, column2;
   std::vector<std::string> selects;
   size_t rows = 0, chunk = 0, retries = 0;
   uint32_t io_deadline_ms = 0;
@@ -117,12 +117,8 @@ int main(int argc, char** argv) {
       // handled
     } else if (!std::strcmp(argv[i], "--key") && i + 1 < argc) {
       key_path = argv[++i];
-    } else if (FlagValue("--connect", argc, argv, &i, &socket_path)) {
+    } else if (FlagValue("--connect", argc, argv, &i, &connect_uri)) {
       // handled
-    } else if (!std::strcmp(argv[i], "--socket") && i + 1 < argc) {
-      socket_path = argv[++i];  // alias of --connect
-      std::fprintf(stderr,
-                   "note: --socket is deprecated; use --connect <uri>\n");
     } else if (!std::strcmp(argv[i], "--select") && i + 1 < argc) {
       selects.emplace_back(argv[++i]);
     } else if (!std::strcmp(argv[i], "--stat") && i + 1 < argc) {
@@ -155,7 +151,7 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (key_path.empty() || socket_path.empty() || selects.empty() ||
+  if (key_path.empty() || connect_uri.empty() || selects.empty() ||
       rows == 0) {
     return Usage();
   }
@@ -197,7 +193,7 @@ int main(int argc, char** argv) {
   QuerySession session(*key, rng, session_options);
   RetryOptions retry;
   retry.max_attempts = retries + 1;
-  Status connected = session.ConnectWithRetry(socket_path, retry,
+  Status connected = session.ConnectWithRetry(connect_uri, retry,
                                               io_deadline_ms,
                                               connect_deadline_ms);
   if (!connected.ok()) {

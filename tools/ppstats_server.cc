@@ -6,15 +6,13 @@
 //                  [--max-sessions <n>] [--io-deadline-ms <ms>]
 //                  [--backlog <n>] [--stats-json <path>]
 //                  [--stats-interval-ms <ms>]
-//                  [--engine threaded|reactor] [--reactor-threads <n>]
-//                  [--max-events <n>]
+//                  [--reactor-threads <n>] [--max-events <n>]
 //                  [--shard-blind <index>:<count>:<seed-hex>[:<mod-bits>]]
 //
 // --listen takes an endpoint URI: "unix:/path", "tcp:host:port" (port 0
-// binds an ephemeral port), or a bare socket path. --socket is kept as
-// a deprecated alias. The server prints "listening on <uri>" with the
-// resolved address — scripts dialing an ephemeral TCP port read it
-// from there.
+// binds an ephemeral port), or a bare socket path. The server prints
+// "listening on <uri>" with the resolved address — scripts dialing an
+// ephemeral TCP port read it from there.
 //
 // --shard-blind enrolls this server as shard <index> of <count> in a
 // coordinator deployment (src/cluster): queries flagged blind_partial
@@ -26,19 +24,16 @@
 //
 // Each --db registers one named column (the name defaults to the file
 // path); v2 clients address columns by name and may run several queries
-// per connection. Concurrent clients are each served on their own
-// session thread (core/service_host.h). --max-sessions caps concurrent
-// clients (extras get a retryable Error frame), --io-deadline-ms evicts
-// clients that stall mid-protocol, --backlog sets the kernel listen
-// queue. With --once the server handles exactly one session serially
-// and exits (useful for scripted tests).
-//
-// The default --engine reactor serves sessions on an epoll event loop:
-// --reactor-threads sets the number of event-loop shards (each with its
-// own listener; TCP shards share the port via SO_REUSEPORT) and
-// --max-events the epoll_wait batch size per wakeup. --engine threaded
-// selects thread-per-session instead; protocol behavior (framing,
-// deadlines, capacity rejection) is identical under both.
+// per connection. Concurrent clients are served on an epoll event loop
+// (core/service_host.h): --reactor-threads sets the number of
+// event-loop shards (each with its own listener; TCP shards share the
+// port via SO_REUSEPORT) and --max-events the epoll_wait batch size per
+// wakeup. --max-sessions caps concurrent clients (extras get a
+// retryable Error frame), --io-deadline-ms evicts clients that stall
+// mid-protocol, --backlog sets the kernel listen queue. With --once the
+// server handles exactly one session serially and exits (useful for
+// scripted tests); --io-deadline-ms bounds that session's reads and
+// writes too.
 //
 // --stats-json writes the server's metrics (session/query counters,
 // channel byte counts, span histograms — see docs/OBSERVABILITY.md) to
@@ -49,6 +44,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -78,7 +74,7 @@ int Usage() {
                "[--once] [--max-sessions <n>] [--io-deadline-ms <ms>] "
                "[--backlog <n>] [--stats-json <path>] "
                "[--stats-interval-ms <ms>] "
-               "[--engine threaded|reactor] [--reactor-threads <n>] "
+               "[--reactor-threads <n>] "
                "[--max-events <n>] "
                "[--shard-blind <index>:<count>:<seed-hex>[:<mod-bits>]]\n");
   return 2;
@@ -135,7 +131,7 @@ int main(int argc, char** argv) {
   using namespace ppstats;
 
   std::vector<std::string> db_specs;
-  std::string socket_path;
+  std::string listen_uri;
   std::string default_column;
   size_t threads = 1;
   size_t max_sessions = 0;
@@ -145,21 +141,11 @@ int main(int argc, char** argv) {
   std::string stats_json_path;
   uint32_t stats_interval_ms = 0;
   std::optional<ShardBlindConfig> shard_blind;
-  ServiceEngine engine = ServiceEngine::kReactor;
   size_t reactor_threads = 1;
   size_t max_events = 64;
   std::string flag_value;
   for (int i = 1; i < argc; ++i) {
-    if (FlagValue("--engine", argc, argv, &i, &flag_value)) {
-      if (flag_value == "threaded") {
-        engine = ServiceEngine::kThreaded;
-      } else if (flag_value == "reactor") {
-        engine = ServiceEngine::kReactor;
-      } else {
-        std::fprintf(stderr, "unknown engine: %s\n", flag_value.c_str());
-        return Usage();
-      }
-    } else if (FlagValue("--reactor-threads", argc, argv, &i, &flag_value)) {
+    if (FlagValue("--reactor-threads", argc, argv, &i, &flag_value)) {
       reactor_threads =
           static_cast<size_t>(std::strtoull(flag_value.c_str(), nullptr, 10));
     } else if (FlagValue("--max-events", argc, argv, &i, &flag_value)) {
@@ -174,12 +160,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--db") && i + 1 < argc) {
       db_specs.emplace_back(argv[++i]);
     } else if (FlagValue("--listen", argc, argv, &i, &flag_value)) {
-      socket_path = flag_value;
-    } else if (!std::strcmp(argv[i], "--socket") && i + 1 < argc) {
-      socket_path = argv[++i];  // alias of --listen
-      std::fprintf(stderr,
-                   "note: --socket is deprecated; use --listen <uri> "
-                   "(or --connect on the client)\n");
+      listen_uri = flag_value;
     } else if (!std::strcmp(argv[i], "--default") && i + 1 < argc) {
       default_column = argv[++i];
     } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
@@ -206,7 +187,7 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (db_specs.empty() || socket_path.empty()) return Usage();
+  if (db_specs.empty() || listen_uri.empty()) return Usage();
 
   ColumnRegistry registry;
   for (const std::string& spec : db_specs) {
@@ -235,7 +216,7 @@ int main(int argc, char** argv) {
 
   if (once) {
     // Serial single-session mode for scripted tests.
-    Result<Endpoint> endpoint = ParseEndpoint(socket_path);
+    Result<Endpoint> endpoint = ParseEndpoint(listen_uri);
     if (!endpoint.ok()) {
       std::fprintf(stderr, "%s\n", endpoint.status().ToString().c_str());
       return 1;
@@ -257,6 +238,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "accept: %s\n",
                    channel.status().ToString().c_str());
       return 1;
+    }
+    if (io_deadline_ms > 0) {
+      // A stalled client is evicted with a DeadlineExceeded Error frame
+      // instead of pinning the server forever.
+      const std::chrono::milliseconds deadline(io_deadline_ms);
+      (*channel)->set_read_deadline(deadline);
+      (*channel)->set_write_deadline(deadline);
     }
     ServerSessionOptions options;
     options.default_column =
@@ -294,12 +282,11 @@ int main(int argc, char** argv) {
   options.accept_backlog = backlog;
   options.stats_json_path = stats_json_path;
   options.stats_interval_ms = stats_interval_ms;
-  options.engine = engine;
   options.reactor_threads = reactor_threads;
   options.max_events = max_events;
   options.shard_blind = shard_blind;
   ServiceHost host(&registry, options);
-  Status started = host.Start(socket_path);
+  Status started = host.Start(listen_uri);
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
     return 1;
