@@ -1,13 +1,17 @@
 // Per-backend microbenchmarks for the Montgomery multiplication kernels
-// (bigint/mont_backend.h): one MulMontgomery / Sqr per iteration at the
-// operand widths the protocol actually runs — 1024-bit (512-bit keys,
-// mod n^2), 2048-bit (1024-bit keys), 4096-bit (2048-bit keys).
+// (bigint/mont_backend.h): one MulMontgomery / Sqr per iteration, or one
+// 64-product mul_batch call, at the operand widths the protocol actually
+// runs — 1024-bit (512-bit keys, mod n^2), 2048-bit (1024-bit keys),
+// 4096-bit (2048-bit keys).
 //
 // Each benchmark *requests* a backend; the label shows what the
 // dispatcher resolved, so on hosts without ADX the "Adx" rows are
 // visibly the fallback rather than silently mislabeled.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "bench/microlib.h"
 #include "bigint/modarith.h"
@@ -56,11 +60,6 @@ void BM_MontMulGeneric(benchmark::State& state) {
 }
 BENCHMARK(BM_MontMulGeneric)->Arg(1024)->Arg(2048)->Arg(4096);
 
-void BM_MontMulFixed(benchmark::State& state) {
-  RunMontMul(state, MontBackendKind::kFixed);
-}
-BENCHMARK(BM_MontMulFixed)->Arg(1024)->Arg(2048)->Arg(4096);
-
 void BM_MontMulAdx(benchmark::State& state) {
   RunMontMul(state, MontBackendKind::kAdx);
 }
@@ -71,15 +70,63 @@ void BM_MontSqrGeneric(benchmark::State& state) {
 }
 BENCHMARK(BM_MontSqrGeneric)->Arg(1024)->Arg(2048)->Arg(4096);
 
-void BM_MontSqrFixed(benchmark::State& state) {
-  RunMontSqr(state, MontBackendKind::kFixed);
-}
-BENCHMARK(BM_MontSqrFixed)->Arg(1024)->Arg(2048)->Arg(4096);
-
 void BM_MontSqrAdx(benchmark::State& state) {
   RunMontSqr(state, MontBackendKind::kAdx);
 }
 BENCHMARK(BM_MontSqrAdx)->Arg(1024)->Arg(2048)->Arg(4096);
+
+// 64 independent in-place products per call (out == a, the shape of a
+// Pippenger bucket round) through the backend's mul_batch entry point;
+// the time per iteration covers all 64.
+void RunMontMulBatch(benchmark::State& state, MontBackendKind kind) {
+  constexpr size_t kProducts = 64;
+  const size_t bits = static_cast<size_t>(state.range(0));
+  ChaCha20Rng rng(11 + bits);
+  const BigInt m = ExactBitsOdd(rng, bits);
+  const size_t n = m.LimbCount();
+  const MontBackendOps& ops = SelectMontBackend(n, kind);
+  state.SetLabel(ops.name);
+  // n0' = -m^{-1} mod 2^64 by Newton iteration on the low limb.
+  const uint64_t m0 = m.limbs()[0];
+  uint64_t inv = m0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
+  const MontModulusView view{m.limbs().data(), n, ~inv + 1};
+  std::vector<std::vector<uint64_t>> acc(kProducts);
+  std::vector<std::vector<uint64_t>> factor(kProducts);
+  std::vector<const uint64_t*> a(kProducts);
+  std::vector<const uint64_t*> b(kProducts);
+  std::vector<uint64_t*> out(kProducts);
+  for (size_t i = 0; i < kProducts; ++i) {
+    acc[i] = RandomBelow(rng, m).limbs();
+    factor[i] = RandomBelow(rng, m).limbs();
+    acc[i].resize(n, 0);
+    factor[i].resize(n, 0);
+    a[i] = out[i] = acc[i].data();
+    b[i] = factor[i].data();
+  }
+  for (auto _ : state) {
+    ops.mul_batch(view, kProducts, a.data(), b.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kProducts));
+}
+
+void BM_MontMulBatchGeneric(benchmark::State& state) {
+  RunMontMulBatch(state, MontBackendKind::kGeneric);
+}
+BENCHMARK(BM_MontMulBatchGeneric)->Arg(1024)->Arg(2048)->Arg(4096);
+
+void BM_MontMulBatchAdx(benchmark::State& state) {
+  RunMontMulBatch(state, MontBackendKind::kAdx);
+}
+BENCHMARK(BM_MontMulBatchAdx)->Arg(1024)->Arg(2048)->Arg(4096);
+
+void BM_MontMulBatchIfma(benchmark::State& state) {
+  RunMontMulBatch(state, MontBackendKind::kIfma);
+}
+BENCHMARK(BM_MontMulBatchIfma)->Arg(1024)->Arg(2048)->Arg(4096);
 
 // The batched entry point one-shot MultiExp uses to convert plain-residue
 // bases; rows/s is the interesting figure.

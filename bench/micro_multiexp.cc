@@ -199,16 +199,16 @@ void BM_Fold2048BackendGeneric(benchmark::State& state) {
 BENCHMARK(BM_Fold2048BackendGeneric)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_Fold2048BackendFixed(benchmark::State& state) {
-  RunFold2048(state, MontBackendKind::kFixed);
-}
-BENCHMARK(BM_Fold2048BackendFixed)->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Fold2048BackendAdx(benchmark::State& state) {
   RunFold2048(state, MontBackendKind::kAdx);
 }
 BENCHMARK(BM_Fold2048BackendAdx)->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Fold2048BackendIfma(benchmark::State& state) {
+  RunFold2048(state, MontBackendKind::kIfma);
+}
+BENCHMARK(BM_Fold2048BackendIfma)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------

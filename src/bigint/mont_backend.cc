@@ -11,9 +11,11 @@
 // The adx kernel is inline asm (GCC 12 does not emit dual carry chains
 // from the _addcarryx_u64 intrinsics), assembled unconditionally on
 // x86-64 — no -madx compile flags needed — and gated at runtime by the
-// CPUID probe in DetectMontCpuFeatures().
+// CPUID probe in DetectMontCpuFeatures(). The ifma kernel sits in the
+// same block: its batch tails run on the adx kernels.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PPSTATS_MONT_HAVE_ADX 1
+#include <immintrin.h>
 #else
 #define PPSTATS_MONT_HAVE_ADX 0
 #endif
@@ -181,61 +183,6 @@ void GenericMontMulBatch(const MontModulusView& mv, size_t count,
 }
 
 // ---------------------------------------------------------------------
-// Fixed-width backend: the same CIOS recurrence with the limb count a
-// compile-time constant. The scratch lives on the stack (zero heap
-// traffic per multiply) and every inner loop has a constant trip count
-// the compiler unrolls and schedules flat.
-
-template <size_t N>
-void FixedMontMul(const MontModulusView& mv, const uint64_t* a,
-                  const uint64_t* b, uint64_t* out) {
-  assert(mv.n == N);
-  const uint64_t* mod = mv.mod;
-  uint64_t t[N + 2] = {};
-  for (size_t i = 0; i < N; ++i) {
-    uint64_t carry = 0;
-    for (size_t j = 0; j < N; ++j) {
-      uint128 cur = static_cast<uint128>(a[i]) * b[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    uint128 s = static_cast<uint128>(t[N]) + carry;
-    t[N] = static_cast<uint64_t>(s);
-    t[N + 1] = static_cast<uint64_t>(s >> 64);
-
-    const uint64_t m = t[0] * mv.n0_inv;
-    uint128 cur = static_cast<uint128>(m) * mod[0] + t[0];
-    carry = static_cast<uint64_t>(cur >> 64);
-    for (size_t j = 1; j < N; ++j) {
-      cur = static_cast<uint128>(m) * mod[j] + t[j] + carry;
-      t[j - 1] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    s = static_cast<uint128>(t[N]) + carry;
-    t[N - 1] = static_cast<uint64_t>(s);
-    t[N] = t[N + 1] + static_cast<uint64_t>(s >> 64);
-    t[N + 1] = 0;
-  }
-  ReduceOnceRaw(t, mod, N, out);
-}
-
-template <size_t N>
-void FixedMontSqr(const MontModulusView& mv, const uint64_t* a,
-                  uint64_t* out) {
-  // The width-specialized multiply already beats the generic triangle
-  // squaring (carry-chain latency, not multiplication count, is the
-  // bottleneck at these widths), so squaring is just mul(a, a).
-  FixedMontMul<N>(mv, a, a, out);
-}
-
-template <size_t N>
-void FixedMontMulBatch(const MontModulusView& mv, size_t count,
-                       const uint64_t* const* a, const uint64_t* const* b,
-                       uint64_t* const* out) {
-  for (size_t i = 0; i < count; ++i) FixedMontMul<N>(mv, a[i], b[i], out[i]);
-}
-
-// ---------------------------------------------------------------------
 // adx backend (x86-64): MULX with dual ADCX/ADOX carry chains.
 
 #if PPSTATS_MONT_HAVE_ADX
@@ -380,6 +327,263 @@ void AdxMontMulBatch(const MontModulusView& mv, size_t count,
   if (i < count) AdxMontMul(mv, a[i], b[i], out[i]);
 }
 
+// ---------------------------------------------------------------------
+// ifma backend (x86-64 AVX-512 IFMA): eight independent products per
+// mul_batch step, one per 64-bit lane.
+//
+// Operands are re-cut into L = ceil(64n / 52) limbs of 52 bits so that
+// vpmadd52{lo,hi}uq can form each 104-bit limb product exactly; the
+// accumulator limbs are 64 bits wide, so the low/high halves pile up
+// lazily (at most 4L * 2^52 < 2^61 per limb for n <= 64) and carries
+// are resolved once, at the end. The word-serial reduction divides by
+// 2^52 on the first L - 1 steps and by 2^s, s = 64n - 52(L - 1), on the
+// last, so the total shift is exactly 2^(64n): R stays 2^(64 n) and the
+// result is the same canonical residue the scalar kernels return.
+// Lane l holds product l throughout, so operands enter and leave
+// through 8x8 qword transposes. The kernel is compiled for AVX-512 by
+// function attribute only (no global -m flags) and gated at runtime by
+// DetectMontCpuFeatures().
+
+#define PPSTATS_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
+// Full unrolling turns every accumulator index into a constant, so GCC
+// keeps the limb arrays in zmm registers. Clang gets no hint: its
+// forced-unroll pragma warns (an error under -Werror) whenever a loop
+// exceeds its unroll budget.
+#if defined(__clang__)
+#define PPSTATS_UNROLL_FULL
+#else
+#define PPSTATS_UNROLL_FULL _Pragma("GCC unroll 128")
+#endif
+
+// GCC 12's AVX-512 headers build their "undefined" source vectors by
+// self-initialization, which -Wuninitialized flags at every inlined
+// shift, unpack and shuffle; the values are never read.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+constexpr size_t kIfmaLanes = 8;
+constexpr uint64_t kMask52 = (uint64_t{1} << 52) - 1;
+
+// Lane-major <-> word-major for an 8x8 block of qwords: on return r[c]
+// lane l holds what was r[l] lane c.
+PPSTATS_IFMA_TARGET inline void Transpose8x8(__m512i r[8]) {
+  const __m512i t0 = _mm512_unpacklo_epi64(r[0], r[1]);
+  const __m512i t1 = _mm512_unpackhi_epi64(r[0], r[1]);
+  const __m512i t2 = _mm512_unpacklo_epi64(r[2], r[3]);
+  const __m512i t3 = _mm512_unpackhi_epi64(r[2], r[3]);
+  const __m512i t4 = _mm512_unpacklo_epi64(r[4], r[5]);
+  const __m512i t5 = _mm512_unpackhi_epi64(r[4], r[5]);
+  const __m512i t6 = _mm512_unpacklo_epi64(r[6], r[7]);
+  const __m512i t7 = _mm512_unpackhi_epi64(r[6], r[7]);
+  // 0x88 keeps 128-bit blocks {0, 2} of each source, 0xDD blocks {1, 3}.
+  const __m512i u0 = _mm512_shuffle_i64x2(t0, t2, 0x88);
+  const __m512i u1 = _mm512_shuffle_i64x2(t1, t3, 0x88);
+  const __m512i u2 = _mm512_shuffle_i64x2(t0, t2, 0xDD);
+  const __m512i u3 = _mm512_shuffle_i64x2(t1, t3, 0xDD);
+  const __m512i u4 = _mm512_shuffle_i64x2(t4, t6, 0x88);
+  const __m512i u5 = _mm512_shuffle_i64x2(t5, t7, 0x88);
+  const __m512i u6 = _mm512_shuffle_i64x2(t4, t6, 0xDD);
+  const __m512i u7 = _mm512_shuffle_i64x2(t5, t7, 0xDD);
+  r[0] = _mm512_shuffle_i64x2(u0, u4, 0x88);
+  r[1] = _mm512_shuffle_i64x2(u1, u5, 0x88);
+  r[2] = _mm512_shuffle_i64x2(u2, u6, 0x88);
+  r[3] = _mm512_shuffle_i64x2(u3, u7, 0x88);
+  r[4] = _mm512_shuffle_i64x2(u0, u4, 0xDD);
+  r[5] = _mm512_shuffle_i64x2(u1, u5, 0xDD);
+  r[6] = _mm512_shuffle_i64x2(u2, u6, 0xDD);
+  r[7] = _mm512_shuffle_i64x2(u3, u7, 0xDD);
+}
+
+template <size_t N>
+struct IfmaShape {
+  static constexpr size_t kLimbs = (64 * N + 51) / 52;  // L
+  static constexpr unsigned kLastShift =
+      static_cast<unsigned>(64 * N - 52 * (kLimbs - 1));  // s
+  static_assert(N % kIfmaLanes == 0, "whole 8x8 transpose blocks");
+  // A result < 2m needs bit 64n, so 52-bit limbs must overshoot 64n.
+  static_assert(52 * kLimbs > 64 * N, "no spare bit above 64n");
+};
+
+// x[j] lane l = 52-bit limb j of the N-word operand p[l].
+template <size_t N>
+PPSTATS_IFMA_TARGET inline void LoadLimbs52(const uint64_t* const* p,
+                                            __m512i* x) {
+  constexpr size_t kLimbs = IfmaShape<N>::kLimbs;
+  __m512i w[N];
+  PPSTATS_UNROLL_FULL
+  for (size_t blk = 0; blk < N; blk += kIfmaLanes) {
+    __m512i r[kIfmaLanes];
+    for (size_t l = 0; l < kIfmaLanes; ++l) {
+      r[l] = _mm512_loadu_si512(p[l] + blk);
+    }
+    Transpose8x8(r);
+    for (size_t c = 0; c < kIfmaLanes; ++c) w[blk + c] = r[c];
+  }
+  const __m512i mask = _mm512_set1_epi64(static_cast<int64_t>(kMask52));
+  PPSTATS_UNROLL_FULL
+  for (size_t j = 0; j < kLimbs; ++j) {
+    const size_t k = 52 * j / 64;
+    const unsigned o = 52 * j % 64;
+    __m512i v = _mm512_srli_epi64(w[k], o);
+    if (o > 12 && k + 1 < N) {
+      v = _mm512_or_si512(v, _mm512_slli_epi64(w[k + 1], 64 - o));
+    }
+    x[j] = _mm512_and_si512(v, mask);
+  }
+}
+
+// Inverse of LoadLimbs52 for normalized limbs of a value < 2^(64 N).
+template <size_t N>
+PPSTATS_IFMA_TARGET inline void StoreLimbs52(const __m512i* y,
+                                             uint64_t* const* p) {
+  constexpr size_t kLimbs = IfmaShape<N>::kLimbs;
+  PPSTATS_UNROLL_FULL
+  for (size_t blk = 0; blk < N; blk += kIfmaLanes) {
+    __m512i r[kIfmaLanes];
+    for (size_t c = 0; c < kIfmaLanes; ++c) {
+      const size_t k = blk + c;
+      const size_t j = 64 * k / 52;
+      const unsigned o = 64 * k % 52;
+      __m512i v = _mm512_srli_epi64(y[j], o);
+      if (j + 1 < kLimbs) {
+        v = _mm512_or_si512(v, _mm512_slli_epi64(y[j + 1], 52 - o));
+      }
+      if (o > 40 && j + 2 < kLimbs) {
+        v = _mm512_or_si512(v, _mm512_slli_epi64(y[j + 2], 104 - o));
+      }
+      r[c] = v;
+    }
+    Transpose8x8(r);
+    for (size_t l = 0; l < kIfmaLanes; ++l) {
+      _mm512_storeu_si512(p[l] + blk, r[l]);
+    }
+  }
+}
+
+// out[l] = a[l] * b[l] * 2^(-64 N) mod m for l in [0, 8). All inputs
+// are loaded before any output is stored, so an output may alias its
+// own product's inputs.
+template <size_t N>
+PPSTATS_IFMA_TARGET void IfmaMontMul8(const MontModulusView& mv,
+                                      const uint64_t* const* a,
+                                      const uint64_t* const* b,
+                                      uint64_t* const* out) {
+  constexpr size_t kLimbs = IfmaShape<N>::kLimbs;
+  constexpr unsigned kShift = IfmaShape<N>::kLastShift;
+  assert(mv.n == N);
+
+  // The modulus in 52-bit limbs, the same in every lane.
+  const uint64_t* const mods[kIfmaLanes] = {mv.mod, mv.mod, mv.mod, mv.mod,
+                                            mv.mod, mv.mod, mv.mod, mv.mod};
+  __m512i m[kLimbs];
+  __m512i x[kLimbs];
+  __m512i y[kLimbs];
+  LoadLimbs52<N>(mods, m);
+  LoadLimbs52<N>(a, x);
+  LoadLimbs52<N>(b, y);
+
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i mask = _mm512_set1_epi64(static_cast<int64_t>(kMask52));
+  // -m^{-1} mod 2^52 is the low 52 bits of n0' = -m^{-1} mod 2^64.
+  const __m512i n0 = _mm512_set1_epi64(static_cast<int64_t>(mv.n0_inv));
+  __m512i t[kLimbs + 1];
+  PPSTATS_UNROLL_FULL
+  for (size_t j = 0; j <= kLimbs; ++j) t[j] = zero;
+
+  for (size_t i = 0; i < kLimbs; ++i) {
+    const __m512i ai = x[i];
+    // The low column first: it alone decides the reduction digit q,
+    // taken from t[0]'s low 52 bits (madd52 reads only those).
+    t[0] = _mm512_madd52lo_epu64(t[0], ai, y[0]);
+    __m512i q = _mm512_madd52lo_epu64(zero, t[0], n0);
+    if (i + 1 == kLimbs) {
+      // Last step: divide by 2^s rather than 2^52.
+      const __m512i low_bits = _mm512_set1_epi64(
+          static_cast<int64_t>((uint64_t{1} << kShift) - 1));
+      q = _mm512_and_si512(q, low_bits);
+    }
+    t[0] = _mm512_madd52lo_epu64(t[0], q, m[0]);
+    t[1] = _mm512_madd52hi_epu64(t[1], ai, y[0]);
+    t[1] = _mm512_madd52hi_epu64(t[1], q, m[0]);
+    PPSTATS_UNROLL_FULL
+    for (size_t j = 1; j < kLimbs; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], ai, y[j]);
+      t[j] = _mm512_madd52lo_epu64(t[j], q, m[j]);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], ai, y[j]);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], q, m[j]);
+    }
+    if (i + 1 == kLimbs) break;
+    // t[0] is now a multiple of 2^52: drop it, carrying its high bits.
+    t[1] = _mm512_add_epi64(t[1], _mm512_srli_epi64(t[0], 52));
+    PPSTATS_UNROLL_FULL
+    for (size_t j = 0; j < kLimbs; ++j) t[j] = t[j + 1];
+    t[kLimbs] = zero;
+  }
+
+  // Resolve the lazy carries, then shift out the last step's s zero
+  // bits: x = t / 2^s < 2m, in normalized 52-bit limbs.
+  PPSTATS_UNROLL_FULL
+  for (size_t j = 0; j < kLimbs; ++j) {
+    t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srli_epi64(t[j], 52));
+    t[j] = _mm512_and_si512(t[j], mask);
+  }
+  PPSTATS_UNROLL_FULL
+  for (size_t j = 0; j < kLimbs; ++j) {
+    x[j] = _mm512_or_si512(
+        _mm512_srli_epi64(t[j], kShift),
+        _mm512_and_si512(_mm512_slli_epi64(t[j + 1], 52 - kShift), mask));
+  }
+  // Final conditional subtraction, per lane: y = x - m, kept where it
+  // did not borrow.
+  __m512i borrow = zero;
+  PPSTATS_UNROLL_FULL
+  for (size_t j = 0; j < kLimbs; ++j) {
+    const __m512i d =
+        _mm512_sub_epi64(_mm512_sub_epi64(x[j], m[j]), borrow);
+    borrow = _mm512_srli_epi64(d, 63);
+    y[j] = _mm512_and_si512(d, mask);
+  }
+  const __mmask8 ge = _mm512_cmpeq_epi64_mask(borrow, zero);
+  PPSTATS_UNROLL_FULL
+  for (size_t j = 0; j < kLimbs; ++j) {
+    x[j] = _mm512_mask_blend_epi64(ge, x[j], y[j]);
+  }
+  StoreLimbs52<N>(x, out);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+// The widths the lane kernel is instantiated for; IfmaMontMul8For
+// returns nullptr elsewhere.
+using IfmaMul8Fn = void (*)(const MontModulusView&, const uint64_t* const*,
+                            const uint64_t* const*, uint64_t* const*);
+IfmaMul8Fn IfmaMontMul8For(size_t n_limbs) {
+  switch (n_limbs) {
+    case 16: return IfmaMontMul8<16>;
+    case 32: return IfmaMontMul8<32>;
+    case 64: return IfmaMontMul8<64>;
+    default: return nullptr;
+  }
+}
+
+void IfmaMontMulBatch(const MontModulusView& mv, size_t count,
+                      const uint64_t* const* a, const uint64_t* const* b,
+                      uint64_t* const* out) {
+  const IfmaMul8Fn mul8 = IfmaMontMul8For(mv.n);
+  assert(mul8 != nullptr);
+  size_t i = 0;
+  for (; i + kIfmaLanes <= count; i += kIfmaLanes) {
+    mul8(mv, a + i, b + i, out + i);
+  }
+  // Fewer than 8 left: the adx pair kernel.
+  AdxMontMulBatch(mv, count - i, a + i, b + i, out + i);
+}
+
 #endif  // PPSTATS_MONT_HAVE_ADX
 
 // ---------------------------------------------------------------------
@@ -397,34 +601,6 @@ const MontBackendOps& GenericOps() {
   return ops;
 }
 
-template <size_t N>
-const MontBackendOps& FixedOps() {
-  static const MontBackendOps ops = {
-      MontBackendKind::kFixed,
-      "fixed",
-      FixedMontMul<N>,
-      FixedMontSqr<N>,
-      FixedMontMulBatch<N>,
-      obs::MetricRegistry::Global().GetCounter("mont.mul_ops.fixed"),
-      obs::MetricRegistry::Global().GetCounter("mont.sqr_ops.fixed")};
-  return ops;
-}
-
-// The widths Paillier and Damgård–Jurik contexts actually instantiate:
-// mod-n^2 / mod-p^2 / mod-n^(s+1) moduli for 512..2048-bit keys.
-const MontBackendOps* FixedOpsFor(size_t n_limbs) {
-  switch (n_limbs) {
-    case 4: return &FixedOps<4>();
-    case 8: return &FixedOps<8>();
-    case 16: return &FixedOps<16>();
-    case 24: return &FixedOps<24>();
-    case 32: return &FixedOps<32>();
-    case 48: return &FixedOps<48>();
-    case 64: return &FixedOps<64>();
-    default: return nullptr;
-  }
-}
-
 #if PPSTATS_MONT_HAVE_ADX
 const MontBackendOps& AdxOps() {
   static const MontBackendOps ops = {
@@ -437,6 +613,19 @@ const MontBackendOps& AdxOps() {
       obs::MetricRegistry::Global().GetCounter("mont.sqr_ops.adx")};
   return ops;
 }
+
+// Single products gain nothing from lanes, so mul and sqr are adx's.
+const MontBackendOps& IfmaOps() {
+  static const MontBackendOps ops = {
+      MontBackendKind::kIfma,
+      "ifma",
+      AdxMontMul,
+      AdxMontSqr,
+      IfmaMontMulBatch,
+      obs::MetricRegistry::Global().GetCounter("mont.mul_ops.ifma"),
+      obs::MetricRegistry::Global().GetCounter("mont.sqr_ops.ifma")};
+  return ops;
+}
 #endif
 
 // PPSTATS_FORCE_BACKEND, parsed per context construction (cold path)
@@ -446,8 +635,8 @@ MontBackendKind ForcedBackendFromEnv() {
   if (env == nullptr || env[0] == '\0') return MontBackendKind::kAuto;
   const std::string value(env);
   if (value == "generic") return MontBackendKind::kGeneric;
-  if (value == "fixed") return MontBackendKind::kFixed;
-  if (value == "adx" || value == "intrinsics") return MontBackendKind::kAdx;
+  if (value == "adx") return MontBackendKind::kAdx;
+  if (value == "ifma") return MontBackendKind::kIfma;
   return MontBackendKind::kAuto;  // unknown values mean "don't force"
 }
 
@@ -457,8 +646,8 @@ const char* MontBackendKindName(MontBackendKind kind) {
   switch (kind) {
     case MontBackendKind::kAuto: return "auto";
     case MontBackendKind::kGeneric: return "generic";
-    case MontBackendKind::kFixed: return "fixed";
     case MontBackendKind::kAdx: return "adx";
+    case MontBackendKind::kIfma: return "ifma";
   }
   return "unknown";
 }
@@ -469,6 +658,8 @@ const MontCpuFeatures& DetectMontCpuFeatures() {
 #if PPSTATS_MONT_HAVE_ADX
     f.bmi2 = __builtin_cpu_supports("bmi2") != 0;
     f.adx = __builtin_cpu_supports("adx") != 0;
+    f.avx512f = __builtin_cpu_supports("avx512f") != 0;
+    f.avx512ifma = __builtin_cpu_supports("avx512ifma") != 0;
 #endif
     return f;
   }();
@@ -476,17 +667,21 @@ const MontCpuFeatures& DetectMontCpuFeatures() {
 }
 
 bool MontBackendSupports(MontBackendKind kind, size_t n_limbs) {
+  const MontCpuFeatures& cpu = DetectMontCpuFeatures();
   switch (kind) {
     case MontBackendKind::kAuto:
       return n_limbs > 0;
     case MontBackendKind::kGeneric:
       return n_limbs > 0;
-    case MontBackendKind::kFixed:
-      return FixedOpsFor(n_limbs) != nullptr;
-    case MontBackendKind::kAdx: {
-      const MontCpuFeatures& cpu = DetectMontCpuFeatures();
+    case MontBackendKind::kAdx:
       return cpu.bmi2 && cpu.adx && n_limbs >= 4 && n_limbs % 4 == 0;
-    }
+    case MontBackendKind::kIfma:
+#if PPSTATS_MONT_HAVE_ADX
+      return cpu.bmi2 && cpu.adx && cpu.avx512f && cpu.avx512ifma &&
+             IfmaMontMul8For(n_limbs) != nullptr;
+#else
+      return false;
+#endif
   }
   return false;
 }
@@ -498,8 +693,8 @@ const MontBackendOps& SelectMontBackend(size_t n_limbs,
   if (kind == MontBackendKind::kAuto || !MontBackendSupports(kind, n_limbs)) {
     // Auto dispatch and the fallback for unsupported requests share one
     // preference order; generic always supports the width.
-    const MontBackendKind order[] = {MontBackendKind::kAdx,
-                                     MontBackendKind::kFixed,
+    const MontBackendKind order[] = {MontBackendKind::kIfma,
+                                     MontBackendKind::kAdx,
                                      MontBackendKind::kGeneric};
     for (MontBackendKind candidate : order) {
       if (candidate > kind && kind != MontBackendKind::kAuto) continue;
@@ -510,16 +705,11 @@ const MontBackendOps& SelectMontBackend(size_t n_limbs,
     }
   }
   switch (kind) {
-    case MontBackendKind::kFixed: {
-      const MontBackendOps* ops = FixedOpsFor(n_limbs);
-      assert(ops != nullptr);
-      return *ops;
-    }
-    case MontBackendKind::kAdx:
 #if PPSTATS_MONT_HAVE_ADX
+    case MontBackendKind::kAdx:
       return AdxOps();
-#else
-      break;
+    case MontBackendKind::kIfma:
+      return IfmaOps();
 #endif
     default:
       break;

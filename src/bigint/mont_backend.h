@@ -8,23 +8,31 @@
 //            per-thread scratch buffer. Works for every odd modulus and
 //            is the reference the other backends are differentially
 //            tested against.
-//   fixed    width-specialized CIOS with the limb count baked in as a
-//            template parameter and scratch on the stack — zero heap
-//            traffic and a constant-trip inner loop the compiler can
-//            unroll. Covers the widths Paillier / Damgård–Jurik
-//            actually produce (4..64 limbs).
 //   adx      x86-64 kernel built on MULX with dual ADCX/ADOX carry
 //            chains (two independent carry flags, so the two additions
 //            per limb pipeline instead of serializing). Requires BMI2 +
-//            ADX, probed once at startup.
+//            ADX, probed once at startup. Its mul_batch interleaves the
+//            rows of product pairs.
+//   ifma     AVX-512 IFMA batch kernel: mul_batch runs eight
+//            independent products at once, one per 64-bit lane, on
+//            52-bit limbs (L = ceil(64n / 52) of them) with
+//            vpmadd52{lo,hi}uq. Operands enter and leave through 8x8
+//            qword transposes. The last reduction step divides by
+//            2^(64n - 52(L - 1)) instead of 2^52, so R stays 2^(64 n).
+//            Batch tails of fewer than eight products, and single
+//            mul/sqr, run on the adx kernels. Requires AVX-512F + IFMA
+//            + BMI2 + ADX; built for 16, 32 and 64 limbs (1024-, 2048-
+//            and 4096-bit moduli). The kernel is compiled by function
+//            target attribute, not global -m flags.
 //
 // All kernels produce the same canonical residue bit for bit: the
 // Montgomery product of canonical inputs is a unique value < m, so the
 // choice of backend can never change a protocol transcript.
 //
-// Selection is automatic (best supported backend for the width) and can
-// be overridden with PPSTATS_FORCE_BACKEND=generic|fixed|adx for
-// benchmarks, differential tests, and fleet debugging.
+// Selection is automatic (best supported backend for the width, in the
+// order ifma > adx > generic) and can be overridden with
+// PPSTATS_FORCE_BACKEND=generic|adx|ifma for benchmarks, differential
+// tests, and fleet debugging.
 
 #ifndef PPSTATS_BIGINT_MONT_BACKEND_H_
 #define PPSTATS_BIGINT_MONT_BACKEND_H_
@@ -44,11 +52,13 @@ class Counter;
 enum class MontBackendKind {
   kAuto,     ///< dispatcher's choice (env override, then best supported)
   kGeneric,  ///< variable-width CIOS, per-thread scratch
-  kFixed,    ///< width-templated CIOS, stack scratch
   kAdx,      ///< x86-64 MULX/ADCX/ADOX dual carry chains
+  kIfma,     ///< AVX-512 IFMA, eight batched products per call
 };
+// SelectMontBackend's fallback compares enum order: a later kind is a
+// preferred one, so keep new kinds in dispatch order.
 
-/// Stable lowercase name ("auto", "generic", "fixed", "adx").
+/// Stable lowercase name ("auto", "generic", "adx", "ifma").
 const char* MontBackendKindName(MontBackendKind kind);
 
 /// The modulus constants a kernel needs, borrowed from the owning
@@ -82,23 +92,24 @@ struct MontBackendOps {
 
 /// CPU features relevant to backend dispatch, probed once per process.
 struct MontCpuFeatures {
-  bool bmi2 = false;  ///< MULX
-  bool adx = false;   ///< ADCX/ADOX
+  bool bmi2 = false;        ///< MULX
+  bool adx = false;         ///< ADCX/ADOX
+  bool avx512f = false;     ///< AVX-512 foundation (and OS zmm state)
+  bool avx512ifma = false;  ///< VPMADD52LUQ/VPMADD52HUQ
 };
 const MontCpuFeatures& DetectMontCpuFeatures();
 
 /// True when `kind` can serve n_limbs-limb operands on this host:
-/// generic always; fixed for the specialized widths {4, 8, 16, 24, 32,
-/// 48, 64}; adx on x86-64 with BMI2+ADX for any positive multiple of 4.
+/// generic always; adx on x86-64 with BMI2+ADX for any positive multiple
+/// of 4; ifma with AVX-512F+IFMA besides for 16, 32 and 64 limbs.
 bool MontBackendSupports(MontBackendKind kind, size_t n_limbs);
 
 /// Resolves a backend for n_limbs-limb moduli. A kAuto request first
-/// honors PPSTATS_FORCE_BACKEND (values generic / fixed / adx, with
-/// "intrinsics" accepted as an alias for adx), then picks the best
-/// supported kind in the order adx > fixed > generic. A concrete
-/// request (or override) that this host/width cannot serve falls back
-/// down the same order, so a forced backend can never produce a context
-/// that fails — only a slower one.
+/// honors PPSTATS_FORCE_BACKEND (values generic / adx / ifma), then
+/// picks the best supported kind in the order ifma > adx > generic. A
+/// concrete request (or override) that this host/width cannot serve
+/// falls back down the same order, so a forced backend can never
+/// produce a context that fails — only a slower one.
 const MontBackendOps& SelectMontBackend(
     size_t n_limbs, MontBackendKind requested = MontBackendKind::kAuto);
 

@@ -361,7 +361,7 @@ void MontgomeryContext::MultiExpAccumulator::Add(
     window_ = PickPippengerWindow(std::max(expected_terms_, bases.size()),
                                   max_bits)
                   .first;
-    in_group_.assign(size_t{1} << window_, 0);
+    deferred_.assign(size_t{1} << window_, 0);
   }
   const size_t bucket_count = size_t{1} << window_;
   const size_t windows = (max_bits + window_ - 1) / window_;
@@ -396,41 +396,48 @@ void MontgomeryContext::MultiExpAccumulator::Add(
   for (size_t j = 0; j < windows; ++j) {
     Window& win = windows_[j];
     pending_.clear();
+    round_end_.clear();
     for (size_t i = 0; i < bases.size(); ++i) {
       const size_t digit = WindowDigit(*exponents[i], j, window_);
       if (digit == 0) continue;
       if (win.used[digit]) {
-        // Deferred: one multiply into an occupied bucket.
-        pending_.emplace_back(digit, base_limbs_[i]);
+        // Deferred: one multiply into an occupied bucket, in round k
+        // for the bucket's k-th deferred insert of this window.
+        const uint32_t round = deferred_[digit]++;
+        if (round == round_end_.size()) round_end_.push_back(0);
+        ++round_end_[round];
+        pending_.push_back(
+            {static_cast<uint32_t>(digit), round, base_limbs_[i]});
       } else {
         std::copy_n(base_limbs_[i], n, win.buckets + digit * n);
         win.used[digit] = 1;
         win.digits.push_back(digit);
       }
     }
-    // Flush the deferred bucket multiplies in batches: inserts into
-    // *distinct* buckets are independent products, so consecutive
-    // pending entries run as one batched call until a digit repeats —
-    // that boundary preserves the per-bucket multiply order.
-    for (size_t start = 0; start < pending_.size();) {
-      size_t end = start;
-      while (end < pending_.size() && !in_group_[pending_[end].first]) {
-        in_group_[pending_[end].first] = 1;
-        ++end;
-      }
-      group_a_.clear();
-      group_b_.clear();
-      group_out_.clear();
-      for (size_t p = start; p < end; ++p) {
-        const size_t d = pending_[p].first;
-        in_group_[d] = 0;
-        uint64_t* bucket = win.buckets + d * n;
-        group_a_.push_back(bucket);
-        group_b_.push_back(pending_[p].second);
-        group_out_.push_back(bucket);
-      }
-      mont.MontMulBatch(group_a_.size(), group_a_.data(), group_b_.data(),
-                        group_out_.data());
+    // Counting sort by round. A round holds at most one insert per
+    // bucket, so its products are independent and run as one batched
+    // call; products into one bucket commute, so the rounds' order
+    // leaves the result exact.
+    size_t offset = 0;
+    for (size_t& slot : round_end_) {
+      // Counts become start offsets, advanced to the ends below.
+      const size_t count = slot;
+      slot = offset;
+      offset += count;
+    }
+    group_b_.resize(pending_.size());
+    group_out_.resize(pending_.size());
+    for (const Deferred& d : pending_) {
+      deferred_[d.digit] = 0;
+      const size_t slot = round_end_[d.round]++;
+      group_b_[slot] = d.base;
+      group_out_[slot] = win.buckets + size_t{d.digit} * n;
+    }
+    // Each product multiplies its bucket in place: out == a.
+    size_t start = 0;
+    for (size_t end : round_end_) {
+      mont.MontMulBatch(end - start, group_out_.data() + start,
+                        group_b_.data() + start, group_out_.data() + start);
       start = end;
     }
   }

@@ -5,10 +5,10 @@
 // (n0', R^2 mod m) needed for CIOS Montgomery multiplication. The
 // per-limb kernels themselves live behind the pluggable backend layer
 // (bigint/mont_backend.h): the context resolves a backend for its width
-// at construction — generic CIOS, width-specialized CIOS, or the
-// x86-64 MULX/ADX kernel — and every multiply, square, and batched
-// conversion routes through it. Modular exponentiation with a 4-bit
-// fixed window over Montgomery residues is the workhorse of Paillier
+// at construction — generic CIOS, the x86-64 MULX/ADX kernel, or the
+// AVX-512 IFMA 8-lane batch kernel — and every multiply, square, and
+// batched conversion routes through it. Modular exponentiation with a
+// 4-bit fixed window over Montgomery residues is the workhorse of Paillier
 // encryption/decryption, and the batched multi-exponentiation (Pippenger
 // buckets with a Straus fallback for small one-shot batches) is the
 // workhorse of the server's homomorphic fold prod_i c_i^{e_i} mod m —
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -161,10 +160,12 @@ class MontgomeryContext {
 /// own bucket array for the accumulator's whole life: Add drops a base
 /// into bucket (window j, digit d) of every window its exponent touches
 /// — the first base in a bucket is a copy, later ones one multiply each,
-/// deferred and flushed through the backend's batched multiply in groups
-/// that preserve per-bucket order. Finish runs the gap-walk bucket
-/// reduction and the shared squaring ladder once for everything added,
-/// so splitting a fold over many Add calls costs the same as one call.
+/// deferred and flushed through the backend's batched multiply in
+/// rounds: the k-th deferred insert of every bucket runs in round k, so
+/// each round is one batch of products into distinct buckets. Finish
+/// runs the gap-walk bucket reduction and the shared squaring ladder
+/// once for everything added, so splitting a fold over many Add calls
+/// costs the same as one call.
 ///
 /// w comes from the MultiExp cost model at the first Add with a nonzero
 /// exponent, sized for `expected_terms` terms of that batch's widest
@@ -227,6 +228,12 @@ class MontgomeryContext::MultiExpAccumulator {
     std::vector<uint8_t> used;    // per digit: bucket holds a value
     std::vector<size_t> digits;   // occupied digits, in arrival order
   };
+  // A deferred bucket insert: base joins bucket `digit` in `round`.
+  struct Deferred {
+    uint32_t digit;
+    uint32_t round;
+    const uint64_t* base;
+  };
 
   static std::unique_ptr<uint64_t[], Unmap> MapBuckets(size_t limbs);
 
@@ -237,13 +244,13 @@ class MontgomeryContext::MultiExpAccumulator {
   std::vector<std::unique_ptr<uint64_t[], Unmap>> mappings_;
   Limbs exponent_sum_;
   // Add's scratch, kept to avoid per-call allocation.
-  std::vector<std::pair<size_t, const uint64_t*>> pending_;
-  std::vector<uint8_t> in_group_;
+  std::vector<Deferred> pending_;
+  std::vector<uint32_t> deferred_;   // per digit: inserts deferred so far
+  std::vector<size_t> round_end_;    // per round: end offset in group_*
   std::vector<const uint64_t*> base_limbs_;
   std::vector<Limbs> padded_;
-  std::vector<const uint64_t*> group_a_;
   std::vector<const uint64_t*> group_b_;
-  std::vector<uint64_t*> group_out_;
+  std::vector<uint64_t*> group_out_;  // also the products' a operands
 };
 
 }  // namespace ppstats

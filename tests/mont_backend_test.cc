@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bigint/modarith.h"
@@ -34,11 +37,8 @@ size_t LimbsForBits(size_t bits) { return (bits + 63) / 64; }
 // starts with generic (the reference).
 std::vector<MontBackendKind> AvailableKinds(size_t n_limbs) {
   std::vector<MontBackendKind> kinds{MontBackendKind::kGeneric};
-  if (MontBackendSupports(MontBackendKind::kFixed, n_limbs)) {
-    kinds.push_back(MontBackendKind::kFixed);
-  }
-  if (MontBackendSupports(MontBackendKind::kAdx, n_limbs)) {
-    kinds.push_back(MontBackendKind::kAdx);
+  for (MontBackendKind kind : {MontBackendKind::kAdx, MontBackendKind::kIfma}) {
+    if (MontBackendSupports(kind, n_limbs)) kinds.push_back(kind);
   }
   return kinds;
 }
@@ -75,8 +75,8 @@ class ScopedForceBackend {
 TEST(MontBackendTest, KindNamesAreStable) {
   EXPECT_STREQ(MontBackendKindName(MontBackendKind::kAuto), "auto");
   EXPECT_STREQ(MontBackendKindName(MontBackendKind::kGeneric), "generic");
-  EXPECT_STREQ(MontBackendKindName(MontBackendKind::kFixed), "fixed");
   EXPECT_STREQ(MontBackendKindName(MontBackendKind::kAdx), "adx");
+  EXPECT_STREQ(MontBackendKindName(MontBackendKind::kIfma), "ifma");
 }
 
 TEST(MontBackendTest, DispatcherPicksBestSupportedKind) {
@@ -86,12 +86,12 @@ TEST(MontBackendTest, DispatcherPicksBestSupportedKind) {
     const size_t n = LimbsForBits(bits);
     MontgomeryContext ctx(ExactBitsOdd(rng, bits));
     // The resolved kind must be supported, and must be the first
-    // supported entry of the dispatch order adx > fixed > generic.
+    // supported entry of the dispatch order ifma > adx > generic.
     EXPECT_TRUE(MontBackendSupports(ctx.backend_kind(), n));
-    if (MontBackendSupports(MontBackendKind::kAdx, n)) {
+    if (MontBackendSupports(MontBackendKind::kIfma, n)) {
+      EXPECT_EQ(ctx.backend_kind(), MontBackendKind::kIfma);
+    } else if (MontBackendSupports(MontBackendKind::kAdx, n)) {
       EXPECT_EQ(ctx.backend_kind(), MontBackendKind::kAdx);
-    } else if (MontBackendSupports(MontBackendKind::kFixed, n)) {
-      EXPECT_EQ(ctx.backend_kind(), MontBackendKind::kFixed);
     } else {
       EXPECT_EQ(ctx.backend_kind(), MontBackendKind::kGeneric);
     }
@@ -107,13 +107,13 @@ TEST(MontBackendTest, EnvOverrideForcesBackend) {
     EXPECT_EQ(ctx.backend_kind(), MontBackendKind::kGeneric);
     EXPECT_STREQ(ctx.backend_name(), "generic");
   }
-  {
-    // "intrinsics" is an alias for adx; on hosts without ADX the
-    // request falls back down the dispatch order instead of failing.
-    ScopedForceBackend force("intrinsics");
+  for (MontBackendKind kind : {MontBackendKind::kAdx, MontBackendKind::kIfma}) {
+    // On hosts without the feature the request falls back down the
+    // dispatch order instead of failing.
+    ScopedForceBackend force(MontBackendKindName(kind));
     MontgomeryContext ctx(m);
     EXPECT_EQ(ctx.backend_kind(),
-              SelectMontBackend(LimbsForBits(2048), MontBackendKind::kAdx).kind);
+              SelectMontBackend(LimbsForBits(2048), kind).kind);
   }
   {
     // Unknown values mean "don't force": auto dispatch.
@@ -126,13 +126,20 @@ TEST(MontBackendTest, EnvOverrideForcesBackend) {
 
 TEST(MontBackendTest, ForcedKindFallsBackWhenUnsupported) {
   ChaCha20Rng rng(103);
-  // 320 bits = 5 limbs: not a fixed width, not a multiple of 4, so both
+  // 320 bits = 5 limbs: not a multiple of 4, not an ifma width, so both
   // fast kinds must degrade to generic rather than fail.
   const BigInt m = ExactBitsOdd(rng, 320);
-  EXPECT_EQ(MontgomeryContext(m, MontBackendKind::kFixed).backend_kind(),
+  EXPECT_EQ(MontgomeryContext(m, MontBackendKind::kIfma).backend_kind(),
             MontBackendKind::kGeneric);
   EXPECT_EQ(MontgomeryContext(m, MontBackendKind::kAdx).backend_kind(),
             MontBackendKind::kGeneric);
+  // 768 bits = 12 limbs: adx serves it, ifma does not, so an ifma
+  // request lands one step down.
+  if (MontBackendSupports(MontBackendKind::kAdx, 12)) {
+    EXPECT_EQ(MontgomeryContext(ExactBitsOdd(rng, 768), MontBackendKind::kIfma)
+                  .backend_kind(),
+              MontBackendKind::kAdx);
+  }
 }
 
 TEST(MontBackendTest, MulMatchesReferenceAcrossBackends) {
@@ -228,7 +235,7 @@ TEST(MontBackendTest, ExpMatchesPlainExponentiationPerBackend) {
 }
 
 TEST(MontBackendTest, SeededFuzzSweepPerBackend) {
-  // Every fixed width in the dispatch table (4..64 limbs), a few seeded
+  // The Paillier / Damgård–Jurik widths (4..64 limbs), a few seeded
   // random operand pairs each, all backends against MulMod.
   ChaCha20Rng rng(108);
   for (size_t bits : {256u, 512u, 1024u, 1536u, 2048u, 3072u, 4096u}) {
@@ -264,6 +271,132 @@ TEST(MontBackendTest, ToMontgomeryBatchMatchesSingles) {
             << "count " << count << ", backend " << ctx.backend_name();
       }
     }
+  }
+}
+
+std::vector<uint64_t> PaddedLimbs(const BigInt& x, size_t n) {
+  std::vector<uint64_t> limbs = x.limbs();
+  limbs.resize(n, 0);
+  return limbs;
+}
+
+// True when the Montgomery product a * b * R^-1 of canonical a, b comes
+// out of the reduction as a value in [m, 2m), i.e. needs the kernels'
+// final conditional subtraction: t = (a b + q m) / R with
+// q = -a b m^-1 mod R.
+bool NeedsFinalSubtraction(const BigInt& a, const BigInt& b, const BigInt& m,
+                           const BigInt& r, const BigInt& neg_m_inv) {
+  const BigInt ab = a * b;
+  const BigInt q = Mod(ab * neg_m_inv, r);
+  return (ab + q * m) / r >= m;
+}
+
+TEST(MontBackendTest, MulBatchMatchesGenericMulAtEveryCount) {
+  // The backends' mul_batch entry point itself, at counts on both sides
+  // of the ifma kernel's 8-product steps, with outputs both separate and
+  // in place (out == a, the Pippenger bucket shape), against generic
+  // single mul.
+  ChaCha20Rng rng(112);
+  for (size_t bits : {512u, 1024u, 2048u, 4096u}) {
+    const size_t n = LimbsForBits(bits);
+    const BigInt r = BigInt(1) << (64 * n);
+    for (const BigInt& m :
+         {(BigInt(1) << bits) - BigInt(159), ExactBitsOdd(rng, bits)}) {
+      const std::vector<uint64_t> mod = PaddedLimbs(m, n);
+      const BigInt neg_m_inv = r - ModInverse(m, r).ValueOrDie();
+      const MontModulusView view{mod.data(), n,
+                                 PaddedLimbs(neg_m_inv, n)[0]};
+      // Every pair of carry-edge operands, then random pairs.
+      const std::vector<BigInt> edges = {BigInt(0),     BigInt(1),
+                                         m - BigInt(1), m - BigInt(2),
+                                         Mod(r, m),     m >> 1};
+      std::vector<std::pair<BigInt, BigInt>> pairs;
+      size_t forced = 0;
+      for (const BigInt& a : edges) {
+        for (const BigInt& b : edges) {
+          pairs.emplace_back(a, b);
+          if (NeedsFinalSubtraction(a, b, m, r, neg_m_inv)) ++forced;
+        }
+      }
+      ASSERT_GT(forced, 0u) << bits << " bits: no final subtraction hit";
+      while (pairs.size() < 64) {
+        pairs.emplace_back(RandomBelow(rng, m), RandomBelow(rng, m));
+      }
+      const MontBackendOps& generic =
+          SelectMontBackend(n, MontBackendKind::kGeneric);
+      std::vector<std::vector<uint64_t>> expected(pairs.size());
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        expected[p].resize(n);
+        generic.mul(view, PaddedLimbs(pairs[p].first, n).data(),
+                    PaddedLimbs(pairs[p].second, n).data(),
+                    expected[p].data());
+      }
+
+      for (MontBackendKind kind : AvailableKinds(n)) {
+        const MontBackendOps& ops = SelectMontBackend(n, kind);
+        ASSERT_EQ(ops.kind, kind);
+        for (size_t count : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u}) {
+          for (bool in_place : {false, true}) {
+            // Consecutive windows of `count` pairs until every pair has
+            // run (one empty call for count 0).
+            for (size_t start = 0; start < std::max<size_t>(pairs.size(), 1);
+                 start += std::max<size_t>(count, 1)) {
+              std::vector<std::vector<uint64_t>> a(count);
+              std::vector<std::vector<uint64_t>> b(count);
+              std::vector<std::vector<uint64_t>> out(count);
+              std::vector<const uint64_t*> a_ptrs(count);
+              std::vector<const uint64_t*> b_ptrs(count);
+              std::vector<uint64_t*> out_ptrs(count);
+              for (size_t i = 0; i < count; ++i) {
+                const auto& [x, y] = pairs[(start + i) % pairs.size()];
+                a[i] = PaddedLimbs(x, n);
+                b[i] = PaddedLimbs(y, n);
+                out[i].assign(n, 0xA5A5A5A5A5A5A5A5u);
+                b_ptrs[i] = b[i].data();
+                out_ptrs[i] = in_place ? a[i].data() : out[i].data();
+                a_ptrs[i] = a[i].data();
+              }
+              ops.mul_batch(view, count, a_ptrs.data(), b_ptrs.data(),
+                            out_ptrs.data());
+              for (size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(in_place ? a[i] : out[i],
+                          expected[(start + i) % pairs.size()])
+                    << bits << " bits, backend " << ops.name << ", count "
+                    << count << ", product " << i
+                    << (in_place ? ", in place" : ", separate");
+              }
+              if (count == 0) break;
+            }
+          }
+        }
+      }
+    }
+  }
+  if (!MontBackendSupports(MontBackendKind::kIfma, LimbsForBits(1024))) {
+    GTEST_SKIP() << "no AVX-512 IFMA on this host: the 8-lane ifma kernel "
+                    "was not exercised (generic and adx were)";
+  }
+}
+
+TEST(MontBackendTest, IfmaMatchesAdxOnRandomBatches) {
+  // Many random 8-lane steps per width, ifma against adx.
+  if (!MontBackendSupports(MontBackendKind::kIfma, LimbsForBits(1024))) {
+    GTEST_SKIP() << "no AVX-512 IFMA on this host";
+  }
+  ChaCha20Rng rng(113);
+  for (size_t bits : {1024u, 2048u, 4096u}) {
+    const size_t n = LimbsForBits(bits);
+    const BigInt m = ExactBitsOdd(rng, bits);
+    MontgomeryContext ifma(m, MontBackendKind::kIfma);
+    MontgomeryContext adx(m, MontBackendKind::kAdx);
+    ASSERT_EQ(ifma.backend_kind(), MontBackendKind::kIfma);
+    ASSERT_EQ(adx.backend_kind(), MontBackendKind::kAdx);
+    const size_t products = bits == 4096 ? 512 : 2048;
+    std::vector<BigInt> xs;
+    for (size_t i = 0; i < products; ++i) xs.push_back(RandomBelow(rng, m));
+    // ToMontgomeryBatch is out[i] = x[i] * R^2 through mul_batch.
+    EXPECT_EQ(ifma.ToMontgomeryBatch(xs), adx.ToMontgomeryBatch(xs))
+        << bits << " bits (" << n << " limbs)";
   }
 }
 

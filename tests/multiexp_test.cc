@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bigint/modarith.h"
+#include "bigint/mont_backend.h"
 #include "bigint/montgomery.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/damgard_jurik.h"
@@ -287,6 +288,45 @@ TEST(MultiExpAccumulatorTest, CanonicalInputsCorrectedByRPower) {
   EXPECT_EQ(ctx.MulMontgomery(unit_acc.Finish(),
                               r_pow(unit_acc.exponent_sum())),
             NaiveFold(units, unit_exps, m));
+}
+
+TEST(MultiExpAccumulatorTest, RoundScheduledInsertsMatchStrausPerBackend) {
+  // Deferred bucket inserts run in rounds, the k-th insert of each
+  // bucket in round k. Three exponent shapes at 1024 and 2048 bits (the
+  // ifma kernel's widths), on every backend this host has: every
+  // exponent the same digit (one bucket, so every round holds exactly
+  // one product), half the terms on one digit (rounds shrink from
+  // many products to one), and uniform 7-bit digits (wide rounds).
+  ChaCha20Rng rng(49);
+  for (size_t bits : {1024u, 2048u}) {
+    BigInt m = (BigInt(1) << (bits - 1)) + RandomBits(rng, bits - 1);
+    if (m.IsEven()) m += 1;
+    std::vector<std::vector<BigInt>> shapes(3);
+    constexpr size_t kTerms = 300;
+    for (size_t i = 0; i < kTerms; ++i) {
+      shapes[0].push_back(BigInt(5));
+      shapes[1].push_back(i % 2 == 0 ? BigInt(5) : RandomBits(rng, 7));
+      shapes[2].push_back(RandomBits(rng, 7));
+    }
+    std::vector<BigInt> bases;
+    for (size_t i = 0; i < kTerms; ++i) bases.push_back(RandomBelow(rng, m));
+    for (MontBackendKind kind : {MontBackendKind::kGeneric,
+                                 MontBackendKind::kAdx,
+                                 MontBackendKind::kIfma}) {
+      const size_t n = m.LimbCount();
+      if (!MontBackendSupports(kind, n)) continue;
+      MontgomeryContext ctx(m, kind);
+      for (size_t shape = 0; shape < shapes.size(); ++shape) {
+        const std::vector<BigInt>& exps = shapes[shape];
+        MontgomeryContext::MultiExpAccumulator acc(ctx, kTerms);
+        acc.Add(Pointers(bases), Pointers(exps));
+        EXPECT_EQ(acc.Finish(), ctx.MultiExpMontgomery(
+                                    bases, exps, MultiExpSchedule::kStraus))
+            << bits << " bits, backend " << ctx.backend_name() << ", shape "
+            << shape;
+      }
+    }
+  }
 }
 
 }  // namespace
