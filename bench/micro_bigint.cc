@@ -89,6 +89,19 @@ void BM_ModInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_ModInverse)->Arg(512)->Arg(1024);
 
+void BM_Gcd(benchmark::State& state) {
+  // RandomUnit's unit check in Paillier encryption: gcd(r, n) for a
+  // random r < n and an odd n of the key's width.
+  size_t bits = static_cast<size_t>(state.range(0));
+  ChaCha20Rng rng(bits + 6);
+  BigInt n = RandomOdd(rng, bits);
+  BigInt r = RandomBelow(rng, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Gcd(r, n));
+  }
+}
+BENCHMARK(BM_Gcd)->Arg(512)->Arg(1024);
+
 void BM_DecimalConversion(benchmark::State& state) {
   ChaCha20Rng rng(5);
   BigInt v = RandomBits(rng, 1024);

@@ -1,6 +1,7 @@
 // Per-backend microbenchmarks for the Montgomery multiplication kernels
-// (bigint/mont_backend.h): one MulMontgomery / Sqr per iteration, or one
-// 64-product mul_batch call, at the operand widths the protocol actually
+// (bigint/mont_backend.h): one MulMontgomery / Sqr per iteration, one
+// 64-product mul_batch call, or one 8-base ExpBatch, at the operand widths
+// the protocol actually
 // runs — 1024-bit (512-bit keys, mod n^2), 2048-bit (1024-bit keys),
 // 4096-bit (2048-bit keys).
 //
@@ -127,6 +128,41 @@ void BM_MontMulBatchIfma(benchmark::State& state) {
   RunMontMulBatch(state, MontBackendKind::kIfma);
 }
 BENCHMARK(BM_MontMulBatchIfma)->Arg(1024)->Arg(2048)->Arg(4096);
+
+// One lockstep fixed-window walk over 8 bases sharing a 512-bit
+// exponent — Paillier's r^n for one group of 512-bit-key encryptions
+// (mod n^2, 1024 bits). items/s counts exponentiations.
+void RunExpBatch(benchmark::State& state, MontBackendKind kind) {
+  constexpr size_t kBases = 8;
+  const size_t bits = static_cast<size_t>(state.range(0));
+  ChaCha20Rng rng(15 + bits);
+  const BigInt m = ExactBitsOdd(rng, bits);
+  MontgomeryContext ctx(m, kind);
+  state.SetLabel(ctx.backend_name());
+  const BigInt exp = ExactBitsOdd(rng, bits / 2);
+  std::vector<BigInt> bases;
+  for (size_t i = 0; i < kBases; ++i) bases.push_back(RandomBelow(rng, m));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.ExpBatch(bases, exp));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBases));
+}
+
+void BM_ExpBatchGeneric(benchmark::State& state) {
+  RunExpBatch(state, MontBackendKind::kGeneric);
+}
+BENCHMARK(BM_ExpBatchGeneric)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+void BM_ExpBatchAdx(benchmark::State& state) {
+  RunExpBatch(state, MontBackendKind::kAdx);
+}
+BENCHMARK(BM_ExpBatchAdx)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+void BM_ExpBatchIfma(benchmark::State& state) {
+  RunExpBatch(state, MontBackendKind::kIfma);
+}
+BENCHMARK(BM_ExpBatchIfma)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 // The batched entry point one-shot MultiExp uses to convert plain-residue
 // bases; rows/s is the interesting figure.

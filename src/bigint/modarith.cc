@@ -1,6 +1,10 @@
 #include "bigint/modarith.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "bigint/montgomery.h"
 
@@ -29,17 +33,119 @@ BigInt MulMod(const BigInt& a, const BigInt& b, const BigInt& m) {
   return Mod(a * b, m);
 }
 
-BigInt Gcd(const BigInt& a, const BigInt& b) {
-  BigInt x = a.Abs();
-  BigInt y = b.Abs();
-  // Euclid; BigInt division is fast enough at our sizes, and the binary
-  // variant saves little once limb-level division exists.
-  while (!y.IsZero()) {
-    BigInt r = x % y;
-    x = std::move(y);
-    y = std::move(r);
+namespace {
+
+// Binary-GCD helpers over little-endian limb arrays. Lengths are kept
+// normalized (no high zero limbs), so every pass shrinks with the values.
+
+size_t TrimLimbs(const uint64_t* x, size_t len) {
+  while (len > 0 && x[len - 1] == 0) --len;
+  return len;
+}
+
+// x >>= shift in place; returns the trimmed length.
+size_t ShiftRightLimbs(uint64_t* x, size_t len, size_t shift) {
+  const size_t limbs = shift / 64;
+  const unsigned bits = static_cast<unsigned>(shift % 64);
+  if (limbs >= len) return 0;
+  const size_t out_len = len - limbs;
+  if (bits == 0) {
+    std::copy(x + limbs, x + len, x);
+  } else {
+    for (size_t i = 0; i + 1 < out_len; ++i) {
+      x[i] = (x[i + limbs] >> bits) | (x[i + limbs + 1] << (64 - bits));
+    }
+    x[out_len - 1] = x[len - 1] >> bits;
   }
-  return x;
+  return TrimLimbs(x, out_len);
+}
+
+// Trailing zero bits of a nonzero x.
+size_t TrailingZeroBits(const uint64_t* x) {
+  size_t i = 0;
+  while (x[i] == 0) ++i;
+  return 64 * i + static_cast<size_t>(__builtin_ctzll(x[i]));
+}
+
+// Three-way magnitude comparison of trimmed x and y.
+int CompareLimbs(const uint64_t* x, size_t x_len, const uint64_t* y,
+                 size_t y_len) {
+  if (x_len != y_len) return x_len < y_len ? -1 : 1;
+  for (size_t i = x_len; i-- > 0;) {
+    if (x[i] != y[i]) return x[i] < y[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+// x -= y for x >= y; returns the trimmed length.
+size_t SubLimbs(uint64_t* x, size_t x_len, const uint64_t* y, size_t y_len) {
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < x_len; ++i) {
+    const uint64_t yi = i < y_len ? y[i] : 0;
+    if (i >= y_len && borrow == 0) break;
+    const uint64_t d = x[i] - yi;
+    const uint64_t next = (x[i] < yi) | (d < borrow);
+    x[i] = d - borrow;
+    borrow = next;
+  }
+  return TrimLimbs(x, x_len);
+}
+
+// gcd of two odd single limbs.
+uint64_t GcdOdd64(uint64_t u, uint64_t v) {
+  while (u != v) {
+    if (u > v) std::swap(u, v);
+    v -= u;
+    v >>= __builtin_ctzll(v);
+  }
+  return u;
+}
+
+}  // namespace
+
+BigInt Gcd(const BigInt& a, const BigInt& b) {
+  // Binary (Stein) GCD on copies of the magnitudes: strip the common
+  // power of two, then repeatedly subtract the smaller odd value from the
+  // larger and shift out the new trailing zeros. No division and, up to
+  // kInline limbs per operand, no heap allocation besides the result.
+  if (a.IsZero()) return b.Abs();
+  if (b.IsZero()) return a.Abs();
+  constexpr size_t kInline = 64;
+  size_t u_len = a.LimbCount();
+  size_t v_len = b.LimbCount();
+  uint64_t inline_buf[2 * kInline] = {};
+  std::vector<uint64_t> heap_buf;
+  uint64_t* u = inline_buf;
+  if (u_len > kInline || v_len > kInline) {
+    heap_buf.resize(u_len + v_len);
+    u = heap_buf.data();
+  }
+  uint64_t* v = u + (heap_buf.empty() ? kInline : u_len);
+  std::copy(a.limbs().begin(), a.limbs().end(), u);
+  std::copy(b.limbs().begin(), b.limbs().end(), v);
+
+  const size_t u_zeros = TrailingZeroBits(u);
+  const size_t v_zeros = TrailingZeroBits(v);
+  const size_t common_zeros = std::min(u_zeros, v_zeros);
+  u_len = ShiftRightLimbs(u, u_len, u_zeros);
+  v_len = ShiftRightLimbs(v, v_len, v_zeros);
+  // Both odd from here on; keep u <= v.
+  for (;;) {
+    if (u_len == 1 && v_len == 1) {
+      u[0] = GcdOdd64(u[0], v[0]);
+      break;
+    }
+    const int cmp = CompareLimbs(u, u_len, v, v_len);
+    if (cmp == 0) break;
+    if (cmp > 0) {
+      std::swap(u, v);
+      std::swap(u_len, v_len);
+    }
+    v_len = SubLimbs(v, v_len, u, u_len);  // even and nonzero
+    v_len = ShiftRightLimbs(v, v_len, TrailingZeroBits(v));
+  }
+  return BigInt::FromLimbs(std::vector<uint64_t>(u, u + u_len))
+         << common_zeros;
 }
 
 BigInt Lcm(const BigInt& a, const BigInt& b) {

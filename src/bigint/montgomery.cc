@@ -155,6 +155,11 @@ void MontgomeryContext::MontMulRaw(const uint64_t* a, const uint64_t* b,
   backend_->mul_ops->Increment();
 }
 
+void MontgomeryContext::MontSqrRaw(const uint64_t* a, uint64_t* out) const {
+  backend_->sqr(View(), a, out);
+  backend_->sqr_ops->Increment();
+}
+
 void MontgomeryContext::MontSqr(const Limbs& a, Limbs* out) const {
   assert(out != &a);
   out->resize(n_);
@@ -227,51 +232,115 @@ BigInt MontgomeryContext::OneMontgomery() const {
 BigInt MontgomeryContext::Exp(const BigInt& base, const BigInt& exp) const {
   assert(!exp.IsNegative());
   if (exp.IsZero()) return BigInt(1);  // modulus > 1 by construction
-
-  const Limbs base_m = ToFixed(ToMontgomery(Mod(base, modulus_)));
   const size_t bits = exp.BitLength();
-  Limbs acc;
+  if (bits > kSmallExpBits) return std::move(ExpBatch({&base, 1}, exp)[0]);
+
+  // Plain left-to-right square-and-multiply: no window table.
+  const Limbs base_m = ToFixed(ToMontgomery(Mod(base, modulus_)));
+  Limbs acc = base_m;
   Limbs tmp;
-
-  if (bits <= kSmallExpBits) {
-    // Plain left-to-right square-and-multiply: no window table.
-    acc = base_m;
-    for (size_t b = bits - 1; b-- > 0;) {
-      MontSqr(acc, &tmp);
-      acc.swap(tmp);
-      if (exp.Bit(b)) {
-        MontMul(acc, base_m, &tmp);
-        acc.swap(tmp);
-      }
-    }
-    return FromMontgomery(BigInt::FromLimbs(std::move(acc)));
-  }
-
-  // Precompute table[i] = base^i in Montgomery form, i in [0, 16).
-  constexpr size_t kWindow = 4;
-  std::vector<Limbs> table(1 << kWindow);
-  table[0] = one_mont_;
-  table[1] = base_m;
-  for (size_t i = 2; i < table.size(); ++i) {
-    MontMul(table[i - 1], base_m, &table[i]);
-  }
-
-  const size_t windows = (bits + kWindow - 1) / kWindow;
-  acc = one_mont_;
-  for (size_t w = windows; w-- > 0;) {
-    if (w != windows - 1) {
-      for (size_t s = 0; s < kWindow; ++s) {
-        MontSqr(acc, &tmp);
-        acc.swap(tmp);
-      }
-    }
-    const size_t idx = WindowDigit(exp, w, kWindow);
-    if (idx != 0) {
-      MontMul(acc, table[idx], &tmp);
+  for (size_t b = bits - 1; b-- > 0;) {
+    MontSqr(acc, &tmp);
+    acc.swap(tmp);
+    if (exp.Bit(b)) {
+      MontMul(acc, base_m, &tmp);
       acc.swap(tmp);
     }
   }
   return FromMontgomery(BigInt::FromLimbs(std::move(acc)));
+}
+
+std::vector<BigInt> MontgomeryContext::ExpBatch(std::span<const BigInt> bases,
+                                                const BigInt& exp) const {
+  assert(!exp.IsNegative());
+  const size_t k = bases.size();
+  std::vector<BigInt> result;
+  result.reserve(k);
+  const size_t bits = exp.BitLength();
+  if (bits <= kSmallExpBits) {
+    for (const BigInt& base : bases) result.push_back(Exp(base, exp));
+    return result;
+  }
+
+  // Per base, one flat block: window-table entries 1..15 (entry d holds
+  // base^d in Montgomery form; a zero digit multiplies by nothing, so
+  // slot 0 is never read) and then the accumulator.
+  constexpr size_t kWindow = 4;
+  constexpr size_t kAcc = size_t{1} << kWindow;
+  const size_t stride = (kAcc + 1) * n_;
+  Limbs state(k * stride);
+  auto slot = [&](size_t i, size_t d) {
+    return state.data() + i * stride + d * n_;
+  };
+  std::vector<const uint64_t*> a(k);
+  std::vector<const uint64_t*> b(k);
+  std::vector<uint64_t*> out(k);
+  // One batched product per step: out[i] = a[i] * b[i] for every base.
+  // A lone base takes the backend's single-product kernel directly.
+  auto step = [&](auto&& operands) {
+    for (size_t i = 0; i < k; ++i) operands(i);
+    if (k == 1) {
+      MontMulRaw(a[0], b[0], out[0]);
+    } else {
+      MontMulBatch(k, a.data(), b.data(), out.data());
+    }
+  };
+
+  // Reduced bases staged in the accumulators, converted into entry 1.
+  for (size_t i = 0; i < k; ++i) {
+    const BigInt reduced = Mod(bases[i], modulus_);
+    std::copy(reduced.limbs().begin(), reduced.limbs().end(), slot(i, kAcc));
+  }
+  step([&](size_t i) {
+    a[i] = slot(i, kAcc);
+    b[i] = r2_.data();
+    out[i] = slot(i, 1);
+  });
+  for (size_t d = 2; d < kAcc; ++d) {
+    step([&](size_t i) {
+      a[i] = slot(i, d - 1);
+      b[i] = slot(i, 1);
+      out[i] = slot(i, d);
+    });
+  }
+
+  for (size_t i = 0; i < k; ++i) {
+    std::copy(one_mont_.begin(), one_mont_.end(), slot(i, kAcc));
+  }
+  const size_t windows = (bits + kWindow - 1) / kWindow;
+  for (size_t w = windows; w-- > 0;) {
+    if (w != windows - 1) {
+      for (size_t s = 0; s < kWindow; ++s) {
+        if (k == 1) {
+          // One base: the backend's squaring kernel (Decrypt, and the
+          // fold's R^sum(e) correction, stay on their single-product path).
+          MontSqrRaw(slot(0, kAcc), slot(0, kAcc));
+        } else {
+          step([&](size_t i) { a[i] = b[i] = out[i] = slot(i, kAcc); });
+        }
+      }
+    }
+    const size_t digit = WindowDigit(exp, w, kWindow);
+    if (digit != 0) {
+      step([&](size_t i) {
+        a[i] = out[i] = slot(i, kAcc);
+        b[i] = slot(i, digit);
+      });
+    }
+  }
+
+  // Out of Montgomery form: acc * 1.
+  Limbs one(n_, 0);
+  one[0] = 1;
+  step([&](size_t i) {
+    a[i] = out[i] = slot(i, kAcc);
+    b[i] = one.data();
+  });
+  for (size_t i = 0; i < k; ++i) {
+    const uint64_t* acc = slot(i, kAcc);
+    result.push_back(BigInt::FromLimbs(Limbs(acc, acc + n_)));
+  }
+  return result;
 }
 
 MontgomeryContext::Limbs MontgomeryContext::StrausMont(

@@ -9,7 +9,9 @@
 // AVX-512 IFMA 8-lane batch kernel — and every multiply, square, and
 // batched conversion routes through it. Modular exponentiation with a
 // 4-bit fixed window over Montgomery residues is the workhorse of Paillier
-// encryption/decryption, and the batched multi-exponentiation (Pippenger
+// encryption/decryption (ExpBatch walks one window schedule for many
+// bases that share an exponent, in lockstep batched products, which is
+// how a client encrypts), and the batched multi-exponentiation (Pippenger
 // buckets with a Straus fallback for small one-shot batches) is the
 // workhorse of the server's homomorphic fold prod_i c_i^{e_i} mod m —
 // the component the paper measures as dominant at every database size.
@@ -88,8 +90,20 @@ class MontgomeryContext {
   /// Small exponents (< ~48 bits, the ScalarMultiply regime) use plain
   /// square-and-multiply, skipping the 16-entry window table whose
   /// construction would dominate; larger exponents use the 4-bit fixed
-  /// window. Returns a canonical residue.
+  /// window — the one-base case of ExpBatch, squaring through the
+  /// backend's sqr. Returns a canonical residue.
   BigInt Exp(const BigInt& base, const BigInt& exp) const;
+
+  /// bases[i]^exp mod m for every i, bit-identical to one Exp call per
+  /// base. Every base shares the exponent, so above the small-exponent
+  /// cutoff the bases walk one 4-bit fixed-window schedule in lockstep:
+  /// each conversion, table entry, squaring and window multiply is one
+  /// batched product across the bases (squarings as acc * acc when there
+  /// are two or more), which the ifma backend runs eight lanes at a time.
+  /// This is Paillier's r^n for a batch of encryptions. Memory is 16
+  /// n-limb table entries per base, so callers batch in small groups.
+  std::vector<BigInt> ExpBatch(std::span<const BigInt> bases,
+                               const BigInt& exp) const;
 
   /// prod_i bases[i]^exponents[i] mod m for bases >= 0 (reduced
   /// internally) and exponents >= 0. Spans must have equal length;
@@ -124,8 +138,10 @@ class MontgomeryContext {
   // separate tmp and swap.
   void MontMul(const Limbs& a, const Limbs& b, Limbs* out) const;
   void MontSqr(const Limbs& a, Limbs* out) const;
-  // MontMul over bare n-limb arrays (the accumulator's flat buckets).
+  // MontMul / MontSqr over bare n-limb arrays (the accumulator's flat
+  // buckets, ExpBatch's accumulators); out may alias the inputs.
   void MontMulRaw(const uint64_t* a, const uint64_t* b, uint64_t* out) const;
+  void MontSqrRaw(const uint64_t* a, uint64_t* out) const;
 
   // Batched Montgomery products out[i] = a[i] * b[i] over already-sized
   // n-limb arrays. An output may alias its own product's inputs, never

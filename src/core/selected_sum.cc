@@ -63,16 +63,22 @@ Result<Bytes> SumClient::NextRequest() {
   double elapsed = 0;
   {
     obs::ScopedPhaseTimer timer(&elapsed, obs::kSpanClientEncrypt);
-    for (size_t i = begin; i < end; ++i) {
-      BigInt plaintext(weights_[i]);
-      Result<PaillierCiphertext> ct =
-          options_.encryption_pool != nullptr
-              ? options_.encryption_pool->Take(plaintext, *rng_)
-              : (options_.randomness_pool != nullptr
-                     ? options_.randomness_pool->Encrypt(plaintext, *rng_)
-                     : Paillier::Encrypt(pub, plaintext, *rng_));
-      if (!ct.ok()) return ct.status();
-      msg.ciphertexts.push_back(std::move(ct).ValueOrDie());
+    std::vector<BigInt> plaintexts(weights_.begin() + begin,
+                                   weights_.begin() + end);
+    if (options_.encryption_pool == nullptr &&
+        options_.randomness_pool == nullptr) {
+      // No pool: the whole chunk is one batch (lockstep r^n lanes).
+      PPSTATS_ASSIGN_OR_RETURN(msg.ciphertexts,
+                               Paillier::EncryptBatch(pub, plaintexts, *rng_));
+    } else {
+      for (const BigInt& plaintext : plaintexts) {
+        Result<PaillierCiphertext> ct =
+            options_.encryption_pool != nullptr
+                ? options_.encryption_pool->Take(plaintext, *rng_)
+                : options_.randomness_pool->Encrypt(plaintext, *rng_);
+        if (!ct.ok()) return ct.status();
+        msg.ciphertexts.push_back(std::move(ct).ValueOrDie());
+      }
     }
   }
   encrypt_seconds_ += elapsed;

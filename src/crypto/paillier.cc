@@ -1,5 +1,8 @@
 #include "crypto/paillier.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
 
@@ -72,8 +75,25 @@ Result<PaillierKeyPair> Paillier::GenerateKeyPair(size_t modulus_bits,
 
 BigInt Paillier::GenerateRandomFactor(const PaillierPublicKey& pub,
                                       RandomSource& rng) {
-  BigInt r = RandomUnit(rng, pub.n());
-  return pub.mont_n2().Exp(r, pub.n());
+  return std::move(GenerateRandomFactors(pub, rng, 1)[0]);
+}
+
+std::vector<BigInt> Paillier::GenerateRandomFactors(const PaillierPublicKey& pub,
+                                                    RandomSource& rng,
+                                                    size_t count) {
+  std::vector<BigInt> units;
+  units.reserve(count);
+  for (size_t i = 0; i < count; ++i) units.push_back(RandomUnit(rng, pub.n()));
+  std::vector<BigInt> factors;
+  factors.reserve(count);
+  for (size_t begin = 0; begin < count; begin += kEncryptLanes) {
+    const size_t group = std::min(kEncryptLanes, count - begin);
+    for (BigInt& factor : pub.mont_n2().ExpBatch(
+             std::span<const BigInt>(units).subspan(begin, group), pub.n())) {
+      factors.push_back(std::move(factor));
+    }
+  }
+  return factors;
 }
 
 Result<PaillierCiphertext> Paillier::EncryptWithFactor(
@@ -89,7 +109,30 @@ Result<PaillierCiphertext> Paillier::EncryptWithFactor(
 Result<PaillierCiphertext> Paillier::Encrypt(const PaillierPublicKey& pub,
                                              const BigInt& m,
                                              RandomSource& rng) {
-  return EncryptWithFactor(pub, m, GenerateRandomFactor(pub, rng));
+  const std::span<const BigInt> one(&m, 1);
+  PPSTATS_ASSIGN_OR_RETURN(std::vector<PaillierCiphertext> cts,
+                           EncryptBatch(pub, one, rng));
+  return std::move(cts[0]);
+}
+
+Result<std::vector<PaillierCiphertext>> Paillier::EncryptBatch(
+    const PaillierPublicKey& pub, std::span<const BigInt> plaintexts,
+    RandomSource& rng) {
+  for (const BigInt& m : plaintexts) {
+    if (m.IsNegative() || m >= pub.n()) {
+      return Status::OutOfRange("plaintext must be in [0, n)");
+    }
+  }
+  const std::vector<BigInt> factors =
+      GenerateRandomFactors(pub, rng, plaintexts.size());
+  std::vector<PaillierCiphertext> cts;
+  cts.reserve(plaintexts.size());
+  for (size_t i = 0; i < plaintexts.size(); ++i) {
+    PPSTATS_ASSIGN_OR_RETURN(PaillierCiphertext ct,
+                             EncryptWithFactor(pub, plaintexts[i], factors[i]));
+    cts.push_back(std::move(ct));
+  }
+  return cts;
 }
 
 Result<BigInt> Paillier::DecryptDirect(const PaillierPrivateKey& priv,

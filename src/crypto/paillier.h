@@ -13,16 +13,26 @@
 //    (~4x faster than the direct c^lambda mod n^2); the direct path is
 //    kept for the ablation benchmark.
 //  * The expensive factor r^n mod n^2 is exposed separately
-//    (GenerateRandomFactor / EncryptWithFactor) so the preprocessing
+//    (GenerateRandomFactor(s) / EncryptWithFactor) so the preprocessing
 //    optimization of Section 3.3 can precompute it offline.
+//  * Encryption is batched: every row's factor has the same exponent n,
+//    so GenerateRandomFactors / EncryptBatch run r^n for groups of
+//    kEncryptLanes rows as one lockstep MontgomeryContext::ExpBatch
+//    window walk. Every r is drawn with RandomUnit in row order before
+//    any exponentiation (the exponentiations consume no randomness), so
+//    under a seeded RandomSource a batch's ciphertexts, and the RNG state
+//    it leaves behind, are bit-identical to one Encrypt per row. Encrypt
+//    and GenerateRandomFactor are the one-row batches.
 //
 // Plaintext space is Z_n; callers must supply m in [0, n).
 
 #ifndef PPSTATS_CRYPTO_PAILLIER_H_
 #define PPSTATS_CRYPTO_PAILLIER_H_
 
+#include <cstddef>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
@@ -115,15 +125,34 @@ class Paillier {
   [[nodiscard]] static Result<PaillierKeyPair> GenerateKeyPair(size_t modulus_bits,
                                                                RandomSource& rng);
 
+  /// Rows per ExpBatch group in GenerateRandomFactors: the ifma
+  /// backend's lane count, so each lockstep step fills one 8-lane batch.
+  static constexpr size_t kEncryptLanes = 8;
+
   /// The expensive precomputable part of encryption: r^n mod n^2 for a
   /// fresh random unit r.
   static BigInt GenerateRandomFactor(const PaillierPublicKey& pub,
                                      RandomSource& rng);
 
+  /// `count` factors r_i^n mod n^2. Draws every r_i with RandomUnit in
+  /// order first, then exponentiates kEncryptLanes at a time through
+  /// ExpBatch; identical to `count` GenerateRandomFactor calls.
+  static std::vector<BigInt> GenerateRandomFactors(const PaillierPublicKey& pub,
+                                                   RandomSource& rng,
+                                                   size_t count);
+
   /// E(m; r) for fresh randomness. Fails if m is outside [0, n).
   [[nodiscard]] static Result<PaillierCiphertext> Encrypt(const PaillierPublicKey& pub,
                                                           const BigInt& m,
                                                           RandomSource& rng);
+
+  /// E(m_i; r_i) for every plaintext, the factors from
+  /// GenerateRandomFactors: bit-identical to one Encrypt per row from the
+  /// same RandomSource. Fails, drawing no randomness, if any m_i is
+  /// outside [0, n).
+  [[nodiscard]] static Result<std::vector<PaillierCiphertext>> EncryptBatch(
+      const PaillierPublicKey& pub, std::span<const BigInt> plaintexts,
+      RandomSource& rng);
 
   /// E(m) using a precomputed factor r^n mod n^2 (see
   /// GenerateRandomFactor); the online cost is two modular

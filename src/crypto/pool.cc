@@ -1,5 +1,8 @@
 #include "crypto/pool.h"
 
+#include <utility>
+#include <vector>
+
 #include "obs/metrics.h"
 
 namespace ppstats {
@@ -26,8 +29,8 @@ PoolCounters& Counters() {
 }  // namespace
 
 void RandomnessPool::Generate(size_t count, RandomSource& rng) {
-  for (size_t i = 0; i < count; ++i) {
-    factors_.push_back(Paillier::GenerateRandomFactor(pub_, rng));
+  for (BigInt& factor : Paillier::GenerateRandomFactors(pub_, rng, count)) {
+    factors_.push_back(std::move(factor));
   }
   Counters().refilled->Add(count);
 }
@@ -58,11 +61,10 @@ Result<PaillierCiphertext> RandomnessPool::Encrypt(const BigInt& m,
 Status EncryptionPool::Generate(const BigInt& plaintext, size_t count,
                                 RandomSource& rng) {
   auto& bucket = store_[plaintext];
-  for (size_t i = 0; i < count; ++i) {
-    PPSTATS_ASSIGN_OR_RETURN(PaillierCiphertext ct,
-                             Paillier::Encrypt(pub_, plaintext, rng));
-    bucket.push_back(std::move(ct));
-  }
+  const std::vector<BigInt> plaintexts(count, plaintext);
+  PPSTATS_ASSIGN_OR_RETURN(std::vector<PaillierCiphertext> cts,
+                           Paillier::EncryptBatch(pub_, plaintexts, rng));
+  for (PaillierCiphertext& ct : cts) bucket.push_back(std::move(ct));
   Counters().refilled->Add(count);
   return Status::OK();
 }

@@ -19,6 +19,13 @@ uint64_t CellValue(const std::vector<uint64_t>& cells,
   return index < cells.size() ? cells[index] : 0;
 }
 
+// The selector plaintexts e_j = [j == target], j < size.
+std::vector<BigInt> UnitVector(size_t size, size_t target) {
+  std::vector<BigInt> e(size);
+  e[target] = BigInt(1);
+  return e;
+}
+
 std::vector<uint64_t> ToCells(const Database& db) {
   return std::vector<uint64_t>(db.values().begin(), db.values().end());
 }
@@ -96,13 +103,9 @@ Result<PirRawResult> RunSingleLevelPirRaw(const std::vector<uint64_t>& cells,
   {
     obs::ScopedPhaseTimer timer(&result.client_seconds,
                                 obs::kSpanClientEncrypt);
-    selector.reserve(layout.cols);
-    for (size_t j = 0; j < layout.cols; ++j) {
-      PPSTATS_ASSIGN_OR_RETURN(
-          PaillierCiphertext ct,
-          Paillier::Encrypt(pub, BigInt(j == target_col ? 1 : 0), rng));
-      selector.push_back(std::move(ct));
-    }
+    PPSTATS_ASSIGN_OR_RETURN(
+        selector, Paillier::EncryptBatch(
+                      pub, UnitVector(layout.cols, target_col), rng));
   }
   result.client_to_server.Record(layout.cols * pub.CiphertextBytes());
 
@@ -152,13 +155,9 @@ Result<PirRawResult> RunTwoLevelPirRaw(const std::vector<uint64_t>& cells,
   {
     obs::ScopedPhaseTimer timer(&result.client_seconds,
                                 obs::kSpanClientEncrypt);
-    col_selector.reserve(layout.cols);
-    for (size_t j = 0; j < layout.cols; ++j) {
-      PPSTATS_ASSIGN_OR_RETURN(
-          PaillierCiphertext ct,
-          Paillier::Encrypt(pub, BigInt(j == target_col ? 1 : 0), rng));
-      col_selector.push_back(std::move(ct));
-    }
+    PPSTATS_ASSIGN_OR_RETURN(
+        col_selector, Paillier::EncryptBatch(
+                          pub, UnitVector(layout.cols, target_col), rng));
     row_selector.reserve(layout.rows);
     for (size_t i = 0; i < layout.rows; ++i) {
       PPSTATS_ASSIGN_OR_RETURN(

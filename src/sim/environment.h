@@ -26,8 +26,10 @@ struct ExecutionEnvironment {
   NetworkModel network;
 
   /// Paper Figures 2/4/5/7/9: cluster nodes, high-performance switch.
-  /// The CPU scale calibrates a modern core to the paper's 2 GHz P-III
-  /// (~16x slower on modular exponentiation workloads).
+  /// The CPU scales calibrate a modern core to the paper's 2 GHz P-III
+  /// (~16x slower on modular exponentiation workloads). The client's is
+  /// fitted to batched encryption, which runs eight lockstep lanes on
+  /// AVX-512 IFMA hosts, so it is larger than the server's.
   static ExecutionEnvironment ShortDistance2004();
 
   /// Paper Figures 3/6: 500 MHz UltraSparc client (Chicago), 1 GHz

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "crypto/chacha20_rng.h"
 
 namespace ppstats {
@@ -183,6 +186,70 @@ TEST(RandomTest, RandomUnitIsCoprimeUnit) {
     EXPECT_FALSE(u.IsZero());
     EXPECT_LT(u, m);
     EXPECT_TRUE(Gcd(u, m).IsOne());
+  }
+}
+
+// Test-local reference: Euclid on magnitudes, the textbook algorithm the
+// library's binary GCD must agree with.
+BigInt EuclidGcd(const BigInt& a, const BigInt& b) {
+  BigInt x = a.Abs();
+  BigInt y = b.Abs();
+  while (!y.IsZero()) {
+    BigInt r = x % y;
+    x = std::move(y);
+    y = std::move(r);
+  }
+  return x;
+}
+
+TEST(GcdTest, MatchesEuclidAcrossWidths) {
+  ChaCha20Rng rng(23);
+  for (size_t limbs = 1; limbs <= 64; ++limbs) {
+    for (int iter = 0; iter < 4; ++iter) {
+      const BigInt a = RandomBits(rng, 64 * limbs);
+      // Mixed widths, and a shared random factor so the gcd is not
+      // almost always 1.
+      const BigInt b = RandomBits(rng, 1 + (64 * limbs * (iter + 1)) / 4);
+      const BigInt g = RandomBits(rng, 1 + 16 * iter) + BigInt(1);
+      EXPECT_EQ(Gcd(a, b), EuclidGcd(a, b)) << limbs << " limbs";
+      EXPECT_EQ(Gcd(a * g, b * g), EuclidGcd(a * g, b * g))
+          << limbs << " limbs, shared factor";
+    }
+  }
+}
+
+TEST(GcdTest, ZeroNegativeAndEqualOperands) {
+  ChaCha20Rng rng(29);
+  const BigInt x = RandomBits(rng, 700);
+  EXPECT_EQ(Gcd(BigInt(0), BigInt(0)), BigInt(0));
+  EXPECT_EQ(Gcd(x, BigInt(0)), x);
+  EXPECT_EQ(Gcd(BigInt(0), x), x);
+  EXPECT_EQ(Gcd(-x, BigInt(0)), x);
+  EXPECT_EQ(Gcd(BigInt(0), -x), x);
+  EXPECT_EQ(Gcd(x, x), x);
+  EXPECT_EQ(Gcd(x, -x), x);
+  const BigInt y = RandomBits(rng, 300);
+  EXPECT_EQ(Gcd(-x, y), EuclidGcd(x, y));
+  EXPECT_EQ(Gcd(x, -y), EuclidGcd(x, y));
+  EXPECT_EQ(Gcd(-x, -y), EuclidGcd(x, y));
+}
+
+TEST(GcdTest, PowersOfTwoAndSharedTwoFactors) {
+  ChaCha20Rng rng(31);
+  for (size_t i : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 1000u}) {
+    for (size_t j : {0u, 5u, 64u, 200u, 1000u}) {
+      EXPECT_EQ(Gcd(BigInt(1) << i, BigInt(1) << j),
+                BigInt(1) << std::min(i, j));
+    }
+  }
+  for (size_t k : {1u, 17u, 64u, 130u, 600u}) {
+    BigInt a = RandomBits(rng, 512);
+    BigInt b = RandomBits(rng, 256);
+    if (a.IsEven()) a += BigInt(1);
+    if (b.IsEven()) b += BigInt(1);
+    EXPECT_EQ(Gcd(a << k, b << (k + 3)), EuclidGcd(a << k, b << (k + 3)))
+        << "2^" << k;
+    EXPECT_EQ(Gcd(a << k, a << (2 * k)), a << k) << "2^" << k;
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -426,6 +427,114 @@ TEST(MontBackendTest, MultiExpAgreesAcrossBackendsAndSchedules) {
           << "backend " << ctx.backend_name();
     }
   }
+}
+
+// ExpBatch against one Exp call per base, on every backend, at a
+// Paillier-shaped modulus m = n^2 (n odd, half the width). Bases cover
+// 0, 1, m - 1 and values >= m (reduced internally); exponents cover 0,
+// 1, the square-and-multiply regime, n (the r^n of encryption), and
+// 1024- and 4096-bit values. Returns whether ifma was among the kinds.
+bool CheckExpBatchAgainstExp(ChaCha20Rng& rng, size_t bits,
+                             const std::vector<size_t>& counts) {
+  const BigInt n = ExactBitsOdd(rng, bits / 2);
+  const BigInt m = n * n;
+  const size_t max_count = *std::max_element(counts.begin(), counts.end());
+  std::vector<BigInt> pool = {BigInt(0), BigInt(1), m - BigInt(1),
+                              m + BigInt(12345), m, BigInt(3) * m + n};
+  while (pool.size() < max_count) pool.push_back(RandomBelow(rng, m));
+  const std::vector<BigInt> exps = {
+      BigInt(0), BigInt(1), RandomBits(rng, 40) + BigInt(3), n,
+      ExactBitsOdd(rng, 1024), ExactBitsOdd(rng, 4096)};
+  bool saw_ifma = false;
+  for (MontBackendKind kind : AvailableKinds(LimbsForBits(bits))) {
+    MontgomeryContext ctx(m, kind);
+    saw_ifma |= ctx.backend_kind() == MontBackendKind::kIfma;
+    for (const BigInt& exp : exps) {
+      for (size_t count : counts) {
+        const std::span<const BigInt> bases(pool.data(), count);
+        const std::vector<BigInt> got = ctx.ExpBatch(bases, exp);
+        EXPECT_EQ(got.size(), count);
+        for (size_t i = 0; i < std::min(got.size(), count); ++i) {
+          EXPECT_EQ(got[i], ctx.Exp(bases[i], exp))
+              << bits << " bits, backend " << ctx.backend_name() << ", "
+              << exp.BitLength() << "-bit exponent, count " << count
+              << ", base " << i;
+        }
+      }
+    }
+  }
+  return saw_ifma;
+}
+
+TEST(MontBackendTest, ExpBatchMatchesExpAtNarrowModuli) {
+  ChaCha20Rng rng(114);
+  const std::vector<size_t> counts = {0, 1, 2, 7, 8, 9, 17, 64};
+  CheckExpBatchAgainstExp(rng, 512, counts);
+  if (!CheckExpBatchAgainstExp(rng, 1024, counts)) {
+    GTEST_SKIP() << "no AVX-512 IFMA on this host: ExpBatch ran on "
+                    "generic and adx only";
+  }
+}
+
+TEST(MontBackendTest, ExpBatchMatchesExpAtWideModuli) {
+  // One Exp with a 4096-bit exponent at a 4096-bit modulus costs tens
+  // of milliseconds on generic, so the wide widths take fewer counts:
+  // a lone base, a full 8-lane group plus a tail.
+  ChaCha20Rng rng(115);
+  const std::vector<size_t> counts = {0, 1, 9};
+  const bool ifma_2048 = CheckExpBatchAgainstExp(rng, 2048, counts);
+  const bool ifma_4096 = CheckExpBatchAgainstExp(rng, 4096, counts);
+  if (!ifma_2048 || !ifma_4096) {
+    GTEST_SKIP() << "no AVX-512 IFMA on this host: ExpBatch ran on "
+                    "generic and adx only";
+  }
+}
+
+TEST(MontBackendTest, ExpBatchMatchesPlainExponentiation) {
+  // An independent reference: the window walk is shared by Exp (one
+  // base) and ExpBatch, so check both against BigInt square-and-multiply.
+  ChaCha20Rng rng(116);
+  const BigInt n = ExactBitsOdd(rng, 512);
+  const BigInt m = n * n;
+  std::vector<BigInt> bases;
+  for (int i = 0; i < 9; ++i) bases.push_back(RandomBelow(rng, m));
+  for (MontBackendKind kind : AvailableKinds(LimbsForBits(1024))) {
+    MontgomeryContext ctx(m, kind);
+    const std::vector<BigInt> got = ctx.ExpBatch(bases, n);
+    ASSERT_EQ(got.size(), bases.size());
+    for (size_t i = 0; i < bases.size(); ++i) {
+      EXPECT_EQ(got[i], ModExpPlain(bases[i], n, m))
+          << "backend " << ctx.backend_name() << ", base " << i;
+    }
+  }
+}
+
+TEST(MontBackendTest, ExpSquaresThroughSqrAndExpBatchThroughMulBatch) {
+  // One base keeps the backend's squaring kernel; a batch runs its
+  // squarings as acc * acc products, so they tick mont.mul_ops.
+  ChaCha20Rng rng(117);
+  const BigInt m = ExactBitsOdd(rng, 1024);
+  MontgomeryContext ctx(m);
+  const std::string backend = ctx.backend_name();
+  obs::Counter* mul_ops =
+      obs::MetricRegistry::Global().GetCounter("mont.mul_ops." + backend);
+  obs::Counter* sqr_ops =
+      obs::MetricRegistry::Global().GetCounter("mont.sqr_ops." + backend);
+  const BigInt exp = ExactBitsOdd(rng, 512);
+  std::vector<BigInt> bases;
+  for (int i = 0; i < 8; ++i) bases.push_back(RandomBelow(rng, m));
+
+  uint64_t sqrs = sqr_ops->Value();
+  (void)ctx.Exp(bases[0], exp);
+  EXPECT_EQ(sqr_ops->Value() - sqrs, 4 * (512 / 4 - 1));
+
+  sqrs = sqr_ops->Value();
+  const uint64_t muls = mul_ops->Value();
+  (void)ctx.ExpBatch(bases, exp);
+  EXPECT_EQ(sqr_ops->Value(), sqrs);
+  // Per base: conversion, 14 table entries, 4 squarings per window after
+  // the first, at most one multiply per window, conversion out.
+  EXPECT_GE(mul_ops->Value() - muls, 8 * (1 + 14 + 4 * (512 / 4 - 1) + 1));
 }
 
 TEST(MontBackendTest, OpCountersTick) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bigint/modarith.h"
 #include "crypto/chacha20_rng.h"
 
@@ -202,6 +204,113 @@ TEST(PaillierKeygenTest, DistinctSeedsDistinctKeys) {
   PaillierKeyPair ka = Paillier::GenerateKeyPair(128, a).ValueOrDie();
   PaillierKeyPair kb = Paillier::GenerateKeyPair(128, b).ValueOrDie();
   EXPECT_NE(ka.public_key.n(), kb.public_key.n());
+}
+
+// Batched encryption must reproduce per-row encryption from the same
+// seed exactly: ciphertexts, factors, and the RNG state left behind.
+class PaillierBatchTest : public ::testing::Test {
+ protected:
+  static const PaillierKeyPair& KeyPair512() {
+    static const PaillierKeyPair* kp = [] {
+      ChaCha20Rng rng(9512);
+      return new PaillierKeyPair(
+          Paillier::GenerateKeyPair(512, rng).ValueOrDie());
+    }();
+    return *kp;
+  }
+};
+
+TEST_F(PaillierBatchTest, EncryptBatchMatchesPerRowEncrypt) {
+  const PaillierPublicKey& pub = KeyPair512().public_key;
+  std::vector<BigInt> plaintexts;
+  for (uint64_t i = 0; i < 37; ++i) {
+    plaintexts.push_back(i % 4 == 3 ? pub.n() - BigInt(i) : BigInt(i % 2));
+  }
+  ChaCha20Rng batch_rng(31);
+  ChaCha20Rng row_rng(31);
+  const std::vector<PaillierCiphertext> batch =
+      Paillier::EncryptBatch(pub, plaintexts, batch_rng).ValueOrDie();
+  ASSERT_EQ(batch.size(), plaintexts.size());
+  for (size_t i = 0; i < plaintexts.size(); ++i) {
+    EXPECT_EQ(batch[i],
+              Paillier::Encrypt(pub, plaintexts[i], row_rng).ValueOrDie())
+        << "row " << i;
+    EXPECT_EQ(Paillier::Decrypt(KeyPair512().private_key, batch[i])
+                  .ValueOrDie(),
+              plaintexts[i]);
+  }
+  EXPECT_EQ(batch_rng.NextUint64(), row_rng.NextUint64());
+}
+
+TEST_F(PaillierBatchTest, GenerateRandomFactorsMatchesPerRowFactors) {
+  const PaillierPublicKey& pub = KeyPair512().public_key;
+  for (size_t count : {0u, 1u, 7u, 8u, 9u, 17u}) {
+    ChaCha20Rng batch_rng(40 + count);
+    ChaCha20Rng row_rng(40 + count);
+    const std::vector<BigInt> factors =
+        Paillier::GenerateRandomFactors(pub, batch_rng, count);
+    ASSERT_EQ(factors.size(), count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(factors[i], Paillier::GenerateRandomFactor(pub, row_rng))
+          << "count " << count << ", row " << i;
+    }
+    EXPECT_EQ(batch_rng.NextUint64(), row_rng.NextUint64()) << "count " << count;
+  }
+}
+
+TEST_F(PaillierBatchTest, EncryptBatchRejectsOutOfRangeWithoutDrawing) {
+  const PaillierPublicKey& pub = KeyPair512().public_key;
+  const std::vector<BigInt> plaintexts = {BigInt(1), pub.n(), BigInt(0)};
+  ChaCha20Rng rng(50);
+  ChaCha20Rng untouched(50);
+  EXPECT_EQ(Paillier::EncryptBatch(pub, plaintexts, rng).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
+}
+
+TEST_F(PaillierBatchTest, TinyKeyRejectionsKeepTheDrawOrder) {
+  // n = 251 * 241: about 1 in 125 candidates shares a factor with n, so
+  // RandomUnit really rejects draws here. Replaying the draws by hand
+  // (RandomBelow, skipping zero and non-units) must give the r's the
+  // batch used, in row order.
+  const PaillierPrivateKey key =
+      PaillierPrivateKey::FromPrimes(BigInt(251), BigInt(241), 16)
+          .ValueOrDie();
+  const PaillierPublicKey& pub = key.public_key();
+  constexpr size_t kRows = 512;
+  std::vector<BigInt> plaintexts;
+  for (size_t i = 0; i < kRows; ++i) plaintexts.push_back(BigInt(i % 3));
+
+  ChaCha20Rng replay(60);
+  std::vector<BigInt> units;
+  size_t rejected = 0;
+  while (units.size() < kRows) {
+    BigInt candidate = RandomBelow(replay, pub.n());
+    if (candidate.IsZero() || !Gcd(candidate, pub.n()).IsOne()) {
+      ++rejected;
+      continue;
+    }
+    units.push_back(std::move(candidate));
+  }
+  ASSERT_GT(rejected, 0u) << "the seed must exercise RandomUnit's rejection";
+
+  ChaCha20Rng batch_rng(60);
+  ChaCha20Rng row_rng(60);
+  const std::vector<PaillierCiphertext> batch =
+      Paillier::EncryptBatch(pub, plaintexts, batch_rng).ValueOrDie();
+  ASSERT_EQ(batch.size(), kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    const BigInt expected = MulMod(
+        BigInt(1) + plaintexts[i] * pub.n(),
+        ModExpPlain(units[i], pub.n(), pub.n_squared()), pub.n_squared());
+    EXPECT_EQ(batch[i].value, expected) << "row " << i;
+    EXPECT_EQ(batch[i],
+              Paillier::Encrypt(pub, plaintexts[i], row_rng).ValueOrDie())
+        << "row " << i;
+  }
+  const uint64_t next = replay.NextUint64();
+  EXPECT_EQ(batch_rng.NextUint64(), next);
+  EXPECT_EQ(row_rng.NextUint64(), next);
 }
 
 }  // namespace

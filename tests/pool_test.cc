@@ -99,5 +99,31 @@ TEST_F(PoolTest, EncryptionPoolRejectsOutOfRangePlaintext) {
   EXPECT_FALSE(pool.Generate(KeyPair().public_key.n(), 1, rng_).ok());
 }
 
+TEST_F(PoolTest, RandomnessPoolGenerateMatchesPerRowFactors) {
+  RandomnessPool pool(KeyPair().public_key);
+  ChaCha20Rng row_rng(1);
+  pool.Generate(11, rng_);
+  for (int i = 0; i < 11; ++i) {
+    EXPECT_EQ(pool.Take().ValueOrDie(),
+              Paillier::GenerateRandomFactor(KeyPair().public_key, row_rng))
+        << "factor " << i;
+  }
+  EXPECT_EQ(rng_.NextUint64(), row_rng.NextUint64());
+}
+
+TEST_F(PoolTest, EncryptionPoolGenerateMatchesPerRowEncrypt) {
+  EncryptionPool pool(KeyPair().public_key);
+  ChaCha20Rng row_rng(1);
+  ASSERT_TRUE(pool.Generate(BigInt(1), 10, rng_).ok());
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(pool.Take(BigInt(1), rng_).ValueOrDie(),
+              Paillier::Encrypt(KeyPair().public_key, BigInt(1), row_rng)
+                  .ValueOrDie())
+        << "encryption " << i;
+  }
+  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(rng_.NextUint64(), row_rng.NextUint64());
+}
+
 }  // namespace
 }  // namespace ppstats

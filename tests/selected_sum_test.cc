@@ -4,6 +4,7 @@
 
 #include "core/runner.h"
 #include "crypto/chacha20_rng.h"
+#include "crypto/sha256.h"
 #include "db/workload.h"
 
 namespace ppstats {
@@ -305,6 +306,42 @@ TEST(SelectedSumTest, LargeWeightsProduceWeightedSum) {
   BigInt expected = BigInt(0xFFFFFFFFull) * BigInt(0xFFFFFFFFull) +
                     BigInt(0xFFFFFFFFull);
   EXPECT_EQ(result.sum, expected);
+}
+
+// SHA-256 over every request frame a seeded client sends for a fixed
+// 300-row weight vector (zeros, ones and wide weights) under a seeded
+// 512-bit key.
+std::string RequestFramesDigest(size_t chunk_size) {
+  static const PaillierKeyPair* kp = [] {
+    ChaCha20Rng rng(5120);
+    return new PaillierKeyPair(
+        Paillier::GenerateKeyPair(512, rng).ValueOrDie());
+  }();
+  WeightVector weights(300);
+  for (size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = i % 3 == 0 ? 0 : (i % 3 == 1 ? 1 : 7919 * i);
+  }
+  ChaCha20Rng rng(77 + chunk_size);
+  SumClientOptions options;
+  options.chunk_size = chunk_size;
+  SumClient client(kp->private_key, weights, options, rng);
+  Sha256 hasher;
+  while (!client.RequestsDone()) {
+    hasher.Update(client.NextRequest().ValueOrDie());
+  }
+  const Sha256::Digest digest = hasher.Finish();
+  return ToHex(digest);
+}
+
+TEST(SelectedSumTest, SeededRequestFramesMatchGoldenDigest) {
+  // Digests captured from the per-row Encrypt client, before encryption
+  // was batched: the batched path must send exactly the same bytes.
+  EXPECT_EQ(RequestFramesDigest(100),
+            "0f94217d9b898f94bbdb51219ae911c0"
+            "479f3274d6c94851bac1d321e05fae4f");
+  EXPECT_EQ(RequestFramesDigest(0),
+            "878609fbcb9ec2b35e60e5e730d1ecca"
+            "4656513aad377f79939f6af864a77102");
 }
 
 }  // namespace
