@@ -1,9 +1,9 @@
 // Per-backend microbenchmarks for the Montgomery multiplication kernels
 // (bigint/mont_backend.h): one MulMontgomery / Sqr per iteration, one
-// 64-product mul_batch call, or one 8-base ExpBatch, at the operand widths
-// the protocol actually
-// runs — 1024-bit (512-bit keys, mod n^2), 2048-bit (1024-bit keys),
-// 4096-bit (2048-bit keys).
+// 64-product (or 1-7 product tail) mul_batch call, or one 8-base
+// ExpBatch, at the operand widths the protocol actually runs — 1024-bit
+// (512-bit keys, mod n^2), 2048-bit (1024-bit keys), 4096-bit (2048-bit
+// keys).
 //
 // Each benchmark *requests* a backend; the label shows what the
 // dispatcher resolved, so on hosts without ADX the "Adx" rows are
@@ -76,12 +76,11 @@ void BM_MontSqrAdx(benchmark::State& state) {
 }
 BENCHMARK(BM_MontSqrAdx)->Arg(1024)->Arg(2048)->Arg(4096);
 
-// 64 independent in-place products per call (out == a, the shape of a
-// Pippenger bucket round) through the backend's mul_batch entry point;
-// the time per iteration covers all 64.
-void RunMontMulBatch(benchmark::State& state, MontBackendKind kind) {
-  constexpr size_t kProducts = 64;
-  const size_t bits = static_cast<size_t>(state.range(0));
+// `products` independent in-place products per call (out == a, the
+// shape of a Pippenger bucket round) through the backend's mul_batch
+// entry point; the time per iteration covers all of them.
+void RunMontMulBatch(benchmark::State& state, MontBackendKind kind,
+                     size_t bits, size_t products) {
   ChaCha20Rng rng(11 + bits);
   const BigInt m = ExactBitsOdd(rng, bits);
   const size_t n = m.LimbCount();
@@ -92,12 +91,12 @@ void RunMontMulBatch(benchmark::State& state, MontBackendKind kind) {
   uint64_t inv = m0;
   for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
   const MontModulusView view{m.limbs().data(), n, ~inv + 1};
-  std::vector<std::vector<uint64_t>> acc(kProducts);
-  std::vector<std::vector<uint64_t>> factor(kProducts);
-  std::vector<const uint64_t*> a(kProducts);
-  std::vector<const uint64_t*> b(kProducts);
-  std::vector<uint64_t*> out(kProducts);
-  for (size_t i = 0; i < kProducts; ++i) {
+  std::vector<std::vector<uint64_t>> acc(products);
+  std::vector<std::vector<uint64_t>> factor(products);
+  std::vector<const uint64_t*> a(products);
+  std::vector<const uint64_t*> b(products);
+  std::vector<uint64_t*> out(products);
+  for (size_t i = 0; i < products; ++i) {
     acc[i] = RandomBelow(rng, m).limbs();
     factor[i] = RandomBelow(rng, m).limbs();
     acc[i].resize(n, 0);
@@ -106,28 +105,47 @@ void RunMontMulBatch(benchmark::State& state, MontBackendKind kind) {
     b[i] = factor[i].data();
   }
   for (auto _ : state) {
-    ops.mul_batch(view, kProducts, a.data(), b.data(), out.data());
+    ops.mul_batch(view, products, a.data(), b.data(), out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kProducts));
+                          static_cast<int64_t>(products));
 }
 
 void BM_MontMulBatchGeneric(benchmark::State& state) {
-  RunMontMulBatch(state, MontBackendKind::kGeneric);
+  RunMontMulBatch(state, MontBackendKind::kGeneric,
+                  static_cast<size_t>(state.range(0)), 64);
 }
 BENCHMARK(BM_MontMulBatchGeneric)->Arg(1024)->Arg(2048)->Arg(4096);
 
 void BM_MontMulBatchAdx(benchmark::State& state) {
-  RunMontMulBatch(state, MontBackendKind::kAdx);
+  RunMontMulBatch(state, MontBackendKind::kAdx,
+                  static_cast<size_t>(state.range(0)), 64);
 }
 BENCHMARK(BM_MontMulBatchAdx)->Arg(1024)->Arg(2048)->Arg(4096);
 
 void BM_MontMulBatchIfma(benchmark::State& state) {
-  RunMontMulBatch(state, MontBackendKind::kIfma);
+  RunMontMulBatch(state, MontBackendKind::kIfma,
+                  static_cast<size_t>(state.range(0)), 64);
 }
 BENCHMARK(BM_MontMulBatchIfma)->Arg(1024)->Arg(2048)->Arg(4096);
+
+// A short batch at 1024 bits, Arg products per call. The ifma kernel
+// pads a tail of 2-7 products into one 8-lane step and runs a lone
+// product on adx; the adx rows are what such a tail cost on the adx
+// pair kernel, so the two series show where padding breaks even.
+void BM_MontMulBatchIfmaTail(benchmark::State& state) {
+  RunMontMulBatch(state, MontBackendKind::kIfma, 1024,
+                  static_cast<size_t>(state.range(0)));
+}
+BENCHMARK(BM_MontMulBatchIfmaTail)->DenseRange(1, 7);
+
+void BM_MontMulBatchAdxTail(benchmark::State& state) {
+  RunMontMulBatch(state, MontBackendKind::kAdx, 1024,
+                  static_cast<size_t>(state.range(0)));
+}
+BENCHMARK(BM_MontMulBatchAdxTail)->DenseRange(1, 7);
 
 // One lockstep fixed-window walk over 8 bases sharing a 512-bit
 // exponent — Paillier's r^n for one group of 512-bit-key encryptions

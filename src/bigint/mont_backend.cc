@@ -12,7 +12,7 @@
 // from the _addcarryx_u64 intrinsics), assembled unconditionally on
 // x86-64 — no -madx compile flags needed — and gated at runtime by the
 // CPUID probe in DetectMontCpuFeatures(). The ifma kernel sits in the
-// same block: its batch tails run on the adx kernels.
+// same block: its single products run on the adx kernels.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PPSTATS_MONT_HAVE_ADX 1
 #include <immintrin.h>
@@ -580,8 +580,26 @@ void IfmaMontMulBatch(const MontModulusView& mv, size_t count,
   for (; i + kIfmaLanes <= count; i += kIfmaLanes) {
     mul8(mv, a + i, b + i, out + i);
   }
-  // Fewer than 8 left: the adx pair kernel.
-  AdxMontMulBatch(mv, count - i, a + i, b + i, out + i);
+  const size_t tail = count - i;
+  if (tail == 1) {
+    AdxMontMul(mv, a[i], b[i], out[i]);
+  } else if (tail > 1) {
+    // Two to seven left: one more 8-lane step, whose spare lanes repeat
+    // the last real product into per-thread scratch. Every input is
+    // loaded before any output is stored, so the repeat reads the real
+    // product's operands even when it runs in place.
+    const uint64_t* pad_a[kIfmaLanes];
+    const uint64_t* pad_b[kIfmaLanes];
+    uint64_t* pad_out[kIfmaLanes];
+    uint64_t* const spare = MontScratch(mv.n);
+    for (size_t l = 0; l < kIfmaLanes; ++l) {
+      const size_t src = i + std::min(l, tail - 1);
+      pad_a[l] = a[src];
+      pad_b[l] = b[src];
+      pad_out[l] = l < tail ? out[src] : spare;
+    }
+    mul8(mv, pad_a, pad_b, pad_out);
+  }
 }
 
 #endif  // PPSTATS_MONT_HAVE_ADX
@@ -596,6 +614,7 @@ const MontBackendOps& GenericOps() {
       GenericMontMul,
       GenericMontSqr,
       GenericMontMulBatch,
+      1,
       obs::MetricRegistry::Global().GetCounter("mont.mul_ops.generic"),
       obs::MetricRegistry::Global().GetCounter("mont.sqr_ops.generic")};
   return ops;
@@ -609,6 +628,7 @@ const MontBackendOps& AdxOps() {
       AdxMontMul,
       AdxMontSqr,
       AdxMontMulBatch,
+      2,
       obs::MetricRegistry::Global().GetCounter("mont.mul_ops.adx"),
       obs::MetricRegistry::Global().GetCounter("mont.sqr_ops.adx")};
   return ops;
@@ -622,6 +642,7 @@ const MontBackendOps& IfmaOps() {
       AdxMontMul,
       AdxMontSqr,
       IfmaMontMulBatch,
+      kIfmaLanes,
       obs::MetricRegistry::Global().GetCounter("mont.mul_ops.ifma"),
       obs::MetricRegistry::Global().GetCounter("mont.sqr_ops.ifma")};
   return ops;

@@ -19,11 +19,13 @@
 //            vpmadd52{lo,hi}uq. Operands enter and leave through 8x8
 //            qword transposes. The last reduction step divides by
 //            2^(64n - 52(L - 1)) instead of 2^52, so R stays 2^(64 n).
-//            Batch tails of fewer than eight products, and single
-//            mul/sqr, run on the adx kernels. Requires AVX-512F + IFMA
-//            + BMI2 + ADX; built for 16, 32 and 64 limbs (1024-, 2048-
-//            and 4096-bit moduli). The kernel is compiled by function
-//            target attribute, not global -m flags.
+//            A batch tail of two to seven products still runs through
+//            the 8-lane kernel, its spare lanes repeating a real product
+//            into scratch; a lone product, and single mul/sqr, run on
+//            the adx kernels. Requires AVX-512F + IFMA + BMI2 + ADX;
+//            built for 16, 32 and 64 limbs (1024-, 2048- and 4096-bit
+//            moduli). The kernel is compiled by function target
+//            attribute, not global -m flags.
 //
 // All kernels produce the same canonical residue bit for bit: the
 // Montgomery product of canonical inputs is a unique value < m, so the
@@ -83,6 +85,10 @@ struct MontBackendOps {
   void (*mul_batch)(const MontModulusView& m, size_t count,
                     const uint64_t* const* a, const uint64_t* const* b,
                     uint64_t* const* out);
+  /// Products mul_batch runs side by side (ifma 8, adx 2, generic 1).
+  /// A caller that can split its work into this many independent
+  /// chains of products keeps the kernel full.
+  size_t lanes;
   /// Per-backend op counters (mont.mul_ops.<name> / mont.sqr_ops.<name>
   /// in the global registry), cached here so the hot path never takes
   /// the registry lock.

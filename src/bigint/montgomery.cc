@@ -3,9 +3,9 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <new>
 #include <utility>
 
@@ -109,6 +109,190 @@ std::pair<size_t, double> PickPippengerWindow(size_t k, size_t bits) {
     }
   }
   return {best_w, best_cost};
+}
+
+// One segment of the accumulator's bucket reduction. Over a run of one
+// window's occupied digits d_1 > ... > d_m, with S_i = B_{d_1} ... B_{d_i}
+// and d_{m+1} = 0, it computes
+//   T = prod_i S_i^(d_i - d_{i+1}) = prod_i B_{d_i}^{d_i},
+// the segment's share of the window's prod_d B_d^d, so a window's total
+// is the product of its segments' T. Next stages one Montgomery product
+// at a time from a few words of state; the products of one segment
+// depend on each other, those of different segments never do.
+class ReductionSegment {
+ public:
+  static constexpr size_t kBuffers = 3;  // S, the power P, T
+
+  // Walks digits [first, last) (descending, nonempty) over `buckets`;
+  // `scratch` holds kBuffers n-limb buffers.
+  ReductionSegment(const uint64_t* buckets, const size_t* first,
+                   const size_t* last, uint64_t* scratch, size_t n)
+      : buckets_(buckets),
+        digit_(first),
+        last_(last),
+        n_(n),
+        s_(scratch),
+        p_(scratch + n),
+        t_(scratch + 2 * n) {}
+
+  // Stages the next product out = a * b, or returns false once T is done.
+  bool Next(const uint64_t** a, const uint64_t** b, uint64_t** out) {
+    for (;;) {
+      switch (stage_) {
+        case Stage::kAbsorb: {  // S *= B_d
+          const uint64_t* bucket = buckets_ + *digit_ * n_;
+          exp_ = *digit_ - (digit_ + 1 < last_ ? digit_[1] : 0);
+          stage_ = Stage::kRaise;
+          if (have_s_) return Emit(s_, bucket, s_, a, b, out);
+          std::copy_n(bucket, n_, s_);
+          have_s_ = true;
+          continue;
+        }
+        case Stage::kRaise:  // begin T *= S^exp
+          if (exp_ == 1) {
+            if (have_t_) {
+              Advance();
+              return Emit(t_, s_, t_, a, b, out);
+            }
+            std::copy_n(s_, n_, t_);
+            have_t_ = true;
+            Advance();
+            continue;
+          }
+          std::copy_n(s_, n_, p_);
+          bit_ = static_cast<size_t>(std::bit_width(exp_)) - 1;
+          stage_ = Stage::kSquare;
+          continue;
+        case Stage::kSquare:  // P = P^2, then fold in bit bit_ - 1
+          --bit_;
+          stage_ = (exp_ >> bit_) & 1 ? Stage::kTimesS
+                   : bit_ == 0        ? Stage::kCombine
+                                      : Stage::kSquare;
+          return Emit(p_, p_, p_, a, b, out);
+        case Stage::kTimesS:  // P *= S
+          stage_ = bit_ == 0 ? Stage::kCombine : Stage::kSquare;
+          return Emit(p_, s_, p_, a, b, out);
+        case Stage::kCombine:  // T *= P
+          if (have_t_) {
+            Advance();
+            return Emit(t_, p_, t_, a, b, out);
+          }
+          std::swap(t_, p_);
+          have_t_ = true;
+          Advance();
+          continue;
+        case Stage::kDone:
+          return false;
+      }
+    }
+  }
+
+  // T, valid once Next has returned false.
+  uint64_t* result() const { return t_; }
+
+ private:
+  enum class Stage { kAbsorb, kRaise, kSquare, kTimesS, kCombine, kDone };
+
+  static bool Emit(const uint64_t* x, const uint64_t* y, uint64_t* z,
+                   const uint64_t** a, const uint64_t** b, uint64_t** out) {
+    *a = x;
+    *b = y;
+    *out = z;
+    return true;
+  }
+
+  void Advance() {
+    ++digit_;
+    stage_ = digit_ == last_ ? Stage::kDone : Stage::kAbsorb;
+  }
+
+  const uint64_t* buckets_;
+  const size_t* digit_;  // the digit being folded in
+  const size_t* last_;
+  size_t n_;
+  uint64_t* s_;
+  uint64_t* p_;
+  uint64_t* t_;
+  size_t exp_ = 0;  // the current digit's exponent, d_i - d_{i+1}
+  size_t bit_ = 0;  // exponent bits below this one are still to apply
+  bool have_s_ = false;
+  bool have_t_ = false;
+  Stage stage_ = Stage::kAbsorb;
+};
+
+// Plans the bucket reduction over runs of descending digits — run j is
+// [run_end[j - 1], run_end[j]) of `digits`, one per window — for at most
+// `lanes` lanes. Each lane takes a contiguous stretch of the digits and
+// walks it as segments, a new one wherever the stretch crosses into the
+// next run. With P(e) the products of the binary power x^e (a squaring
+// per bit below the top one, a multiply per set bit below it), a
+// segment d_1 > ... > d_m costs
+//   2 (m - 1) + sum_{i<m} P(d_i - d_{i+1}) + P(d_m)
+// products. Taking in one more digit never makes a lane cheaper, so
+// greedy lanes under a cap are the fewest that fit, and bisection finds
+// the smallest cap (the longest lane) for which they number at most
+// `lanes`. Returns each segment's end offset in `segment_end` and each
+// lane's end, as a segment count, in `lane_end`.
+void PlanReduction(const std::vector<size_t>& digits,
+                   const std::vector<size_t>& run_end, size_t lanes,
+                   std::vector<size_t>* segment_end,
+                   std::vector<size_t>* lane_end) {
+  // P(e) for every e up to the largest digit: P(2e + b) = P(e) + 1 + b.
+  std::vector<uint8_t> pow(*std::max_element(digits.begin(), digits.end()) +
+                           1);
+  for (size_t e = 2; e < pow.size(); ++e) pow[e] = pow[e / 2] + 1 + e % 2;
+  std::vector<uint8_t> opens_run(digits.size(), 0);
+  for (size_t j = 0, begin = 0; j < run_end.size(); begin = run_end[j++]) {
+    if (begin < run_end[j]) opens_run[begin] = 1;
+  }
+  // grown[i]: the sum over 0 < k <= i of what digit k adds to a lane
+  // that already holds digit k - 1 — its own P when it opens a new
+  // segment, else two products plus the change in the segment's powers.
+  // A lane over digits [s, e) costs P(d_s) + grown[e - 1] - grown[s].
+  std::vector<size_t> grown(digits.size());
+  for (size_t k = 1; k < digits.size(); ++k) {
+    const size_t d = digits[k];
+    const size_t prev = digits[k - 1];
+    grown[k] = grown[k - 1] + (opens_run[k] ? pow[d]
+                                            : 2 + pow[prev - d] + pow[d] -
+                                                  pow[prev]);
+  }
+  // End of the greedy lane that starts at digit `s` under `cap`.
+  auto lane_from = [&](size_t s, size_t cap) {
+    return static_cast<size_t>(
+        std::upper_bound(grown.begin() + s, grown.end(),
+                         cap - pow[digits[s]] + grown[s]) -
+        grown.begin());
+  };
+  auto fits = [&](size_t cap) {
+    size_t count = 0;
+    for (size_t s = 0; s < digits.size() && count <= lanes; ++count) {
+      s = lane_from(s, cap);
+    }
+    return count <= lanes;
+  };
+  // No cap below a single digit's cost fits; one lane holding
+  // everything always does.
+  size_t low = 0;
+  for (size_t d : digits) low = std::max<size_t>(low, pow[d]);
+  size_t high = pow[digits.front()] + grown.back();
+  while (low < high) {
+    const size_t mid = low + (high - low) / 2;
+    if (fits(mid)) {
+      high = mid;
+    } else {
+      low = mid + 1;
+    }
+  }
+  for (size_t s = 0; s < digits.size();) {
+    const size_t e = lane_from(s, low);
+    for (size_t k = s + 1; k < e; ++k) {
+      if (opens_run[k]) segment_end->push_back(k);
+    }
+    segment_end->push_back(e);
+    lane_end->push_back(segment_end->size());
+    s = e;
+  }
 }
 
 }  // namespace
@@ -480,7 +664,6 @@ void MontgomeryContext::MultiExpAccumulator::Add(
       } else {
         std::copy_n(base_limbs_[i], n, win.buckets + digit * n);
         win.used[digit] = 1;
-        win.digits.push_back(digit);
       }
     }
     // Counting sort by round. A round holds at most one insert per
@@ -513,82 +696,102 @@ void MontgomeryContext::MultiExpAccumulator::Add(
 }
 
 BigInt MontgomeryContext::MultiExpAccumulator::Finish() const {
-  // Per window (most significant first): shift the accumulator by w
-  // squarings, then combine the window's buckets. Writing the occupied
-  // digits in descending order d_1 > ... > d_m (with d_{m+1} = 0) and
-  // S_i = prod_{j<=i} B_{d_j},
-  //   prod_d B_d^d = prod_i S_i^{d_i - d_{i+1}},
-  // so walking only the occupied buckets and raising the running
-  // product to each gap costs ~2 mults per occupied bucket plus
-  // log2(gap) squarings per hop — never a pass over all 2^w digits.
+  // Per window, prod_d B_d^d over its occupied buckets, then the windows
+  // combined most significant first through a shared ladder of w
+  // squarings. The bucket reduction runs on as many lanes as the
+  // backend's batch kernel is wide: every window's occupied digits,
+  // descending, are cut into segments, each lane walks a stretch of
+  // consecutive segments (possibly crossing windows) one after another,
+  // and round r runs the r-th product of every lane as one batched
+  // multiply. The segments' results then merge into window totals.
   const MontgomeryContext& mont = *mont_;
   const size_t n = mont.n_;
-  Limbs acc;
-  Limbs tmp;
-  Limbs running;
-  Limbs total;
-  Limbs gap_pow;
-  bool have_acc = false;  // acc == 1 until the first occupied window
+  const size_t bucket_count = size_t{1} << window_;
+  std::vector<size_t> digits;
+  std::vector<size_t> run_end(windows_.size());
+  for (size_t j = 0; j < windows_.size(); ++j) {
+    for (size_t d = bucket_count; d-- > 1;) {
+      if (windows_[j].used[d]) digits.push_back(d);
+    }
+    run_end[j] = digits.size();
+  }
+  if (digits.empty()) return mont.OneMontgomery();
 
-  // out = a^e in Montgomery form, e >= 1, by binary square-and-multiply.
-  auto pow_uint = [&mont, &tmp](const Limbs& a, size_t e, Limbs* out) {
-    *out = a;
-    size_t top = 0;
-    while ((e >> (top + 1)) != 0) ++top;
-    for (size_t b = top; b-- > 0;) {
-      mont.MontSqr(*out, &tmp);
-      out->swap(tmp);
-      if ((e >> b) & 1) {
-        mont.MontMul(*out, a, &tmp);
-        out->swap(tmp);
+  std::vector<size_t> segment_end;
+  std::vector<size_t> lane_end;
+  PlanReduction(digits, run_end, mont.backend_->lanes, &segment_end,
+                &lane_end);
+  Limbs scratch(segment_end.size() * ReductionSegment::kBuffers * n);
+  std::vector<ReductionSegment> segments;
+  segments.reserve(segment_end.size());
+  // Window j's segments are [first_segment[j], first_segment[j + 1]).
+  std::vector<size_t> first_segment(windows_.size() + 1);
+  size_t begin = 0;
+  for (size_t j = 0; j < windows_.size(); ++j) {
+    first_segment[j] = segments.size();
+    while (begin < run_end[j]) {
+      const size_t end = segment_end[segments.size()];
+      assert(begin < end && end <= run_end[j]);
+      uint64_t* buffers =
+          scratch.data() + segments.size() * ReductionSegment::kBuffers * n;
+      segments.emplace_back(windows_[j].buckets, digits.data() + begin,
+                            digits.data() + end, buffers, n);
+      begin = end;
+    }
+  }
+  first_segment[windows_.size()] = segments.size();
+
+  // Per lane, the segment it is walking; lane l ends at lane_end[l].
+  std::vector<size_t> walking(lane_end.size());
+  for (size_t l = 1; l < lane_end.size(); ++l) walking[l] = lane_end[l - 1];
+  std::vector<const uint64_t*> a(segments.size());
+  std::vector<const uint64_t*> b(segments.size());
+  std::vector<uint64_t*> out(segments.size());
+  for (;;) {
+    size_t count = 0;
+    for (size_t l = 0; l < lane_end.size(); ++l) {
+      for (size_t& seg = walking[l]; seg < lane_end[l]; ++seg) {
+        if (segments[seg].Next(&a[count], &b[count], &out[count])) {
+          ++count;
+          break;
+        }
       }
     }
-  };
+    if (count == 0) break;
+    mont.MontMulBatch(count, a.data(), b.data(), out.data());
+  }
+  // Merge each window's segments pairwise, every window's merges of one
+  // tree level batched together, into the window's first segment.
+  for (size_t stride = 1;; stride *= 2) {
+    size_t count = 0;
+    for (size_t j = 0; j < windows_.size(); ++j) {
+      for (size_t i = first_segment[j] + stride; i < first_segment[j + 1];
+           i += 2 * stride) {
+        a[count] = out[count] = segments[i - stride].result();
+        b[count++] = segments[i].result();
+      }
+    }
+    if (count == 0) break;
+    mont.MontMulBatch(count, a.data(), b.data(), out.data());
+  }
 
-  std::vector<size_t> digits;
+  Limbs acc;
+  Limbs tmp;
   for (size_t j = windows_.size(); j-- > 0;) {
-    if (have_acc) {
+    if (!acc.empty()) {
       for (size_t s = 0; s < window_; ++s) {
         mont.MontSqr(acc, &tmp);
         acc.swap(tmp);
       }
     }
-    const Window& win = windows_[j];
-    if (win.digits.empty()) continue;
-    digits = win.digits;
-    std::sort(digits.begin(), digits.end(), std::greater<size_t>());
-
-    for (size_t idx = 0; idx < digits.size(); ++idx) {
-      const uint64_t* bucket = win.buckets + digits[idx] * n;
-      if (idx == 0) {
-        running.assign(bucket, bucket + n);
-      } else {
-        tmp.resize(n);
-        mont.MontMulRaw(running.data(), bucket, tmp.data());
-        running.swap(tmp);
-      }
-      const size_t next = idx + 1 < digits.size() ? digits[idx + 1] : 0;
-      const size_t gap = digits[idx] - next;
-      if (idx == 0) {
-        pow_uint(running, gap, &total);
-      } else if (gap == 1) {
-        mont.MontMul(total, running, &tmp);
-        total.swap(tmp);
-      } else {
-        pow_uint(running, gap, &gap_pow);
-        mont.MontMul(total, gap_pow, &tmp);
-        total.swap(tmp);
-      }
-    }
-    if (have_acc) {
-      mont.MontMul(acc, total, &tmp);
-      acc.swap(tmp);
+    if (first_segment[j] == first_segment[j + 1]) continue;
+    const uint64_t* total = segments[first_segment[j]].result();
+    if (acc.empty()) {
+      acc.assign(total, total + n);
     } else {
-      acc.swap(total);
-      have_acc = true;
+      mont.MontMulRaw(acc.data(), total, acc.data());
     }
   }
-  if (!have_acc) return mont.OneMontgomery();
   return BigInt::FromLimbs(std::move(acc));
 }
 

@@ -179,9 +179,14 @@ class MontgomeryContext {
 /// deferred and flushed through the backend's batched multiply in
 /// rounds: the k-th deferred insert of every bucket runs in round k, so
 /// each round is one batch of products into distinct buckets. Finish
-/// runs the gap-walk bucket reduction and the shared squaring ladder
-/// once for everything added, so splitting a fold over many Add calls
-/// costs the same as one call.
+/// runs the bucket reduction and the shared squaring ladder once for
+/// everything added, so splitting a fold over many Add calls costs the
+/// same as one call. The reduction is the gap walk
+/// prod_i S_i^(d_i - d_{i+1}) over each window's occupied digits
+/// d_1 > ... > d_m (S_i the product of the first i buckets), cut into
+/// segments that run as independent lanes, as many as the backend's
+/// batched multiply is wide: round r batches every lane's r-th product,
+/// so on the ifma backend the reduction runs eight products at a time.
 ///
 /// w comes from the MultiExp cost model at the first Add with a nonzero
 /// exponent, sized for `expected_terms` terms of that batch's widest
@@ -242,7 +247,6 @@ class MontgomeryContext::MultiExpAccumulator {
   struct Window {
     uint64_t* buckets = nullptr;  // 2^w buckets of n limbs, in mappings_
     std::vector<uint8_t> used;    // per digit: bucket holds a value
-    std::vector<size_t> digits;   // occupied digits, in arrival order
   };
   // A deferred bucket insert: base joins bucket `digit` in `round`.
   struct Deferred {

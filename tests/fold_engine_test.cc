@@ -404,5 +404,46 @@ TEST(FoldEngineOpCountTest, ChunkedFoldPaysOneReductionAndNoConversions) {
   EXPECT_EQ(result, Paillier::WeightedFold(pub, cts, exponents));
 }
 
+TEST(FoldEngineOpCountTest, SquaresFoldStaysWithinReductionBudget) {
+  // The sum_of_squares shape: 2048 rows of 18-bit values, squared into
+  // 36-bit exponents, under a 512-bit key in four 512-row chunks. Most of
+  // its Montgomery operations are the bucket reduction of four or more
+  // windows, so this budget (3% over the count the sequential gap walk
+  // took) bounds what splitting the reduction into lanes may add.
+  constexpr uint64_t kBudget = 10248;  // 9950 * 1.03
+  static const PaillierKeyPair* kp = [] {
+    ChaCha20Rng rng(4344);
+    return new PaillierKeyPair(
+        Paillier::GenerateKeyPair(512, rng).ValueOrDie());
+  }();
+  const PaillierPublicKey& pub = kp->public_key;
+  ChaCha20Rng rng(9);
+  constexpr size_t kRows = 2048;
+  std::vector<uint32_t> values(kRows);
+  std::vector<PaillierCiphertext> cts(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    values[i] = static_cast<uint32_t>(rng.NextBelow(uint64_t{1} << 18));
+    cts[i].value = RandomBelow(rng, pub.n_squared());
+  }
+  Database db("d", values);
+
+  const uint64_t before = MontOps();
+  FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
+                    ExponentTransform::Square(), 0, kRows);
+  for (size_t start = 0; start < kRows; start += 512) {
+    ASSERT_TRUE(engine
+                    .FoldChunk(start, std::span<const PaillierCiphertext>(
+                                          cts.data() + start, 512))
+                    .ok());
+  }
+  const PaillierCiphertext result = engine.Finish(std::nullopt).ValueOrDie();
+  const uint64_t ops = MontOps() - before;
+  RecordProperty("mont_ops", std::to_string(ops));
+  EXPECT_LE(ops, kBudget);
+  std::vector<BigInt> exponents;
+  for (uint32_t v : values) exponents.push_back(BigInt(v) * BigInt(v));
+  EXPECT_EQ(result, Paillier::WeightedFold(pub, cts, exponents));
+}
+
 }  // namespace
 }  // namespace ppstats

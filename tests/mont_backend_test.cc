@@ -379,6 +379,106 @@ TEST(MontBackendTest, MulBatchMatchesGenericMulAtEveryCount) {
   }
 }
 
+TEST(MontBackendTest, MulBatchTailsTouchOnlyTheirOwnOutputs) {
+  // Counts whose last 8-product step is short (2-6 and 10-14). The ifma
+  // kernel runs such a tail as one more 8-lane step, its spare lanes
+  // repeating a real product into scratch: guard words around every
+  // caller buffer must survive, inputs must stay as they were unless
+  // written in place, and mont.mul_ops must count the real products
+  // only.
+  constexpr uint64_t kGuard = 0x5EA1ED5EA1ED5EA1u;
+  ChaCha20Rng rng(118);
+  for (size_t bits : {1024u, 2048u}) {
+    const size_t n = LimbsForBits(bits);
+    const BigInt m = ExactBitsOdd(rng, bits);
+    const BigInt r = BigInt(1) << (64 * n);
+    const std::vector<uint64_t> mod = PaddedLimbs(m, n);
+    const MontModulusView view{
+        mod.data(), n,
+        PaddedLimbs(r - ModInverse(m, r).ValueOrDie(), n)[0]};
+    const MontBackendOps& generic =
+        SelectMontBackend(n, MontBackendKind::kGeneric);
+    std::vector<size_t> counts;
+    for (size_t c = 2; c <= 6; ++c) counts.push_back(c);
+    for (size_t c = 10; c <= 14; ++c) counts.push_back(c);
+    for (MontBackendKind kind : AvailableKinds(n)) {
+      const MontBackendOps& ops = SelectMontBackend(n, kind);
+      for (size_t count : counts) {
+        for (bool in_place : {false, true}) {
+          // Each operand and output sits in its own block, between n
+          // guard limbs on either side.
+          auto block = [&](const BigInt& value) {
+            std::vector<uint64_t> out(3 * n, kGuard);
+            const std::vector<uint64_t> limbs = PaddedLimbs(value, n);
+            std::copy(limbs.begin(), limbs.end(), out.begin() + n);
+            return out;
+          };
+          std::vector<std::vector<uint64_t>> a(count);
+          std::vector<std::vector<uint64_t>> b(count);
+          std::vector<std::vector<uint64_t>> out(count);
+          std::vector<std::vector<uint64_t>> expected(count);
+          std::vector<const uint64_t*> a_ptrs(count);
+          std::vector<const uint64_t*> b_ptrs(count);
+          std::vector<uint64_t*> out_ptrs(count);
+          for (size_t i = 0; i < count; ++i) {
+            a[i] = block(RandomBelow(rng, m));
+            b[i] = block(RandomBelow(rng, m));
+            out[i] = std::vector<uint64_t>(3 * n, kGuard);
+            expected[i].resize(n);
+            generic.mul(view, a[i].data() + n, b[i].data() + n,
+                        expected[i].data());
+            a_ptrs[i] = a[i].data() + n;
+            b_ptrs[i] = b[i].data() + n;
+            out_ptrs[i] = in_place ? a[i].data() + n : out[i].data() + n;
+          }
+          const std::vector<std::vector<uint64_t>> a_before = a;
+          const std::vector<std::vector<uint64_t>> b_before = b;
+          ops.mul_batch(view, count, a_ptrs.data(), b_ptrs.data(),
+                        out_ptrs.data());
+          for (size_t i = 0; i < count; ++i) {
+            const std::string where = std::to_string(bits) + " bits, " +
+                                      ops.name + ", count " +
+                                      std::to_string(count) + ", product " +
+                                      std::to_string(i) +
+                                      (in_place ? ", in place" : ", separate");
+            std::vector<uint64_t>& written = in_place ? a[i] : out[i];
+            EXPECT_EQ(std::vector<uint64_t>(written.begin() + n,
+                                            written.begin() + 2 * n),
+                      expected[i])
+                << where;
+            for (size_t k = 0; k < n; ++k) {
+              EXPECT_EQ(written[k], kGuard) << where << ", guard below";
+              EXPECT_EQ(written[2 * n + k], kGuard) << where << ", guard above";
+            }
+            EXPECT_EQ(b[i], b_before[i]) << where;
+            if (!in_place) {
+              EXPECT_EQ(a[i], a_before[i]) << where;
+            }
+          }
+        }
+        // Through a context: ToMontgomeryBatch is `count` products in
+        // one mul_batch call, and the counter sees exactly those.
+        MontgomeryContext ctx(m, kind);
+        obs::Counter* mul_ops = obs::MetricRegistry::Global().GetCounter(
+            std::string("mont.mul_ops.") + ctx.backend_name());
+        std::vector<BigInt> xs;
+        for (size_t i = 0; i < count; ++i) xs.push_back(RandomBelow(rng, m));
+        const uint64_t before = mul_ops->Value();
+        const std::vector<BigInt> converted = ctx.ToMontgomeryBatch(xs);
+        EXPECT_EQ(mul_ops->Value() - before, count)
+            << bits << " bits, " << ctx.backend_name() << ", count " << count;
+        for (size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(converted[i], MulMod(xs[i], Mod(r, m), m));
+        }
+      }
+    }
+  }
+  if (!MontBackendSupports(MontBackendKind::kIfma, LimbsForBits(1024))) {
+    GTEST_SKIP() << "no AVX-512 IFMA on this host: the padded ifma tail "
+                    "was not exercised (generic and adx were)";
+  }
+}
+
 TEST(MontBackendTest, IfmaMatchesAdxOnRandomBatches) {
   // Many random 8-lane steps per width, ifma against adx.
   if (!MontBackendSupports(MontBackendKind::kIfma, LimbsForBits(1024))) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -326,6 +327,150 @@ TEST(MultiExpAccumulatorTest, RoundScheduledInsertsMatchStrausPerBackend) {
             << shape;
       }
     }
+  }
+}
+
+TEST(MultiExpAccumulatorTest, LaneSplitReductionMatchesNaiveProduct) {
+  // Finish cuts each window's occupied digits into segments, one
+  // reduction lane each, as many lanes as the backend's batch width
+  // allows. Shapes that stress the cuts, on every backend, against the
+  // naive per-term product. Every shape opens with a term on digit
+  // 2^w - 1 of window 0, which fixes the window width at w and puts the
+  // widest possible gap, 2^w - 1, under the last segment.
+  ChaCha20Rng rng(50);
+  BigInt m = (BigInt(1) << 1023) + RandomBits(rng, 1023);
+  if (m.IsEven()) m += 1;
+  constexpr size_t kExpectedTerms = 2048;
+  // The width the accumulator picks when its first batch is one term
+  // whose exponent has `bits` bits.
+  auto window_for = [&m](size_t bits) {
+    MontgomeryContext ctx(m, MontBackendKind::kGeneric);
+    MontgomeryContext::MultiExpAccumulator probe(ctx, kExpectedTerms);
+    const BigInt base(1);
+    const BigInt exp = (BigInt(1) << bits) - BigInt(1);
+    const BigInt* base_ptr = &base;
+    const BigInt* exp_ptr = &exp;
+    probe.Add({&base_ptr, 1}, {&exp_ptr, 1});
+    return probe.window_bits();
+  };
+  // At most 7 bits, so that 64-bit exponents open more than 8 windows.
+  size_t w = 0;
+  for (size_t bits = 7; w == 0; --bits) {
+    if (window_for(bits) == bits) w = bits;
+  }
+  ASSERT_GE(w, 3u);
+  const size_t top = (size_t{1} << w) - 1;
+
+  struct Shape {
+    std::string name;
+    std::vector<BigInt> first;  // added first, after the 2^w - 1 term
+    std::vector<BigInt> later;  // a second Add; may open more windows
+  };
+  auto digits = [](std::initializer_list<size_t> ds, size_t copies) {
+    std::vector<BigInt> out;
+    for (size_t c = 0; c < copies; ++c) {
+      for (size_t d : ds) out.emplace_back(static_cast<uint64_t>(d));
+    }
+    return out;
+  };
+  std::vector<Shape> shapes = {
+      {"one occupied digit", digits({top}, 3), {}},
+      {"fewer digits than lanes", digits({top - 1, 3, 1}, 2), {}},
+      {"segment boundary at lo = 1", digits({1}, 2), {}},
+      {"two digits, both ends", digits({size_t{1} << (w - 1), 1}, 1), {}},
+      {"every digit", {}, {}},
+  };
+  for (size_t d = 1; d <= top; ++d) {
+    shapes.back().first.emplace_back(static_cast<uint64_t>(d));
+  }
+  for (size_t trial = 0; trial < 24; ++trial) {
+    // Sparse digits: 1 to 16 of them, gaps anywhere up to 2^w - 1.
+    Shape& shape = shapes.emplace_back();
+    shape.name = "sparse digits, trial " + std::to_string(trial);
+    const size_t count = 1 + rng.NextBelow(16);
+    for (size_t i = 0; i < count; ++i) {
+      shape.first.emplace_back(1 + rng.NextBelow(top));
+    }
+  }
+  {
+    // Windows 1 and 2 empty between occupied windows 0 and 3.
+    Shape& shape = shapes.emplace_back();
+    shape.name = "empty middle windows";
+    for (size_t i = 0; i < 40; ++i) {
+      shape.later.push_back(
+          (BigInt(1 + rng.NextBelow(top)) << (3 * w)) +
+          BigInt(rng.NextBelow(top + 1)));
+    }
+  }
+  {
+    // A product statistic's 64-bit exponents: more than 8 windows.
+    Shape& shape = shapes.emplace_back();
+    shape.name = "64-bit exponents";
+    for (size_t i = 0; i < 200; ++i) shape.later.push_back(RandomBits(rng, 64));
+    shape.later.push_back(BigInt(1) << 63);
+  }
+
+  std::vector<MontBackendKind> kinds = {MontBackendKind::kGeneric};
+  for (MontBackendKind kind : {MontBackendKind::kAdx, MontBackendKind::kIfma}) {
+    if (MontBackendSupports(kind, m.LimbCount())) kinds.push_back(kind);
+  }
+  for (const Shape& shape : shapes) {
+    std::vector<BigInt> exps = {BigInt(static_cast<uint64_t>(top))};
+    exps.insert(exps.end(), shape.first.begin(), shape.first.end());
+    const size_t first_count = exps.size();
+    exps.insert(exps.end(), shape.later.begin(), shape.later.end());
+    std::vector<BigInt> bases;
+    for (size_t i = 0; i < exps.size(); ++i) {
+      bases.push_back(RandomBelow(rng, m));
+    }
+    const BigInt expected = NaiveFold(bases, exps, m);
+    for (MontBackendKind kind : kinds) {
+      MontgomeryContext ctx(m, kind);
+      std::vector<BigInt> bases_mont;
+      for (const BigInt& base : bases) {
+        bases_mont.push_back(ctx.ToMontgomery(base));
+      }
+      const std::vector<const BigInt*> base_ptrs = Pointers(bases_mont);
+      const std::vector<const BigInt*> exp_ptrs = Pointers(exps);
+      const std::span<const BigInt* const> all_bases(base_ptrs);
+      const std::span<const BigInt* const> all_exps(exp_ptrs);
+      MontgomeryContext::MultiExpAccumulator acc(ctx, kExpectedTerms);
+      acc.Add(all_bases.first(first_count), all_exps.first(first_count));
+      ASSERT_EQ(acc.window_bits(), w) << shape.name;
+      acc.Add(all_bases.subspan(first_count), all_exps.subspan(first_count));
+      EXPECT_EQ(ctx.FromMontgomery(acc.Finish()), expected)
+          << shape.name << ", backend " << ctx.backend_name();
+    }
+  }
+
+  // Finish twice, then again after a further Add: the reduction reads
+  // the buckets and never consumes them.
+  for (MontBackendKind kind : kinds) {
+    MontgomeryContext ctx(m, kind);
+    std::vector<BigInt> bases;
+    std::vector<BigInt> exps;
+    for (size_t i = 0; i < 60; ++i) {
+      bases.push_back(RandomBelow(rng, m));
+      exps.push_back(i == 0 ? BigInt(static_cast<uint64_t>(top))
+                            : BigInt(rng.NextBelow(top + 1)));
+    }
+    std::vector<BigInt> bases_mont;
+    for (const BigInt& base : bases) bases_mont.push_back(ctx.ToMontgomery(base));
+    const std::vector<const BigInt*> base_ptrs = Pointers(bases_mont);
+    const std::vector<const BigInt*> exp_ptrs = Pointers(exps);
+    const std::span<const BigInt* const> all_bases(base_ptrs);
+    const std::span<const BigInt* const> all_exps(exp_ptrs);
+    MontgomeryContext::MultiExpAccumulator acc(ctx, kExpectedTerms);
+    acc.Add(all_bases.first(40), all_exps.first(40));
+    const std::vector<BigInt> head_bases(bases.begin(), bases.begin() + 40);
+    const std::vector<BigInt> head_exps(exps.begin(), exps.begin() + 40);
+    const BigInt first = acc.Finish();
+    EXPECT_EQ(ctx.FromMontgomery(first), NaiveFold(head_bases, head_exps, m))
+        << ctx.backend_name();
+    EXPECT_EQ(acc.Finish(), first) << ctx.backend_name();
+    acc.Add(all_bases.subspan(40), all_exps.subspan(40));
+    EXPECT_EQ(ctx.FromMontgomery(acc.Finish()), NaiveFold(bases, exps, m))
+        << ctx.backend_name();
   }
 }
 
