@@ -293,7 +293,7 @@ std::vector<OutboxRow> RunOutboxTable() {
         ChaCha20Rng client_rng(5300 + c);
         WorkloadGenerator client_gen(client_rng);
         ClientHelloMessage hello;
-        hello.protocol_version = kSessionProtocolVersion;
+        hello.protocol_version = kSessionProtocolV2;
         hello.public_key_blob = SerializePublicKey(pub);
         AppendFrame(&uploads[c], hello.Encode());
         for (size_t q = 0; q < kQueries; ++q) {

@@ -13,6 +13,7 @@
 #include "core/messages.h"
 #include "core/query.h"
 #include "core/session.h"
+#include "core/session_fsm.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/paillier.h"
 #include "net/channel.h"
@@ -21,18 +22,38 @@
 namespace ppstats {
 
 /// Per-session fan-out router. One instance serves one client session:
-/// it remembers the client's key blob from the handshake (shards must
-/// encrypt against the same key) and keeps one persistent connection
-/// per shard endpoint, dialed lazily on first use and redialed after
-/// any failure.
+/// it remembers the client's key from the handshake (shards must
+/// encrypt against the same key) and keeps one persistent upstream
+/// session per shard endpoint — a channel plus the ClientProtocolFsm
+/// driving it — dialed lazily on first use and redialed after any
+/// failure.
 ///
 /// Locking: conn_mu_ only guards the *map structure* (find/insert of
-/// nodes). The channel inside a node is touched exclusively by the one
+/// nodes). The session inside a node is touched exclusively by the one
 /// fan-out leg working that endpoint — shard URIs are unique within a
 /// shard map and a session runs one query at a time — so dialing and
 /// I/O happen outside the lock and legs never serialize on each other.
 class CoordinatorRouter : public QueryRouter {
  public:
+  /// One upstream session: a blocking driver's view of the channel and
+  /// its protocol machine.
+  struct ShardConn {
+    std::unique_ptr<Channel> channel;
+    std::optional<ClientProtocolFsm> fsm;
+
+    /// One frame out or in; a dead transport ends the machine.
+    [[nodiscard]] Status Send(BytesView frame) {
+      Status status = channel->Send(frame);
+      if (!status.ok()) fsm->OnTransportError();
+      return status;
+    }
+    [[nodiscard]] Result<Bytes> Receive() {
+      Result<Bytes> frame = channel->Receive();
+      if (!frame.ok()) fsm->OnTransportError();
+      return frame;
+    }
+  };
+
   explicit CoordinatorRouter(ShardCoordinator* coordinator)
       : coordinator_(coordinator) {}
 
@@ -41,14 +62,10 @@ class CoordinatorRouter : public QueryRouter {
     // finished rather than vanished.
     MutexLock lock(conn_mu_);
     for (auto& [uri, conn] : conns_) {
-      if (conn.channel != nullptr) {
-        (void)conn.channel->Send(GoodbyeMessage{}.Encode());
-      }
+      if (conn.channel == nullptr) continue;
+      Result<Bytes> goodbye = conn.fsm->Goodbye();
+      if (goodbye.ok()) (void)conn.channel->Send(*goodbye);
     }
-  }
-
-  bool HasDefault() const override {
-    return !coordinator_->DefaultName().empty();
   }
 
   uint64_t DefaultRows() const override {
@@ -58,63 +75,53 @@ class CoordinatorRouter : public QueryRouter {
 
   [[nodiscard]] Status OnClientHello(BytesView key_blob,
                                      const PaillierPublicKey& pub) override {
-    (void)pub;
     key_blob_.assign(key_blob.begin(), key_blob.end());
+    pub_ = pub;
     return Status::OK();
   }
 
   [[nodiscard]] Result<OpenedQuery> Open(const QueryHeaderMessage& header,
                                          const PaillierPublicKey& pub) override;
 
-  [[nodiscard]] Result<OpenedQuery> OpenDefault(
-      const PaillierPublicKey& pub) override {
-    // The v1 implicit query: a plain sum over the default column.
-    QueryHeaderMessage header;
-    header.kind = static_cast<uint8_t>(StatisticKind::kSum);
-    return Open(header, pub);
-  }
-
-  /// The live channel to `uri`, dialing and handshaking a new session
-  /// if none is cached. The returned pointer stays valid until
-  /// DropUpstream(uri) or destruction.
-  [[nodiscard]] Result<Channel*> UpstreamChannel(const std::string& uri)
+  /// The live session to `uri`, dialing and handshaking a new one if
+  /// none is cached. The returned pointer stays valid until
+  /// DropUpstream(uri) or destruction; a failed handshake leaves the
+  /// session for DropUpstream to end.
+  [[nodiscard]] Result<ShardConn*> Upstream(const std::string& uri)
       PPSTATS_EXCLUDES(conn_mu_) {
     ShardConn* conn = Slot(uri);
-    if (conn->channel != nullptr) return conn->channel.get();
+    if (conn->channel != nullptr) return conn;
     coordinator_->upstream_redials_->Increment();
     const CoordinatorOptions& opt = coordinator_->options_;
     PPSTATS_ASSIGN_OR_RETURN(
         std::unique_ptr<Channel> channel,
         UriDialer(uri, opt.shard_io_deadline_ms, opt.connect_deadline_ms)());
-    ClientHelloMessage hello;
-    hello.protocol_version = kSessionProtocolV2;
-    hello.public_key_blob = key_blob_;
-    PPSTATS_RETURN_IF_ERROR(channel->Send(hello.Encode()));
-    PPSTATS_ASSIGN_OR_RETURN(Bytes frame, channel->Receive());
-    PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(frame));
-    if (type == MessageType::kError) return StatusFromErrorFrame(frame);
-    PPSTATS_ASSIGN_OR_RETURN(ServerHelloMessage server_hello,
-                             ServerHelloMessage::Decode(frame));
-    if (server_hello.protocol_version != kSessionProtocolV2) {
-      return Status::ProtocolError(
-          "shard server negotiated an unexpected version");
-    }
     conn->channel = std::move(channel);
-    return conn->channel.get();
+    // Partials are opted in only so the leg can refuse them itself (see
+    // QueryShardOnce).
+    conn->fsm.emplace(key_blob_, pub_, /*accept_partial=*/true);
+    PPSTATS_ASSIGN_OR_RETURN(Bytes hello, conn->fsm->Hello());
+    PPSTATS_RETURN_IF_ERROR(conn->Send(hello));
+    PPSTATS_ASSIGN_OR_RETURN(Bytes reply, conn->Receive());
+    PPSTATS_RETURN_IF_ERROR(conn->fsm->OnServerHello(reply).status());
+    return conn;
   }
 
-  /// Forgets the cached connection to `uri` (after any failure: the
-  /// session on it is in an unknown protocol state, so the next attempt
-  /// redials from scratch).
-  void DropUpstream(const std::string& uri) PPSTATS_EXCLUDES(conn_mu_) {
-    Slot(uri)->channel.reset();
+  /// Ends the session to `uri` after a failed leg — telling the shard
+  /// why when it is still listening — and forgets it: its protocol
+  /// state is unknown, so the next attempt redials from scratch.
+  void DropUpstream(const std::string& uri, const Status& failure)
+      PPSTATS_EXCLUDES(conn_mu_) {
+    ShardConn* conn = Slot(uri);
+    if (conn->channel == nullptr) return;
+    if (std::optional<Bytes> error = conn->fsm->Abort(failure)) {
+      (void)conn->channel->Send(*error);
+    }
+    conn->channel.reset();
+    conn->fsm.reset();
   }
 
  private:
-  struct ShardConn {
-    std::unique_ptr<Channel> channel;
-  };
-
   ShardConn* Slot(const std::string& uri) PPSTATS_EXCLUDES(conn_mu_) {
     MutexLock lock(conn_mu_);
     return &conns_[uri];  // map nodes are stable across inserts
@@ -122,6 +129,7 @@ class CoordinatorRouter : public QueryRouter {
 
   ShardCoordinator* coordinator_;
   Bytes key_blob_;
+  PaillierPublicKey pub_;
   Mutex conn_mu_;
   /// Map *structure* only — see the class comment: node contents are
   /// used outside the lock through the stable ShardConn* that Slot()
@@ -333,8 +341,7 @@ Status ClusterExecution::QueryShard(size_t i, uint64_t nonce,
       coordinator_->shard_queries_ok_->Increment();
       return last;
     }
-    // The upstream session is in an unknown state; redial next attempt.
-    router_->DropUpstream(shards_[i].uri);
+    router_->DropUpstream(shards_[i].uri, last);
     if (!IsRetryableStatus(last)) break;
   }
   coordinator_->shard_queries_failed_->Increment();
@@ -344,8 +351,8 @@ Status ClusterExecution::QueryShard(size_t i, uint64_t nonce,
 Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
                                         PaillierCiphertext* out) {
   const ShardDescriptor& shard = shards_[i];
-  PPSTATS_ASSIGN_OR_RETURN(Channel * channel,
-                           router_->UpstreamChannel(shard.uri));
+  PPSTATS_ASSIGN_OR_RETURN(CoordinatorRouter::ShardConn * conn,
+                           router_->Upstream(shard.uri));
 
   QueryHeaderMessage header;
   header.kind = static_cast<uint8_t>(kind_);
@@ -355,17 +362,12 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
     header.blind_partial = true;
     header.blind_nonce = nonce;
   }
-  PPSTATS_RETURN_IF_ERROR(channel->Send(header.Encode()));
-  PPSTATS_ASSIGN_OR_RETURN(Bytes accept_frame, channel->Receive());
-  PPSTATS_ASSIGN_OR_RETURN(MessageType accept_type,
-                           PeekMessageType(accept_frame));
-  if (accept_type == MessageType::kError) {
-    return StatusFromErrorFrame(accept_frame);
-  }
-  PPSTATS_ASSIGN_OR_RETURN(QueryAcceptMessage accept,
-                           QueryAcceptMessage::Decode(accept_frame));
+  PPSTATS_ASSIGN_OR_RETURN(Bytes header_frame, conn->fsm->Query(header));
+  PPSTATS_RETURN_IF_ERROR(conn->Send(header_frame));
+  PPSTATS_ASSIGN_OR_RETURN(Bytes accept, conn->Receive());
+  PPSTATS_ASSIGN_OR_RETURN(uint64_t rows, conn->fsm->OnAccept(accept));
   const uint64_t shard_rows = shard.end - shard.begin;
-  if (accept.rows != shard_rows) {
+  if (rows != shard_rows) {
     return Status::ProtocolError(
         "shard row count does not match its shard map range");
   }
@@ -382,18 +384,17 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
     const auto first =
         weights_.begin() + static_cast<ptrdiff_t>(shard.begin + off);
     batch.ciphertexts.assign(first, first + static_cast<ptrdiff_t>(count));
-    PPSTATS_RETURN_IF_ERROR(channel->Send(batch.Encode(pub_)));
+    PPSTATS_RETURN_IF_ERROR(conn->Send(batch.Encode(pub_)));
   }
 
-  PPSTATS_ASSIGN_OR_RETURN(Bytes response_frame, channel->Receive());
-  PPSTATS_ASSIGN_OR_RETURN(MessageType response_type,
-                           PeekMessageType(response_frame));
-  if (response_type == MessageType::kError) {
-    return StatusFromErrorFrame(response_frame);
+  PPSTATS_ASSIGN_OR_RETURN(Bytes response, conn->Receive());
+  PPSTATS_ASSIGN_OR_RETURN(ClientAnswer answer, conn->fsm->OnAnswer(response));
+  if (answer.partial.has_value()) {
+    // A shard's own partial would pass for its whole range. Refused as a
+    // (retryable) protocol error, so the partial policy still applies.
+    return Status::ProtocolError("shard answered with a partial result");
   }
-  PPSTATS_ASSIGN_OR_RETURN(SumResponseMessage response,
-                           SumResponseMessage::Decode(pub_, response_frame));
-  *out = std::move(response.sum);
+  *out = std::move(answer.sum);
   return Status::OK();
 }
 

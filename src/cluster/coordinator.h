@@ -1,7 +1,7 @@
 // Sharded cluster coordinator: homomorphic scatter-gather over real
 // shard servers.
 //
-// A ShardCoordinator serves the ordinary protocol-v2 client session
+// A ShardCoordinator serves the ordinary client session
 // (through ServiceHost's router_factory seam) but owns no column data
 // itself. Its ColumnRegistry carries *shard maps* instead
 // (ColumnRegistry::SetShards): per column, an ordered list of
@@ -71,7 +71,7 @@ enum class PartialResultPolicy : uint8_t {
 
 /// Coordinator configuration.
 struct CoordinatorOptions {
-  /// Column served to v1 clients and unnamed v2 queries. Empty picks
+  /// Column served to queries with an empty column name. Empty picks
   /// the registry's sole sharded column when it has exactly one.
   std::string default_column;
 

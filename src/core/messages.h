@@ -24,9 +24,9 @@ enum class MessageType : uint8_t {
   kClientHello = 5,     ///< session handshake: version + public key
   kServerHello = 6,     ///< session handshake: version + database size
   kError = 7,           ///< either direction: abort with a reason
-  kQueryHeader = 8,     ///< v2: statistic kind + named column(s) for one query
-  kQueryAccept = 9,     ///< v2: server accepts a query, announces its rows
-  kGoodbye = 10,        ///< v2: client ends the session cleanly
+  kQueryHeader = 8,     ///< statistic kind + named column(s) for one query
+  kQueryAccept = 9,     ///< server accepts a query, announces its rows
+  kGoodbye = 10,        ///< client ends the session cleanly
   kPartialResult = 11,  ///< coordinator -> client: sum over responsive shards only
 };
 
@@ -103,7 +103,7 @@ Bytes EncodeErrorFrame(const Status& status);
 /// aborted: <reason>"); an undecodable frame becomes a ProtocolError.
 [[nodiscard]] Status StatusFromErrorFrame(BytesView frame);
 
-/// v2 sessions: opens one query on an established connection. The kind
+/// Sessions: opens one query on an established connection. The kind
 /// is a StatisticKind wire value (validated by the server, not the
 /// decoder, so an unknown kind travels and is answered with an Error
 /// frame); column names resolve against the server's ColumnRegistry. An
@@ -127,9 +127,9 @@ struct QueryHeaderMessage {
   [[nodiscard]] static Result<QueryHeaderMessage> Decode(BytesView frame);
 };
 
-/// v2 sessions: the server's acceptance of a QueryHeader, carrying the
+/// Sessions: the server's acceptance of a QueryHeader, carrying the
 /// resolved column's row count (the client shapes its index vector
-/// accordingly, as it does from ServerHello in v1).
+/// accordingly).
 struct QueryAcceptMessage {
   uint64_t rows = 0;
 
@@ -137,7 +137,7 @@ struct QueryAcceptMessage {
   [[nodiscard]] static Result<QueryAcceptMessage> Decode(BytesView frame);
 };
 
-/// v2 sessions: clean end-of-session marker, so the server can tell a
+/// Sessions: clean end-of-session marker, so the server can tell a
 /// finished client from a vanished one.
 struct GoodbyeMessage {
   Bytes Encode() const;

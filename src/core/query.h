@@ -106,7 +106,7 @@ struct CompiledQuery {
                                                  const Database* primary,
                                                  const Database* second = nullptr);
 
-/// Compiles `spec` by resolving its column names in `registry` (the v2
+/// Compiles `spec` by resolving its column names in `registry` (the
 /// session path). An empty primary name resolves to `default_column`
 /// when provided.
 [[nodiscard]] Result<CompiledQuery> CompileQuery(const QuerySpec& spec,

@@ -60,16 +60,4 @@ Result<OpenedQuery> LocalQueryRouter::Open(const QueryHeaderMessage& header,
   return opened;
 }
 
-Result<OpenedQuery> LocalQueryRouter::OpenDefault(
-    const PaillierPublicKey& pub) {
-  QuerySpec spec;
-  PPSTATS_ASSIGN_OR_RETURN(CompiledQuery query,
-                           CompileQuery(spec, config_.default_column));
-  OpenedQuery opened;
-  opened.rows = query.rows();
-  opened.execution = std::make_unique<LocalQueryExecution>(
-      pub, query, config_.worker_threads);
-  return opened;
-}
-
 }  // namespace ppstats

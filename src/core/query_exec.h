@@ -2,16 +2,15 @@
 // whatever actually answers a query.
 //
 // The server protocol (ServerProtocolFsm, driven by the blocking
-// ServerSession::Serve or by the reactor host) speaks the v1/v2 frame
+// ServerSession::Serve or by the reactor host) speaks the session frame
 // protocol but used to be hard-wired to a local SumServer fold. This
 // header splits that dependency in two:
 //
 //  * QueryRouter — per-session policy object: resolves a QueryHeader
-//    (or the v1 implicit default query) into an opened query. The
-//    default LocalQueryRouter compiles against the session's
-//    ColumnRegistry and executes locally; the cluster coordinator
-//    (src/cluster) substitutes a router that fans the query out to
-//    shard servers instead.
+//    into an opened query. The default LocalQueryRouter compiles
+//    against the session's ColumnRegistry and executes locally; the
+//    cluster coordinator (src/cluster) substitutes a router that fans
+//    the query out to shard servers instead.
 //  * QueryExecution — per-query object: consumes the client's request
 //    frames and eventually yields one encoded response frame, exactly
 //    the SumServer::HandleRequest contract.
@@ -78,7 +77,7 @@ class QueryExecution {
 };
 
 /// A successfully opened query: the row count to advertise in
-/// QueryAccept (or ServerHello for v1) plus its execution.
+/// QueryAccept plus its execution.
 struct OpenedQuery {
   uint64_t rows = 0;
   std::unique_ptr<QueryExecution> execution;
@@ -90,10 +89,6 @@ class QueryRouter {
  public:
   virtual ~QueryRouter() = default;
 
-  /// True when the session has a default column (required by v1, used
-  /// by v2 headers with an empty column name).
-  virtual bool HasDefault() const = 0;
-
   /// Rows of the default column (the ServerHello database_size field);
   /// 0 without a default.
   virtual uint64_t DefaultRows() const = 0;
@@ -104,13 +99,10 @@ class QueryRouter {
   [[nodiscard]] virtual Status OnClientHello(BytesView key_blob,
                                              const PaillierPublicKey& pub) = 0;
 
-  /// Opens the query described by a v2 QueryHeader.
+  /// Opens the query described by a QueryHeader (an empty column name
+  /// means the default column).
   [[nodiscard]] virtual Result<OpenedQuery> Open(
       const QueryHeaderMessage& header, const PaillierPublicKey& pub) = 0;
-
-  /// Opens the v1 implicit query: a plain sum over the default column.
-  [[nodiscard]] virtual Result<OpenedQuery> OpenDefault(
-      const PaillierPublicKey& pub) = 0;
 };
 
 /// Wraps a CompiledQuery + SumServer fold as a QueryExecution.
@@ -147,16 +139,11 @@ class LocalQueryRouter : public QueryRouter {
   LocalQueryRouter(const ColumnRegistry* registry, LocalRouterConfig config)
       : registry_(registry), config_(std::move(config)) {}
 
-  bool HasDefault() const override {
-    return config_.default_column != nullptr;
-  }
   uint64_t DefaultRows() const override;
   [[nodiscard]] Status OnClientHello(BytesView key_blob,
                                      const PaillierPublicKey& pub) override;
   [[nodiscard]] Result<OpenedQuery> Open(const QueryHeaderMessage& header,
                                          const PaillierPublicKey& pub) override;
-  [[nodiscard]] Result<OpenedQuery> OpenDefault(
-      const PaillierPublicKey& pub) override;
 
  private:
   const ColumnRegistry* registry_;

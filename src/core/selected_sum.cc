@@ -89,19 +89,22 @@ Result<Bytes> SumClient::NextRequest() {
 }
 
 Result<BigInt> SumClient::HandleResponse(BytesView frame) {
+  PPSTATS_ASSIGN_OR_RETURN(SumResponseMessage msg,
+                           SumResponseMessage::Decode(key_->public_key(), frame));
+  return HandleResponse(msg.sum);
+}
+
+Result<BigInt> SumClient::HandleResponse(const PaillierCiphertext& sum) {
   if (response_handled_) {
     return Status::FailedPrecondition(
         "response already handled; a SumClient runs one execution");
   }
-  const PaillierPublicKey& pub = key_->public_key();
-  PPSTATS_ASSIGN_OR_RETURN(SumResponseMessage msg,
-                           SumResponseMessage::Decode(pub, frame));
-  Result<BigInt> sum = [&] {
+  Result<BigInt> plain = [&] {
     obs::ScopedPhaseTimer timer(&decrypt_seconds_, obs::kSpanClientDecrypt);
-    return Paillier::Decrypt(*key_, msg.sum);
+    return Paillier::Decrypt(*key_, sum);
   }();
-  if (sum.ok()) response_handled_ = true;
-  return sum;
+  if (plain.ok()) response_handled_ = true;
+  return plain;
 }
 
 SumServer::SumServer(PaillierPublicKey pub, const Database* db)

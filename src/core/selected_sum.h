@@ -76,6 +76,10 @@ class SumClient {
   /// handled, further calls fail with FailedPrecondition.
   [[nodiscard]] Result<BigInt> HandleResponse(BytesView frame);
 
+  /// Same, for a response sum the caller has already decoded (a session
+  /// driver's ClientProtocolFsm decodes every answer frame).
+  [[nodiscard]] Result<BigInt> HandleResponse(const PaillierCiphertext& sum);
+
   /// Number of request frames this client will send in total.
   size_t TotalChunks() const;
 
@@ -105,7 +109,7 @@ class SumClient {
 class SumServer {
  public:
   /// Plain selected/weighted sum over the whole of `db` (the common
-  /// case: session v1, the figure harnesses).
+  /// case: the figure harnesses).
   SumServer(PaillierPublicKey pub, const Database* db);
 
   /// Executes `query` (see CompileQuery): the lowered exponent

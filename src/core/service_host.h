@@ -61,7 +61,7 @@ class ReactorEngine;
 
 /// Host configuration.
 struct ServiceHostOptions {
-  /// Column served to v1 clients and unnamed v2 queries. Empty picks the
+  /// Column served to queries with an empty column name. Empty picks the
   /// registry's sole column when it has exactly one, else no default.
   std::string default_column;
 

@@ -13,7 +13,7 @@ namespace ppstats {
 
 namespace {
 
-// Process-wide retry counters, shared by every retrying entry point.
+// Process-wide retry counters, shared by every session's ConnectWithRetry.
 struct RetryCounters {
   obs::Counter* attempts =
       obs::MetricRegistry::Global().GetCounter("retry.attempts");
@@ -28,172 +28,35 @@ RetryCounters& Retries() {
   return *counters;
 }
 
-// Sends an Error frame; returns the original status for propagation.
-Status AbortWith(Channel& channel, Status status) {
-  // Best effort; the session is dead either way.
-  channel.Send(EncodeErrorFrame(status)).IgnoreError();
-  return status;
-}
-
-// Drives one SumClient execution over the channel (shared by the v1 and
-// v2 client paths; the per-query framing around it differs).
-// The communication spans cover time spent inside channel calls only:
-// encryption (NextRequest) and decryption (HandleResponse) keep their
-// own component spans. Note the receive leg necessarily includes the
-// wait for the server's fold — the wire cannot tell propagation from
-// peer compute (docs/OBSERVABILITY.md discusses reconciliation).
-Result<BigInt> RunClientQuery(Channel& channel, SumClient& client,
-                              const PaillierPublicKey& pub,
-                              bool accept_partial,
-                              std::optional<PartialResultInfo>* partial_out) {
-  while (!client.RequestsDone()) {
-    PPSTATS_ASSIGN_OR_RETURN(Bytes request, client.NextRequest());
-    obs::ObsSpan send_span(obs::kSpanCommunication);
-    PPSTATS_RETURN_IF_ERROR(channel.Send(request));
-    send_span.Stop();
-  }
-  obs::ObsSpan recv_span(obs::kSpanCommunication);
-  Result<Bytes> response = channel.Receive();
-  recv_span.Stop();
-  PPSTATS_RETURN_IF_ERROR(response.status());
-  PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(*response));
-  if (type == MessageType::kError) return StatusFromErrorFrame(*response);
-  if (type == MessageType::kPartialResult) {
-    if (!accept_partial) {
-      return AbortWith(channel,
-                       Status::FailedPrecondition(
-                           "server answered with a partial result; set "
-                           "accept_partial to use it"));
-    }
-    PPSTATS_ASSIGN_OR_RETURN(PartialResultMessage partial,
-                             PartialResultMessage::Decode(pub, *response));
-    if (partial_out != nullptr) {
-      *partial_out = PartialResultInfo{partial.shards_total,
-                                       partial.shards_responded,
-                                       partial.rows_covered};
-    }
-    SumResponseMessage as_sum;
-    as_sum.sum = partial.sum;
-    return client.HandleResponse(as_sum.Encode(pub));
-  }
-  return client.HandleResponse(*response);
-}
-
 }  // namespace
-
-ClientSession::ClientSession(const PaillierPrivateKey& key,
-                             SelectionVector selection,
-                             ClientSessionOptions options, RandomSource& rng)
-    : key_(&key),
-      selection_(std::move(selection)),
-      options_(options),
-      rng_(&rng) {}
-
-Result<BigInt> ClientSession::Run(Channel& channel) {
-  if (ran_) {
-    return Status::FailedPrecondition(
-        "session already ran; a ClientSession is single-shot");
-  }
-  ran_ = true;
-  return RunOnce(channel);
-}
-
-Result<BigInt> ClientSession::RunWithRetry(const ChannelFactory& dial,
-                                           const RetryOptions& retry) {
-  if (ran_) {
-    return Status::FailedPrecondition(
-        "session already ran; a ClientSession is single-shot");
-  }
-  ran_ = true;
-  retry_metrics_ = {};
-  size_t max_attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
-  Status last = Status::Internal("no connection attempt was made");
-  for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1) {
-      uint32_t backoff = RetryBackoffMs(attempt - 1, retry, *rng_);
-      retry_metrics_.backoff_ms_total += backoff;
-      Retries().backoff_ms->Add(backoff);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    }
-    ++retry_metrics_.attempts;
-    Retries().attempts->Increment();
-    obs::ObsSpan attempt_span(obs::kSpanRetryAttempt);
-    Result<std::unique_ptr<Channel>> channel = dial();
-    Result<BigInt> sum = channel.ok() ? RunOnce(**channel) : channel.status();
-    attempt_span.Stop();
-    if (sum.ok() || !IsRetryableStatus(sum.status())) return sum;
-    ++retry_metrics_.retryable_failures;
-    Retries().retryable_failures->Increment();
-    last = sum.status();
-  }
-  return last;
-}
-
-Result<BigInt> ClientSession::RunWithRetry(const std::string& uri,
-                                           const RetryOptions& retry,
-                                           uint32_t io_deadline_ms,
-                                           uint32_t connect_deadline_ms) {
-  return RunWithRetry(UriDialer(uri, io_deadline_ms, connect_deadline_ms),
-                      retry);
-}
-
-Result<BigInt> ClientSession::RunOnce(Channel& channel) {
-  // Handshake.
-  obs::ObsSpan handshake(obs::kSpanHandshake);
-  ClientHelloMessage hello;
-  hello.protocol_version = kSessionProtocolV1;
-  hello.public_key_blob = SerializePublicKey(key_->public_key());
-  PPSTATS_RETURN_IF_ERROR(channel.Send(hello.Encode()));
-
-  PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel.Receive());
-  handshake.Stop();
-  PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
-  if (type == MessageType::kError) return StatusFromErrorFrame(reply);
-  PPSTATS_ASSIGN_OR_RETURN(ServerHelloMessage server_hello,
-                           ServerHelloMessage::Decode(reply));
-  if (server_hello.protocol_version != kSessionProtocolV1) {
-    return Status::ProtocolError("server speaks a different version");
-  }
-  if (server_hello.database_size != selection_.size()) {
-    return AbortWith(channel,
-                     Status::InvalidArgument(
-                         "selection length != server database size"));
-  }
-
-  // Query.
-  SumClientOptions client_options;
-  client_options.chunk_size = options_.chunk_size;
-  SumClient client(*key_, selection_, client_options, *rng_);
-  return RunClientQuery(channel, client, key_->public_key(),
-                        /*accept_partial=*/false, nullptr);
-}
 
 QuerySession::QuerySession(const PaillierPrivateKey& key, RandomSource& rng,
                            ClientSessionOptions options)
     : key_(&key), rng_(&rng), options_(options) {}
+
+QuerySession::~QuerySession() = default;
 
 Status QuerySession::Connect(Channel& channel) {
   if (channel_ != nullptr) {
     return Status::FailedPrecondition("session already connected");
   }
   obs::ObsSpan handshake(obs::kSpanHandshake);
-  ClientHelloMessage hello;
-  hello.protocol_version = kSessionProtocolVersion;
-  hello.public_key_blob = SerializePublicKey(key_->public_key());
-  PPSTATS_RETURN_IF_ERROR(channel.Send(hello.Encode()));
-
+  const PaillierPublicKey& pub = key_->public_key();
+  auto fsm = std::make_unique<ClientProtocolFsm>(SerializePublicKey(pub), pub,
+                                                 options_.accept_partial);
+  PPSTATS_ASSIGN_OR_RETURN(Bytes hello, fsm->Hello());
+  PPSTATS_RETURN_IF_ERROR(channel.Send(hello));
   PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel.Receive());
   handshake.Stop();
-  PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
-  if (type == MessageType::kError) return StatusFromErrorFrame(reply);
-  PPSTATS_ASSIGN_OR_RETURN(ServerHelloMessage server_hello,
-                           ServerHelloMessage::Decode(reply));
-  if (server_hello.protocol_version < kSessionProtocolV1 ||
-      server_hello.protocol_version > kSessionProtocolVersion) {
-    return Status::ProtocolError("server negotiated an unknown version");
+  Result<uint64_t> rows = fsm->OnServerHello(reply);
+  if (!rows.ok()) {
+    if (std::optional<Bytes> error = fsm->Abort(rows.status())) {
+      channel.Send(*error).IgnoreError();  // best effort; we are done
+    }
+    return rows.status();
   }
-  version_ = static_cast<uint16_t>(server_hello.protocol_version);
-  server_rows_ = server_hello.database_size;
+  server_rows_ = *rows;
+  fsm_ = std::move(fsm);
   channel_ = &channel;
   return Status::OK();
 }
@@ -253,44 +116,40 @@ Result<BigInt> QuerySession::RunWeighted(const QuerySpec& spec,
   if (channel_ == nullptr) {
     return Status::FailedPrecondition("session is not connected");
   }
-  if (finished_) {
-    return Status::FailedPrecondition("session already finished");
-  }
   if (spec.blinding.has_value() || spec.partition.has_value()) {
     // Those are serving-side options (multi-client / distributed
     // embeddings); the session wire does not carry them.
     return Status::InvalidArgument(
         "blinding/partition cannot be requested over a session");
   }
-
-  uint64_t rows = server_rows_;
-  if (version_ == kSessionProtocolV1) {
-    if (queries_run_ > 0) {
-      return Status::FailedPrecondition(
-          "a v1 server serves one query per session");
+  Result<BigInt> value = Exchange(spec, std::move(weights));
+  if (!value.ok()) {
+    // The stream may now be out of step with the server: end the
+    // session, telling the peer why when it is still listening.
+    if (std::optional<Bytes> error = fsm_->Abort(value.status())) {
+      channel_->Send(*error).IgnoreError();
     }
-    if (spec.kind != StatisticKind::kSum || !spec.column.empty() ||
-        !spec.column2.empty()) {
-      return Status::FailedPrecondition(
-          "a v1 server only serves plain sums over its default column");
-    }
-  } else {
-    QueryHeaderMessage header;
-    header.kind = static_cast<uint8_t>(spec.kind);
-    header.column = spec.column;
-    header.column2 = spec.column2;
-    PPSTATS_RETURN_IF_ERROR(channel_->Send(header.Encode()));
-
-    PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel_->Receive());
-    PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
-    if (type == MessageType::kError) return StatusFromErrorFrame(reply);
-    PPSTATS_ASSIGN_OR_RETURN(QueryAcceptMessage accept,
-                             QueryAcceptMessage::Decode(reply));
-    rows = accept.rows;
   }
+  return value;
+}
+
+// The communication spans cover time spent inside channel calls only:
+// encryption (NextRequest) and decryption (HandleResponse) keep their
+// own component spans. Note the receive leg necessarily includes the
+// wait for the server's fold — the wire cannot tell propagation from
+// peer compute (docs/OBSERVABILITY.md discusses reconciliation).
+Result<BigInt> QuerySession::Exchange(const QuerySpec& spec,
+                                      WeightVector weights) {
+  QueryHeaderMessage header;
+  header.kind = static_cast<uint8_t>(spec.kind);
+  header.column = spec.column;
+  header.column2 = spec.column2;
+  PPSTATS_ASSIGN_OR_RETURN(Bytes header_frame, fsm_->Query(header));
+  PPSTATS_RETURN_IF_ERROR(Send(header_frame));
+  PPSTATS_ASSIGN_OR_RETURN(Bytes accept, Receive());
+  PPSTATS_ASSIGN_OR_RETURN(uint64_t rows, fsm_->OnAccept(accept));
   if (weights.size() != rows) {
-    return AbortWith(*channel_, Status::InvalidArgument(
-                                    "weights length != query row count"));
+    return Status::InvalidArgument("weights length != query row count");
   }
 
   SumClientOptions client_options;
@@ -301,28 +160,45 @@ Result<BigInt> QuerySession::RunWeighted(const QuerySpec& spec,
   obs::ScopedSpanContext context({obs::CurrentContext().session_id,
                                   static_cast<uint64_t>(queries_run_ + 1)});
   last_partial_.reset();
-  PPSTATS_ASSIGN_OR_RETURN(
-      BigInt value,
-      RunClientQuery(*channel_, client, key_->public_key(),
-                     options_.accept_partial, &last_partial_));
+  while (!client.RequestsDone()) {
+    PPSTATS_ASSIGN_OR_RETURN(Bytes request, client.NextRequest());
+    obs::ObsSpan send_span(obs::kSpanCommunication);
+    PPSTATS_RETURN_IF_ERROR(Send(request));
+    send_span.Stop();
+  }
+  obs::ObsSpan recv_span(obs::kSpanCommunication);
+  Result<Bytes> response = Receive();
+  recv_span.Stop();
+  PPSTATS_RETURN_IF_ERROR(response.status());
+  PPSTATS_ASSIGN_OR_RETURN(ClientAnswer answer, fsm_->OnAnswer(*response));
+  PPSTATS_ASSIGN_OR_RETURN(BigInt value, client.HandleResponse(answer.sum));
+  last_partial_ = answer.partial;
   if (options_.result_modulus.has_value()) {
     value = Mod(value, *options_.result_modulus);
   }
   ++queries_run_;
-  if (version_ == kSessionProtocolV1) finished_ = true;  // one query only
   return value;
+}
+
+Status QuerySession::Send(BytesView frame) {
+  Status status = channel_->Send(frame);
+  if (!status.ok()) fsm_->OnTransportError();
+  return status;
+}
+
+Result<Bytes> QuerySession::Receive() {
+  Result<Bytes> frame = channel_->Receive();
+  if (!frame.ok()) fsm_->OnTransportError();
+  return frame;
 }
 
 Status QuerySession::Finish() {
   if (channel_ == nullptr) {
     return Status::FailedPrecondition("session is not connected");
   }
-  if (finished_) return Status::OK();
-  finished_ = true;
-  if (version_ == kSessionProtocolV2) {
-    return channel_->Send(GoodbyeMessage{}.Encode());
-  }
-  return Status::OK();
+  if (fsm_->done()) return Status::OK();
+  PPSTATS_ASSIGN_OR_RETURN(Bytes goodbye, fsm_->Goodbye());
+  return Send(goodbye);
 }
 
 Status ServerSession::Serve(Channel& channel) {

@@ -2,33 +2,30 @@
 // selected-sum protocol with a real handshake.
 //
 // The measured experiments assume the server already knows the client's
-// public key (as the paper does). A deployment needs the exchange:
+// public key (as the paper does). A deployment needs the exchange, and
+// one connection then carries any number of queries against named
+// columns:
 //
-//   C -> S : ClientHello { max version, public key }
-//   S -> C : ServerHello { negotiated version, default db size }  (or Error)
-//
-// Version negotiation: the client advertises the version it wants to
-// speak; the server accepts any version it implements (up to
-// kSessionProtocolVersion), echoes it back, and both sides continue at
-// that version. Unknown versions are rejected with an Error frame, so
-// v1 clients keep working against v2 servers unchanged.
-//
-// v1 (one query per connection):
-//   C -> S : IndexBatch*                                          (or Error)
-//   S -> C : SumResponse                                          (or Error)
-//
-// v2 (N queries per connection, named columns):
+//   C -> S : ClientHello { version, public key }
+//   S -> C : ServerHello { version, default column size }     (or Error)
 //   repeat:
-//     C -> S : QueryHeader { kind, column, column2 }              (or Error)
-//     S -> C : QueryAccept { rows }                               (or Error)
+//     C -> S : QueryHeader { kind, column, column2 }           (or Error)
+//     S -> C : QueryAccept { rows }                            (or Error)
 //     C -> S : IndexBatch*
-//     S -> C : SumResponse
+//     S -> C : SumResponse (or, from a coordinator, PartialResult)
 //   C -> S : Goodbye
+//
+// Both hellos carry kSessionProtocolV2; a server refuses any other
+// version with a ProtocolError Error frame, and a client refuses a
+// ServerHello that names another. The paper's Fig 1 protocol is one
+// plain-sum query over the default column (an empty column name).
 //
 // Version mismatches, malformed frames, unknown statistic kinds, bad
 // column names, and arity mismatches abort the session with an Error
 // frame carrying a status code, so the peer gets a diagnosable failure
-// instead of a hang.
+// instead of a hang. Each side's protocol lives in one sans-IO machine
+// (core/session_fsm.h); QuerySession and ServerSession are blocking
+// drivers over them.
 
 #ifndef PPSTATS_CORE_SESSION_H_
 #define PPSTATS_CORE_SESSION_H_
@@ -47,13 +44,8 @@
 
 namespace ppstats {
 
-/// Protocol versions. A server speaks every version up to
-/// kSessionProtocolVersion; clients pick what they advertise.
-inline constexpr uint16_t kSessionProtocolV1 = 1;
+/// The session protocol version both hellos carry; any other is refused.
 inline constexpr uint16_t kSessionProtocolV2 = 2;
-
-/// Highest version of the session protocol spoken by this library.
-inline constexpr uint16_t kSessionProtocolVersion = kSessionProtocolV2;
 
 /// Client-side session options.
 struct ClientSessionOptions {
@@ -85,58 +77,16 @@ struct PartialResultInfo {
 using ChannelFactory =
     std::function<Result<std::unique_ptr<Channel>>()>;
 
-/// One private-sum query over a channel, with handshake (a v1 client).
-class ClientSession {
- public:
-  /// The selection length must match the server's database size (checked
-  /// against the ServerHello).
-  ClientSession(const PaillierPrivateKey& key, SelectionVector selection,
-                ClientSessionOptions options, RandomSource& rng);
+class ClientProtocolFsm;
 
-  /// Runs the full session; blocks on the channel. Returns the decrypted
-  /// sum, or the peer's error translated into a Status. A ClientSession
-  /// is single-shot: a second Run fails with FailedPrecondition.
-  [[nodiscard]] Result<BigInt> Run(Channel& channel);
-
-  /// Like Run, but dials its own channel via `dial` and retries the
-  /// whole session (fresh channel each attempt, backoff + jitter drawn
-  /// from the session rng) on retryable failures — see
-  /// IsRetryableStatus. Safe because a v1 query is a pure read: the
-  /// server keeps no cross-session state, so replaying it is
-  /// idempotent. Still single-shot overall.
-  [[nodiscard]] Result<BigInt> RunWithRetry(const ChannelFactory& dial,
-                                            const RetryOptions& retry);
-
-  /// RunWithRetry against an endpoint URI ("unix:/path",
-  /// "tcp:host:port", or a bare socket path), dialing a fresh channel
-  /// per attempt with the given per-call I/O deadline and per-attempt
-  /// connect deadline (0 = none; see UriDialer).
-  [[nodiscard]] Result<BigInt> RunWithRetry(const std::string& uri,
-                                            const RetryOptions& retry,
-                                            uint32_t io_deadline_ms = 0,
-                                            uint32_t connect_deadline_ms = 0);
-
-  /// Per-attempt counters for the last RunWithRetry.
-  const RetryMetrics& retry_metrics() const { return retry_metrics_; }
-
- private:
-  [[nodiscard]] Result<BigInt> RunOnce(Channel& channel);
-
-  const PaillierPrivateKey* key_;
-  SelectionVector selection_;
-  ClientSessionOptions options_;
-  RandomSource* rng_;
-  RetryMetrics retry_metrics_;
-  bool ran_ = false;
-};
-
-/// A v2 client session: one connection, N queries against named columns.
-/// Falls back to v1 semantics (single plain-sum query on the server's
-/// default column) when the server negotiates down.
+/// A client session: one connection, N queries against named columns.
+/// A blocking driver over ClientProtocolFsm that encrypts each query's
+/// index vector and decrypts its answer.
 class QuerySession {
  public:
   QuerySession(const PaillierPrivateKey& key, RandomSource& rng,
                ClientSessionOptions options = {});
+  ~QuerySession();
 
   /// Performs the hello exchange on `channel`, which must outlive the
   /// session. Single-shot.
@@ -162,22 +112,22 @@ class QuerySession {
   /// Per-attempt counters for the last ConnectWithRetry.
   const RetryMetrics& retry_metrics() const { return retry_metrics_; }
 
-  /// Version agreed with the server (valid after Connect).
-  uint16_t negotiated_version() const { return version_; }
-
   /// Size of the server's default column, from the ServerHello (0 when
   /// the server has none).
   uint64_t server_rows() const { return server_rows_; }
 
   /// Runs one query; the selection/weights length must match the target
-  /// column's size (the server announces it via QueryAccept). On a v1
-  /// server only a single plain-sum query over the default column is
-  /// possible; anything else fails with FailedPrecondition.
+  /// column's size (the server announces it via QueryAccept; a mismatch
+  /// aborts the session with InvalidArgument). A query that fails once
+  /// it has reached the wire ends the session: the stream may be out of
+  /// step with the server, so later queries fail with
+  /// FailedPrecondition without writing anything.
   [[nodiscard]] Result<BigInt> RunQuery(const QuerySpec& spec,
                                         const SelectionVector& selection);
   [[nodiscard]] Result<BigInt> RunWeighted(const QuerySpec& spec, WeightVector weights);
 
-  /// Ends the session cleanly (v2: sends Goodbye). No queries may follow.
+  /// Ends the session cleanly by sending Goodbye. No queries may follow;
+  /// a session a failed query already ended has nothing left to send.
   [[nodiscard]] Status Finish();
 
   /// Coverage of the last query's answer when it was a flagged partial
@@ -188,17 +138,23 @@ class QuerySession {
   }
 
  private:
+  /// Runs one query on the connected session (RunWeighted's body).
+  [[nodiscard]] Result<BigInt> Exchange(const QuerySpec& spec,
+                                        WeightVector weights);
+  /// One frame out or in; a dead transport ends the machine.
+  [[nodiscard]] Status Send(BytesView frame);
+  [[nodiscard]] Result<Bytes> Receive();
+
   const PaillierPrivateKey* key_;
   RandomSource* rng_;
   ClientSessionOptions options_;
   std::unique_ptr<Channel> owned_channel_;  // set by ConnectWithRetry
   Channel* channel_ = nullptr;
+  std::unique_ptr<ClientProtocolFsm> fsm_;  // set by Connect
   RetryMetrics retry_metrics_;
   std::optional<PartialResultInfo> last_partial_;
-  uint16_t version_ = 0;
   uint64_t server_rows_ = 0;
   size_t queries_run_ = 0;
-  bool finished_ = false;
 };
 
 /// Per-session counters reported by ServerSession::metrics().
@@ -210,8 +166,8 @@ struct SessionMetrics {
 
 /// Server-side session options.
 struct ServerSessionOptions {
-  /// Column served to v1 clients and to v2 queries with an empty column
-  /// name. May be null when every query names its column.
+  /// Column served to queries with an empty column name. May be null
+  /// when every query names its column.
   const Database* default_column = nullptr;
 
   /// Fold slices per chunk on the shared ThreadPool (see SumServer).
@@ -257,7 +213,7 @@ class ServerSession {
   /// Single-column server: `db` is the default (and only) column.
   explicit ServerSession(const Database* db) { options_.default_column = db; }
 
-  /// Multi-column server resolving v2 query names in `registry`.
+  /// Multi-column server resolving query column names in `registry`.
   ServerSession(const ColumnRegistry* registry, ServerSessionOptions options)
       : registry_(registry), options_(options) {}
 

@@ -1,5 +1,6 @@
 #include "core/session_fsm.h"
 
+#include <string>
 #include <utility>
 
 #include "core/messages.h"
@@ -87,14 +88,8 @@ void ServerProtocolFsm::OnHandshakeFrame(BytesView frame,
 
   Result<ClientHelloMessage> hello = ClientHelloMessage::Decode(frame);
   if (!hello.ok()) return Abort(out, hello.status());
-  if (hello->protocol_version != kSessionProtocolV1 &&
-      hello->protocol_version != kSessionProtocolV2) {
+  if (hello->protocol_version != kSessionProtocolV2) {
     return Abort(out, Status::ProtocolError("unsupported protocol version"));
-  }
-  const uint16_t version = static_cast<uint16_t>(hello->protocol_version);
-  if (version == kSessionProtocolV1 && !router_->HasDefault()) {
-    return Abort(out,
-                 Status::FailedPrecondition("server has no default column"));
   }
   Result<PaillierPublicKey> pub =
       options_.key_cache != nullptr
@@ -103,29 +98,15 @@ void ServerProtocolFsm::OnHandshakeFrame(BytesView frame,
   if (!pub.ok()) return Abort(out, pub.status());
   Status hello_status = router_->OnClientHello(hello->public_key_blob, *pub);
   if (!hello_status.ok()) return Abort(out, std::move(hello_status));
-  metrics_.negotiated_version = version;
-  version_ = version;
+  metrics_.negotiated_version = kSessionProtocolV2;
   pub_ = std::move(*pub);
 
   ServerHelloMessage server_hello;
-  server_hello.protocol_version = version;
+  server_hello.protocol_version = kSessionProtocolV2;
   server_hello.database_size = router_->DefaultRows();
   out.frames.push_back(server_hello.Encode());
   handshake.Stop();
-
-  if (version == kSessionProtocolV1) {
-    OpenV1Query(out);
-  } else {
-    phase_ = ServerFsmPhase::kAwaitQuery;
-  }
-}
-
-void ServerProtocolFsm::OpenV1Query(ServerFsmOutput& out) {
-  // The v1 implicit query: a plain sum over the whole default column.
-  Result<OpenedQuery> query = router_->OpenDefault(*pub_);
-  if (!query.ok()) return Abort(out, query.status());
-  execution_ = std::move(query->execution);
-  phase_ = ServerFsmPhase::kAwaitChunks;
+  phase_ = ServerFsmPhase::kAwaitQuery;
 }
 
 void ServerProtocolFsm::OnQueryFrame(BytesView frame, ServerFsmOutput& out) {
@@ -177,12 +158,120 @@ void ServerProtocolFsm::OnChunkFrame(BytesView frame, ServerFsmOutput& out) {
   }
   if (execution_ != nullptr && execution_->Finished()) {
     execution_.reset();
-    if (version_ == kSessionProtocolV1) {
-      Finish(Status::OK());
-    } else {
-      phase_ = ServerFsmPhase::kAwaitQuery;
-    }
+    phase_ = ServerFsmPhase::kAwaitQuery;
   }
+}
+
+ClientProtocolFsm::ClientProtocolFsm(Bytes key_blob, PaillierPublicKey pub,
+                                     bool accept_partial)
+    : key_blob_(std::move(key_blob)),
+      pub_(std::move(pub)),
+      accept_partial_(accept_partial) {}
+
+Status ClientProtocolFsm::Expect(ClientFsmPhase expected,
+                                 const char* call) const {
+  if (phase_ == expected) return Status::OK();
+  return Status::FailedPrecondition(std::string(call) +
+                                    " called out of protocol order");
+}
+
+Status ClientProtocolFsm::Fail(Status status) {
+  error_frame_ = EncodeErrorFrame(status);
+  phase_ = ClientFsmPhase::kDone;
+  return status;
+}
+
+Result<MessageType> ClientProtocolFsm::Classify(BytesView frame) {
+  Result<MessageType> type = PeekMessageType(frame);
+  if (!type.ok()) return Fail(type.status());
+  if (*type == MessageType::kError) {
+    phase_ = ClientFsmPhase::kDone;  // the peer has already given up
+    return StatusFromErrorFrame(frame);
+  }
+  return type;
+}
+
+Result<Bytes> ClientProtocolFsm::Hello() {
+  PPSTATS_RETURN_IF_ERROR(Expect(ClientFsmPhase::kStart, "Hello"));
+  ClientHelloMessage hello;
+  hello.protocol_version = kSessionProtocolV2;
+  hello.public_key_blob = key_blob_;
+  phase_ = ClientFsmPhase::kAwaitHello;
+  return hello.Encode();
+}
+
+Result<uint64_t> ClientProtocolFsm::OnServerHello(BytesView frame) {
+  PPSTATS_RETURN_IF_ERROR(Expect(ClientFsmPhase::kAwaitHello, "OnServerHello"));
+  PPSTATS_RETURN_IF_ERROR(Classify(frame).status());
+  Result<ServerHelloMessage> hello = ServerHelloMessage::Decode(frame);
+  if (!hello.ok()) return Fail(hello.status());
+  if (hello->protocol_version != kSessionProtocolV2) {
+    return Fail(
+        Status::ProtocolError("server negotiated an unsupported version"));
+  }
+  phase_ = ClientFsmPhase::kIdle;
+  return hello->database_size;
+}
+
+Result<Bytes> ClientProtocolFsm::Query(const QueryHeaderMessage& header) {
+  PPSTATS_RETURN_IF_ERROR(Expect(ClientFsmPhase::kIdle, "Query"));
+  phase_ = ClientFsmPhase::kAwaitAccept;
+  return header.Encode();
+}
+
+Result<uint64_t> ClientProtocolFsm::OnAccept(BytesView frame) {
+  PPSTATS_RETURN_IF_ERROR(Expect(ClientFsmPhase::kAwaitAccept, "OnAccept"));
+  PPSTATS_RETURN_IF_ERROR(Classify(frame).status());
+  Result<QueryAcceptMessage> accept = QueryAcceptMessage::Decode(frame);
+  if (!accept.ok()) return Fail(accept.status());
+  phase_ = ClientFsmPhase::kAwaitAnswer;
+  return accept->rows;
+}
+
+Result<ClientAnswer> ClientProtocolFsm::OnAnswer(BytesView frame) {
+  PPSTATS_RETURN_IF_ERROR(Expect(ClientFsmPhase::kAwaitAnswer, "OnAnswer"));
+  PPSTATS_ASSIGN_OR_RETURN(MessageType type, Classify(frame));
+  ClientAnswer answer;
+  if (type == MessageType::kPartialResult) {
+    if (!accept_partial_) {
+      return Fail(Status::FailedPrecondition(
+          "server answered with a partial result; set accept_partial to "
+          "use it"));
+    }
+    Result<PartialResultMessage> partial =
+        PartialResultMessage::Decode(pub_, frame);
+    if (!partial.ok()) return Fail(partial.status());
+    answer.sum = std::move(partial->sum);
+    answer.partial = PartialResultInfo{partial->shards_total,
+                                       partial->shards_responded,
+                                       partial->rows_covered};
+  } else {
+    Result<SumResponseMessage> response =
+        SumResponseMessage::Decode(pub_, frame);
+    if (!response.ok()) return Fail(response.status());
+    answer.sum = std::move(response->sum);
+  }
+  phase_ = ClientFsmPhase::kIdle;
+  return answer;
+}
+
+Result<Bytes> ClientProtocolFsm::Goodbye() {
+  PPSTATS_RETURN_IF_ERROR(Expect(ClientFsmPhase::kIdle, "Goodbye"));
+  phase_ = ClientFsmPhase::kDone;
+  return GoodbyeMessage{}.Encode();
+}
+
+std::optional<Bytes> ClientProtocolFsm::Abort(const Status& status) {
+  if (!done()) {
+    phase_ = ClientFsmPhase::kDone;
+    return EncodeErrorFrame(status);
+  }
+  return std::exchange(error_frame_, std::nullopt);
+}
+
+void ClientProtocolFsm::OnTransportError() {
+  phase_ = ClientFsmPhase::kDone;
+  error_frame_.reset();  // nothing can reach the peer any more
 }
 
 }  // namespace ppstats

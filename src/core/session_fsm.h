@@ -1,18 +1,15 @@
-// ServerProtocolFsm: the server side of the session protocol as a
-// sans-IO state machine — the only implementation of it. Two drivers
-// move frames in and out: ServerSession::Serve over one blocking
-// channel, and the reactor host (core/reactor_host.h), which cannot
-// block. Both see the protocol as explicit transitions over complete
-// frames:
+// The session protocol (core/session.h) as two sans-IO state machines,
+// one per side — the only implementation of each.
 //
-//   kHandshake ──ClientHello──▶ kAwaitQuery          (v2)
-//        │                          │  ▲
-//        │ (v1)                     │QueryHeader
-//        ▼                          ▼  │SumResponse
-//   kAwaitChunks ◀──────────── kAwaitChunks
-//        │IndexBatch*                │Goodbye/Error
-//        ▼                          ▼
-//      kDone ◀───────────────────kDone
+// ServerProtocolFsm is the server side. Two drivers move frames in and
+// out: ServerSession::Serve over one blocking channel, and the reactor
+// host (core/reactor_host.h), which cannot block:
+//
+//   kHandshake ──ClientHello──▶ kAwaitQuery ──QueryHeader──▶ kAwaitChunks
+//        │                       │      ▲     (QueryAccept)       │
+//        │bad hello              │      └──────SumResponse────────┘
+//        ▼                       │Goodbye/Error          (after IndexBatch*)
+//      kDone ◀───────────────────┘
 //
 // The driver feeds each complete inbound frame to OnFrame() and writes
 // the returned frames to its transport in order; a peer that misses its
@@ -21,12 +18,27 @@
 // is CPU-heavy (key deserialization, homomorphic folds), so event loops
 // run OnFrame on a worker pool, never on the loop thread.
 //
-// Every protocol failure — bad hello, unsupported version, malformed or
-// unparseable frame, unknown kind or column, zero-row cover — aborts
-// with an Error frame carrying its status; only a server with no
-// database fails locally, without a frame. queries_counter is bumped
-// *before* the SumResponse frame is handed back, so a client that has
-// its answer is guaranteed to find the query in the host's snapshot.
+// Every protocol failure — bad hello, unsupported version (anything but
+// kSessionProtocolV2), malformed or unparseable frame, unknown kind or
+// column, zero-row cover — aborts with an Error frame carrying its
+// status; only a server with no database fails locally, without a
+// frame. queries_counter is bumped *before* the SumResponse frame is
+// handed back, so a client that has its answer is guaranteed to find
+// the query in the host's snapshot.
+//
+// ClientProtocolFsm is the client side. It needs only the client's
+// public key, so it serves both QuerySession and the cluster
+// coordinator's shard legs:
+//
+//   kStart ─Hello()─▶ kAwaitHello ─OnServerHello()─▶ kIdle ─Goodbye()─▶ kDone
+//   kIdle ─Query()─▶ kAwaitAccept ─OnAccept()─▶ kAwaitAnswer ─OnAnswer()─▶ kIdle
+//                              (the driver uploads IndexBatch* in kAwaitAnswer)
+//
+// A peer Error frame ends the session with the peer's status. A failure
+// the client detects (undecodable frame, wrong version, unrequested
+// PartialResult) ends it too, and Abort() hands the driver the Error
+// frame to send. An out-of-phase call fails with FailedPrecondition and
+// changes nothing.
 
 #ifndef PPSTATS_CORE_SESSION_FSM_H_
 #define PPSTATS_CORE_SESSION_FSM_H_
@@ -47,7 +59,7 @@ namespace ppstats {
 /// Protocol phases of a server-side session.
 enum class ServerFsmPhase : uint8_t {
   kHandshake,    ///< waiting for ClientHello
-  kAwaitQuery,   ///< v2: waiting for QueryHeader / Goodbye
+  kAwaitQuery,   ///< waiting for QueryHeader / Goodbye
   kAwaitChunks,  ///< waiting for IndexBatch frames of the open query
   kDone,         ///< terminal; final_status() says how it ended
 };
@@ -83,8 +95,8 @@ class ServerProtocolFsm {
   ServerFsmPhase phase() const { return phase_; }
   bool done() const { return phase_ == ServerFsmPhase::kDone; }
 
-  /// How the session ended (valid once done()): OK for a clean Goodbye
-  /// (or completed v1 query), the abort status otherwise.
+  /// How the session ended (valid once done()): OK for a clean Goodbye,
+  /// the abort status otherwise.
   const Status& final_status() const { return final_status_; }
 
   /// Per-session counters (ServerSession::metrics() reports these).
@@ -98,8 +110,6 @@ class ServerProtocolFsm {
   void OnHandshakeFrame(BytesView frame, ServerFsmOutput& out);
   void OnQueryFrame(BytesView frame, ServerFsmOutput& out);
   void OnChunkFrame(BytesView frame, ServerFsmOutput& out);
-  /// Opens the v1 implicit query (plain sum over the default column).
-  void OpenV1Query(ServerFsmOutput& out);
 
   const ColumnRegistry* registry_;
   ServerSessionOptions options_;
@@ -107,10 +117,87 @@ class ServerProtocolFsm {
   ServerFsmPhase phase_ = ServerFsmPhase::kHandshake;
   Status final_status_ = Status::OK();
   SessionMetrics metrics_;
-  uint16_t version_ = 0;
   std::optional<PaillierPublicKey> pub_;
   std::shared_ptr<QueryRouter> router_;       // set at handshake
   std::unique_ptr<QueryExecution> execution_; // the open query, if any
+};
+
+/// Protocol phases of a client-side session.
+enum class ClientFsmPhase : uint8_t {
+  kStart,        ///< nothing sent yet
+  kAwaitHello,   ///< ClientHello sent, waiting for ServerHello
+  kIdle,         ///< connected: Query() or Goodbye() next
+  kAwaitAccept,  ///< QueryHeader sent, waiting for QueryAccept
+  kAwaitAnswer,  ///< accepted: the driver uploads, then awaits the answer
+  kDone,         ///< terminal: goodbye sent, or the session failed
+};
+
+/// One decoded query answer: the encrypted sum, plus its shard coverage
+/// when the server flagged it as partial.
+struct ClientAnswer {
+  PaillierCiphertext sum;
+  std::optional<PartialResultInfo> partial;
+};
+
+/// See the file comment. Not thread-safe; one driver owns it.
+class ClientProtocolFsm {
+ public:
+  /// `key_blob` is the serialized public key the hello carries (a
+  /// coordinator forwards its client's blob verbatim); `pub` is the same
+  /// key, used to decode answers. `accept_partial` opts in to flagged
+  /// PartialResult answers (see ClientSessionOptions::accept_partial).
+  ClientProtocolFsm(Bytes key_blob, PaillierPublicKey pub,
+                    bool accept_partial);
+
+  /// kStart -> kAwaitHello: the ClientHello frame to send.
+  [[nodiscard]] Result<Bytes> Hello();
+
+  /// kAwaitHello -> kIdle: consumes the server's hello reply. Returns
+  /// the default column's size (0 when the server has none).
+  [[nodiscard]] Result<uint64_t> OnServerHello(BytesView frame);
+
+  /// kIdle -> kAwaitAccept: the QueryHeader frame that opens `header`.
+  [[nodiscard]] Result<Bytes> Query(const QueryHeaderMessage& header);
+
+  /// kAwaitAccept -> kAwaitAnswer: consumes the reply to the header and
+  /// returns the row count the index upload must cover.
+  [[nodiscard]] Result<uint64_t> OnAccept(BytesView frame);
+
+  /// kAwaitAnswer -> kIdle: consumes the query's answer (SumResponse,
+  /// or PartialResult when opted in).
+  [[nodiscard]] Result<ClientAnswer> OnAnswer(BytesView frame);
+
+  /// kIdle -> kDone: the Goodbye frame that ends the session cleanly.
+  [[nodiscard]] Result<Bytes> Goodbye();
+
+  /// Ends the session after a failed step and returns the Error frame
+  /// the driver owes the peer, if any: the one a failed call prepared
+  /// (carrying that call's status), else — for a failure the driver
+  /// detected itself while the session was live — one carrying
+  /// `status`. Nothing after a peer Error frame, a transport error or
+  /// Goodbye.
+  std::optional<Bytes> Abort(const Status& status);
+
+  /// The transport died: the session is over and nothing can be sent.
+  void OnTransportError();
+
+  ClientFsmPhase phase() const { return phase_; }
+  bool done() const { return phase_ == ClientFsmPhase::kDone; }
+
+ private:
+  /// FailedPrecondition unless the machine is in `expected`.
+  [[nodiscard]] Status Expect(ClientFsmPhase expected, const char* call) const;
+  /// Ends the session with `status`, owing the peer an Error frame.
+  Status Fail(Status status);
+  /// Common reply handling: a peer Error frame ends the session with the
+  /// peer's status; an unreadable type tag is a client-detected failure.
+  [[nodiscard]] Result<MessageType> Classify(BytesView frame);
+
+  Bytes key_blob_;
+  PaillierPublicKey pub_;
+  bool accept_partial_;
+  ClientFsmPhase phase_ = ClientFsmPhase::kStart;
+  std::optional<Bytes> error_frame_;
 };
 
 }  // namespace ppstats

@@ -61,7 +61,7 @@ bool IsRetryableStatus(const Status& status);
 
 /// A reusable dial closure: each call opens a fresh connection. The type
 /// matches core/session.h's ChannelFactory, so a dialer plugs straight
-/// into ConnectWithRetry/RunWithRetry.
+/// into QuerySession::ConnectWithRetry.
 using DialFn = std::function<Result<std::unique_ptr<Channel>>()>;
 
 /// Builds a dialer for an endpoint URI ("unix:/path", "tcp:host:port",

@@ -307,6 +307,9 @@ struct TestClusterConfig {
   PartialResultPolicy policy = PartialResultPolicy::kFail;
   size_t shard_attempts = 1;
   uint32_t shard_io_deadline_ms = 5000;
+  /// When nonzero, the last shard serves only this many of its rows
+  /// while the shard map still claims rows_per_shard.
+  size_t last_shard_served_rows = 0;
 };
 
 std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
@@ -320,6 +323,9 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
     for (size_t r = 0; r < slice.size(); ++r) {
       slice[r] = static_cast<uint32_t>(10 * (i * config.rows_per_shard + r) + 1);
       cluster->values.push_back(slice[r]);
+    }
+    if (i + 1 == config.shards && config.last_shard_served_rows != 0) {
+      slice.resize(config.last_shard_served_rows);
     }
     auto registry = std::make_unique<ColumnRegistry>();
     EXPECT_TRUE(registry->Register(Database("v", slice)).ok());
@@ -402,7 +408,6 @@ TEST_P(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
   ASSERT_TRUE(
       session.ConnectWithRetry(cluster->coordinator_host->bound_uri(), retry)
           .ok());
-  EXPECT_EQ(session.negotiated_version(), kSessionProtocolV2);
   EXPECT_EQ(session.server_rows(), rows);
 
   // Selections crossing every shard boundary, plus a single-shard one.
@@ -484,18 +489,146 @@ TEST_P(ClusterServiceTest, RejectsUnknownColumns) {
 TEST_P(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
   TestClusterConfig config;
   config.shards = 2;
-  auto cluster = StartCluster("v1", config);
+  // An empty column name selects the coordinator's default column.
+  auto cluster = StartCluster("default", config);
   const size_t rows = cluster->values.size();
 
   SelectionVector selection(rows, false);
   selection[0] = selection[rows - 1] = true;
   ChaCha20Rng rng(14);
-  ClientSession session(SharedKeyPair().private_key, selection, {}, rng);
+  QuerySession session(SharedKeyPair().private_key, rng);
   RetryOptions retry;
-  Result<BigInt> total =
-      session.RunWithRetry(cluster->coordinator_host->bound_uri(), retry);
+  ASSERT_TRUE(
+      session.ConnectWithRetry(cluster->coordinator_host->bound_uri(), retry)
+          .ok());
+  EXPECT_EQ(session.server_rows(), rows);
+  Result<BigInt> total = session.RunQuery(QuerySpec{}, selection);
   ASSERT_TRUE(total.ok()) << total.status().ToString();
   EXPECT_EQ(*total, BigInt(ExpectedSum(cluster->values, selection)));
+  EXPECT_TRUE(session.Finish().ok());
+}
+
+TEST_P(ClusterServiceTest, ShardRowCountContradictingItsMapIsAProtocolError) {
+  TestClusterConfig config;
+  config.shards = 2;
+  config.last_shard_served_rows = 5;  // the map says 8
+  auto cluster = StartCluster("rows", config);
+  const size_t rows = cluster->values.size();
+
+  ChaCha20Rng rng(15);
+  QuerySession session(SharedKeyPair().private_key, rng);
+  RetryOptions retry;
+  ASSERT_TRUE(
+      session.ConnectWithRetry(cluster->coordinator_host->bound_uri(), retry)
+          .ok());
+  QuerySpec spec;
+  spec.column = "v";
+  Result<BigInt> total = session.RunQuery(spec, SelectionVector(rows, true));
+  ASSERT_FALSE(total.ok());
+  EXPECT_EQ(total.status().code(), StatusCode::kProtocolError);
+  EXPECT_NE(total.status().ToString().find(
+                "shard row count does not match its shard map range"),
+            std::string::npos)
+      << total.status().ToString();
+}
+
+// A shard whose every answer is a flagged PartialResult, as a nested
+// coordinator missing a shard of its own would send upstream.
+class PartialAnswerRouter : public QueryRouter {
+ public:
+  explicit PartialAnswerRouter(uint64_t rows) : rows_(rows) {}
+
+  uint64_t DefaultRows() const override { return rows_; }
+  [[nodiscard]] Status OnClientHello(BytesView /*key_blob*/,
+                                     const PaillierPublicKey& /*pub*/) override {
+    return Status::OK();
+  }
+  [[nodiscard]] Result<OpenedQuery> Open(
+      const QueryHeaderMessage& /*header*/,
+      const PaillierPublicKey& pub) override {
+    OpenedQuery opened;
+    opened.rows = rows_;
+    opened.execution = std::make_unique<Answer>(pub);
+    return opened;
+  }
+
+ private:
+  // Answers the first index chunk (the coordinator sends each shard its
+  // whole slice in one) with a partial over E(0).
+  class Answer : public QueryExecution {
+   public:
+    explicit Answer(PaillierPublicKey pub) : pub_(std::move(pub)) {}
+    [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(
+        BytesView /*frame*/) override {
+      finished_ = true;
+      PartialResultMessage partial;
+      partial.sum = PaillierCiphertext{BigInt(1)};
+      partial.shards_total = 2;
+      partial.shards_responded = 1;
+      partial.rows_covered = 1;
+      return std::optional<Bytes>(partial.Encode(pub_));
+    }
+    bool Finished() const override { return finished_; }
+    double compute_seconds() const override { return 0; }
+
+   private:
+    PaillierPublicKey pub_;
+    bool finished_ = false;
+  };
+
+  uint64_t rows_;
+};
+
+TEST(ClusterCoordinatorTest, ShardPartialAnswerIsARetryableProtocolError) {
+  // A shard's partial would pass for its whole range, so the leg refuses
+  // it — as ProtocolError, which retries and feeds the partial policy.
+  const uint64_t rows = 4;
+  ColumnRegistry shard_registry;
+  ASSERT_TRUE(shard_registry.Register(Database("v", {1, 2, 3, 4})).ok());
+  ServiceHostOptions shard_options;
+  shard_options.router_factory = [rows] {
+    return std::make_shared<PartialAnswerRouter>(rows);
+  };
+  ServiceHost shard(&shard_registry, shard_options);
+  ASSERT_TRUE(shard
+                  .Start("unix:" + std::string(::testing::TempDir()) +
+                         "/cl_nested_s0.sock")
+                  .ok());
+
+  ColumnRegistry map;
+  ASSERT_TRUE(
+      map.SetShards("v", {MakeShard(0, shard.bound_uri(), 0, rows)}).ok());
+  ThreadPool pool(1);
+  CoordinatorOptions coordinator_options;
+  coordinator_options.shard_attempts = 2;
+  coordinator_options.retry.initial_backoff_ms = 1;
+  coordinator_options.retry.max_backoff_ms = 2;
+  coordinator_options.pool = &pool;
+  ShardCoordinator coordinator(&map, coordinator_options);
+  ASSERT_TRUE(coordinator.Validate().ok());
+  ServiceHostOptions host_options;
+  host_options.router_factory = coordinator.RouterFactory();
+  ServiceHost host(&map, host_options);
+  ASSERT_TRUE(host
+                  .Start("unix:" + std::string(::testing::TempDir()) +
+                         "/cl_nested_coord.sock")
+                  .ok());
+
+  ChaCha20Rng rng(16);
+  QuerySession session(SharedKeyPair().private_key, rng);
+  RetryOptions retry;
+  ASSERT_TRUE(session.ConnectWithRetry(host.bound_uri(), retry).ok());
+  Result<BigInt> total =
+      session.RunQuery(QuerySpec{}, SelectionVector(rows, true));
+  ASSERT_FALSE(total.ok());
+  EXPECT_EQ(total.status().code(), StatusCode::kProtocolError);
+  EXPECT_NE(total.status().ToString().find("shard answered with a partial"),
+            std::string::npos)
+      << total.status().ToString();
+  host.Stop();
+  shard.Stop();
+  // Retryable: the leg used both of its attempts.
+  EXPECT_EQ(shard.SnapshotStats().sessions_accepted, 2u);
 }
 
 // ---------------------------------------------------------------------------

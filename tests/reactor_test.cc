@@ -1,8 +1,8 @@
 // Unit coverage for the event-driven stack behind ServiceHost: the
-// hashed timer wheel, the reactor loop itself,
-// the sans-IO server protocol FSM, and — the property the whole design
-// exists for — thousands of simultaneous idle/slow clients served with
-// a flat process thread count.
+// hashed timer wheel, the reactor loop itself, the sans-IO server and
+// client protocol FSMs, and — the property the whole design exists
+// for — thousands of simultaneous idle/slow clients served with a flat
+// process thread count.
 
 #include "net/reactor.h"
 
@@ -347,13 +347,17 @@ TEST_F(ServerFsmTest, HandshakeThenGoodbyeEndsOk) {
 }
 
 TEST_F(ServerFsmTest, UnsupportedVersionAbortsWithErrorFrame) {
-  ServerProtocolFsm fsm(&registry_, options_);
-  ServerFsmOutput out = fsm.OnFrame(HelloFrame(99));
-  ASSERT_EQ(out.frames.size(), 1u);
-  EXPECT_TRUE(out.done);
-  ErrorMessage error = ErrorMessage::Decode(out.frames[0]).ValueOrDie();
-  EXPECT_EQ(static_cast<StatusCode>(error.code), StatusCode::kProtocolError);
-  EXPECT_EQ(fsm.final_status().code(), StatusCode::kProtocolError);
+  // 1 is the retired single-query protocol: refused like any other.
+  for (uint32_t version : {99u, 1u}) {
+    SCOPED_TRACE(version);
+    ServerProtocolFsm fsm(&registry_, options_);
+    ServerFsmOutput out = fsm.OnFrame(HelloFrame(version));
+    ASSERT_EQ(out.frames.size(), 1u);
+    EXPECT_TRUE(out.done);
+    ErrorMessage error = ErrorMessage::Decode(out.frames[0]).ValueOrDie();
+    EXPECT_EQ(static_cast<StatusCode>(error.code), StatusCode::kProtocolError);
+    EXPECT_EQ(fsm.final_status().code(), StatusCode::kProtocolError);
+  }
 }
 
 TEST_F(ServerFsmTest, GarbageHandshakeFrameAborts) {
@@ -410,6 +414,246 @@ TEST_F(ServerFsmTest, NoDatabaseFailsLocallyWithoutAFrame) {
   EXPECT_TRUE(out.frames.empty());  // misconfiguration owes the peer nothing
   EXPECT_TRUE(out.done);
   EXPECT_EQ(fsm.final_status().code(), StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// ClientProtocolFsm
+
+class ClientFsmTest : public ::testing::Test {
+ protected:
+  const PaillierPublicKey& pub() const { return FsmKeyPair().public_key; }
+
+  ClientProtocolFsm MakeFsm(bool accept_partial = false) const {
+    return ClientProtocolFsm(SerializePublicKey(pub()), pub(),
+                             accept_partial);
+  }
+
+  static Bytes ServerHelloFrame(uint32_t version, uint64_t rows) {
+    ServerHelloMessage hello;
+    hello.protocol_version = static_cast<uint16_t>(version);
+    hello.database_size = rows;
+    return hello.Encode();
+  }
+
+  static Bytes AcceptFrame(uint64_t rows) {
+    QueryAcceptMessage accept;
+    accept.rows = rows;
+    return accept.Encode();
+  }
+
+  PaillierCiphertext Encrypt(uint64_t value) const {
+    ChaCha20Rng rng(value + 1);
+    return Paillier::Encrypt(pub(), BigInt(value), rng).ValueOrDie();
+  }
+
+  Bytes SumFrame(uint64_t value) const {
+    SumResponseMessage response;
+    response.sum = Encrypt(value);
+    return response.Encode(pub());
+  }
+
+  Bytes PartialFrame(uint64_t value) const {
+    PartialResultMessage partial;
+    partial.sum = Encrypt(value);
+    partial.shards_total = 4;
+    partial.shards_responded = 3;
+    partial.rows_covered = 24;
+    return partial.Encode(pub());
+  }
+
+  static QueryHeaderMessage Header(const std::string& column) {
+    QueryHeaderMessage header;
+    header.kind = static_cast<uint8_t>(StatisticKind::kSumOfSquares);
+    header.column = column;
+    return header;
+  }
+
+  /// Drives `fsm` from kStart to `phase` over well-formed frames.
+  void DriveTo(ClientProtocolFsm& fsm, ClientFsmPhase phase) const {
+    if (phase == ClientFsmPhase::kStart) return;
+    ASSERT_TRUE(fsm.Hello().ok());
+    if (phase == ClientFsmPhase::kAwaitHello) return;
+    ASSERT_TRUE(fsm.OnServerHello(ServerHelloFrame(kSessionProtocolV2, 3)).ok());
+    if (phase == ClientFsmPhase::kIdle) return;
+    ASSERT_TRUE(fsm.Query(Header("col")).ok());
+    if (phase == ClientFsmPhase::kAwaitAccept) return;
+    ASSERT_TRUE(fsm.OnAccept(AcceptFrame(3)).ok());
+  }
+
+  /// Feeds `frame` to whichever call the phase awaits.
+  static Status Deliver(ClientProtocolFsm& fsm, BytesView frame) {
+    switch (fsm.phase()) {
+      case ClientFsmPhase::kAwaitHello:
+        return fsm.OnServerHello(frame).status();
+      case ClientFsmPhase::kAwaitAccept:
+        return fsm.OnAccept(frame).status();
+      default:
+        return fsm.OnAnswer(frame).status();
+    }
+  }
+
+  static constexpr ClientFsmPhase kReceivingPhases[] = {
+      ClientFsmPhase::kAwaitHello, ClientFsmPhase::kAwaitAccept,
+      ClientFsmPhase::kAwaitAnswer};
+};
+
+TEST_F(ClientFsmTest, HappyPathOverTwoQueries) {
+  ClientProtocolFsm fsm = MakeFsm();
+  EXPECT_EQ(fsm.phase(), ClientFsmPhase::kStart);
+  ClientHelloMessage hello =
+      ClientHelloMessage::Decode(fsm.Hello().ValueOrDie()).ValueOrDie();
+  EXPECT_EQ(hello.protocol_version, kSessionProtocolV2);
+  EXPECT_EQ(hello.public_key_blob, SerializePublicKey(pub()));
+  EXPECT_EQ(fsm.phase(), ClientFsmPhase::kAwaitHello);
+  EXPECT_EQ(fsm.OnServerHello(ServerHelloFrame(kSessionProtocolV2, 7))
+                .ValueOrDie(),
+            7u);
+
+  for (uint64_t q = 0; q < 2; ++q) {
+    SCOPED_TRACE(q);
+    EXPECT_EQ(fsm.phase(), ClientFsmPhase::kIdle);
+    const std::string column = q == 0 ? "age" : "income";
+    QueryHeaderMessage header = QueryHeaderMessage::Decode(
+        fsm.Query(Header(column)).ValueOrDie()).ValueOrDie();
+    EXPECT_EQ(header.column, column);
+    EXPECT_EQ(header.kind, static_cast<uint8_t>(StatisticKind::kSumOfSquares));
+    EXPECT_EQ(fsm.phase(), ClientFsmPhase::kAwaitAccept);
+    EXPECT_EQ(fsm.OnAccept(AcceptFrame(5 + q)).ValueOrDie(), 5 + q);
+    EXPECT_EQ(fsm.phase(), ClientFsmPhase::kAwaitAnswer);
+    ClientAnswer answer = fsm.OnAnswer(SumFrame(100 + q)).ValueOrDie();
+    EXPECT_EQ(answer.sum, Encrypt(100 + q));
+    EXPECT_FALSE(answer.partial.has_value());
+  }
+
+  EXPECT_EQ(PeekMessageType(fsm.Goodbye().ValueOrDie()).ValueOrDie(),
+            MessageType::kGoodbye);
+  EXPECT_TRUE(fsm.done());
+  EXPECT_FALSE(fsm.Abort(Status::Internal("late")).has_value());
+}
+
+TEST_F(ClientFsmTest, PeerErrorFrameSurfacesAsThePeersStatus) {
+  for (ClientFsmPhase phase : kReceivingPhases) {
+    SCOPED_TRACE(static_cast<int>(phase));
+    ClientProtocolFsm fsm = MakeFsm();
+    DriveTo(fsm, phase);
+    Status status =
+        Deliver(fsm, EncodeErrorFrame(Status::NotFound("unknown column: x")));
+    EXPECT_EQ(status.code(), StatusCode::kNotFound);
+    EXPECT_NE(status.message().find("unknown column: x"), std::string::npos);
+    EXPECT_TRUE(fsm.done());
+    // The peer has already given up: it is owed no Error frame.
+    EXPECT_FALSE(fsm.Abort(status).has_value());
+  }
+}
+
+TEST_F(ClientFsmTest, PartialResultWithoutOptInFailsWithAnErrorFrame) {
+  ClientProtocolFsm fsm = MakeFsm(/*accept_partial=*/false);
+  DriveTo(fsm, ClientFsmPhase::kAwaitAnswer);
+  Result<ClientAnswer> answer = fsm.OnAnswer(PartialFrame(40));
+  EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(fsm.done());
+  std::optional<Bytes> error = fsm.Abort(answer.status());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(StatusFromErrorFrame(*error).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(fsm.Abort(answer.status()).has_value());  // owed once
+}
+
+TEST_F(ClientFsmTest, PartialResultWithOptInReturnsItsCoverage) {
+  ClientProtocolFsm fsm = MakeFsm(/*accept_partial=*/true);
+  DriveTo(fsm, ClientFsmPhase::kAwaitAnswer);
+  ClientAnswer answer = fsm.OnAnswer(PartialFrame(40)).ValueOrDie();
+  EXPECT_EQ(answer.sum, Encrypt(40));
+  ASSERT_TRUE(answer.partial.has_value());
+  EXPECT_EQ(answer.partial->shards_total, 4u);
+  EXPECT_EQ(answer.partial->shards_responded, 3u);
+  EXPECT_EQ(answer.partial->rows_covered, 24u);
+  EXPECT_EQ(fsm.phase(), ClientFsmPhase::kIdle);
+}
+
+TEST_F(ClientFsmTest, OutOfPhaseCallsFailAndChangeNothing) {
+  ClientProtocolFsm fsm = MakeFsm();
+  EXPECT_EQ(fsm.Query(Header("col")).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fsm.Goodbye().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fsm.phase(), ClientFsmPhase::kStart);
+
+  DriveTo(fsm, ClientFsmPhase::kIdle);
+  EXPECT_EQ(fsm.Hello().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fsm.OnAnswer(SumFrame(1)).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fsm.OnAccept(AcceptFrame(3)).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fsm.phase(), ClientFsmPhase::kIdle);
+
+  ASSERT_TRUE(fsm.Goodbye().ok());
+  EXPECT_EQ(fsm.Query(Header("col")).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(fsm.done());
+}
+
+TEST_F(ClientFsmTest, GarbageInEachPhaseGivesATypedStatusAndAnErrorFrame) {
+  struct Case {
+    const char* name;
+    Bytes frame;
+    StatusCode code;
+  };
+  for (ClientFsmPhase phase : kReceivingPhases) {
+    // The frame this phase awaits, cut short.
+    Bytes truncated = phase == ClientFsmPhase::kAwaitHello
+                          ? ServerHelloFrame(kSessionProtocolV2, 3)
+                      : phase == ClientFsmPhase::kAwaitAccept ? AcceptFrame(3)
+                                                              : SumFrame(1);
+    truncated.resize(truncated.size() / 2);
+    const std::vector<Case> cases = {
+        {"empty", Bytes{}, StatusCode::kSerializationError},
+        {"unknown tag", Bytes{0xDE, 0xAD, 0xBE, 0xEF},
+         StatusCode::kProtocolError},
+        {"wrong type", GoodbyeMessage{}.Encode(), StatusCode::kProtocolError},
+        {"truncated", truncated, StatusCode::kSerializationError},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " in phase " +
+                   std::to_string(static_cast<int>(phase)));
+      ClientProtocolFsm fsm = MakeFsm();
+      DriveTo(fsm, phase);
+      Status status = Deliver(fsm, c.frame);
+      EXPECT_EQ(status.code(), c.code) << status;
+      EXPECT_TRUE(fsm.done());
+      std::optional<Bytes> error = fsm.Abort(status);
+      ASSERT_TRUE(error.has_value());
+      EXPECT_EQ(StatusFromErrorFrame(*error).code(), c.code);
+    }
+  }
+}
+
+TEST_F(ClientFsmTest, ServerHelloWithAnotherVersionIsAProtocolError) {
+  for (uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE(version);
+    ClientProtocolFsm fsm = MakeFsm();
+    DriveTo(fsm, ClientFsmPhase::kAwaitHello);
+    Result<uint64_t> rows = fsm.OnServerHello(ServerHelloFrame(version, 3));
+    EXPECT_EQ(rows.status().code(), StatusCode::kProtocolError);
+    std::optional<Bytes> error = fsm.Abort(rows.status());
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(StatusFromErrorFrame(*error).code(), StatusCode::kProtocolError);
+  }
+}
+
+TEST_F(ClientFsmTest, DriverAbortOwesAFrameButATransportErrorDoesNot) {
+  ClientProtocolFsm aborted = MakeFsm();
+  DriveTo(aborted, ClientFsmPhase::kAwaitAnswer);
+  std::optional<Bytes> error =
+      aborted.Abort(Status::InvalidArgument("weights length != query row count"));
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(StatusFromErrorFrame(*error).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(aborted.done());
+
+  ClientProtocolFsm broken = MakeFsm();
+  DriveTo(broken, ClientFsmPhase::kAwaitAccept);
+  broken.OnTransportError();
+  EXPECT_TRUE(broken.done());
+  EXPECT_FALSE(broken.Abort(Status::ProtocolError("closed")).has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -207,35 +207,5 @@ TEST(RetryTest, ConnectDeadlineStillDialsALiveListener) {
   EXPECT_TRUE(channel.ok()) << channel.status().ToString();
 }
 
-TEST(RetryTest, ClientSessionRunWithRetry) {
-  // A v1 query is a pure read, so the whole run replays safely after a
-  // dead transport.
-  ChaCha20Rng rng(6);
-  WorkloadGenerator gen(rng);
-  Database db = gen.UniformDatabase(20, 100);
-  SelectionVector sel = gen.RandomSelection(20, 8);
-  uint64_t truth = db.SelectedSum(sel).ValueOrDie();
-
-  FlakyDialer dialer;
-  dialer.db = &db;
-  dialer.failures = 1;
-  ChaCha20Rng client_rng(7);
-  ClientSession client(SharedKeyPair().private_key, sel, {5}, client_rng);
-  RetryOptions retry;
-  retry.max_attempts = 3;
-  retry.initial_backoff_ms = 1;
-  retry.max_backoff_ms = 2;
-  Result<BigInt> sum =
-      client.RunWithRetry([&dialer] { return dialer(); }, retry);
-  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-  EXPECT_EQ(*sum, BigInt(truth));
-  EXPECT_EQ(client.retry_metrics().attempts, 2u);
-  // Still single-shot overall.
-  EXPECT_EQ(client.RunWithRetry([&dialer] { return dialer(); }, retry)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
 }  // namespace
 }  // namespace ppstats

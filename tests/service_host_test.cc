@@ -75,6 +75,18 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
+// Connects on `channel`, runs one plain sum over the host's default
+// column, and ends the session with Goodbye (so the host counts it ok).
+Result<BigInt> QueryOnce(Channel& channel, const SelectionVector& sel,
+                         uint64_t seed) {
+  ChaCha20Rng rng(seed);
+  QuerySession client(SharedKeyPair().private_key, rng);
+  PPSTATS_RETURN_IF_ERROR(client.Connect(channel));
+  PPSTATS_ASSIGN_OR_RETURN(BigInt sum, client.RunQuery(QuerySpec{}, sel));
+  PPSTATS_RETURN_IF_ERROR(client.Finish());
+  return sum;
+}
+
 class ServiceHostTest : public ::testing::TestWithParam<HostEngine> {
  protected:
   std::string SocketPath(const char* name) const {
@@ -199,16 +211,14 @@ TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   ASSERT_TRUE(registry.Register(db).ok());
   // Sole column becomes the default.
   ServiceHost host(&registry);
-  std::string path = SocketPath("svc_v1");
+  std::string path = SocketPath("svc_counts");
   ASSERT_TRUE(host.Start(path).ok());
 
-  // A v1 ClientSession works against the host unchanged.
+  // A plain sum over the default column (the paper's Fig 1 query).
   {
     auto channel = ConnectUnixSocket(path).ValueOrDie();
-    ChaCha20Rng rng(11);
     SelectionVector sel = {true, false, true, false};
-    ClientSession client(SharedKeyPair().private_key, sel, {}, rng);
-    EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(12));
+    EXPECT_EQ(QueryOnce(*channel, sel, 11).ValueOrDie(), BigInt(12));
   }
 
   // A client asking for an unknown column fails its session with an
@@ -245,7 +255,8 @@ TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   EXPECT_EQ(stats.sessions_accepted, 3u);
   EXPECT_EQ(stats.sessions_ok, 2u);
   EXPECT_EQ(stats.sessions_failed, 1u);
-  // One v1 query + zero from the aborted session + one v2 query.
+  // One query each from the two sessions that completed; none from the
+  // aborted one.
   EXPECT_EQ(stats.queries_served, 2u);
   // One shared key across all three sessions: cached once.
   EXPECT_EQ(stats.distinct_client_keys, 1u);
@@ -453,10 +464,8 @@ TEST_P(ServiceHostTest, AcceptingSurvivesFdExhaustion) {
 
   // Once the pressure clears, the very next connection is served.
   auto channel = ConnectUnixSocket(path).ValueOrDie();
-  ChaCha20Rng rng(31);
   SelectionVector sel = {true, false};
-  ClientSession client(SharedKeyPair().private_key, sel, {}, rng);
-  EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(7));
+  EXPECT_EQ(QueryOnce(*channel, sel, 31).ValueOrDie(), BigInt(7));
 
   host.Stop();
   EXPECT_EQ(host.SnapshotStats().sessions_accepted, 1u);
@@ -474,10 +483,8 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   ASSERT_TRUE(host.Start(path).ok());
   {
     auto channel = ConnectUnixSocket(path).ValueOrDie();
-    ChaCha20Rng rng(51);
     SelectionVector sel = {true, true};
-    ClientSession client(SharedKeyPair().private_key, sel, {}, rng);
-    EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(19));
+    EXPECT_EQ(QueryOnce(*channel, sel, 51).ValueOrDie(), BigInt(19));
   }
   host.Stop();
   ServiceHost::Stats first = host.SnapshotStats();
@@ -492,10 +499,8 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   EXPECT_EQ(fresh.distinct_client_keys, 0u);
   {
     auto channel = ConnectUnixSocket(path).ValueOrDie();
-    ChaCha20Rng rng(52);
     SelectionVector sel = {false, true};
-    ClientSession client(SharedKeyPair().private_key, sel, {}, rng);
-    EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(10));
+    EXPECT_EQ(QueryOnce(*channel, sel, 52).ValueOrDie(), BigInt(10));
   }
   host.Stop();
   ServiceHost::Stats second = host.SnapshotStats();
@@ -559,10 +564,8 @@ TEST_P(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
 
   {
     auto channel = ConnectUnixSocket(path).ValueOrDie();
-    ChaCha20Rng rng(62);
     SelectionVector sel = {true, true, false, false};
-    ClientSession client(SharedKeyPair().private_key, sel, {}, rng);
-    EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(3));
+    EXPECT_EQ(QueryOnce(*channel, sel, 62).ValueOrDie(), BigInt(3));
   }
   host.Stop();
 

@@ -10,6 +10,7 @@
 #include "core/messages.h"
 #include "crypto/key_io.h"
 #include "crypto/chacha20_rng.h"
+#include "crypto/sha256.h"
 #include "db/workload.h"
 #include "net/socket_channel.h"
 
@@ -25,6 +26,20 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
+// Connects on `channel`, runs one plain sum over the server's default
+// column, and ends the session.
+Result<BigInt> QueryOnce(Channel& channel, const SelectionVector& sel,
+                         size_t chunk, uint64_t seed) {
+  ChaCha20Rng rng(seed);
+  ClientSessionOptions options;
+  options.chunk_size = chunk;
+  QuerySession client(SharedKeyPair().private_key, rng, options);
+  PPSTATS_RETURN_IF_ERROR(client.Connect(channel));
+  PPSTATS_ASSIGN_OR_RETURN(BigInt sum, client.RunQuery(QuerySpec{}, sel));
+  PPSTATS_RETURN_IF_ERROR(client.Finish());
+  return sum;
+}
+
 // Runs one full session: server on a thread, client on this one.
 Result<BigInt> RunSession(const Database& db, const SelectionVector& sel,
                           size_t chunk, uint64_t seed) {
@@ -34,9 +49,7 @@ Result<BigInt> RunSession(const Database& db, const SelectionVector& sel,
     ServerSession session(&db);
     server_status = session.Serve(*server_end);
   });
-  ChaCha20Rng rng(seed);
-  ClientSession client(SharedKeyPair().private_key, sel, {chunk}, rng);
-  Result<BigInt> sum = client.Run(*client_end);
+  Result<BigInt> sum = QueryOnce(*client_end, sel, chunk, seed);
   server_thread.join();
   if (sum.ok() && !server_status.ok()) return server_status;
   return sum;
@@ -65,9 +78,7 @@ TEST(SessionTest, WorksOverRealSockets) {
     ServerSession session(&db);
     server_status = session.Serve(*pair.second);
   });
-  ChaCha20Rng client_rng(43);
-  ClientSession client(SharedKeyPair().private_key, sel, {7}, client_rng);
-  Result<BigInt> sum = client.Run(*pair.first);
+  Result<BigInt> sum = QueryOnce(*pair.first, sel, 7, 43);
   server_thread.join();
   ASSERT_TRUE(server_status.ok()) << server_status;
   EXPECT_EQ(*sum, BigInt(truth));
@@ -84,22 +95,27 @@ TEST(SessionTest, SelectionSizeMismatchAbortsBothSides) {
 }
 
 TEST(SessionTest, ServerRejectsUnknownVersion) {
-  Database db("d", {1, 2, 3});
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  std::thread server_thread([&db, &server_end, &server_status] {
-    ServerSession session(&db);
-    server_status = session.Serve(*server_end);
-  });
+  // 1 is the retired single-query protocol: refused like any other.
+  for (uint32_t version : {99u, 1u}) {
+    SCOPED_TRACE(version);
+    Database db("d", {1, 2, 3});
+    auto [client_end, server_end] = DuplexPipe::Create();
+    Status server_status = Status::OK();
+    std::thread server_thread([&db, &server_end, &server_status] {
+      ServerSession session(&db);
+      server_status = session.Serve(*server_end);
+    });
 
-  ClientHelloMessage hello;
-  hello.protocol_version = 99;
-  hello.public_key_blob = SerializePublicKey(SharedKeyPair().public_key);
-  ASSERT_TRUE(client_end->Send(hello.Encode()).ok());
-  Bytes reply = client_end->Receive().ValueOrDie();
-  EXPECT_EQ(PeekMessageType(reply).ValueOrDie(), MessageType::kError);
-  server_thread.join();
-  EXPECT_FALSE(server_status.ok());
+    ClientHelloMessage hello;
+    hello.protocol_version = static_cast<uint16_t>(version);
+    hello.public_key_blob = SerializePublicKey(SharedKeyPair().public_key);
+    ASSERT_TRUE(client_end->Send(hello.Encode()).ok());
+    Bytes reply = client_end->Receive().ValueOrDie();
+    EXPECT_EQ(PeekMessageType(reply).ValueOrDie(), MessageType::kError);
+    EXPECT_EQ(StatusFromErrorFrame(reply).code(), StatusCode::kProtocolError);
+    server_thread.join();
+    EXPECT_EQ(server_status.code(), StatusCode::kProtocolError);
+  }
 }
 
 TEST(SessionTest, ServerRejectsGarbagePublicKey) {
@@ -112,7 +128,7 @@ TEST(SessionTest, ServerRejectsGarbagePublicKey) {
   });
 
   ClientHelloMessage hello;
-  hello.protocol_version = kSessionProtocolVersion;
+  hello.protocol_version = kSessionProtocolV2;
   hello.public_key_blob = Bytes{1, 2, 3, 4};
   ASSERT_TRUE(client_end->Send(hello.Encode()).ok());
   Bytes reply = client_end->Receive().ValueOrDie();
@@ -159,23 +175,6 @@ TEST(SessionTest, SilentClientIsEvictedWithDeadlineErrorFrame) {
             StatusCode::kDeadlineExceeded);
 }
 
-TEST(SessionTest, ClientSessionIsSingleShot) {
-  Database db("d", {1, 2, 3});
-  SelectionVector sel = {true, false, true};
-  auto [client_end, server_end] = DuplexPipe::Create();
-  std::thread server_thread([&db, &server_end] {
-    ServerSession session(&db);
-    session.Serve(*server_end).IgnoreError();
-  });
-  ChaCha20Rng rng(77);
-  ClientSession client(SharedKeyPair().private_key, sel, {}, rng);
-  ASSERT_TRUE(client.Run(*client_end).ok());
-  server_thread.join();
-  Result<BigInt> again = client.Run(*client_end);
-  EXPECT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(SessionTest, QuerySessionRunsManyQueriesOverOneConnection) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("age", {30, 40, 50, 60})).ok());
@@ -194,7 +193,6 @@ TEST(SessionTest, QuerySessionRunsManyQueriesOverOneConnection) {
   ChaCha20Rng rng(88);
   QuerySession session(SharedKeyPair().private_key, rng);
   ASSERT_TRUE(session.Connect(*client_end).ok());
-  EXPECT_EQ(session.negotiated_version(), kSessionProtocolV2);
   EXPECT_EQ(session.server_rows(), 4u);
 
   SelectionVector sel = {true, false, true, false};
@@ -266,51 +264,120 @@ TEST(SessionTest, UnknownStatisticKindAbortsSession) {
   EXPECT_FALSE(server_status.ok());
 }
 
-TEST(SessionTest, QuerySessionFallsBackToV1Semantics) {
-  Database db("d", {5, 6, 7});
+TEST(SessionTest, QuerySessionRejectsV1ServerHello) {
+  // A server answering with the retired version 1 is refused: the
+  // client tells it why and does not connect.
   auto [client_end, server_end] = DuplexPipe::Create();
-  std::thread server_thread([&db, &server_end] {
-    // Simulates an old v1-only server: replies with version 1 and serves
-    // a single plain sum over its database.
-    ClientHelloMessage hello =
-        ClientHelloMessage::Decode(server_end->Receive().ValueOrDie())
-            .ValueOrDie();
-    PaillierPublicKey pub =
-        DeserializePublicKey(hello.public_key_blob).ValueOrDie();
+  server_end->set_read_deadline(std::chrono::milliseconds(5000));
+  Result<Bytes> client_error = Status::Internal("no reply read");
+  std::thread server_thread([&server_end, &client_error] {
+    ASSERT_TRUE(server_end->Receive().ok());  // ClientHello
     ServerHelloMessage reply;
-    reply.protocol_version = kSessionProtocolV1;
-    reply.database_size = db.size();
+    reply.protocol_version = 1;
+    reply.database_size = 3;
     ASSERT_TRUE(server_end->Send(reply.Encode()).ok());
-    SumServer server(pub, &db);
-    while (!server.Finished()) {
-      Bytes frame = server_end->Receive().ValueOrDie();
-      auto response = server.HandleRequest(frame).ValueOrDie();
-      if (response.has_value()) {
-        ASSERT_TRUE(server_end->Send(*response).ok());
-      }
-    }
+    client_error = server_end->Receive();
   });
 
   ChaCha20Rng rng(90);
   QuerySession session(SharedKeyPair().private_key, rng);
-  ASSERT_TRUE(session.Connect(*client_end).ok());
-  EXPECT_EQ(session.negotiated_version(), kSessionProtocolV1);
-  EXPECT_EQ(session.server_rows(), 3u);
-
-  // v1 cannot serve named columns or other statistic kinds.
-  QuerySpec sq_spec;
-  sq_spec.kind = StatisticKind::kSumOfSquares;
-  SelectionVector sel = {true, true, false};
-  EXPECT_EQ(session.RunQuery(sq_spec, sel).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  EXPECT_EQ(session.RunQuery(QuerySpec{}, sel).ValueOrDie(), BigInt(11));
+  Status status = session.Connect(*client_end);
   server_thread.join();
-
-  // One query per v1 session.
-  EXPECT_EQ(session.RunQuery(QuerySpec{}, sel).status().code(),
+  EXPECT_EQ(status.code(), StatusCode::kProtocolError) << status;
+  ASSERT_TRUE(client_error.ok()) << client_error.status();
+  EXPECT_EQ(StatusFromErrorFrame(*client_error).code(),
+            StatusCode::kProtocolError);
+  EXPECT_EQ(session.RunQuery(QuerySpec{}, SelectionVector{true, true, true})
+                .status()
+                .code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(session.Finish().ok());
+}
+
+TEST(SessionTest, FailedQueryEndsTheSession) {
+  // After a failed query the server has aborted and the stream is out
+  // of step: a further query must fail locally without writing a frame.
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(Database("age", {1, 2})).ok());
+  auto [client_end, server_end] = DuplexPipe::Create();
+  std::thread server_thread([&registry, &server_end] {
+    ServerSession session(&registry, {});
+    session.Serve(*server_end).IgnoreError();
+  });
+
+  ChaCha20Rng rng(91);
+  QuerySession session(SharedKeyPair().private_key, rng);
+  ASSERT_TRUE(session.Connect(*client_end).ok());
+  QuerySpec unknown;
+  unknown.column = "nope";
+  EXPECT_EQ(session.RunQuery(unknown, SelectionVector{true, false})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  server_thread.join();
+  server_end.reset();
+
+  const uint64_t frames_before = client_end->sent().messages;
+  QuerySpec known;
+  known.column = "age";
+  EXPECT_EQ(session.RunQuery(known, SelectionVector{true, true})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(client_end->sent().messages, frames_before);
+}
+
+// Forwards to `inner`, folding every frame sent through it into a
+// SHA-256 digest.
+class HashingChannel : public Channel {
+ public:
+  explicit HashingChannel(Channel& inner) : inner_(inner) {}
+  Status Send(BytesView message) override {
+    hasher_.Update(message);
+    return inner_.Send(message);
+  }
+  Result<Bytes> Receive() override { return inner_.Receive(); }
+  TrafficStats sent() const override { return inner_.sent(); }
+  std::string Digest() { return ToHex(hasher_.Finish()); }
+
+ private:
+  Channel& inner_;
+  Sha256 hasher_;
+};
+
+TEST(SessionTest, SeededSessionFramesMatchGoldenDigest) {
+  // Every client->server frame of a seeded two-query session (hello,
+  // query headers, index chunks, goodbye): the wire format is pinned.
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(Database("age", {30, 40, 50, 60, 70})).ok());
+  ASSERT_TRUE(registry.Register(Database("income", {1, 2, 3, 4, 5})).ok());
+  auto [client_end, server_end] = DuplexPipe::Create();
+  Status server_status = Status::OK();
+  std::thread server_thread([&] {
+    ServerSessionOptions options;
+    options.default_column = registry.Find("age");
+    ServerSession session(&registry, options);
+    server_status = session.Serve(*server_end);
+  });
+
+  HashingChannel channel(*client_end);
+  ChaCha20Rng rng(92);
+  ClientSessionOptions options;
+  options.chunk_size = 2;
+  QuerySession session(SharedKeyPair().private_key, rng, options);
+  ASSERT_TRUE(session.Connect(channel).ok());
+  SelectionVector sel = {true, false, true, true, false};
+  EXPECT_EQ(session.RunQuery(QuerySpec{}, sel).ValueOrDie(), BigInt(140));
+  QuerySpec squares;
+  squares.kind = StatisticKind::kSumOfSquares;
+  squares.column = "income";
+  EXPECT_EQ(session.RunQuery(squares, sel).ValueOrDie(), BigInt(1 + 9 + 16));
+  ASSERT_TRUE(session.Finish().ok());
+  server_thread.join();
+  EXPECT_TRUE(server_status.ok()) << server_status;
+  // Captured before the client moved onto ClientProtocolFsm.
+  EXPECT_EQ(channel.Digest(),
+            "d4f9410c76ad78de658129a1215a99d7"
+            "552b2450793c7fd009686a0620086c09");
 }
 
 TEST(SessionTest, SequentialSessionsOnFreshChannels) {
@@ -366,10 +433,8 @@ TEST(SocketChannelTest, ListenerAcceptsAndServes) {
   });
 
   auto channel = ConnectUnixSocket(path).ValueOrDie();
-  ChaCha20Rng rng(7);
   SelectionVector sel = {true, false, true, false};
-  ClientSession client(SharedKeyPair().private_key, sel, {}, rng);
-  Result<BigInt> sum = client.Run(*channel);
+  Result<BigInt> sum = QueryOnce(*channel, sel, 0, 7);
   server_thread.join();
   ASSERT_TRUE(server_status.ok()) << server_status;
   EXPECT_EQ(*sum, BigInt(12));

@@ -290,7 +290,7 @@ PipelinedUpload BuildUpload(const Database& db, size_t queries,
   ChaCha20Rng rng(seed);
   WorkloadGenerator gen(rng);
   ClientHelloMessage hello;
-  hello.protocol_version = kSessionProtocolVersion;
+  hello.protocol_version = kSessionProtocolV2;
   hello.public_key_blob =
       SerializePublicKey(SharedKeyPair().private_key.public_key());
   AppendFrame(&upload.blob, hello.Encode());

@@ -23,7 +23,7 @@
 // count, and modulus.
 //
 // Each --db registers one named column (the name defaults to the file
-// path); v2 clients address columns by name and may run several queries
+// path); clients address columns by name and may run several queries
 // per connection. Concurrent clients are served on an epoll event loop
 // (core/service_host.h): --reactor-threads sets the number of
 // event-loop shards (each with its own listener; TCP shards share the
