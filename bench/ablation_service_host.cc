@@ -44,6 +44,7 @@
 #include "core/messages.h"
 #include "core/selected_sum.h"
 #include "core/service_host.h"
+#include "core/session.h"
 #include "crypto/key_io.h"
 #include "net/fault_injection.h"
 #include "net/socket_channel.h"
@@ -568,7 +569,7 @@ int RunChaosMode() {
         // Each dial wraps the fresh socket in the client-side fault
         // layer; the wrapper pointer stays valid inside the session.
         FaultInjectingChannel* wrapper = nullptr;
-        ChannelFactory dial =
+        DialFn dial =
             [&]() -> Result<std::unique_ptr<Channel>> {
           auto socket = ConnectUnixSocket(path);
           if (!socket.ok()) return socket.status();

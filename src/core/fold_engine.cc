@@ -26,6 +26,24 @@ Status ColumnRowSource::ReadRows(size_t begin, std::span<uint64_t> out) {
   return Status::OK();
 }
 
+Status WriteColumnFile(const Database& db, const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::Internal("cannot write column file: " + path);
+  uint32_t count = static_cast<uint32_t>(db.size());
+  uint8_t header[4] = {
+      static_cast<uint8_t>(count), static_cast<uint8_t>(count >> 8),
+      static_cast<uint8_t>(count >> 16), static_cast<uint8_t>(count >> 24)};
+  out.write(reinterpret_cast<const char*>(header), 4);
+  for (uint32_t v : db.values()) {
+    uint8_t cell[4] = {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8),
+                       static_cast<uint8_t>(v >> 16),
+                       static_cast<uint8_t>(v >> 24)};
+    out.write(reinterpret_cast<const char*>(cell), 4);
+  }
+  if (!out) return Status::Internal("write failed: " + path);
+  return Status::OK();
+}
+
 Result<std::unique_ptr<FileRowSource>> FileRowSource::Open(
     const std::string& path) {
   std::ifstream file(path, std::ios::binary);

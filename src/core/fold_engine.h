@@ -1,8 +1,8 @@
 // Fold engine: the one implementation of the server-side homomorphic
 // fold prod_i E(I_i)^{e_i} mod n^2.
 //
-// Every server variant — in-memory SumServer, file-backed
-// StreamingSumServer, the packed Damgård–Jurik multi-sum, the PIR row
+// Every server variant — SumServer over an in-memory column or a
+// file-backed one, the packed Damgård–Jurik multi-sum, the PIR row
 // folds — is this fold over a different row source and exponent rule.
 // The engine owns the chunk ordering, the ThreadPool slicing, and the
 // Montgomery-form accumulators; rows come from a pluggable RowSource and
@@ -73,8 +73,16 @@ class ColumnRowSource : public RowSource {
   const Database* db_;
 };
 
-/// Rows paged in from a binary column file (see WriteColumnFile in
-/// core/streaming_server.h): resident state is one chunk, not the table.
+/// Writes a database as the binary column file FileRowSource reads: u32
+/// row count, then row values as little-endian u32.
+[[nodiscard]] Status WriteColumnFile(const Database& db,
+                                     const std::string& path);
+
+/// Rows paged in from a binary column file (see WriteColumnFile). The
+/// paper's Section 3.2 notes that batching means "the server need only
+/// hold a single database chunk in memory at one time": a SumServer over
+/// this source reads exactly the rows each IndexBatch covers, so its
+/// resident state is one chunk, not the table.
 class FileRowSource : public RowSource {
  public:
   /// Opens `path`; fails if the file is missing, truncated, or sized

@@ -1,10 +1,9 @@
-// The query execution seam between the session protocol drivers and
+// The query execution seam between the server protocol machine and
 // whatever actually answers a query.
 //
-// The server protocol (ServerProtocolFsm, driven by the blocking
-// ServerSession::Serve or by the reactor host) speaks the session frame
-// protocol but used to be hard-wired to a local SumServer fold. This
-// header splits that dependency in two:
+// The server protocol (ServerProtocolFsm, driven by the reactor host)
+// speaks the session frame protocol and nothing else; what answers a
+// query is split in two:
 //
 //  * QueryRouter — per-session policy object: resolves a QueryHeader
 //    into an opened query. The default LocalQueryRouter compiles
@@ -15,13 +14,15 @@
 //    frames and eventually yields one encoded response frame, exactly
 //    the SumServer::HandleRequest contract.
 //
-// ServiceHostOptions::router_factory plugs a custom router into every
-// session of a host; sessions without one build a LocalQueryRouter.
+// ServiceHost resolves one QueryRouterFactory at Start and hands every
+// session a fresh router from it: ServiceHostOptions::router_factory
+// when set, else a LocalQueryRouter over the host's registry.
 
 #ifndef PPSTATS_CORE_QUERY_EXEC_H_
 #define PPSTATS_CORE_QUERY_EXEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -54,10 +55,9 @@ struct ShardBlindConfig {
 ///
 /// Threading: like its QueryRouter, an execution belongs to exactly
 /// one session and is only ever driven by that session's FSM, which
-/// its driver never calls concurrently (the blocking ServerSession
-/// thread, or one pool task at a time under the reactor host), so
-/// implementations hold no locks. Anything
-/// an implementation fans out to other threads internally (e.g. the
+/// the reactor host never calls concurrently (one pool task at a time
+/// per session), so implementations hold no locks. Anything an
+/// implementation fans out to other threads internally (e.g. the
 /// SumServer worker pool) must be joined before HandleRequest returns.
 class QueryExecution {
  public:
@@ -105,6 +105,9 @@ class QueryRouter {
       const QueryHeaderMessage& header, const PaillierPublicKey& pub) = 0;
 };
 
+/// Builds the router for one new session.
+using QueryRouterFactory = std::function<std::shared_ptr<QueryRouter>()>;
+
 /// Wraps a CompiledQuery + SumServer fold as a QueryExecution.
 class LocalQueryExecution : public QueryExecution {
  public:
@@ -123,8 +126,8 @@ class LocalQueryExecution : public QueryExecution {
   SumServer server_;
 };
 
-/// Everything LocalQueryRouter needs besides the registry (mirrors the
-/// corresponding ServerSessionOptions fields).
+/// Everything LocalQueryRouter needs besides the registry. ServiceHost
+/// fills it once per Start from its options.
 struct LocalRouterConfig {
   const Database* default_column = nullptr;
   size_t worker_threads = 1;

@@ -104,14 +104,12 @@ struct ReactorEngine::SessionState {
   bool closed = false;
 };
 
-ReactorEngine::ReactorEngine(const ColumnRegistry* registry,
-                             const Database* default_column,
-                             const ServiceHostOptions& options,
+ReactorEngine::ReactorEngine(const ServiceHostOptions& options,
+                             QueryRouterFactory router_factory,
                              HostCounters counters, PublicKeyCache* key_cache,
                              obs::MetricRegistry* metric_registry)
-    : registry_(registry),
-      default_column_(default_column),
-      options_(options),
+    : options_(options),
+      router_factory_(std::move(router_factory)),
       counters_(counters),
       key_cache_(key_cache),
       metric_registry_(metric_registry) {}
@@ -160,7 +158,6 @@ Status ReactorEngine::Start(const Endpoint& endpoint) {
   shards_.resize(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
     ReactorOptions reactor_options;
-    reactor_options.max_events = options_.max_events;
     reactor_options.force_poll_backend = options_.force_poll_backend;
     reactor_options.registry = metric_registry_;
     Result<std::unique_ptr<Reactor>> reactor = Reactor::Create(reactor_options);
@@ -310,19 +307,13 @@ void ReactorEngine::OpenSession(size_t shard, int fd, bool reject) {
     counters_.active->Set(
         static_cast<int64_t>(serving_count_.load(std::memory_order_acquire)));
 
-    ServerSessionOptions session_options;
-    session_options.default_column = default_column_;
-    session_options.worker_threads = options_.worker_threads;
-    session_options.key_cache = key_cache_;
-    session_options.registry = metric_registry_;
-    session_options.queries_counter = counters_.queries;
-    session_options.compute_ns_counter = counters_.compute_ns;
-    session_options.shard_blind = options_.shard_blind;
-    if (options_.router_factory != nullptr) {
-      session_options.router = options_.router_factory();
-    }
+    ServerFsmOptions fsm_options;
+    fsm_options.key_cache = key_cache_;
+    fsm_options.registry = metric_registry_;
+    fsm_options.queries_counter = counters_.queries;
+    fsm_options.compute_ns_counter = counters_.compute_ns;
     session->fsm = std::make_unique<ServerProtocolFsm>(
-        registry_, session_options, session->id + 1);
+        router_factory_(), fsm_options, session->id + 1);
     if (options_.fault_injection.has_value()) {
       session->fault_rng =
           std::make_unique<ChaCha20Rng>(options_.fault_seed + session->id);
@@ -816,9 +807,8 @@ void ReactorEngine::FinalizeSession(size_t shard,
   shards_[shard].sessions.erase(s->fd);
 
   if (s->mode == SessionState::Mode::kServing) {
-    // Same outcome mapping as ServerSession::Serve: the FSM's own abort
-    // status wins; a send-path failure only surfaces when the protocol
-    // itself ended cleanly.
+    // The FSM's own abort status wins; a send-path failure only
+    // surfaces when the protocol itself ended cleanly.
     Status status = s->fsm->final_status();
     if (status.ok() && !s->fsm->done()) {
       status = Status::Internal("session closed before completion");

@@ -77,10 +77,11 @@ class ReactorEngine {
     obs::Gauge* active = nullptr;
   };
 
-  /// All pointers must outlive the engine. `default_column` is the
-  /// host's resolved default (may be null).
-  ReactorEngine(const ColumnRegistry* registry, const Database* default_column,
-                const ServiceHostOptions& options, HostCounters counters,
+  /// All pointers must outlive the engine. `router_factory` is the
+  /// host's resolved factory: the engine calls it once per accepted
+  /// session and hands the router to that session's FSM.
+  ReactorEngine(const ServiceHostOptions& options,
+                QueryRouterFactory router_factory, HostCounters counters,
                 PublicKeyCache* key_cache,
                 obs::MetricRegistry* metric_registry);
   ~ReactorEngine();
@@ -158,9 +159,8 @@ class ReactorEngine {
                          Status error);
   void FinalizeSession(size_t shard, const std::shared_ptr<SessionState>& s);
 
-  const ColumnRegistry* registry_;
-  const Database* default_column_;
   ServiceHostOptions options_;
+  QueryRouterFactory router_factory_;
   HostCounters counters_;
   PublicKeyCache* key_cache_;
   obs::MetricRegistry* metric_registry_;

@@ -25,6 +25,14 @@ CompiledQuery WholeColumnSum(const Database* db) {
   return query;
 }
 
+FoldEngine WholeSourceEngine(const PaillierPublicKey& pub,
+                             std::unique_ptr<RowSource> rows,
+                             size_t worker_threads) {
+  const size_t row_count = rows->size();
+  return FoldEngine(pub, std::move(rows), ExponentTransform::Identity(),
+                    /*begin=*/0, /*end=*/row_count, worker_threads);
+}
+
 }  // namespace
 
 SumClient::SumClient(const PaillierPrivateKey& key, WeightVector weights,
@@ -116,6 +124,11 @@ SumServer::SumServer(PaillierPublicKey pub, const CompiledQuery& query,
       engine_(pub_, std::make_unique<ColumnRowSource>(query.column),
               query.transform, query.begin, query.end, worker_threads),
       blinding_(query.blinding) {}
+
+SumServer::SumServer(PaillierPublicKey pub, std::unique_ptr<RowSource> rows,
+                     size_t worker_threads)
+    : pub_(std::move(pub)),
+      engine_(WholeSourceEngine(pub_, std::move(rows), worker_threads)) {}
 
 Result<std::optional<Bytes>> SumServer::HandleRequest(BytesView frame) {
   if (finished_) {

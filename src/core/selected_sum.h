@@ -121,12 +121,21 @@ class SumServer {
   SumServer(PaillierPublicKey pub, const CompiledQuery& query,
             size_t worker_threads = 1);
 
+  /// Plain selected sum over every row of `rows` — e.g. a FileRowSource,
+  /// which holds one chunk resident at a time instead of the table.
+  SumServer(PaillierPublicKey pub, std::unique_ptr<RowSource> rows,
+            size_t worker_threads = 1);
+
   /// Consumes one request frame. Returns the encoded response frame once
   /// the last expected row has been processed, std::nullopt before that.
   [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(BytesView frame);
 
   /// True once the response has been produced.
   bool Finished() const { return finished_; }
+
+  /// Largest number of row values the row source has held resident at
+  /// once (0 for in-memory columns, which do not track it).
+  size_t peak_resident_rows() const { return engine_.peak_resident_rows(); }
 
   // --- timing --------------------------------------------------------
   double compute_seconds() const { return compute_seconds_; }

@@ -30,20 +30,28 @@ Status ServiceHost::Start(const std::string& uri) {
   }
   // A routed host (cluster coordinator) resolves queries through its
   // router factory and needs no local columns at all.
-  const bool routed = options_.router_factory != nullptr;
-  if (!routed && (registry_ == nullptr || registry_->empty())) {
-    return Status::FailedPrecondition("service host has no columns");
+  QueryRouterFactory router_factory = options_.router_factory;
+  if (router_factory == nullptr) {
+    if (registry_ == nullptr || registry_->empty()) {
+      return Status::FailedPrecondition("service host has no columns");
+    }
+    LocalRouterConfig config;
+    if (!options_.default_column.empty()) {
+      config.default_column = registry_->Find(options_.default_column);
+      if (config.default_column == nullptr) {
+        return Status::NotFound("default column not in the registry: " +
+                                options_.default_column);
+      }
+    } else if (registry_->size() == 1) {
+      config.default_column = registry_->Find(registry_->ColumnNames().front());
+    }
+    config.worker_threads = options_.worker_threads;
+    config.shard_blind = options_.shard_blind;
+    router_factory = [registry = registry_, config = std::move(config)] {
+      return std::make_shared<LocalQueryRouter>(registry, config);
+    };
   }
   PPSTATS_ASSIGN_OR_RETURN(Endpoint endpoint, ParseEndpoint(uri));
-  if (!routed && !options_.default_column.empty()) {
-    default_column_ = registry_->Find(options_.default_column);
-    if (default_column_ == nullptr) {
-      return Status::NotFound("default column not in the registry: " +
-                              options_.default_column);
-    }
-  } else if (!routed && registry_->size() == 1) {
-    default_column_ = registry_->Find(registry_->ColumnNames().front());
-  }
 
   {
     MutexLock lock(mu_);
@@ -55,7 +63,7 @@ Status ServiceHost::Start(const std::string& uri) {
   metric_registry_.Reset();
   key_cache_.Clear();
   auto engine = std::make_unique<ReactorEngine>(
-      registry_, default_column_, options_,
+      options_, std::move(router_factory),
       ReactorEngine::HostCounters{sessions_accepted_, sessions_ok_,
                                   sessions_failed_, sessions_rejected_,
                                   sessions_evicted_, queries_served_,

@@ -32,9 +32,11 @@
 // periodically writes the merged host + process metrics as one JSON
 // document (atomic rename), and Stop() writes a final snapshot.
 //
-// The measured experiment harnesses keep driving protocol objects
-// directly; ServerSession::Serve drives the same FSM over one blocking
-// channel.
+// Start resolves the one router factory every session's FSM gets its
+// QueryRouter from: router_factory when a coordinator sets it, else a
+// LocalQueryRouter over the registry, the resolved default column,
+// worker_threads and shard_blind. The measured experiment harnesses
+// keep driving protocol objects (SumServer, SumClient) directly.
 
 #ifndef PPSTATS_CORE_SERVICE_HOST_H_
 #define PPSTATS_CORE_SERVICE_HOST_H_
@@ -49,7 +51,8 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "core/session.h"
+#include "core/query_exec.h"
+#include "crypto/key_io.h"
 #include "db/column_registry.h"
 #include "net/fault_injection.h"
 #include "net/socket_channel.h"
@@ -114,9 +117,6 @@ struct ServiceHostOptions {
   /// session is served by the shard that accepted it.
   size_t reactor_threads = 1;
 
-  /// Backend wait batch size (epoll_wait maxevents).
-  int max_events = 64;
-
   /// Use the portable poll(2) backend even where epoll is available
   /// (exercised by tests).
   bool force_poll_backend = false;
@@ -138,7 +138,7 @@ struct ServiceHostOptions {
   /// here; see src/cluster/coordinator.h). A host with a router
   /// factory may run without local columns: Start() skips the
   /// empty-registry check and default-column resolution.
-  std::function<std::shared_ptr<QueryRouter>()> router_factory;
+  QueryRouterFactory router_factory;
 
   /// Shard-side zero-share blinding for the local query path (see
   /// ShardBlindConfig in core/query_exec.h). Ignored when
@@ -214,7 +214,6 @@ class ServiceHost {
 
   const ColumnRegistry* registry_;
   ServiceHostOptions options_;
-  const Database* default_column_ = nullptr;  // resolved at Start
   PublicKeyCache key_cache_;
   /// Non-null while running; created per Start.
   std::unique_ptr<ReactorEngine> engine_;

@@ -7,6 +7,7 @@
 #include "bigint/modarith.h"
 #include "core/messages.h"
 #include "core/session_fsm.h"
+#include "crypto/key_io.h"
 #include "obs/span.h"
 
 namespace ppstats {
@@ -61,7 +62,7 @@ Status QuerySession::Connect(Channel& channel) {
   return Status::OK();
 }
 
-Status QuerySession::ConnectWithRetry(const ChannelFactory& dial,
+Status QuerySession::ConnectWithRetry(const DialFn& dial,
                                       const RetryOptions& retry) {
   if (channel_ != nullptr) {
     return Status::FailedPrecondition("session already connected");
@@ -199,35 +200,6 @@ Status QuerySession::Finish() {
   if (fsm_->done()) return Status::OK();
   PPSTATS_ASSIGN_OR_RETURN(Bytes goodbye, fsm_->Goodbye());
   return Send(goodbye);
-}
-
-Status ServerSession::Serve(Channel& channel) {
-  // A blocking driver over the one server protocol machine: every
-  // inbound frame goes to the FSM, every frame it returns goes out.
-  ServerProtocolFsm fsm(registry_, options_, obs::CurrentContext().session_id);
-  Status send_status = Status::OK();
-  while (!fsm.done()) {
-    Result<Bytes> frame = channel.Receive();
-    ServerFsmOutput out;
-    if (frame.ok()) {
-      out = fsm.OnFrame(*frame);
-    } else if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-      out = fsm.OnDeadline();  // the eviction Error frame
-    } else {
-      fsm.OnTransportError(frame.status());
-    }
-    for (const Bytes& reply : out.frames) {
-      send_status = channel.Send(reply);
-      if (!send_status.ok()) {
-        fsm.OnTransportError(send_status);
-        break;
-      }
-    }
-  }
-  metrics_ = fsm.metrics();
-  // A protocol that ended cleanly still fails if its last frame did not
-  // leave; an abort keeps its own status over the Error frame's fate.
-  return fsm.final_status().ok() ? send_status : fsm.final_status();
 }
 
 }  // namespace ppstats

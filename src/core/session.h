@@ -24,21 +24,19 @@
 // column names, and arity mismatches abort the session with an Error
 // frame carrying a status code, so the peer gets a diagnosable failure
 // instead of a hang. Each side's protocol lives in one sans-IO machine
-// (core/session_fsm.h); QuerySession and ServerSession are blocking
-// drivers over them.
+// (core/session_fsm.h). QuerySession is the blocking client driver; the
+// server machine is driven only by the reactor host
+// (core/service_host.h).
 
 #ifndef PPSTATS_CORE_SESSION_H_
 #define PPSTATS_CORE_SESSION_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "core/query.h"
-#include "core/query_exec.h"
 #include "core/selected_sum.h"
-#include "crypto/key_io.h"
 #include "net/channel.h"
 #include "net/retry.h"
 
@@ -71,12 +69,6 @@ struct PartialResultInfo {
   uint64_t rows_covered = 0;
 };
 
-/// Dials a fresh channel to the server, once per connection attempt
-/// (e.g. a ConnectUnixSocket lambda). Used by the retrying entry points,
-/// which must be able to redial after a dead transport.
-using ChannelFactory =
-    std::function<Result<std::unique_ptr<Channel>>()>;
-
 class ClientProtocolFsm;
 
 /// A client session: one connection, N queries against named columns.
@@ -97,7 +89,7 @@ class QuerySession {
   /// over-capacity rejection — see IsRetryableStatus). The hello
   /// exchange commits no server state, so redialing it is always safe.
   /// On success the session owns the dialed channel.
-  [[nodiscard]] Status ConnectWithRetry(const ChannelFactory& dial,
+  [[nodiscard]] Status ConnectWithRetry(const DialFn& dial,
                                         const RetryOptions& retry);
 
   /// ConnectWithRetry against an endpoint URI ("unix:/path",
@@ -155,82 +147,6 @@ class QuerySession {
   std::optional<PartialResultInfo> last_partial_;
   uint64_t server_rows_ = 0;
   size_t queries_run_ = 0;
-};
-
-/// Per-session counters reported by ServerSession::metrics().
-struct SessionMetrics {
-  uint16_t negotiated_version = 0;
-  uint64_t queries = 0;          ///< queries answered with a SumResponse
-  double server_compute_s = 0;   ///< homomorphic fold time, all queries
-};
-
-/// Server-side session options.
-struct ServerSessionOptions {
-  /// Column served to queries with an empty column name. May be null
-  /// when every query names its column.
-  const Database* default_column = nullptr;
-
-  /// Fold slices per chunk on the shared ThreadPool (see SumServer).
-  size_t worker_threads = 1;
-
-  /// When set, client public keys are deserialized through this shared
-  /// cache, so repeat sessions from the same client reuse the key's
-  /// Montgomery context instead of rebuilding it.
-  PublicKeyCache* key_cache = nullptr;
-
-  /// Registry receiving this session's phase spans (handshake). Null
-  /// uses the process-wide obs::MetricRegistry::Global(). ServiceHost
-  /// points this at its per-host registry.
-  obs::MetricRegistry* registry = nullptr;
-
-  /// Live host counters (optional). They are bumped *before* the final
-  /// SumResponse frame of each query is handed to the transport, so by
-  /// the time a client observes its answer the host's snapshot already
-  /// includes the query — this is what makes ServiceHost::SnapshotStats
-  /// current while sessions are still running. compute_ns_counter
-  /// accumulates fold time in integer nanoseconds.
-  obs::Counter* queries_counter = nullptr;
-  obs::Counter* compute_ns_counter = nullptr;
-
-  /// Per-session query router. When null the session builds a
-  /// LocalQueryRouter over its registry/default column (the classic
-  /// in-process fold). A cluster coordinator installs its fan-out
-  /// router here via ServiceHostOptions::router_factory.
-  std::shared_ptr<QueryRouter> router;
-
-  /// Shard-side blinding for the local router (see ShardBlindConfig);
-  /// ignored when `router` is set.
-  std::optional<ShardBlindConfig> shard_blind;
-};
-
-/// Serves private-sum queries from a column registry (or a single
-/// database) over a blocking channel: one client session per Serve
-/// call. The protocol itself lives in ServerProtocolFsm
-/// (core/session_fsm.h); Serve only moves frames between it and the
-/// channel. ServiceHost drives the same FSM from its event loop.
-class ServerSession {
- public:
-  /// Single-column server: `db` is the default (and only) column.
-  explicit ServerSession(const Database* db) { options_.default_column = db; }
-
-  /// Multi-column server resolving query column names in `registry`.
-  ServerSession(const ColumnRegistry* registry, ServerSessionOptions options)
-      : registry_(registry), options_(options) {}
-
-  /// Handles exactly one client session on the channel. Protocol
-  /// failures are reported to the peer (Error frame) and returned. A
-  /// receive that runs past the channel's read deadline evicts the
-  /// peer: it gets a DeadlineExceeded Error frame, and so does the
-  /// caller.
-  [[nodiscard]] Status Serve(Channel& channel);
-
-  /// Counters for the served session (valid after Serve returns).
-  const SessionMetrics& metrics() const { return metrics_; }
-
- private:
-  const ColumnRegistry* registry_ = nullptr;
-  ServerSessionOptions options_;
-  SessionMetrics metrics_;
 };
 
 }  // namespace ppstats

@@ -1,5 +1,6 @@
 #include "core/session_fsm.h"
 
+#include <cassert>
 #include <string>
 #include <utility>
 
@@ -10,19 +11,21 @@ namespace ppstats {
 
 namespace {
 
-obs::MetricRegistry* ResolveRegistry(const ServerSessionOptions& options) {
+obs::MetricRegistry* ResolveRegistry(const ServerFsmOptions& options) {
   return options.registry != nullptr ? options.registry
                                      : &obs::MetricRegistry::Global();
 }
 
 }  // namespace
 
-ServerProtocolFsm::ServerProtocolFsm(const ColumnRegistry* registry,
-                                     ServerSessionOptions options,
+ServerProtocolFsm::ServerProtocolFsm(std::shared_ptr<QueryRouter> router,
+                                     ServerFsmOptions options,
                                      uint64_t session_ordinal)
-    : registry_(registry),
+    : router_(std::move(router)),
       options_(options),
-      session_ordinal_(session_ordinal) {}
+      session_ordinal_(session_ordinal) {
+  assert(router_ != nullptr);
+}
 
 void ServerProtocolFsm::Finish(Status status) {
   phase_ = ServerFsmPhase::kDone;
@@ -69,20 +72,6 @@ void ServerProtocolFsm::OnTransportError(Status error) {
 
 void ServerProtocolFsm::OnHandshakeFrame(BytesView frame,
                                          ServerFsmOutput& out) {
-  router_ = options_.router;
-  if (router_ == nullptr) {
-    if (registry_ == nullptr && options_.default_column == nullptr) {
-      // A misconfigured server fails locally, before it owes the peer
-      // any frame.
-      Finish(Status::FailedPrecondition("server has no database"));
-      return;
-    }
-    LocalRouterConfig config;
-    config.default_column = options_.default_column;
-    config.worker_threads = options_.worker_threads;
-    config.shard_blind = options_.shard_blind;
-    router_ = std::make_shared<LocalQueryRouter>(registry_, std::move(config));
-  }
   obs::ScopedSpanContext context({session_ordinal_, 0});
   obs::ObsSpan handshake(obs::kSpanHandshake, ResolveRegistry(options_));
 
@@ -98,7 +87,6 @@ void ServerProtocolFsm::OnHandshakeFrame(BytesView frame,
   if (!pub.ok()) return Abort(out, pub.status());
   Status hello_status = router_->OnClientHello(hello->public_key_blob, *pub);
   if (!hello_status.ok()) return Abort(out, std::move(hello_status));
-  metrics_.negotiated_version = kSessionProtocolV2;
   pub_ = std::move(*pub);
 
   ServerHelloMessage server_hello;
@@ -137,16 +125,14 @@ void ServerProtocolFsm::OnChunkFrame(BytesView frame, ServerFsmOutput& out) {
 
   // Attribute this query's fold spans to its 1-based index within the
   // session.
-  obs::ScopedSpanContext context(
-      {session_ordinal_, static_cast<uint64_t>(metrics_.queries + 1)});
+  obs::ScopedSpanContext context({session_ordinal_, queries_ + 1});
   Result<std::optional<Bytes>> response = execution_->HandleRequest(frame);
   if (!response.ok()) return Abort(out, response.status());
   if (response->has_value()) {
     // Account the query *before* its SumResponse frame is handed to the
     // caller: by the time the client observes its answer, the host's
     // live stats already include the query.
-    ++metrics_.queries;
-    metrics_.server_compute_s += execution_->compute_seconds();
+    ++queries_;
     if (options_.queries_counter != nullptr) {
       options_.queries_counter->Increment();
     }

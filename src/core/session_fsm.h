@@ -1,9 +1,10 @@
 // The session protocol (core/session.h) as two sans-IO state machines,
 // one per side — the only implementation of each.
 //
-// ServerProtocolFsm is the server side. Two drivers move frames in and
-// out: ServerSession::Serve over one blocking channel, and the reactor
-// host (core/reactor_host.h), which cannot block:
+// ServerProtocolFsm is the server side, driven by the reactor host
+// (core/reactor_host.h), which cannot block. The host hands each
+// machine the QueryRouter that answers its queries; the machine itself
+// only speaks the frame protocol:
 //
 //   kHandshake ──ClientHello──▶ kAwaitQuery ──QueryHeader──▶ kAwaitChunks
 //        │                       │      ▲     (QueryAccept)       │
@@ -21,8 +22,7 @@
 // Every protocol failure — bad hello, unsupported version (anything but
 // kSessionProtocolV2), malformed or unparseable frame, unknown kind or
 // column, zero-row cover — aborts with an Error frame carrying its
-// status; only a server with no database fails locally, without a
-// frame. queries_counter is bumped *before* the SumResponse frame is
+// status. queries_counter is bumped *before* the SumResponse frame is
 // handed back, so a client that has its answer is guaranteed to find
 // the query in the host's snapshot.
 //
@@ -52,7 +52,8 @@
 #include "core/query_exec.h"
 #include "core/selected_sum.h"
 #include "core/session.h"
-#include "db/column_registry.h"
+#include "crypto/key_io.h"
+#include "obs/metrics.h"
 
 namespace ppstats {
 
@@ -71,14 +72,38 @@ struct ServerFsmOutput {
   bool done = false;
 };
 
+/// The host's per-session hooks; every field is optional.
+struct ServerFsmOptions {
+  /// When set, client public keys are deserialized through this shared
+  /// cache, so repeat sessions from the same client reuse the key's
+  /// Montgomery context instead of rebuilding it.
+  PublicKeyCache* key_cache = nullptr;
+
+  /// Registry receiving the session's phase spans (handshake). Null
+  /// uses the process-wide obs::MetricRegistry::Global(). ServiceHost
+  /// points this at its per-host registry.
+  obs::MetricRegistry* registry = nullptr;
+
+  /// Live host counters. They are bumped *before* the final SumResponse
+  /// frame of each query is handed to the transport, so by the time a
+  /// client observes its answer the host's snapshot already includes
+  /// the query — this is what makes ServiceHost::SnapshotStats current
+  /// while sessions are still running. compute_ns_counter accumulates
+  /// fold time in integer nanoseconds.
+  obs::Counter* queries_counter = nullptr;
+  obs::Counter* compute_ns_counter = nullptr;
+};
+
 /// See the file comment. Not thread-safe: the owner must serialize
 /// calls (the reactor host runs at most one worker task per session).
 class ServerProtocolFsm {
  public:
-  /// Takes ServerSession's arguments; `session_ordinal` becomes the
-  /// 1-based session id in span contexts (0 = unattributed).
-  ServerProtocolFsm(const ColumnRegistry* registry,
-                    ServerSessionOptions options, uint64_t session_ordinal = 0);
+  /// `router` (required, non-null) resolves and executes this session's
+  /// queries; `session_ordinal` becomes the 1-based session id in span
+  /// contexts (0 = unattributed).
+  ServerProtocolFsm(std::shared_ptr<QueryRouter> router,
+                    ServerFsmOptions options = {},
+                    uint64_t session_ordinal = 0);
 
   /// Consumes one complete inbound frame. CPU-heavy; run off the event
   /// loop. Frames arriving after kDone are ignored.
@@ -99,9 +124,6 @@ class ServerProtocolFsm {
   /// the abort status otherwise.
   const Status& final_status() const { return final_status_; }
 
-  /// Per-session counters (ServerSession::metrics() reports these).
-  const SessionMetrics& metrics() const { return metrics_; }
-
  private:
   /// Appends an Error frame for `status` and terminates the session.
   void Abort(ServerFsmOutput& out, Status status);
@@ -111,14 +133,13 @@ class ServerProtocolFsm {
   void OnQueryFrame(BytesView frame, ServerFsmOutput& out);
   void OnChunkFrame(BytesView frame, ServerFsmOutput& out);
 
-  const ColumnRegistry* registry_;
-  ServerSessionOptions options_;
+  std::shared_ptr<QueryRouter> router_;
+  ServerFsmOptions options_;
   uint64_t session_ordinal_;
+  uint64_t queries_ = 0;  // answered so far; the next query is queries_ + 1
   ServerFsmPhase phase_ = ServerFsmPhase::kHandshake;
   Status final_status_ = Status::OK();
-  SessionMetrics metrics_;
   std::optional<PaillierPublicKey> pub_;
-  std::shared_ptr<QueryRouter> router_;       // set at handshake
   std::unique_ptr<QueryExecution> execution_; // the open query, if any
 };
 

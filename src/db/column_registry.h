@@ -35,7 +35,7 @@ struct ShardDescriptor {
   uint64_t end = 0;    ///< one past the last global row (exclusive)
 };
 
-/// Name -> column catalog served by one ServiceHost / ServerSession.
+/// Name -> column catalog served by one ServiceHost.
 class ColumnRegistry {
  public:
   /// Adds a column under its own name. Fails on an empty name or a

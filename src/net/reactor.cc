@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "net/socket_channel.h"
@@ -23,6 +24,9 @@ namespace {
 
 /// Reserved gen for the wakeup fd in backend event payloads.
 constexpr uint64_t kWakeGen = 0;
+
+/// Backend wait batch size (epoll_wait maxevents).
+constexpr int kMaxEvents = 64;
 
 [[maybe_unused]] Status SetNonBlockingCloexec(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
@@ -129,9 +133,6 @@ Reactor::Reactor(ReactorOptions options)
 }
 
 Result<std::unique_ptr<Reactor>> Reactor::Create(ReactorOptions options) {
-  if (options.max_events <= 0) {
-    return Status::InvalidArgument("reactor max_events must be positive");
-  }
   std::unique_ptr<Reactor> reactor(new Reactor(options));
   Status init = reactor->Init();
   if (!init.ok()) return init;
@@ -360,10 +361,8 @@ int Reactor::WaitTimeoutMs() const {
 void Reactor::WaitAndDispatch(int timeout_ms) {
 #if defined(PPSTATS_REACTOR_HAS_EPOLL)
   if (epoll_fd_ >= 0) {
-    std::vector<struct epoll_event> events(
-        static_cast<size_t>(options_.max_events));
-    int n = epoll_wait(epoll_fd_, events.data(), options_.max_events,
-                       timeout_ms);
+    std::array<struct epoll_event, kMaxEvents> events;
+    int n = epoll_wait(epoll_fd_, events.data(), kMaxEvents, timeout_ms);
     if (n < 0) n = 0;  // EINTR (or transient error): treat as timeout
     wakeups_->Increment();
     ready_events_->Record(static_cast<uint64_t>(n));

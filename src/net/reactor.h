@@ -54,8 +54,6 @@ inline constexpr uint32_t kReactorWritable = 1u << 1;
 inline constexpr uint32_t kReactorClosed = 1u << 2;
 
 struct ReactorOptions {
-  /// Backend wait batch size (epoll_wait maxevents).
-  int max_events = 64;
   /// Use the portable poll(2) backend even where epoll is available
   /// (exercised by tests; also the only backend off Linux).
   bool force_poll_backend = false;

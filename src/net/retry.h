@@ -55,13 +55,15 @@ uint32_t RetryBackoffMs(size_t retry, const RetryOptions& options,
 /// that is safe to retry on a fresh connection: the peer never acted on
 /// anything, or rejected us before doing so (ResourceExhausted from an
 /// over-capacity server). Semantic rejections (InvalidArgument,
-/// NotFound, FailedPrecondition, version mismatches) will fail the same
-/// way every time and are not retryable.
+/// NotFound, FailedPrecondition) will fail the same way every time and
+/// are not retryable. A protocol-version mismatch is a ProtocolError on
+/// both sides, which this classification cannot tell from a garbled or
+/// dead link, so it is retried until max_attempts runs out.
 bool IsRetryableStatus(const Status& status);
 
-/// A reusable dial closure: each call opens a fresh connection. The type
-/// matches core/session.h's ChannelFactory, so a dialer plugs straight
-/// into QuerySession::ConnectWithRetry.
+/// A reusable dial closure: each call opens a fresh connection.
+/// QuerySession::ConnectWithRetry calls it once per attempt, so it can
+/// redial after a dead transport.
 using DialFn = std::function<Result<std::unique_ptr<Channel>>()>;
 
 /// Builds a dialer for an endpoint URI ("unix:/path", "tcp:host:port",

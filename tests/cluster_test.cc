@@ -24,7 +24,6 @@
 #include "crypto/zero_share.h"
 #include "db/column_registry.h"
 #include "db/database.h"
-#include "host_suite.h"
 
 namespace ppstats {
 namespace {
@@ -393,11 +392,7 @@ uint64_t ExpectedSum(const std::vector<uint32_t>& values,
   return sum;
 }
 
-class ClusterServiceTest : public ::testing::TestWithParam<HostEngine> {};
-
-PPSTATS_INSTANTIATE_HOST_SUITE(ClusterServiceTest);
-
-TEST_P(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
+TEST(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
   TestClusterConfig config;
   auto cluster = StartCluster("fan", config);
   const size_t rows = cluster->values.size();
@@ -439,7 +434,7 @@ TEST_P(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
   EXPECT_TRUE(session.Finish().ok());
 }
 
-TEST_P(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
+TEST(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
   TestClusterConfig config;
   config.blind = true;
   auto cluster = StartCluster("blind", config);
@@ -465,7 +460,7 @@ TEST_P(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
   EXPECT_TRUE(session.Finish().ok());
 }
 
-TEST_P(ClusterServiceTest, RejectsUnknownColumns) {
+TEST(ClusterServiceTest, RejectsUnknownColumns) {
   TestClusterConfig config;
   config.shards = 2;
   auto cluster = StartCluster("rej", config);
@@ -486,7 +481,7 @@ TEST_P(ClusterServiceTest, RejectsUnknownColumns) {
             std::string::npos);
 }
 
-TEST_P(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
+TEST(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
   TestClusterConfig config;
   config.shards = 2;
   // An empty column name selects the coordinator's default column.
@@ -508,7 +503,7 @@ TEST_P(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
   EXPECT_TRUE(session.Finish().ok());
 }
 
-TEST_P(ClusterServiceTest, ShardRowCountContradictingItsMapIsAProtocolError) {
+TEST(ClusterServiceTest, ShardRowCountContradictingItsMapIsAProtocolError) {
   TestClusterConfig config;
   config.shards = 2;
   config.last_shard_served_rows = 5;  // the map says 8

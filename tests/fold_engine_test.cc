@@ -5,7 +5,6 @@
 #include <string>
 
 #include "bigint/modarith.h"
-#include "core/streaming_server.h"
 #include "crypto/chacha20_rng.h"
 #include "db/workload.h"
 #include "obs/metrics.h"

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "common/bytes.h"
@@ -52,9 +53,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
       if (msg.protocol_version != ppstats::kSessionProtocolV2) {
         static const ppstats::Database db("d", {1, 2, 3});
-        ppstats::ServerSessionOptions options;
-        options.default_column = &db;
-        ppstats::ServerProtocolFsm fsm(nullptr, options);
+        ppstats::LocalRouterConfig config;
+        config.default_column = &db;
+        ppstats::ServerProtocolFsm fsm(
+            std::make_shared<ppstats::LocalQueryRouter>(nullptr, config));
         ppstats::ServerFsmOutput out = fsm.OnFrame(view);
         if (!out.done || out.frames.size() != 1 ||
             !IsProtocolErrorFrame(out.frames[0])) {

@@ -312,7 +312,14 @@ class ServerFsmTest : public ::testing::Test {
  protected:
   ServerFsmTest() {
     EXPECT_TRUE(registry_.Register(Database("col", {4, 5, 6})).ok());
-    options_.default_column = registry_.Find("col");
+  }
+
+  // A machine answering from `registry_`, "col" as its default column.
+  ServerProtocolFsm MakeFsm() const {
+    LocalRouterConfig config;
+    config.default_column = registry_.Find("col");
+    return ServerProtocolFsm(
+        std::make_shared<LocalQueryRouter>(&registry_, std::move(config)));
   }
 
   Bytes HelloFrame(uint32_t version) const {
@@ -323,11 +330,10 @@ class ServerFsmTest : public ::testing::Test {
   }
 
   ColumnRegistry registry_;
-  ServerSessionOptions options_;
 };
 
 TEST_F(ServerFsmTest, HandshakeThenGoodbyeEndsOk) {
-  ServerProtocolFsm fsm(&registry_, options_);
+  ServerProtocolFsm fsm = MakeFsm();
   EXPECT_EQ(fsm.phase(), ServerFsmPhase::kHandshake);
 
   ServerFsmOutput out = fsm.OnFrame(HelloFrame(kSessionProtocolV2));
@@ -337,7 +343,6 @@ TEST_F(ServerFsmTest, HandshakeThenGoodbyeEndsOk) {
       ServerHelloMessage::Decode(out.frames[0]).ValueOrDie();
   EXPECT_EQ(server_hello.protocol_version, kSessionProtocolV2);
   EXPECT_EQ(fsm.phase(), ServerFsmPhase::kAwaitQuery);
-  EXPECT_EQ(fsm.metrics().negotiated_version, kSessionProtocolV2);
 
   out = fsm.OnFrame(GoodbyeMessage{}.Encode());
   EXPECT_TRUE(out.done);
@@ -350,7 +355,7 @@ TEST_F(ServerFsmTest, UnsupportedVersionAbortsWithErrorFrame) {
   // 1 is the retired single-query protocol: refused like any other.
   for (uint32_t version : {99u, 1u}) {
     SCOPED_TRACE(version);
-    ServerProtocolFsm fsm(&registry_, options_);
+    ServerProtocolFsm fsm = MakeFsm();
     ServerFsmOutput out = fsm.OnFrame(HelloFrame(version));
     ASSERT_EQ(out.frames.size(), 1u);
     EXPECT_TRUE(out.done);
@@ -361,7 +366,7 @@ TEST_F(ServerFsmTest, UnsupportedVersionAbortsWithErrorFrame) {
 }
 
 TEST_F(ServerFsmTest, GarbageHandshakeFrameAborts) {
-  ServerProtocolFsm fsm(&registry_, options_);
+  ServerProtocolFsm fsm = MakeFsm();
   ServerFsmOutput out = fsm.OnFrame(Bytes{0xDE, 0xAD, 0xBE, 0xEF});
   ASSERT_EQ(out.frames.size(), 1u);  // the Error frame
   EXPECT_TRUE(out.done);
@@ -369,7 +374,7 @@ TEST_F(ServerFsmTest, GarbageHandshakeFrameAborts) {
 }
 
 TEST_F(ServerFsmTest, DeadlineProducesEvictionFrameOnce) {
-  ServerProtocolFsm fsm(&registry_, options_);
+  ServerProtocolFsm fsm = MakeFsm();
   ServerFsmOutput out = fsm.OnDeadline();
   ASSERT_EQ(out.frames.size(), 1u);
   EXPECT_TRUE(out.done);
@@ -385,7 +390,7 @@ TEST_F(ServerFsmTest, DeadlineProducesEvictionFrameOnce) {
 }
 
 TEST_F(ServerFsmTest, TransportErrorEndsSessionWithoutFrames) {
-  ServerProtocolFsm fsm(&registry_, options_);
+  ServerProtocolFsm fsm = MakeFsm();
   fsm.OnTransportError(Status::ProtocolError("peer closed the channel"));
   EXPECT_TRUE(fsm.done());
   EXPECT_EQ(fsm.final_status().code(), StatusCode::kProtocolError);
@@ -396,7 +401,7 @@ TEST_F(ServerFsmTest, TransportErrorEndsSessionWithoutFrames) {
 }
 
 TEST_F(ServerFsmTest, UnknownColumnQueryAbortsAfterHandshake) {
-  ServerProtocolFsm fsm(&registry_, options_);
+  ServerProtocolFsm fsm = MakeFsm();
   (void)fsm.OnFrame(HelloFrame(kSessionProtocolV2));
   QueryHeaderMessage header;
   header.kind = static_cast<uint8_t>(StatisticKind::kSum);
@@ -405,15 +410,6 @@ TEST_F(ServerFsmTest, UnknownColumnQueryAbortsAfterHandshake) {
   ASSERT_EQ(out.frames.size(), 1u);
   EXPECT_TRUE(out.done);
   EXPECT_EQ(fsm.final_status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(ServerFsmTest, NoDatabaseFailsLocallyWithoutAFrame) {
-  ServerSessionOptions no_db;
-  ServerProtocolFsm fsm(nullptr, no_db);
-  ServerFsmOutput out = fsm.OnFrame(HelloFrame(kSessionProtocolV2));
-  EXPECT_TRUE(out.frames.empty());  // misconfiguration owes the peer nothing
-  EXPECT_TRUE(out.done);
-  EXPECT_EQ(fsm.final_status().code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 
 #include <chrono>
 #include <memory>
-#include <thread>
+#include <string>
 #include <vector>
 
+#include "core/service_host.h"
 #include "core/session.h"
 #include "crypto/chacha20_rng.h"
 #include "db/workload.h"
@@ -70,37 +71,29 @@ TEST(RetryTest, RetryableClassification) {
   EXPECT_FALSE(IsRetryableStatus(Status::CryptoError("no inverse")));
 }
 
-// A dial factory that fails `failures` times before handing out a pipe
-// to a freshly spawned server thread.
+// A dial factory that fails `failures` times before dialing `uri`.
 struct FlakyDialer {
-  const Database* db = nullptr;
+  std::string uri;
   size_t failures = 0;
   size_t dials = 0;
-  std::vector<std::thread> servers;
 
   Result<std::unique_ptr<Channel>> operator()() {
     ++dials;
     if (dials <= failures) {
       return Status::Internal("connection refused");
     }
-    auto [client_end, server_end] = DuplexPipe::Create();
-    servers.emplace_back(
-        [this, ch = std::move(server_end)]() mutable {
-          ServerSession session(db);
-          session.Serve(*ch).IgnoreError();
-        });
-    return std::move(client_end);
-  }
-
-  ~FlakyDialer() {
-    for (std::thread& t : servers) t.join();
+    return UriDialer(uri)();
   }
 };
 
 TEST(RetryTest, QuerySessionConnectRetriesThenSucceeds) {
-  Database db("d", {5, 6, 7, 8});
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(Database("d", {5, 6, 7, 8})).ok());
+  ServiceHost host(&registry);
+  ASSERT_TRUE(
+      host.Start(std::string(::testing::TempDir()) + "/retry_flaky.sock").ok());
   FlakyDialer dialer;
-  dialer.db = &db;
+  dialer.uri = host.bound_uri();
   dialer.failures = 2;
   ChaCha20Rng rng(3);
   QuerySession session(SharedKeyPair().private_key, rng);
@@ -118,6 +111,10 @@ TEST(RetryTest, QuerySessionConnectRetriesThenSucceeds) {
   SelectionVector sel = {true, false, true, false};
   EXPECT_EQ(session.RunQuery(QuerySpec{}, sel).ValueOrDie(), BigInt(12));
   ASSERT_TRUE(session.Finish().ok());
+  host.Stop();  // drains the session
+  ServiceHost::Stats stats = host.SnapshotStats();
+  EXPECT_EQ(stats.sessions_accepted, 1u);  // refused dials never connect
+  EXPECT_EQ(stats.sessions_ok, 1u);
 }
 
 TEST(RetryTest, ConnectGivesUpAfterMaxAttempts) {
@@ -168,9 +165,9 @@ TEST(RetryTest, ConnectDeadlineBoundsABlackholedEndpoint) {
   Result<SocketListener> listener =
       SocketListener::Bind(std::string("tcp:127.0.0.1:0"), /*backlog=*/1);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  ChannelFactory dial = UriDialer(listener->endpoint().ToUri(),
-                                  /*io_deadline_ms=*/0,
-                                  /*connect_deadline_ms=*/100);
+  DialFn dial = UriDialer(listener->endpoint().ToUri(),
+                          /*io_deadline_ms=*/0,
+                          /*connect_deadline_ms=*/100);
   std::vector<std::unique_ptr<Channel>> queued;  // keeps the backlog full
   Status blackholed = Status::OK();
   auto overall_start = std::chrono::steady_clock::now();
@@ -200,9 +197,9 @@ TEST(RetryTest, ConnectDeadlineStillDialsALiveListener) {
   Result<SocketListener> listener =
       SocketListener::Bind(std::string("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  ChannelFactory dial = UriDialer(listener->endpoint().ToUri(),
-                                  /*io_deadline_ms=*/0,
-                                  /*connect_deadline_ms=*/2000);
+  DialFn dial = UriDialer(listener->endpoint().ToUri(),
+                          /*io_deadline_ms=*/0,
+                          /*connect_deadline_ms=*/2000);
   Result<std::unique_ptr<Channel>> channel = dial();
   EXPECT_TRUE(channel.ok()) << channel.status().ToString();
 }

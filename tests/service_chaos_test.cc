@@ -21,7 +21,6 @@
 #include "core/service_host.h"
 #include "core/session.h"
 #include "crypto/chacha20_rng.h"
-#include "host_suite.h"
 #include "net/fault_injection.h"
 
 namespace ppstats {
@@ -67,14 +66,12 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
-class ServiceChaosTest : public ::testing::TestWithParam<HostEngine> {
+class ServiceChaosTest : public ::testing::Test {
  protected:
   std::string SocketPath(const std::string& name) const {
     return std::string(::testing::TempDir()) + "/" + name + ".sock";
   }
 };
-
-PPSTATS_INSTANTIATE_HOST_SUITE(ServiceChaosTest);
 
 bool WaitFor(const std::function<bool()>& pred,
              milliseconds timeout = seconds(10 * kTimeScale)) {
@@ -188,7 +185,7 @@ constexpr FaultKind kAllKinds[] = {FaultKind::kDelay, FaultKind::kTruncate,
                                    FaultKind::kGarble, FaultKind::kDrop,
                                    FaultKind::kDisconnect};
 
-TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
+TEST_F(ServiceChaosTest, ClientSideFaultMatrix) {
   // Fault every client frame class — ClientHello (0), QueryHeader (1),
   // chunk stream (2, 3) — with every fault kind, against one host that
   // must keep serving clean clients throughout.
@@ -225,7 +222,7 @@ TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
   EXPECT_GE(stats.sessions_ok, chaos_runs);
 }
 
-TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
+TEST_F(ServiceChaosTest, ServerSideFaultMatrix) {
   // Fault every server frame class — ServerHello (0), QueryAccept (1),
   // SumResponse (2) — with every fault kind, via the host's built-in
   // injection hook. Each scenario needs its own host configuration.
@@ -254,7 +251,7 @@ TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
   }
 }
 
-TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
+TEST_F(ServiceChaosTest, SixteenSeedRandomSweep) {
   // Random faults (all kinds, 20% per frame) across a fixed sweep of 16
   // seeds: every run must terminate typed and leave the host serving.
   ColumnRegistry registry;
@@ -280,7 +277,7 @@ TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
   EXPECT_EQ(host.SnapshotStats().sessions_accepted, 17u);
 }
 
-TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
+TEST_F(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
   // A raw peer that sends a length header promising a frame it never
   // delivers must be evicted by the I/O deadline, with the typed Error
   // frame on the wire, and the host must keep accepting.
@@ -314,7 +311,7 @@ TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
   EXPECT_EQ(host.SnapshotStats().sessions_evicted, 1u);
 }
 
-TEST_P(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
+TEST_F(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   // The acceptance run: 32 concurrent clients, faults injected on both
   // sides of the wire at ~1% per frame. Every client must terminate
   // with a typed status, no thread may leak, and the host must

@@ -21,7 +21,6 @@
 #include "crypto/chacha20_rng.h"
 #include "crypto/key_io.h"
 #include "db/workload.h"
-#include "host_suite.h"
 
 namespace ppstats {
 namespace {
@@ -87,16 +86,14 @@ Result<BigInt> QueryOnce(Channel& channel, const SelectionVector& sel,
   return sum;
 }
 
-class ServiceHostTest : public ::testing::TestWithParam<HostEngine> {
+class ServiceHostTest : public ::testing::Test {
  protected:
   std::string SocketPath(const char* name) const {
     return std::string(::testing::TempDir()) + "/" + name + ".sock";
   }
 };
 
-PPSTATS_INSTANTIATE_HOST_SUITE(ServiceHostTest);
-
-TEST_P(ServiceHostTest, StartRequiresColumns) {
+TEST_F(ServiceHostTest, StartRequiresColumns) {
   ColumnRegistry empty;
   ServiceHost host(&empty);
   EXPECT_FALSE(host.Start(SocketPath("svc_empty")).ok());
@@ -104,7 +101,7 @@ TEST_P(ServiceHostTest, StartRequiresColumns) {
   EXPECT_FALSE(null_host.Start(SocketPath("svc_null")).ok());
 }
 
-TEST_P(ServiceHostTest, UnknownDefaultColumnRejectedAtStart) {
+TEST_F(ServiceHostTest, UnknownDefaultColumnRejectedAtStart) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("a", {1})).ok());
   ServiceHostOptions options;
@@ -113,7 +110,27 @@ TEST_P(ServiceHostTest, UnknownDefaultColumnRejectedAtStart) {
   EXPECT_FALSE(host.Start(SocketPath("svc_baddefault")).ok());
 }
 
-TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
+TEST_F(ServiceHostTest, StartRefusesNoColumnsAndUnknownDefault) {
+  // A local host must be able to build every session's router before
+  // it accepts anyone: no columns and an unknown default both fail
+  // Start with their own codes.
+  ColumnRegistry empty;
+  ServiceHost empty_host(&empty);
+  EXPECT_EQ(empty_host.Start(SocketPath("svc_nocolumns")).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(empty_host.running());
+
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(Database("a", {1})).ok());
+  ServiceHostOptions options;
+  options.default_column = "nope";
+  ServiceHost host(&registry, options);
+  EXPECT_EQ(host.Start(SocketPath("svc_nodefault")).code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(host.running());
+}
+
+TEST_F(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   // The tentpole end-to-end check: several clients, each with its own
   // key, hammer one host concurrently over real AF_UNIX sockets, each
   // running multiple queries of mixed kinds on one connection. Every
@@ -205,7 +222,7 @@ TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   EXPECT_GT(stats.server_compute_s, 0.0);
 }
 
-TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
+TEST_F(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   Database db("d", {5, 6, 7, 8});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
@@ -262,7 +279,7 @@ TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   EXPECT_EQ(stats.distinct_client_keys, 1u);
 }
 
-TEST_P(ServiceHostTest, StopIsIdempotentAndRestartable) {
+TEST_F(ServiceHostTest, StopIsIdempotentAndRestartable) {
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
@@ -278,7 +295,7 @@ TEST_P(ServiceHostTest, StopIsIdempotentAndRestartable) {
   host.Stop();
 }
 
-TEST_P(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
+TEST_F(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
   // Sessions never get a thread of their own, so the count stays at the
   // post-Start baseline throughout.
   Database db("d", {1, 2, 3, 4});
@@ -311,7 +328,7 @@ TEST_P(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
   EXPECT_EQ(stats.sessions_ok, static_cast<uint64_t>(kClients));
 }
 
-TEST_P(ServiceHostTest, SilentClientEvictedWithinDeadline) {
+TEST_F(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
@@ -344,7 +361,7 @@ TEST_P(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
-TEST_P(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
+TEST_F(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
   // The deadline is per whole frame, not per byte: a client feeding one
   // byte at a time (classic Slowloris) must still be evicted, because
   // partial progress never resets the frame deadline.
@@ -382,7 +399,7 @@ TEST_P(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
-TEST_P(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
+TEST_F(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   Database db("d", {3, 4, 5});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
@@ -431,7 +448,7 @@ TEST_P(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   EXPECT_EQ(stats.sessions_ok, 2u);
 }
 
-TEST_P(ServiceHostTest, AcceptingSurvivesFdExhaustion) {
+TEST_F(ServiceHostTest, AcceptingSurvivesFdExhaustion) {
   // Regression: accepting used to stop permanently on any
   // accept() failure, so one EMFILE burst silently killed the daemon.
   // Real fd exhaustion cannot be forced portably (sandboxed kernels
@@ -472,7 +489,7 @@ TEST_P(ServiceHostTest, AcceptingSurvivesFdExhaustion) {
   EXPECT_EQ(host.SnapshotStats().sessions_ok, 1u);
 }
 
-TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
+TEST_F(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   // Regression: Stop() + Start() used to keep the previous run's stats
   // and cached client keys.
   Database db("d", {9, 10});
@@ -508,7 +525,7 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   EXPECT_EQ(second.distinct_client_keys, 1u);
 }
 
-TEST_P(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
+TEST_F(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
   // Regression for the stale-stats footgun: stats used to be merged into
   // the host only when a session finished, so a monitor polling mid-run
   // saw zeros. Now a query is counted before its response frame is
@@ -544,7 +561,7 @@ TEST_P(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
   host.Stop();
 }
 
-TEST_P(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
+TEST_F(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
   Database db("d", {1, 2, 3, 4});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
@@ -583,7 +600,7 @@ TEST_P(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
   std::remove(options.stats_json_path.c_str());
 }
 
-TEST_P(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
+TEST_F(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
   // A client may write its whole protocol, half-close, and only then
   // read the replies. The host must serve every pipelined frame
   // before acting on the EOF — the session ended with a clean Goodbye,
@@ -628,7 +645,7 @@ TEST_P(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
   EXPECT_EQ(stats.sessions_failed, 0u);
 }
 
-TEST_P(ServiceHostTest, OversizedFramePrefixFailsSessionCleanly) {
+TEST_F(ServiceHostTest, OversizedFramePrefixFailsSessionCleanly) {
   // A hostile length prefix beyond the frame limit must fail the
   // session with a typed error, not allocate 4 GiB or hang.
   Database db("d", {2, 3});

@@ -5,9 +5,12 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "core/messages.h"
+#include "core/service_host.h"
 #include "crypto/key_io.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/sha256.h"
@@ -26,6 +29,25 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
+// A unix socket path unique to the running test (ctest runs test cases
+// as concurrent processes).
+std::string TestSocketPath() {
+  return std::string(::testing::TempDir()) + "/sess_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".sock";
+}
+
+std::unique_ptr<Channel> Dial(const ServiceHost& host) {
+  return UriDialer(host.bound_uri())().ValueOrDie();
+}
+
+// Stops `host` once its sessions have ended (the caller has closed or
+// finished every client) and returns its counters.
+ServiceHost::Stats Drain(ServiceHost& host) {
+  host.Stop();
+  return host.SnapshotStats();
+}
+
 // Connects on `channel`, runs one plain sum over the server's default
 // column, and ends the session.
 Result<BigInt> QueryOnce(Channel& channel, const SelectionVector& sel,
@@ -40,20 +62,41 @@ Result<BigInt> QueryOnce(Channel& channel, const SelectionVector& sel,
   return sum;
 }
 
-// Runs one full session: server on a thread, client on this one.
+// Runs one full session against a host serving `db` on a unix socket. A
+// client-side success still fails unless the host counted the session
+// ok; `stats` receives the host's counters.
 Result<BigInt> RunSession(const Database& db, const SelectionVector& sel,
-                          size_t chunk, uint64_t seed) {
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  std::thread server_thread([&db, &server_end, &server_status] {
-    ServerSession session(&db);
-    server_status = session.Serve(*server_end);
-  });
-  Result<BigInt> sum = QueryOnce(*client_end, sel, chunk, seed);
-  server_thread.join();
-  if (sum.ok() && !server_status.ok()) return server_status;
+                          size_t chunk, uint64_t seed,
+                          ServiceHost::Stats* stats = nullptr) {
+  ColumnRegistry registry;
+  PPSTATS_RETURN_IF_ERROR(registry.Register(db));
+  ServiceHost host(&registry);
+  PPSTATS_RETURN_IF_ERROR(host.Start(TestSocketPath()));
+  Result<BigInt> sum = QueryOnce(*Dial(host), sel, chunk, seed);
+  ServiceHost::Stats served = Drain(host);
+  if (stats != nullptr) *stats = served;
+  if (sum.ok() && served.sessions_ok != 1) {
+    return Status::Internal("host did not count the session ok");
+  }
   return sum;
 }
+
+// A host serving the single column `db` on the test's unix socket.
+class SingleColumnHost {
+ public:
+  explicit SingleColumnHost(const Database& db,
+                            ServiceHostOptions options = {})
+      : host_(&registry_, std::move(options)) {
+    EXPECT_TRUE(registry_.Register(db).ok());
+    EXPECT_TRUE(host_.Start(TestSocketPath()).ok());
+  }
+
+  ServiceHost& host() { return host_; }
+
+ private:
+  ColumnRegistry registry_;
+  ServiceHost host_;
+};
 
 TEST(SessionTest, HandshakeAndQuerySucceed) {
   ChaCha20Rng rng(1);
@@ -66,22 +109,23 @@ TEST(SessionTest, HandshakeAndQuerySucceed) {
 }
 
 TEST(SessionTest, WorksOverRealSockets) {
+  // The same session over TCP loopback (RunSession uses unix sockets).
   ChaCha20Rng rng(2);
   WorkloadGenerator gen(rng);
   Database db = gen.UniformDatabase(30, 1000);
   SelectionVector sel = gen.RandomSelection(30, 12);
   uint64_t truth = db.SelectedSum(sel).ValueOrDie();
 
-  auto pair = CreateSocketChannelPair().ValueOrDie();
-  Status server_status = Status::OK();
-  std::thread server_thread([&db, &pair, &server_status] {
-    ServerSession session(&db);
-    server_status = session.Serve(*pair.second);
-  });
-  Result<BigInt> sum = QueryOnce(*pair.first, sel, 7, 43);
-  server_thread.join();
-  ASSERT_TRUE(server_status.ok()) << server_status;
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(db).ok());
+  ServiceHost host(&registry);
+  ASSERT_TRUE(host.Start("tcp:127.0.0.1:0").ok());
+  Result<BigInt> sum = QueryOnce(*Dial(host), sel, 7, 43);
+  ServiceHost::Stats stats = Drain(host);
+  ASSERT_TRUE(sum.ok()) << sum.status();
   EXPECT_EQ(*sum, BigInt(truth));
+  EXPECT_EQ(stats.sessions_ok, 1u);
+  EXPECT_EQ(stats.queries_served, 1u);
 }
 
 TEST(SessionTest, SelectionSizeMismatchAbortsBothSides) {
@@ -89,110 +133,89 @@ TEST(SessionTest, SelectionSizeMismatchAbortsBothSides) {
   WorkloadGenerator gen(rng);
   Database db = gen.UniformDatabase(20, 100);
   SelectionVector wrong = gen.RandomSelection(25, 5);  // 25 != 20
-  Result<BigInt> sum = RunSession(db, wrong, 0, 44);
+  ServiceHost::Stats stats;
+  Result<BigInt> sum = RunSession(db, wrong, 0, 44, &stats);
   EXPECT_FALSE(sum.ok());
   EXPECT_EQ(sum.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stats.sessions_failed, 1u);  // the client's Error frame
+  EXPECT_EQ(stats.sessions_ok, 0u);
 }
 
 TEST(SessionTest, ServerRejectsUnknownVersion) {
   // 1 is the retired single-query protocol: refused like any other.
+  SingleColumnHost server(Database("d", {1, 2, 3}));
   for (uint32_t version : {99u, 1u}) {
     SCOPED_TRACE(version);
-    Database db("d", {1, 2, 3});
-    auto [client_end, server_end] = DuplexPipe::Create();
-    Status server_status = Status::OK();
-    std::thread server_thread([&db, &server_end, &server_status] {
-      ServerSession session(&db);
-      server_status = session.Serve(*server_end);
-    });
-
+    std::unique_ptr<Channel> channel = Dial(server.host());
     ClientHelloMessage hello;
     hello.protocol_version = static_cast<uint16_t>(version);
     hello.public_key_blob = SerializePublicKey(SharedKeyPair().public_key);
-    ASSERT_TRUE(client_end->Send(hello.Encode()).ok());
-    Bytes reply = client_end->Receive().ValueOrDie();
+    ASSERT_TRUE(channel->Send(hello.Encode()).ok());
+    Bytes reply = channel->Receive().ValueOrDie();
     EXPECT_EQ(PeekMessageType(reply).ValueOrDie(), MessageType::kError);
     EXPECT_EQ(StatusFromErrorFrame(reply).code(), StatusCode::kProtocolError);
-    server_thread.join();
-    EXPECT_EQ(server_status.code(), StatusCode::kProtocolError);
   }
+  ServiceHost::Stats stats = Drain(server.host());
+  EXPECT_EQ(stats.sessions_failed, 2u);
+  EXPECT_EQ(stats.sessions_ok, 0u);
 }
 
 TEST(SessionTest, ServerRejectsGarbagePublicKey) {
-  Database db("d", {1, 2, 3});
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  std::thread server_thread([&db, &server_end, &server_status] {
-    ServerSession session(&db);
-    server_status = session.Serve(*server_end);
-  });
-
+  SingleColumnHost server(Database("d", {1, 2, 3}));
+  std::unique_ptr<Channel> channel = Dial(server.host());
   ClientHelloMessage hello;
   hello.protocol_version = kSessionProtocolV2;
   hello.public_key_blob = Bytes{1, 2, 3, 4};
-  ASSERT_TRUE(client_end->Send(hello.Encode()).ok());
-  Bytes reply = client_end->Receive().ValueOrDie();
+  ASSERT_TRUE(channel->Send(hello.Encode()).ok());
+  Bytes reply = channel->Receive().ValueOrDie();
   EXPECT_EQ(PeekMessageType(reply).ValueOrDie(), MessageType::kError);
-  server_thread.join();
-  EXPECT_FALSE(server_status.ok());
+  channel.reset();
+  EXPECT_EQ(Drain(server.host()).sessions_failed, 1u);
 }
 
 TEST(SessionTest, ServerRejectsNonHelloOpening) {
-  Database db("d", {1, 2, 3});
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  std::thread server_thread([&db, &server_end, &server_status] {
-    ServerSession session(&db);
-    server_status = session.Serve(*server_end);
-  });
+  SingleColumnHost server(Database("d", {1, 2, 3}));
+  std::unique_ptr<Channel> channel = Dial(server.host());
   RingPartialMessage wrong{BigInt(5)};
-  ASSERT_TRUE(client_end->Send(wrong.Encode()).ok());
-  Bytes reply = client_end->Receive().ValueOrDie();
+  ASSERT_TRUE(channel->Send(wrong.Encode()).ok());
+  Bytes reply = channel->Receive().ValueOrDie();
   EXPECT_EQ(PeekMessageType(reply).ValueOrDie(), MessageType::kError);
-  server_thread.join();
-  EXPECT_FALSE(server_status.ok());
+  channel.reset();
+  EXPECT_EQ(Drain(server.host()).sessions_failed, 1u);
 }
 
 TEST(SessionTest, SilentClientIsEvictedWithDeadlineErrorFrame) {
-  // A peer that never sends its hello must not pin a blocking server:
-  // the read deadline evicts it, and it is told why.
-  Database db("d", {1, 2, 3});
-  auto [client_end, server_end] = DuplexPipe::Create();
-  server_end->set_read_deadline(std::chrono::milliseconds(50));
-  Status server_status = Status::OK();
-  std::thread server_thread([&db, &server_end, &server_status] {
-    ServerSession session(&db);
-    server_status = session.Serve(*server_end);
-  });
-  server_thread.join();
-  EXPECT_EQ(server_status.code(), StatusCode::kDeadlineExceeded)
-      << server_status.ToString();
-  client_end->set_read_deadline(std::chrono::milliseconds(1000));
-  Result<Bytes> reply = client_end->Receive();
+  // A peer that never sends its hello must not pin the server: the
+  // read deadline evicts it, and it is told why.
+  ServiceHostOptions options;
+  options.io_deadline_ms = 50;
+  SingleColumnHost server(Database("d", {1, 2, 3}), options);
+  std::unique_ptr<Channel> channel = Dial(server.host());
+  channel->set_read_deadline(std::chrono::milliseconds(5000));
+  Result<Bytes> reply = channel->Receive();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(PeekMessageType(*reply).ValueOrDie(), MessageType::kError);
   EXPECT_EQ(StatusFromErrorFrame(*reply).code(),
             StatusCode::kDeadlineExceeded);
+  channel.reset();
+  ServiceHost::Stats stats = Drain(server.host());
+  EXPECT_EQ(stats.sessions_evicted, 1u);
+  EXPECT_EQ(stats.sessions_failed, 1u);
 }
 
 TEST(SessionTest, QuerySessionRunsManyQueriesOverOneConnection) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("age", {30, 40, 50, 60})).ok());
   ASSERT_TRUE(registry.Register(Database("income", {10, 20, 30, 40})).ok());
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  SessionMetrics metrics;
-  std::thread server_thread([&] {
-    ServerSessionOptions options;
-    options.default_column = registry.Find("age");
-    ServerSession session(&registry, options);
-    server_status = session.Serve(*server_end);
-    metrics = session.metrics();
-  });
+  ServiceHostOptions options;
+  options.default_column = "age";
+  ServiceHost host(&registry, options);
+  ASSERT_TRUE(host.Start(TestSocketPath()).ok());
+  std::unique_ptr<Channel> channel = Dial(host);
 
   ChaCha20Rng rng(88);
   QuerySession session(SharedKeyPair().private_key, rng);
-  ASSERT_TRUE(session.Connect(*client_end).ok());
+  ASSERT_TRUE(session.Connect(*channel).ok());
   EXPECT_EQ(session.server_rows(), 4u);
 
   SelectionVector sel = {true, false, true, false};
@@ -212,56 +235,43 @@ TEST(SessionTest, QuerySessionRunsManyQueriesOverOneConnection) {
             BigInt(30 * 10 + 50 * 30));
 
   ASSERT_TRUE(session.Finish().ok());
-  server_thread.join();
-  EXPECT_TRUE(server_status.ok()) << server_status;
-  EXPECT_EQ(metrics.queries, 3u);
-  EXPECT_EQ(metrics.negotiated_version, kSessionProtocolV2);
+  channel.reset();
+  ServiceHost::Stats stats = Drain(host);
+  EXPECT_EQ(stats.sessions_ok, 1u);
+  EXPECT_EQ(stats.queries_served, 3u);
 }
 
 TEST(SessionTest, UnknownColumnAbortsSession) {
-  ColumnRegistry registry;
-  ASSERT_TRUE(registry.Register(Database("age", {1, 2})).ok());
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  std::thread server_thread([&] {
-    ServerSession session(&registry, {});
-    server_status = session.Serve(*server_end);
-  });
-
+  SingleColumnHost server(Database("age", {1, 2}));
+  std::unique_ptr<Channel> channel = Dial(server.host());
   ChaCha20Rng rng(89);
   QuerySession session(SharedKeyPair().private_key, rng);
-  ASSERT_TRUE(session.Connect(*client_end).ok());
+  ASSERT_TRUE(session.Connect(*channel).ok());
   QuerySpec spec;
   spec.column = "nope";
   Result<BigInt> sum = session.RunQuery(spec, SelectionVector{true, false});
   EXPECT_FALSE(sum.ok());
   EXPECT_EQ(sum.status().code(), StatusCode::kNotFound);
-  server_thread.join();
-  EXPECT_FALSE(server_status.ok());
+  channel.reset();
+  EXPECT_EQ(Drain(server.host()).sessions_failed, 1u);
 }
 
 TEST(SessionTest, UnknownStatisticKindAbortsSession) {
-  Database db("d", {1, 2, 3});
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  std::thread server_thread([&db, &server_end, &server_status] {
-    ServerSession session(&db);
-    server_status = session.Serve(*server_end);
-  });
-
+  SingleColumnHost server(Database("d", {1, 2, 3}));
+  std::unique_ptr<Channel> channel = Dial(server.host());
   ClientHelloMessage hello;
   hello.protocol_version = kSessionProtocolV2;
   hello.public_key_blob = SerializePublicKey(SharedKeyPair().public_key);
-  ASSERT_TRUE(client_end->Send(hello.Encode()).ok());
-  ASSERT_TRUE(client_end->Receive().ok());  // ServerHello
+  ASSERT_TRUE(channel->Send(hello.Encode()).ok());
+  ASSERT_TRUE(channel->Receive().ok());  // ServerHello
 
   QueryHeaderMessage header;
   header.kind = 99;  // not a StatisticKind
-  ASSERT_TRUE(client_end->Send(header.Encode()).ok());
-  Bytes reply = client_end->Receive().ValueOrDie();
+  ASSERT_TRUE(channel->Send(header.Encode()).ok());
+  Bytes reply = channel->Receive().ValueOrDie();
   EXPECT_EQ(PeekMessageType(reply).ValueOrDie(), MessageType::kError);
-  server_thread.join();
-  EXPECT_FALSE(server_status.ok());
+  channel.reset();
+  EXPECT_EQ(Drain(server.host()).sessions_failed, 1u);
 }
 
 TEST(SessionTest, QuerySessionRejectsV1ServerHello) {
@@ -296,34 +306,27 @@ TEST(SessionTest, QuerySessionRejectsV1ServerHello) {
 TEST(SessionTest, FailedQueryEndsTheSession) {
   // After a failed query the server has aborted and the stream is out
   // of step: a further query must fail locally without writing a frame.
-  ColumnRegistry registry;
-  ASSERT_TRUE(registry.Register(Database("age", {1, 2})).ok());
-  auto [client_end, server_end] = DuplexPipe::Create();
-  std::thread server_thread([&registry, &server_end] {
-    ServerSession session(&registry, {});
-    session.Serve(*server_end).IgnoreError();
-  });
-
+  SingleColumnHost server(Database("age", {1, 2}));
+  std::unique_ptr<Channel> channel = Dial(server.host());
   ChaCha20Rng rng(91);
   QuerySession session(SharedKeyPair().private_key, rng);
-  ASSERT_TRUE(session.Connect(*client_end).ok());
+  ASSERT_TRUE(session.Connect(*channel).ok());
   QuerySpec unknown;
   unknown.column = "nope";
   EXPECT_EQ(session.RunQuery(unknown, SelectionVector{true, false})
                 .status()
                 .code(),
             StatusCode::kNotFound);
-  server_thread.join();
-  server_end.reset();
+  EXPECT_EQ(Drain(server.host()).sessions_failed, 1u);
 
-  const uint64_t frames_before = client_end->sent().messages;
+  const uint64_t frames_before = channel->sent().messages;
   QuerySpec known;
   known.column = "age";
   EXPECT_EQ(session.RunQuery(known, SelectionVector{true, true})
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(client_end->sent().messages, frames_before);
+  EXPECT_EQ(channel->sent().messages, frames_before);
 }
 
 // Forwards to `inner`, folding every frame sent through it into a
@@ -350,16 +353,13 @@ TEST(SessionTest, SeededSessionFramesMatchGoldenDigest) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("age", {30, 40, 50, 60, 70})).ok());
   ASSERT_TRUE(registry.Register(Database("income", {1, 2, 3, 4, 5})).ok());
-  auto [client_end, server_end] = DuplexPipe::Create();
-  Status server_status = Status::OK();
-  std::thread server_thread([&] {
-    ServerSessionOptions options;
-    options.default_column = registry.Find("age");
-    ServerSession session(&registry, options);
-    server_status = session.Serve(*server_end);
-  });
+  ServiceHostOptions host_options;
+  host_options.default_column = "age";
+  ServiceHost host(&registry, host_options);
+  ASSERT_TRUE(host.Start(TestSocketPath()).ok());
+  std::unique_ptr<Channel> socket = Dial(host);
 
-  HashingChannel channel(*client_end);
+  HashingChannel channel(*socket);
   ChaCha20Rng rng(92);
   ClientSessionOptions options;
   options.chunk_size = 2;
@@ -372,8 +372,8 @@ TEST(SessionTest, SeededSessionFramesMatchGoldenDigest) {
   squares.column = "income";
   EXPECT_EQ(session.RunQuery(squares, sel).ValueOrDie(), BigInt(1 + 9 + 16));
   ASSERT_TRUE(session.Finish().ok());
-  server_thread.join();
-  EXPECT_TRUE(server_status.ok()) << server_status;
+  socket.reset();
+  EXPECT_EQ(Drain(host).sessions_ok, 1u);
   // Captured before the client moved onto ClientProtocolFsm.
   EXPECT_EQ(channel.Digest(),
             "d4f9410c76ad78de658129a1215a99d7"
@@ -417,26 +417,21 @@ TEST(SocketChannelTest, CloseSurfacesAsProtocolError) {
 }
 
 TEST(SocketChannelTest, ListenerAcceptsAndServes) {
-  std::string path = std::string(::testing::TempDir()) + "/ppstats_lt.sock";
-  SocketListener listener = SocketListener::Bind(path).ValueOrDie();
-
-  Database db("d", {5, 6, 7, 8});
-  Status server_status = Status::OK();
-  std::thread server_thread([&listener, &db, &server_status] {
-    auto channel = listener.Accept();
-    if (!channel.ok()) {
-      server_status = channel.status();
-      return;
-    }
-    ServerSession session(&db);
-    server_status = session.Serve(**channel);
-  });
+  // A bare socket path binds a unix listener, and a plain unix dial to
+  // that path is accepted and served.
+  std::string path = TestSocketPath();
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(Database("d", {5, 6, 7, 8})).ok());
+  ServiceHost host(&registry);
+  ASSERT_TRUE(host.Start(path).ok());
+  EXPECT_EQ(host.bound_uri(), "unix:" + path);
 
   auto channel = ConnectUnixSocket(path).ValueOrDie();
   SelectionVector sel = {true, false, true, false};
   Result<BigInt> sum = QueryOnce(*channel, sel, 0, 7);
-  server_thread.join();
-  ASSERT_TRUE(server_status.ok()) << server_status;
+  channel.reset();
+  EXPECT_EQ(Drain(host).sessions_ok, 1u);
+  ASSERT_TRUE(sum.ok()) << sum.status();
   EXPECT_EQ(*sum, BigInt(12));
 }
 

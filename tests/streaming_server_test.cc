@@ -1,9 +1,12 @@
-#include "core/streaming_server.h"
+// SumServer over a FileRowSource: the paper's Section 3.2 memory claim
+// that a batched server holds one database chunk at a time.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 
+#include "core/fold_engine.h"
 #include "core/selected_sum.h"
 #include "crypto/chacha20_rng.h"
 #include "db/workload.h"
@@ -24,8 +27,15 @@ std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
+// A SumServer reading its column from the file at `path`.
+Result<SumServer> OpenStreaming(const std::string& path) {
+  PPSTATS_ASSIGN_OR_RETURN(std::unique_ptr<FileRowSource> rows,
+                           FileRowSource::Open(path));
+  return SumServer(SharedKeyPair().public_key, std::move(rows));
+}
+
 // Drives a client against the streaming server directly.
-Result<BigInt> RunStreaming(StreamingSumServer& server, SumClient& client) {
+Result<BigInt> RunStreaming(SumServer& server, SumClient& client) {
   std::optional<Bytes> response;
   while (!client.RequestsDone()) {
     PPSTATS_ASSIGN_OR_RETURN(Bytes request, client.NextRequest());
@@ -50,10 +60,8 @@ TEST(StreamingServerTest, MatchesInMemoryServer) {
   SumClientOptions options;
   options.chunk_size = 16;
   SumClient client(SharedKeyPair().private_key, sel, options, rng);
-  StreamingSumServer server =
-      StreamingSumServer::Open(SharedKeyPair().public_key, path)
-          .ValueOrDie();
-  EXPECT_EQ(server.row_count(), 120u);
+  EXPECT_EQ(FileRowSource::Open(path).ValueOrDie()->size(), 120u);
+  SumServer server = OpenStreaming(path).ValueOrDie();
 
   BigInt sum = RunStreaming(server, client).ValueOrDie();
   EXPECT_EQ(sum, BigInt(truth));
@@ -73,18 +81,14 @@ TEST(StreamingServerTest, ResidentRowsBoundedByChunk) {
   SumClientOptions options;
   options.chunk_size = 25;
   SumClient client(SharedKeyPair().private_key, sel, options, rng);
-  StreamingSumServer server =
-      StreamingSumServer::Open(SharedKeyPair().public_key, path)
-          .ValueOrDie();
+  SumServer server = OpenStreaming(path).ValueOrDie();
   ASSERT_TRUE(RunStreaming(server, client).ok());
   EXPECT_EQ(server.peak_resident_rows(), 25u);  // << 200 rows total
   std::remove(path.c_str());
 }
 
 TEST(StreamingServerTest, RejectsBadFiles) {
-  EXPECT_FALSE(StreamingSumServer::Open(SharedKeyPair().public_key,
-                                        TempPath("missing-file.bin"))
-                   .ok());
+  EXPECT_FALSE(OpenStreaming(TempPath("missing-file.bin")).ok());
   // Truncated file: header claims more rows than present.
   std::string path = TempPath("stream_bad.bin");
   {
@@ -94,8 +98,7 @@ TEST(StreamingServerTest, RejectsBadFiles) {
     uint8_t one_cell[4] = {1, 0, 0, 0};
     out.write(reinterpret_cast<const char*>(one_cell), 4);
   }
-  EXPECT_FALSE(
-      StreamingSumServer::Open(SharedKeyPair().public_key, path).ok());
+  EXPECT_FALSE(OpenStreaming(path).ok());
   std::remove(path.c_str());
 }
 
@@ -109,9 +112,7 @@ TEST(StreamingServerTest, RejectsOutOfOrderChunks) {
   options.chunk_size = 2;
   SumClient client(SharedKeyPair().private_key, SelectionVector(4, true),
                    options, rng);
-  StreamingSumServer server =
-      StreamingSumServer::Open(SharedKeyPair().public_key, path)
-          .ValueOrDie();
+  SumServer server = OpenStreaming(path).ValueOrDie();
   Bytes first = client.NextRequest().ValueOrDie();
   Bytes second = client.NextRequest().ValueOrDie();
   EXPECT_FALSE(server.HandleRequest(second).ok());
@@ -123,10 +124,7 @@ TEST(StreamingServerTest, RoundTripsColumnFile) {
   Database db("d", {0, 0xFFFFFFFFu, 42});
   std::string path = TempPath("stream_rt.bin");
   ASSERT_TRUE(WriteColumnFile(db, path).ok());
-  StreamingSumServer server =
-      StreamingSumServer::Open(SharedKeyPair().public_key, path)
-          .ValueOrDie();
-  EXPECT_EQ(server.row_count(), 3u);
+  EXPECT_EQ(FileRowSource::Open(path).ValueOrDie()->size(), 3u);
   std::remove(path.c_str());
 }
 

@@ -30,7 +30,6 @@
 #include "crypto/chacha20_rng.h"
 #include "crypto/key_io.h"
 #include "db/workload.h"
-#include "host_suite.h"
 #include "net/retry.h"
 
 namespace ppstats {
@@ -159,11 +158,7 @@ TEST(TransportTcpTest, ConnectChannelRejectsUnresolvableHost) {
   EXPECT_FALSE(ConnectChannel("tcp:host.invalid:1").ok());
 }
 
-class TransportTcpSessionTest : public ::testing::TestWithParam<HostEngine> {};
-
-PPSTATS_INSTANTIATE_HOST_SUITE(TransportTcpSessionTest);
-
-TEST_P(TransportTcpSessionTest, QueriesOverTcpLoopback) {
+TEST(TransportTcpSessionTest, QueriesOverTcpLoopback) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("col", {10, 20, 30, 40})).ok());
   ServiceHostOptions options;

@@ -2,11 +2,10 @@
 // database files over a Unix or TCP socket.
 //
 //   ppstats_server --db [name=]values.txt [--db ...] --listen unix:/tmp/pp.sock
-//                  [--default <name>] [--threads <t>] [--once]
+//                  [--default <name>] [--threads <t>]
 //                  [--max-sessions <n>] [--io-deadline-ms <ms>]
 //                  [--backlog <n>] [--stats-json <path>]
-//                  [--stats-interval-ms <ms>]
-//                  [--reactor-threads <n>] [--max-events <n>]
+//                  [--stats-interval-ms <ms>] [--reactor-threads <n>]
 //                  [--shard-blind <index>:<count>:<seed-hex>[:<mod-bits>]]
 //
 // --listen takes an endpoint URI: "unix:/path", "tcp:host:port" (port 0
@@ -27,24 +26,20 @@
 // per connection. Concurrent clients are served on an epoll event loop
 // (core/service_host.h): --reactor-threads sets the number of
 // event-loop shards (each with its own listener; TCP shards share the
-// port via SO_REUSEPORT) and --max-events the epoll_wait batch size per
-// wakeup. --max-sessions caps concurrent clients (extras get a
-// retryable Error frame), --io-deadline-ms evicts clients that stall
-// mid-protocol, --backlog sets the kernel listen queue. With --once the
-// server handles exactly one session serially and exits (useful for
-// scripted tests); --io-deadline-ms bounds that session's reads and
-// writes too.
+// port via SO_REUSEPORT). --max-sessions caps concurrent clients
+// (extras get a retryable Error frame), --io-deadline-ms evicts clients
+// that stall mid-protocol, --backlog sets the kernel listen queue. The
+// server runs until SIGINT or SIGTERM.
 //
 // --stats-json writes the server's metrics (session/query counters,
 // channel byte counts, span histograms — see docs/OBSERVABILITY.md) to
 // the given path as one JSON document: every --stats-interval-ms while
-// running, and a final snapshot on clean shutdown (SIGINT/SIGTERM, or
-// session end in --once mode). Writes are atomic (temp file + rename),
-// so the file is always a complete document.
+// running, and a final snapshot on clean shutdown (SIGINT/SIGTERM).
+// Writes are atomic (temp file + rename), so the file is always a
+// complete document.
 
 #include <unistd.h>
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -55,10 +50,7 @@
 
 #include "common/bytes.h"
 #include "core/service_host.h"
-#include "core/session.h"
 #include "db/io.h"
-#include "net/socket_channel.h"
-#include "obs/export.h"
 
 namespace {
 
@@ -71,11 +63,10 @@ int Usage() {
                "usage: ppstats_server --db [name=]<file> [--db ...] "
                "--listen <unix:path|tcp:host:port> [--default <name>] "
                "[--threads <t>] "
-               "[--once] [--max-sessions <n>] [--io-deadline-ms <ms>] "
+               "[--max-sessions <n>] [--io-deadline-ms <ms>] "
                "[--backlog <n>] [--stats-json <path>] "
                "[--stats-interval-ms <ms>] "
                "[--reactor-threads <n>] "
-               "[--max-events <n>] "
                "[--shard-blind <index>:<count>:<seed-hex>[:<mod-bits>]]\n");
   return 2;
 }
@@ -137,19 +128,14 @@ int main(int argc, char** argv) {
   size_t max_sessions = 0;
   uint32_t io_deadline_ms = 0;
   int backlog = 16;
-  bool once = false;
   std::string stats_json_path;
   uint32_t stats_interval_ms = 0;
   std::optional<ShardBlindConfig> shard_blind;
   size_t reactor_threads = 1;
-  size_t max_events = 64;
   std::string flag_value;
   for (int i = 1; i < argc; ++i) {
     if (FlagValue("--reactor-threads", argc, argv, &i, &flag_value)) {
       reactor_threads =
-          static_cast<size_t>(std::strtoull(flag_value.c_str(), nullptr, 10));
-    } else if (FlagValue("--max-events", argc, argv, &i, &flag_value)) {
-      max_events =
           static_cast<size_t>(std::strtoull(flag_value.c_str(), nullptr, 10));
     } else if (FlagValue("--stats-json", argc, argv, &i, &flag_value)) {
       stats_json_path = flag_value;
@@ -181,8 +167,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       shard_blind = std::move(config);
-    } else if (!std::strcmp(argv[i], "--once")) {
-      once = true;
     } else {
       return Usage();
     }
@@ -214,66 +198,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (once) {
-    // Serial single-session mode for scripted tests.
-    Result<Endpoint> endpoint = ParseEndpoint(listen_uri);
-    if (!endpoint.ok()) {
-      std::fprintf(stderr, "%s\n", endpoint.status().ToString().c_str());
-      return 1;
-    }
-    ListenOptions listen_options;
-    listen_options.backlog = backlog;
-    Result<SocketListener> listener =
-        SocketListener::Bind(*endpoint, listen_options);
-    if (!listener.ok()) {
-      std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("serving one session on %s\n",
-                listener->endpoint().ToUri().c_str());
-    std::printf("listening on %s\n", listener->endpoint().ToUri().c_str());
-    std::fflush(stdout);
-    Result<std::unique_ptr<Channel>> channel = listener->Accept();
-    if (!channel.ok()) {
-      std::fprintf(stderr, "accept: %s\n",
-                   channel.status().ToString().c_str());
-      return 1;
-    }
-    if (io_deadline_ms > 0) {
-      // A stalled client is evicted with a DeadlineExceeded Error frame
-      // instead of pinning the server forever.
-      const std::chrono::milliseconds deadline(io_deadline_ms);
-      (*channel)->set_read_deadline(deadline);
-      (*channel)->set_write_deadline(deadline);
-    }
-    ServerSessionOptions options;
-    options.default_column =
-        default_column.empty()
-            ? (registry.size() == 1
-                   ? registry.Find(registry.ColumnNames().front())
-                   : nullptr)
-            : registry.Find(default_column);
-    if (!default_column.empty() && options.default_column == nullptr) {
-      std::fprintf(stderr, "unknown default column: %s\n",
-                   default_column.c_str());
-      return 1;
-    }
-    options.worker_threads = threads;
-    options.shard_blind = shard_blind;
-    ServerSession session(&registry, options);
-    Status status = session.Serve(**channel);
-    std::printf("session: %s (%llu queries)\n", status.ToString().c_str(),
-                static_cast<unsigned long long>(session.metrics().queries));
-    if (!stats_json_path.empty()) {
-      // Serial mode has no host registry; the session recorded into the
-      // process-wide one.
-      (void)obs::WriteFileAtomic(
-          stats_json_path,
-          obs::StatsToJson(obs::MetricRegistry::Global().Snapshot()));
-    }
-    return status.ok() ? 0 : 1;
-  }
-
   ServiceHostOptions options;
   options.default_column = default_column;
   options.worker_threads = threads;
@@ -283,7 +207,6 @@ int main(int argc, char** argv) {
   options.stats_json_path = stats_json_path;
   options.stats_interval_ms = stats_interval_ms;
   options.reactor_threads = reactor_threads;
-  options.max_events = max_events;
   options.shard_blind = shard_blind;
   ServiceHost host(&registry, options);
   Status started = host.Start(listen_uri);
