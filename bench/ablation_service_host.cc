@@ -9,10 +9,10 @@
 // runs over both transports (unix socket and TCP loopback), isolating
 // what TCP framing/loopback costs against the same workload.
 //
-// --chaos switches to the robustness variant: ~1% of frames on each
-// side of the wire are faulted (delay/truncate/garble/drop/disconnect,
-// seeded), sessions run behind I/O deadlines, and clients redial with
-// exponential backoff. The table then reports goodput — queries that
+// --chaos switches to the robustness variant: each client's channel
+// faults ~1% of the frames it sends and of the frames it receives
+// (delay/truncate/garble/drop/disconnect, seeded), sessions run behind
+// I/O deadlines, and clients redial with exponential backoff. The table then reports goodput — queries that
 // still completed correctly per second — plus the fault and retry
 // counts, quantifying what the robustness layer costs under a noisy
 // transport.
@@ -540,8 +540,6 @@ int RunChaosMode() {
     options.default_column = "age";
     options.reactor_threads = 2;
     options.io_deadline_ms = 5000;
-    options.fault_injection = faults;
-    options.fault_seed = 4100 + clients;
     ServiceHost host(&registry, options);
     std::string path = "/tmp/ppstats_svc_bench.sock";
     if (!host.Start(path).ok()) {
@@ -566,8 +564,8 @@ int RunChaosMode() {
         ChaCha20Rng client_rng(3300 + c);
         ChaCha20Rng fault_rng(4200 + c);
         WorkloadGenerator client_gen(client_rng);
-        // Each dial wraps the fresh socket in the client-side fault
-        // layer; the wrapper pointer stays valid inside the session.
+        // Each dial wraps the fresh socket in the two-way fault layer;
+        // the wrapper pointer stays valid inside the session.
         FaultInjectingChannel* wrapper = nullptr;
         DialFn dial =
             [&]() -> Result<std::unique_ptr<Channel>> {

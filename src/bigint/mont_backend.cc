@@ -30,12 +30,12 @@ using uint128 = unsigned __int128;
 // Shared pieces.
 
 // Per-thread scratch for the variable-width kernels. MontgomeryContext
-// objects are shared across ThreadPool workers (SlicedFoldMontgomery
-// hands one context to every slice), so the scratch that replaced the
-// old per-call std::vector allocation must be thread-local rather than
-// context-owned — each worker grows its own buffer once and the
-// kernels stay lock-free with nothing for the thread-safety analysis
-// to guard.
+// objects are shared across ThreadPool workers (FoldEngine hands one
+// context to every slice; PIR folds all its rows under one), so the
+// scratch that replaced the old per-call std::vector allocation must be
+// thread-local rather than context-owned — each worker grows its own
+// buffer once and the kernels stay lock-free with nothing for the
+// thread-safety analysis to guard.
 uint64_t* MontScratch(size_t limbs) {
   thread_local std::vector<uint64_t> scratch;
   if (scratch.size() < limbs) scratch.resize(limbs);

@@ -7,6 +7,8 @@
 #define PPSTATS_COMMON_RESULT_H_
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -54,9 +56,14 @@ class [[nodiscard]] Result {
     return *std::move(value_);
   }
 
-  /// Moves the value out. Requires ok().
+  /// Moves the value out. On an error result it prints the status to
+  /// stderr and aborts, in every build type.
   T ValueOrDie() && {
-    assert(ok());
+    if (!ok()) {
+      std::fprintf(stderr, "ValueOrDie on an error Result: %s\n",
+                   status_.ToString().c_str());
+      std::abort();
+    }
     return *std::move(value_);
   }
 

@@ -20,13 +20,11 @@ struct PoolMetrics {
       obs::MetricRegistry::Global().GetGauge("threadpool.queue_depth");
   obs::Gauge* busy_workers =
       obs::MetricRegistry::Global().GetGauge("threadpool.busy_workers");
-  // Work-stealing scheduler (Submit/TrySubmit) instruments.
+  // Work-stealing scheduler (Submit) instruments.
   obs::Counter* submitted =
       obs::MetricRegistry::Global().GetCounter("sched.submitted");
   obs::Counter* steals =
       obs::MetricRegistry::Global().GetCounter("sched.steals");
-  obs::Counter* rejected =
-      obs::MetricRegistry::Global().GetCounter("sched.rejected");
   obs::Histogram* dispatch_ns =
       obs::MetricRegistry::Global().GetHistogram("sched.dispatch_ns");
 };
@@ -173,10 +171,16 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
   Metrics().queue_depth->Set(static_cast<int64_t>(jobs_.size()));
 }
 
-void ThreadPool::Enqueue(TaskItem item) {
+void ThreadPool::Submit(Task task) {
+  if (workers_.empty()) {
+    Metrics().submitted->Increment();
+    task();
+    return;
+  }
+  TaskItem item{std::move(task), std::chrono::steady_clock::now()};
   // Increment before the push: a worker that pops the task decrements
   // after observing the push (same deque lock), so the counter can
-  // never underflow, and TrySubmit's bound counts in-flight enqueues.
+  // never underflow.
   pending_tasks_.fetch_add(1, std::memory_order_release);
   const size_t target =
       submit_cursor_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
@@ -191,30 +195,6 @@ void ThreadPool::Enqueue(TaskItem item) {
     MutexLock lock(mu_);
   }
   cv_.NotifyOne();
-}
-
-void ThreadPool::Submit(Task task) {
-  if (workers_.empty()) {
-    Metrics().submitted->Increment();
-    task();
-    return;
-  }
-  Enqueue(TaskItem{std::move(task), std::chrono::steady_clock::now()});
-}
-
-Status ThreadPool::TrySubmit(Task task, size_t queue_depth) {
-  if (workers_.empty()) {
-    Metrics().submitted->Increment();
-    task();
-    return Status::OK();
-  }
-  if (queue_depth > 0 &&
-      pending_tasks_.load(std::memory_order_acquire) >= queue_depth) {
-    Metrics().rejected->Increment();
-    return Status::ResourceExhausted("thread pool task queue is full");
-  }
-  Enqueue(TaskItem{std::move(task), std::chrono::steady_clock::now()});
-  return Status::OK();
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -12,13 +12,13 @@
 // cannot deadlock — in the worst case the caller simply executes every
 // index itself.
 //
-// Submit()/TrySubmit() feed a work-stealing scheduler layered on the
-// same workers: each worker owns a deque, submissions land round-robin,
-// a worker pops its own deque front-first (FIFO) and steals from the
-// back of a sibling's deque when its own is empty. The reactor host
+// Submit() feeds a work-stealing scheduler layered on the same workers:
+// each worker owns a deque, submissions land round-robin, a worker pops
+// its own deque front-first (FIFO) and steals from the back of a
+// sibling's deque when its own is empty. The reactor host
 // (core/reactor_host.h) posts per-session protocol work here so the
-// event loop never blocks on crypto; TrySubmit's queue_depth bound is
-// its load-shedding valve.
+// event loop never blocks on crypto; it keeps at most one task in
+// flight per session, which bounds the backlog it creates.
 
 #ifndef PPSTATS_COMMON_THREAD_POOL_H_
 #define PPSTATS_COMMON_THREAD_POOL_H_
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace ppstats {
@@ -63,17 +62,6 @@ class ThreadPool {
   /// placement; idle workers steal). Pending tasks are drained before
   /// the destructor returns. With zero workers the task runs inline.
   void Submit(Task task);
-
-  /// Like Submit(), but fails with ResourceExhausted when `queue_depth`
-  /// tasks are already waiting (the task is not enqueued). The bound is
-  /// approximate under concurrent submitters — it is a load-shedding
-  /// valve, not an exact semaphore. queue_depth 0 means unbounded.
-  [[nodiscard]] Status TrySubmit(Task task, size_t queue_depth);
-
-  /// Tasks submitted but not yet picked up by a worker.
-  size_t QueuedTasks() const {
-    return pending_tasks_.load(std::memory_order_relaxed);
-  }
 
   /// Floor on Shared()'s worker count (see thread_pool.cc).
   static constexpr unsigned kMinSharedWorkers = 2;
@@ -113,7 +101,6 @@ class ThreadPool {
   /// Pops one task (own front, else steal a sibling's back) and runs
   /// it. Returns false if every deque was empty.
   bool RunOneTask(size_t self);
-  void Enqueue(TaskItem item);
 
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<TaskQueue>> queues_;  // one per worker

@@ -76,55 +76,6 @@ Status FileRowSource::ReadRows(size_t begin, std::span<uint64_t> out) {
   return Status::OK();
 }
 
-BigInt SlicedFoldMontgomery(const MontgomeryContext& mont, size_t count,
-                            size_t worker_threads,
-                            const FoldGatherFn& gather) {
-  auto fold_range = [&mont, &gather](size_t begin, size_t end) -> BigInt {
-    std::vector<BigInt> bases;
-    std::vector<BigInt> exponents;
-    bases.reserve(end - begin);
-    exponents.reserve(end - begin);
-    gather(begin, end, &bases, &exponents);
-    return mont.MultiExpMontgomery(bases, exponents);
-  };
-
-  const size_t threads =
-      std::min(worker_threads == 0 ? 1 : worker_threads,
-               count == 0 ? size_t{1} : count);
-  if (threads <= 1) return fold_range(0, count);
-
-  std::vector<BigInt> partials(threads);
-  const size_t stride = (count + threads - 1) / threads;
-  ThreadPool::Shared().Run(threads, [&partials, &fold_range, stride,
-                                     count](size_t t) {
-    const size_t begin = std::min(t * stride, count);
-    const size_t end = std::min(begin + stride, count);
-    partials[t] = fold_range(begin, end);
-  });
-  BigInt product = partials[0];
-  for (size_t t = 1; t < partials.size(); ++t) {
-    product = mont.MulMontgomery(product, partials[t]);
-  }
-  return product;
-}
-
-BigInt SlicedMultiExpMontgomery(const MontgomeryContext& mont,
-                                std::span<const BigInt> bases_mont,
-                                std::span<const BigInt> exponents,
-                                size_t worker_threads) {
-  return SlicedFoldMontgomery(
-      mont, bases_mont.size(), worker_threads,
-      [&bases_mont, &exponents](size_t begin, size_t end,
-                                std::vector<BigInt>* bases,
-                                std::vector<BigInt>* exps) {
-        for (size_t i = begin; i < end; ++i) {
-          if (exponents[i].IsZero()) continue;
-          bases->push_back(bases_mont[i]);
-          exps->push_back(exponents[i]);
-        }
-      });
-}
-
 FoldEngine::FoldEngine(const PaillierPublicKey& pub,
                        std::unique_ptr<RowSource> rows,
                        ExponentTransform transform, size_t begin, size_t end,

@@ -1,12 +1,15 @@
 // Fold engine: the one implementation of the server-side homomorphic
 // fold prod_i E(I_i)^{e_i} mod n^2.
 //
-// Every server variant — SumServer over an in-memory column or a
-// file-backed one, the packed Damgård–Jurik multi-sum, the PIR row
-// folds — is this fold over a different row source and exponent rule.
-// The engine owns the chunk ordering, the ThreadPool slicing, and the
-// Montgomery-form accumulators; rows come from a pluggable RowSource and
-// exponents from the query layer's ExponentTransform.
+// Every Paillier sum server — SumServer over an in-memory column or a
+// file-backed one, and so every query the service host answers — is
+// this fold over a different row source and exponent rule. (The packed
+// Damgård–Jurik multi-sum and the PIR row folds are one-shot products
+// over prepared vectors; they call DamgardJurik::WeightedFold and
+// MontgomeryContext::MultiExpMontgomery directly.) The engine owns the
+// chunk ordering, the ThreadPool slicing, and the Montgomery-form
+// accumulators; rows come from a pluggable RowSource and exponents from
+// the query layer's ExponentTransform.
 //
 // The Paillier fold is conversion-free and chunk-spanning. Each worker
 // slice keeps one streaming Pippenger accumulator
@@ -31,7 +34,6 @@
 #define PPSTATS_CORE_FOLD_ENGINE_H_
 
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -101,30 +103,6 @@ class FileRowSource : public RowSource {
   size_t row_count_ = 0;
   size_t peak_resident_rows_ = 0;
 };
-
-/// Gathers one slice's fold terms: for each index in [begin, end), a
-/// Montgomery-form base and its non-negative exponent (zero-exponent
-/// terms may be dropped — E(I)^0 == 1 is a no-op factor).
-using FoldGatherFn = std::function<void(
-    size_t begin, size_t end, std::vector<BigInt>* bases_mont,
-    std::vector<BigInt>* exponents)>;
-
-/// The shared slicing kernel: splits [0, count) into up to
-/// `worker_threads` contiguous slices, folds each slice's gathered terms
-/// with one batched multi-exponentiation on the shared ThreadPool, and
-/// combines the Montgomery-form partials in slice order. Returns the
-/// Montgomery-form product.
-BigInt SlicedFoldMontgomery(const MontgomeryContext& mont, size_t count,
-                            size_t worker_threads,
-                            const FoldGatherFn& gather);
-
-/// Slicing kernel over bases already in Montgomery form (the PIR row
-/// fold and the packed multi-sum hold a prepared base vector). Returns
-/// the Montgomery-form product prod_i bases[i]^exponents[i].
-BigInt SlicedMultiExpMontgomery(const MontgomeryContext& mont,
-                                std::span<const BigInt> bases_mont,
-                                std::span<const BigInt> exponents,
-                                size_t worker_threads);
 
 /// The chunked fold behind every Paillier sum server: consumes index
 /// ciphertext chunks in row order over [begin, end), drops them into one

@@ -1,8 +1,6 @@
 #include "core/packed_sum.h"
 
-#include "bigint/modarith.h"
 #include "common/stopwatch.h"
-#include "core/fold_engine.h"
 
 namespace ppstats {
 
@@ -59,23 +57,13 @@ Result<PackedSumResult> RunPackedMultiSum(
   result.client_encrypt_s = client_timer.ElapsedSeconds();
   result.client_to_server.Record(db.size() * pub.CiphertextBytes());
 
-  // --- Server: the usual product with database exponents, through the
-  // shared sliced fold kernel over the Damgård–Jurik modulus n^{s+1}. ---
+  // --- Server: the usual product with database exponents, one batched
+  // multi-exponentiation over the Damgård–Jurik modulus n^{s+1}. --------
   Stopwatch server_timer;
-  const MontgomeryContext& mont = pub.mont();
-  BigInt acc_mont = SlicedFoldMontgomery(
-      mont, encrypted_rows.size(), /*worker_threads=*/1,
-      [&mont, &encrypted_rows, &db, &pub](size_t begin, size_t end,
-                                          std::vector<BigInt>* bases,
-                                          std::vector<BigInt>* exps) {
-        for (size_t i = begin; i < end; ++i) {
-          BigInt weight(db.value(i));
-          if (weight.IsZero()) continue;
-          bases->push_back(mont.ToMontgomery(encrypted_rows[i].value));
-          exps->push_back(Mod(weight, pub.n_s()));
-        }
-      });
-  DjCiphertext acc{mont.FromMontgomery(acc_mont)};
+  std::vector<BigInt> weights;
+  weights.reserve(db.size());
+  for (size_t i = 0; i < db.size(); ++i) weights.push_back(BigInt(db.value(i)));
+  DjCiphertext acc = DamgardJurik::WeightedFold(pub, encrypted_rows, weights);
   result.server_compute_s = server_timer.ElapsedSeconds();
   result.server_to_client.Record(pub.CiphertextBytes());
 

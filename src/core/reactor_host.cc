@@ -13,9 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "core/messages.h"
-#include "crypto/chacha20_rng.h"
 #include "net/channel.h"
-#include "net/fault_injection.h"
 
 namespace ppstats {
 
@@ -45,18 +43,6 @@ constexpr size_t kWritevBatchFrames = 64;
 
 }  // namespace
 
-/// One outbound wire frame (4-byte length prefix already applied), plus
-/// the fault plan that shaped it. Frames flush strictly in order; a
-/// delayed frame holds everything behind it, and a disconnect marker
-/// kills the transport once every earlier frame has hit the wire —
-/// exactly the ordering a blocking FaultInjectingChannel produces.
-struct OutFrame {
-  Bytes wire;
-  uint32_t delay_ms = 0;
-  bool delay_armed = false;
-  bool disconnect = false;
-};
-
 struct ReactorEngine::SessionState {
   enum class Mode : uint8_t { kServing, kRejecting };
 
@@ -69,8 +55,6 @@ struct ReactorEngine::SessionState {
   // a pool worker while `processing` is true, the reactor thread
   // otherwise (the pool and Post() queues provide the handoff fences).
   std::unique_ptr<ServerProtocolFsm> fsm;
-  std::unique_ptr<ChaCha20Rng> fault_rng;
-  std::optional<FrameFaultPlanner> planner;
 
   // Read side (reactor thread only).
   Bytes read_buf;
@@ -80,8 +64,9 @@ struct ReactorEngine::SessionState {
   bool processing = false;
 
   // Write side (reactor thread only).
-  std::deque<OutFrame> outbox;
-  size_t wire_off = 0;  ///< bytes of outbox.front().wire already sent
+  /// Wire frames (4-byte length prefix applied), flushed in order.
+  std::deque<Bytes> outbox;
+  size_t wire_off = 0;  ///< bytes of outbox.front() already sent
   bool want_write = false;
   bool transport_dead = false;
   Status flush_error = Status::OK();  ///< first send-path failure
@@ -96,8 +81,6 @@ struct ReactorEngine::SessionState {
   // Timers (ids into the owning reactor's wheel; 0 = unarmed).
   uint64_t read_timer = 0;
   uint64_t write_timer = 0;
-  uint64_t delay_timer = 0;
-  uint64_t retry_timer = 0;
   uint64_t reject_timer = 0;
 
   bool closing = false;  ///< terminal: flush the outbox, then close
@@ -158,7 +141,6 @@ Status ReactorEngine::Start(const Endpoint& endpoint) {
   shards_.resize(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
     ReactorOptions reactor_options;
-    reactor_options.force_poll_backend = options_.force_poll_backend;
     reactor_options.registry = metric_registry_;
     Result<std::unique_ptr<Reactor>> reactor = Reactor::Create(reactor_options);
     if (!reactor.ok()) {
@@ -298,10 +280,7 @@ void ReactorEngine::OpenSession(size_t shard, int fd, bool reject) {
     session->mode = SessionState::Mode::kRejecting;
   } else {
     counters_.accepted->Increment();
-    // Ids count accepted sessions only (rejected connects get none), so
-    // fault_seed + id addresses the same session across runs whenever
-    // the accept order is deterministic (single-client chaos tests;
-    // multi-shard runs only promise id uniqueness).
+    // Ids count accepted sessions only (rejected connects get none).
     session->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
     serving_count_.fetch_add(1, std::memory_order_acq_rel);
     counters_.active->Set(
@@ -314,11 +293,6 @@ void ReactorEngine::OpenSession(size_t shard, int fd, bool reject) {
     fsm_options.compute_ns_counter = counters_.compute_ns;
     session->fsm = std::make_unique<ServerProtocolFsm>(
         router_factory_(), fsm_options, session->id + 1);
-    if (options_.fault_injection.has_value()) {
-      session->fault_rng =
-          std::make_unique<ChaCha20Rng>(options_.fault_seed + session->id);
-      session->planner.emplace(*options_.fault_injection, *session->fault_rng);
-    }
   }
   {
     MutexLock lock(drain_mu_);
@@ -469,31 +443,10 @@ void ReactorEngine::PumpProcessing(size_t shard,
       HandleFsmOutput(shard, s, std::move(out));
     });
   };
-  if (options_.fold_queue_depth > 0) {
-    Status submitted =
-        ThreadPool::Shared().TrySubmit(task, options_.fold_queue_depth);
-    if (!submitted.ok()) {
-      // Pool saturated: backpressure. The frame goes back to the inbox
-      // and a short timer retries; the read deadline stays cancelled
-      // because the client is not the one stalling.
-      s->processing = false;
-      s->inbox.push_front(std::move(s->current_frame));
-      s->current_frame.clear();
-      if (s->retry_timer == 0) {
-        s->retry_timer = shards_[shard].reactor->ArmTimer(
-            std::chrono::milliseconds(1), [this, shard, s] {
-              s->retry_timer = 0;
-              if (!s->closed) PumpProcessing(shard, s);
-            });
-      }
-      return;
-    }
-  } else {
-    // ppstats-analyze: allow(reactor-blocking): Submit() only takes the
-    // pool mutex to enqueue (never waits for the task); unbounded mode
-    // is the operator's explicit opt-out of TrySubmit backpressure.
-    ThreadPool::Shared().Submit(task);
-  }
+  // ppstats-analyze: allow(reactor-blocking): Submit() only takes the
+  // pool mutex to enqueue (never waits for the task), and the backlog it
+  // builds is bounded by one in-flight task per session (`processing`).
+  ThreadPool::Shared().Submit(task);
 }
 
 void ReactorEngine::HandleFsmOutput(size_t shard,
@@ -503,7 +456,7 @@ void ReactorEngine::HandleFsmOutput(size_t shard,
   s->current_frame.clear();
   if (s->closed) return;
   for (const Bytes& frame : out.frames) {
-    AppendOutbound(s, frame, /*faultable=*/true);
+    AppendOutbound(s, frame);
   }
   Flush(shard, s);
   if (s->closed) return;
@@ -531,88 +484,30 @@ void ReactorEngine::HandleFsmOutput(size_t shard,
 }
 
 void ReactorEngine::AppendOutbound(const std::shared_ptr<SessionState>& s,
-                                   BytesView payload, bool faultable) {
+                                   BytesView payload) {
   if (s->transport_dead) return;
-  uint32_t delay_ms = 0;
-  Bytes body;
-  if (faultable && s->planner.has_value()) {
-    FaultPlan plan = s->planner->Plan(payload);
-    if (plan.kind.has_value()) {
-      switch (*plan.kind) {
-        case FaultKind::kDelay:
-          delay_ms = plan.delay_ms;
-          body.assign(payload.begin(), payload.end());
-          break;
-        case FaultKind::kTruncate:
-        case FaultKind::kGarble:
-          body = std::move(plan.payload);
-          break;
-        case FaultKind::kDrop:
-          return;  // the peer waits for a frame that never comes
-        case FaultKind::kDisconnect: {
-          OutFrame marker;
-          marker.disconnect = true;
-          s->outbox.push_back(std::move(marker));
-          return;
-        }
-      }
-    } else {
-      body.assign(payload.begin(), payload.end());
-    }
-  } else {
-    body.assign(payload.begin(), payload.end());
-  }
-  OutFrame frame;
-  frame.delay_ms = delay_ms;
-  frame.wire.reserve(kFrameOverheadBytes + body.size());
-  const uint32_t len = static_cast<uint32_t>(body.size());
+  Bytes wire;
+  wire.reserve(kFrameOverheadBytes + payload.size());
+  const uint32_t len = static_cast<uint32_t>(payload.size());
   for (size_t i = 0; i < kFrameOverheadBytes; ++i) {
-    frame.wire.push_back(
+    wire.push_back(
         static_cast<uint8_t>(len >> (8 * (kFrameOverheadBytes - 1 - i))));
   }
-  frame.wire.insert(frame.wire.end(), body.begin(), body.end());
-  s->outbox.push_back(std::move(frame));
+  wire.insert(wire.end(), payload.begin(), payload.end());
+  s->outbox.push_back(std::move(wire));
 }
 
 void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) {
   if (s->closed || s->transport_dead) return;
   while (!s->outbox.empty()) {
-    OutFrame& head = s->outbox.front();
-    if (head.disconnect) {
-      // Injected disconnect: everything before the marker is on the
-      // wire; kill the transport so the peer sees EOF, like the
-      // blocking FaultInjectingChannel closing its inner channel.
-      ::shutdown(s->fd, SHUT_RDWR);
-      HandleSendFailure(
-          shard, s,
-          Status::ProtocolError("channel closed by injected disconnect"));
-      return;
-    }
-    if (head.delay_ms > 0) {
-      if (!head.delay_armed) {
-        head.delay_armed = true;
-        s->delay_timer = shards_[shard].reactor->ArmTimer(
-            std::chrono::milliseconds(head.delay_ms), [this, shard, s] {
-              s->delay_timer = 0;
-              if (s->closed || s->outbox.empty()) return;
-              s->outbox.front().delay_ms = 0;
-              Flush(shard, s);
-            });
-      }
-      break;  // later frames must not overtake the delayed one
-    }
-    // Gather every flushable frame behind the head into one sendmsg():
-    // the batch stops at a delay barrier or disconnect marker, which
-    // later frames must not overtake.
+    // Gather the pending frames into one sendmsg().
     struct iovec iov[kWritevBatchFrames];
     size_t iov_count = 0;
-    for (const OutFrame& f : s->outbox) {
-      if (iov_count == kWritevBatchFrames || f.disconnect || f.delay_ms > 0) {
-        break;
-      }
+    for (const Bytes& wire : s->outbox) {
+      if (iov_count == kWritevBatchFrames) break;
       const size_t off = iov_count == 0 ? s->wire_off : 0;
-      iov[iov_count].iov_base = const_cast<uint8_t*>(f.wire.data() + off);
-      iov[iov_count].iov_len = f.wire.size() - off;
+      iov[iov_count].iov_base = const_cast<uint8_t*>(wire.data() + off);
+      iov[iov_count].iov_len = wire.size() - off;
       ++iov_count;
     }
     struct msghdr msg = {};
@@ -625,8 +520,8 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
       // complete several at once), a partial tail resumes at wire_off.
       size_t sent = static_cast<size_t>(n);
       do {
-        OutFrame& front = s->outbox.front();
-        const size_t remaining = front.wire.size() - s->wire_off;
+        const Bytes& front = s->outbox.front();
+        const size_t remaining = front.size() - s->wire_off;
         if (sent < remaining) {
           s->wire_off += sent;
           break;
@@ -634,7 +529,7 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
         sent -= remaining;
         ChannelMetrics& metrics = ChannelMetrics::Get();
         metrics.frames_sent->Increment();
-        metrics.bytes_sent->Add(front.wire.size());
+        metrics.bytes_sent->Add(front.size());
         writev_frames_->Increment();
         s->wire_off = 0;
         s->outbox.pop_front();
@@ -652,12 +547,10 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
         shard, s, ErrnoStatus(StatusCode::kProtocolError, "send failed", errno));
     return;
   }
-  // Outbox drained (or holding for a delay, which keeps its own timer).
-  if (s->outbox.empty()) {
-    CancelSessionTimer(shard, s->write_timer);
-    SetWriteInterest(shard, s, false);
-    if (s->closing) FinalizeSession(shard, s);
-  }
+  // Outbox drained.
+  CancelSessionTimer(shard, s->write_timer);
+  SetWriteInterest(shard, s, false);
+  if (s->closing) FinalizeSession(shard, s);
 }
 
 void ReactorEngine::ArmReadTimer(size_t shard,
@@ -720,13 +613,8 @@ void ReactorEngine::SetWriteInterest(size_t shard,
 void ReactorEngine::BeginReject(size_t shard,
                                 const std::shared_ptr<SessionState>& s) {
   CancelSessionTimer(shard, s->reject_timer);
-  // The rejection frame bypasses fault injection: it is the host's
-  // answer, not a protocol frame of the session.
-  AppendOutbound(
-      s,
-      EncodeErrorFrame(
-          Status::ResourceExhausted("server at capacity; retry later")),
-      /*faultable=*/false);
+  AppendOutbound(s, EncodeErrorFrame(Status::ResourceExhausted(
+                        "server at capacity; retry later")));
   s->closing = true;
   Flush(shard, s);
   // Closing sessions get their flush bound here (ArmWriteTimer refuses
@@ -751,7 +639,7 @@ void ReactorEngine::OnReadDeadline(size_t shard,
   ChannelMetrics::Get().deadline_expirations->Increment();
   ServerFsmOutput out = s->fsm->OnDeadline();
   for (const Bytes& frame : out.frames) {
-    AppendOutbound(s, frame, /*faultable=*/true);
+    AppendOutbound(s, frame);
   }
   BeginClose(shard, s);
 }
@@ -780,7 +668,6 @@ void ReactorEngine::HandleSendFailure(size_t shard,
   s->outbox.clear();
   s->wire_off = 0;
   CancelSessionTimer(shard, s->write_timer);
-  CancelSessionTimer(shard, s->delay_timer);
   if (s->mode == SessionState::Mode::kRejecting) {
     FinalizeSession(shard, s);
     return;
@@ -799,8 +686,6 @@ void ReactorEngine::FinalizeSession(size_t shard,
   s->closed = true;
   CancelSessionTimer(shard, s->read_timer);
   CancelSessionTimer(shard, s->write_timer);
-  CancelSessionTimer(shard, s->delay_timer);
-  CancelSessionTimer(shard, s->retry_timer);
   CancelSessionTimer(shard, s->reject_timer);
   shards_[shard].reactor->Remove(s->fd);
   ::close(s->fd);

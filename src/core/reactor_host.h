@@ -34,10 +34,8 @@
 //  * Session outcomes map onto the host.* counters, and queries are
 //    counted before their response frame reaches the wire, so a client
 //    holding its answer always finds the query in SnapshotStats().
-//  * options.fault_injection runs each session's outbound frames
-//    through a FrameFaultPlanner seeded with fault_seed + session id, in
-//    the same RNG draw order as a blocking FaultInjectingChannel, so a
-//    chaos seed replays an identical fault sequence.
+//  * The pool backlog the engine creates is bounded by one in-flight
+//    task per session, so by max_sessions when that is set.
 
 #ifndef PPSTATS_CORE_REACTOR_HOST_H_
 #define PPSTATS_CORE_REACTOR_HOST_H_
@@ -141,8 +139,8 @@ class ReactorEngine {
   void PumpProcessing(size_t shard, const std::shared_ptr<SessionState>& s);
   void HandleFsmOutput(size_t shard, const std::shared_ptr<SessionState>& s,
                        ServerFsmOutput out);
-  void AppendOutbound(const std::shared_ptr<SessionState>& s, BytesView payload,
-                      bool faultable);
+  void AppendOutbound(const std::shared_ptr<SessionState>& s,
+                      BytesView payload);
   void Flush(size_t shard, const std::shared_ptr<SessionState>& s);
   void ArmReadTimer(size_t shard, const std::shared_ptr<SessionState>& s);
   void ArmWriteTimer(size_t shard, const std::shared_ptr<SessionState>& s);

@@ -22,6 +22,10 @@
 //  * Accepting survives transient accept() failures (fd exhaustion,
 //    memory pressure) with capped backoff; only listener shutdown stops
 //    it.
+// The host injects no faults of its own: the chaos suite and
+// ablation_service_host --chaos wrap the client's channel in a
+// FaultInjectingChannel (net/fault_injection.h), which faults the frames
+// of both directions.
 //
 // Observability: every host owns a private obs::MetricRegistry. Session
 // outcomes and query counts live there as registry counters (the Stats
@@ -54,7 +58,6 @@
 #include "core/query_exec.h"
 #include "crypto/key_io.h"
 #include "db/column_registry.h"
-#include "net/fault_injection.h"
 #include "net/socket_channel.h"
 #include "obs/metrics.h"
 
@@ -84,15 +87,6 @@ struct ServiceHostOptions {
   /// Kernel listen(2) backlog for the socket listener.
   int accept_backlog = 16;
 
-  /// When set, every session's outbound frames pass through a
-  /// FrameFaultPlanner (net/fault_injection.h) seeded with fault_seed +
-  /// session index, so chaos tests can inject deterministic faults into
-  /// the server's send path (ServerHello / QueryAccept / SumResponse
-  /// frames). The planner draws in the same order a blocking
-  /// FaultInjectingChannel does, so a seed replays the same faults.
-  std::optional<FaultInjectionOptions> fault_injection;
-  uint64_t fault_seed = 0;
-
   /// Test hook, consulted before each accept. A non-OK return
   /// is handled exactly like a failed accept() with that status. Chaos
   /// tests use it to simulate fd exhaustion (EMFILE/ENFILE), which
@@ -116,16 +110,6 @@ struct ServiceHostOptions {
   /// (SO_REUSEPORT for tcp, a dup()'d description for unix), and a
   /// session is served by the shard that accepted it.
   size_t reactor_threads = 1;
-
-  /// Use the portable poll(2) backend even where epoll is available
-  /// (exercised by tests).
-  bool force_poll_backend = false;
-
-  /// Bound on ThreadPool tasks queued by session frame processing. When
-  /// the pool backlog reaches this depth, new frames wait in their
-  /// session's inbox instead of piling onto the pool (backpressure, not
-  /// rejection). 0 = unbounded.
-  size_t fold_queue_depth = 0;
 
   /// SO_SNDBUF for accepted session sockets. 0 keeps the kernel
   /// default; tests set tiny values to force partial writes (the kernel

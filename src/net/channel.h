@@ -1,13 +1,14 @@
 // Message channels: reliable, ordered, message-oriented transport between
 // protocol endpoints, with byte/message accounting.
 //
-// Two implementations:
-//  * QueueChannel / DuplexPipe — thread-safe in-memory queues connecting
-//    two endpoints running on real threads (used by the end-to-end
-//    integration tests).
-//  * RecordingChannel — a single-threaded mailbox used by the sans-IO
-//    protocol runner; messages are delivered by the runner, which charges
-//    their cost to a NetworkModel.
+// Implementations:
+//  * DuplexPipe — a connected pair of thread-safe in-memory queues for
+//    two endpoints running on real threads (the end-to-end integration
+//    tests).
+//  * Socket channels (net/socket_channel.h) — length-prefixed frames
+//    over AF_UNIX or TCP stream sockets.
+//  * FaultInjectingChannel (net/fault_injection.h) — a decorator that
+//    injects seeded transport faults into another channel.
 
 #ifndef PPSTATS_NET_CHANNEL_H_
 #define PPSTATS_NET_CHANNEL_H_
@@ -79,7 +80,6 @@ class Channel {
   /// start of that call. A call that runs past the deadline fails with
   /// DeadlineExceeded instead of blocking forever — this is what evicts
   /// a stalled or hostile peer. Zero (the default) means no deadline.
-  /// Transports that never block (RecordingChannel) ignore it.
   virtual void set_read_deadline(std::chrono::milliseconds /*deadline*/) {}
 
   /// Same cap for each subsequent Send. Only meaningful on transports

@@ -7,11 +7,12 @@
 
 namespace ppstats {
 
-FrameFaultPlanner::FrameFaultPlanner(FaultInjectionOptions options,
-                                     RandomSource& rng)
-    : options_(options), rng_(&rng) {}
+FaultInjectingChannel::FaultInjectingChannel(std::unique_ptr<Channel> inner,
+                                             FaultInjectionOptions options,
+                                             RandomSource& rng)
+    : inner_(std::move(inner)), options_(options), rng_(&rng) {}
 
-bool FrameFaultPlanner::ShouldFault() {
+bool FaultInjectingChannel::ShouldFault() {
   if (counters_.frames <= options_.skip_frames) return false;
   if (counters_.faults() >= options_.max_faults) return false;
   double rate = std::clamp(options_.fault_rate, 0.0, 1.0);
@@ -21,7 +22,7 @@ bool FrameFaultPlanner::ShouldFault() {
   return rng_->NextBelow(kScale) < static_cast<uint64_t>(rate * kScale);
 }
 
-FaultKind FrameFaultPlanner::PickKind() {
+FaultKind FaultInjectingChannel::PickKind() {
   std::vector<FaultKind> enabled;
   if (options_.delay) enabled.push_back(FaultKind::kDelay);
   if (options_.truncate) enabled.push_back(FaultKind::kTruncate);
@@ -32,89 +33,114 @@ FaultKind FrameFaultPlanner::PickKind() {
   return enabled[rng_->NextBelow(enabled.size())];
 }
 
-FaultPlan FrameFaultPlanner::Plan(BytesView message) {
-  FaultPlan plan;
+std::optional<FaultKind> FaultInjectingChannel::PlanFault(BytesView frame,
+                                                          Bytes* altered) {
   ++counters_.frames;
-  if (!ShouldFault()) return plan;
+  if (!ShouldFault()) return std::nullopt;
 
   switch (PickKind()) {
     case FaultKind::kDelay:
       ++counters_.delays;
-      plan.kind = FaultKind::kDelay;
-      plan.delay_ms = options_.delay_ms;
-      return plan;
+      return FaultKind::kDelay;
     case FaultKind::kTruncate: {
-      if (message.empty()) {
+      if (frame.empty()) {
         ++counters_.drops;  // nothing to truncate; losing it is a drop
-        plan.kind = FaultKind::kDrop;
-        return plan;
+        return FaultKind::kDrop;
       }
       ++counters_.truncations;
-      plan.kind = FaultKind::kTruncate;
-      size_t keep = static_cast<size_t>(rng_->NextBelow(message.size()));
-      plan.payload.assign(message.begin(), message.begin() + keep);
-      return plan;
+      size_t keep = static_cast<size_t>(rng_->NextBelow(frame.size()));
+      altered->assign(frame.begin(), frame.begin() + keep);
+      return FaultKind::kTruncate;
     }
     case FaultKind::kGarble: {
       ++counters_.garbles;
-      plan.kind = FaultKind::kGarble;
-      plan.payload.assign(message.begin(), message.end());
-      if (!plan.payload.empty()) {
+      altered->assign(frame.begin(), frame.end());
+      if (!altered->empty()) {
         size_t flips = 1 + static_cast<size_t>(rng_->NextBelow(8));
         for (size_t i = 0; i < flips; ++i) {
-          size_t at =
-              static_cast<size_t>(rng_->NextBelow(plan.payload.size()));
-          plan.payload[at] ^= static_cast<uint8_t>(1 + rng_->NextBelow(255));
+          size_t at = static_cast<size_t>(rng_->NextBelow(altered->size()));
+          (*altered)[at] ^= static_cast<uint8_t>(1 + rng_->NextBelow(255));
         }
       }
-      return plan;
+      return FaultKind::kGarble;
     }
     case FaultKind::kDrop:
       ++counters_.drops;
-      plan.kind = FaultKind::kDrop;
-      return plan;
+      return FaultKind::kDrop;
     case FaultKind::kDisconnect:
       ++counters_.disconnects;
-      plan.kind = FaultKind::kDisconnect;
-      return plan;
+      return FaultKind::kDisconnect;
   }
-  plan.kind = FaultKind::kDrop;  // unreachable
-  return plan;
+  return FaultKind::kDrop;  // unreachable
 }
 
-FaultInjectingChannel::FaultInjectingChannel(std::unique_ptr<Channel> inner,
-                                             FaultInjectionOptions options,
-                                             RandomSource& rng)
-    : inner_(std::move(inner)), planner_(options, rng) {}
+Status FaultInjectingChannel::Disconnect() {
+  final_stats_ = inner_->sent();
+  inner_.reset();  // closes the transport; the peer sees EOF
+  return Status::ProtocolError("channel closed by injected disconnect");
+}
 
 Status FaultInjectingChannel::Send(BytesView message) {
   if (inner_ == nullptr) {
     return Status::ProtocolError("channel closed by injected disconnect");
   }
-  FaultPlan plan = planner_.Plan(message);
-  if (!plan.kind.has_value()) return inner_->Send(message);
-  switch (*plan.kind) {
+  Bytes altered;
+  std::optional<FaultKind> fault = PlanFault(message, &altered);
+  if (!fault.has_value()) return inner_->Send(message);
+  switch (*fault) {
     case FaultKind::kDelay:
-      std::this_thread::sleep_for(std::chrono::milliseconds(plan.delay_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(options_.delay_ms));
       return inner_->Send(message);
     case FaultKind::kTruncate:
     case FaultKind::kGarble:
-      return inner_->Send(plan.payload);
+      return inner_->Send(altered);
     case FaultKind::kDrop:
       return Status::OK();  // the peer waits for a frame that never comes
     case FaultKind::kDisconnect:
-      final_stats_ = inner_->sent();
-      inner_.reset();  // closes the transport; the peer sees EOF
-      return Status::ProtocolError("channel closed by injected disconnect");
+      return Disconnect();
   }
   return Status::Internal("unreachable fault kind");
 }
 
 Result<Bytes> FaultInjectingChannel::Receive() {
-  if (inner_ == nullptr) {
-    return Status::ProtocolError("channel closed by injected disconnect");
+  const auto start = std::chrono::steady_clock::now();
+  bool shortened = false;  // a drop cut the inner deadline to the rest
+  for (;;) {
+    if (inner_ == nullptr) {
+      return Status::ProtocolError("channel closed by injected disconnect");
+    }
+    Result<Bytes> frame = inner_->Receive();
+    if (shortened) inner_->set_read_deadline(read_deadline_);
+    if (!frame.ok()) return frame;
+    Bytes altered;
+    std::optional<FaultKind> fault = PlanFault(*frame, &altered);
+    if (!fault.has_value()) return frame;
+    switch (*fault) {
+      case FaultKind::kDelay:
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(options_.delay_ms));
+        return frame;
+      case FaultKind::kTruncate:
+      case FaultKind::kGarble:
+        return altered;
+      case FaultKind::kDrop:
+        // Wait for the next frame, but only for what is left of this
+        // call's deadline (at least 1 ms, so the inner channel reports
+        // the expiry itself).
+        if (read_deadline_.count() > 0) {
+          const auto elapsed =
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start);
+          inner_->set_read_deadline(std::max(
+              read_deadline_ - elapsed, std::chrono::milliseconds(1)));
+          shortened = true;
+        }
+        continue;
+      case FaultKind::kDisconnect:
+        return Disconnect();
+    }
+    return Status::Internal("unreachable fault kind");
   }
-  return inner_->Receive();
 }
 
 TrafficStats FaultInjectingChannel::sent() const {
@@ -129,7 +155,6 @@ void FaultInjectingChannel::set_read_deadline(
 
 void FaultInjectingChannel::set_write_deadline(
     std::chrono::milliseconds deadline) {
-  write_deadline_ = deadline;
   if (inner_ != nullptr) inner_->set_write_deadline(deadline);
 }
 

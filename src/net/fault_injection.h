@@ -1,12 +1,15 @@
 // FaultInjectingChannel: a Channel decorator that injects transport
 // faults — delays, truncations, garbled bytes, dropped frames, and
-// mid-stream disconnects — into the send path of the wrapped channel.
+// mid-stream disconnects — into both directions of the wrapped channel.
 //
 // The paper's experiments assume both parties and the link stay healthy
 // for the whole run; a deployed service cannot. This decorator is how
 // the chaos tests prove the session stack turns every transport failure
-// into a typed Status (never a hang, never a crash): wrap either
-// endpoint, drive the protocol, and assert both sides terminate.
+// into a typed Status (never a hang, never a crash): wrap a client's
+// channel, drive the protocol against a real host, and assert both
+// sides terminate. Faulting a frame the client receives is
+// indistinguishable, on the wire, from the server sending it damaged,
+// so one decorator covers every frame of a session.
 //
 // Faults are drawn from a caller-provided RandomSource, so a seeded
 // ChaCha20Rng makes every chaos run bit-for-bit reproducible.
@@ -23,7 +26,7 @@
 
 namespace ppstats {
 
-/// Frame-level fault kinds the decorator can inject on Send.
+/// Frame-level fault kinds the decorator can inject on Send or Receive.
 enum class FaultKind : uint8_t {
   kDelay,       ///< stall for delay_ms, then deliver the frame intact
   kTruncate,    ///< deliver only a strict prefix of the frame
@@ -40,9 +43,10 @@ struct FaultInjectionOptions {
   /// Length of a kDelay stall.
   uint32_t delay_ms = 20;
 
-  /// Frames to pass through untouched before arming. This is how a test
-  /// targets a protocol phase: frame 0 of a client is its ClientHello,
-  /// frame 1 the first QueryHeader, frames 2..k the chunk stream.
+  /// Frames to pass through untouched before arming, counted across
+  /// both directions in session order. This is how a test targets a
+  /// protocol phase: a client's frame 0 is its ClientHello, frame 1 the
+  /// ServerHello it receives, frame 2 its first QueryHeader.
   uint64_t skip_frames = 0;
 
   /// Stop injecting after this many faults (a one-shot fault is
@@ -59,7 +63,7 @@ struct FaultInjectionOptions {
 
 /// Counters for what was actually injected.
 struct FaultCounters {
-  uint64_t frames = 0;  ///< frames offered to Send
+  uint64_t frames = 0;  ///< frames sent or received, both directions
   uint64_t delays = 0;
   uint64_t truncations = 0;
   uint64_t garbles = 0;
@@ -71,48 +75,15 @@ struct FaultCounters {
   }
 };
 
-/// One frame's fate, as decided by FrameFaultPlanner::Plan.
-struct FaultPlan {
-  /// nullopt = deliver the frame untouched.
-  std::optional<FaultKind> kind;
-  /// For kDelay: how long to stall before delivering.
-  uint32_t delay_ms = 0;
-  /// For kTruncate/kGarble: the transformed payload to deliver instead.
-  Bytes payload;
-};
-
-/// The fault decision core, decoupled from any transport so blocking
-/// (FaultInjectingChannel) and event-driven (core/reactor_host) send
-/// paths inject identically distributed faults from the same seeded
-/// stream. Each Plan() call advances the frame counter and draws from
-/// the RNG exactly as FaultInjectingChannel::Send always has; the
-/// caller applies the plan however its transport requires (a reactor
-/// arms a timer where a blocking channel would sleep). Not thread-safe:
-/// confine each planner to one thread or one event loop.
-class FrameFaultPlanner {
- public:
-  /// `rng` must outlive the planner.
-  FrameFaultPlanner(FaultInjectionOptions options, RandomSource& rng);
-
-  /// Decides what happens to the next outbound frame.
-  FaultPlan Plan(BytesView message);
-
-  const FaultCounters& counters() const { return counters_; }
-
- private:
-  bool ShouldFault();
-  FaultKind PickKind();
-
-  FaultInjectionOptions options_;
-  RandomSource* rng_;
-  FaultCounters counters_;
-};
-
-/// Decorates a Channel with send-side fault injection. Receive passes
-/// through (wrap both endpoints to fault both directions). After an
-/// injected disconnect the wrapped channel is destroyed — the peer sees
-/// "peer closed" and local calls fail with ProtocolError — exactly the
-/// lifecycle of a crashed process. `rng` must outlive the channel.
+/// Decorates a Channel with fault injection on every frame it sends and
+/// every frame it receives, planned from one seeded stream in session
+/// order. On Receive a delay stalls before returning the frame, a drop
+/// discards it and waits for the next one under the same read deadline,
+/// and truncate/garble return the altered bytes. After an injected
+/// disconnect (either direction) the wrapped channel is destroyed — the
+/// peer sees "peer closed" and local calls fail with ProtocolError —
+/// exactly the lifecycle of a crashed process. `rng` must outlive the
+/// channel. Not thread-safe: one session drives it.
 class FaultInjectingChannel : public Channel {
  public:
   FaultInjectingChannel(std::unique_ptr<Channel> inner,
@@ -124,14 +95,24 @@ class FaultInjectingChannel : public Channel {
   void set_read_deadline(std::chrono::milliseconds deadline) override;
   void set_write_deadline(std::chrono::milliseconds deadline) override;
 
-  const FaultCounters& counters() const { return planner_.counters(); }
+  const FaultCounters& counters() const { return counters_; }
 
  private:
+  /// Counts the next frame and decides its fate: nullopt delivers it
+  /// untouched. A truncate or garble writes the bytes to deliver
+  /// instead into `altered`; truncating an empty frame is a drop.
+  std::optional<FaultKind> PlanFault(BytesView frame, Bytes* altered);
+  bool ShouldFault();
+  FaultKind PickKind();
+  /// Tears the transport down for an injected disconnect.
+  Status Disconnect();
+
   std::unique_ptr<Channel> inner_;
-  FrameFaultPlanner planner_;
+  FaultInjectionOptions options_;
+  RandomSource* rng_;
+  FaultCounters counters_;
   TrafficStats final_stats_;  // snapshot once inner_ is torn down
   std::chrono::milliseconds read_deadline_{0};
-  std::chrono::milliseconds write_deadline_{0};
 };
 
 }  // namespace ppstats

@@ -601,7 +601,7 @@ Result<std::optional<int>> SocketListener::AcceptFd() {
 #endif
         return std::optional<int>(std::nullopt);
       case EMFILE:  // transient resource pressure: the caller should
-      case ENFILE:  // back off and call Accept again once fds/memory
+      case ENFILE:  // back off and call AcceptFd again once fds/memory
       case ENOBUFS:  // free up, instead of tearing the server down
       case ENOMEM:
         return ErrnoStatus(StatusCode::kResourceExhausted, "accept failed",
@@ -612,15 +612,6 @@ Result<std::optional<int>> SocketListener::AcceptFd() {
         return ErrnoStatus(StatusCode::kFailedPrecondition, "accept failed",
                            errno);
     }
-  }
-}
-
-Result<std::unique_ptr<Channel>> SocketListener::Accept() {
-  for (;;) {
-    Result<std::optional<int>> client = AcceptFd();
-    if (!client.ok()) return client.status();
-    // A blocking listener never yields EAGAIN; loop anyway for safety.
-    if (client->has_value()) return WrapSocket(**client);
   }
 }
 

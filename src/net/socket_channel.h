@@ -115,19 +115,13 @@ class SocketListener {
   /// owns it).
   [[nodiscard]] Result<SocketListener> Duplicate() const;
 
-  /// Blocks for the next client connection. The failure code tells the
-  /// caller whether retrying makes sense: ResourceExhausted for
-  /// transient fd/memory pressure (EMFILE/ENFILE/ENOBUFS/ENOMEM — back
-  /// off and retry), FailedPrecondition once the listener is shut down.
-  /// Per-connection aborts (ECONNABORTED) are retried internally.
-  [[nodiscard]] Result<std::unique_ptr<Channel>> Accept();
-
   /// Accepts the next pending connection as a raw fd (caller owns it).
   /// Returns std::nullopt when the listener is non-blocking and no
-  /// connection is queued (EAGAIN). Error codes follow Accept():
-  /// ResourceExhausted for transient fd/memory pressure,
-  /// FailedPrecondition once the listener is shut down; EINTR and
-  /// ECONNABORTED are retried internally. Accepted TCP sockets get
+  /// connection is queued (EAGAIN). The failure code tells the caller
+  /// whether retrying makes sense: ResourceExhausted for transient
+  /// fd/memory pressure (EMFILE/ENFILE/ENOBUFS/ENOMEM — back off and
+  /// retry), FailedPrecondition once the listener is shut down; EINTR
+  /// and ECONNABORTED are retried internally. Accepted TCP sockets get
   /// TCP_NODELAY; ListenOptions::sndbuf_bytes applies here. Used by the
   /// reactor host, which frames and buffers the socket itself.
   [[nodiscard]] Result<std::optional<int>> AcceptFd();
@@ -140,9 +134,9 @@ class SocketListener {
   /// kernel-assigned port, so endpoint().ToUri() is always dialable.
   const Endpoint& endpoint() const { return endpoint_; }
 
-  /// Shuts the listening socket down, unblocking a concurrent Accept
-  /// (which then fails). Safe to call from another thread; the fd itself
-  /// is closed by the destructor. Used by ServiceHost::Stop.
+  /// Shuts the listening socket down, so every later AcceptFd() fails
+  /// with FailedPrecondition. Safe to call from another thread; the fd
+  /// itself is closed by the destructor. Used by ReactorEngine::Stop.
   void Close();
 
  private:

@@ -4,7 +4,6 @@
 
 #include "bigint/modarith.h"
 #include "common/thread_pool.h"
-#include "core/fold_engine.h"
 #include "obs/span.h"
 
 namespace ppstats {
@@ -51,9 +50,8 @@ std::vector<PaillierCiphertext> FoldRows(
     for (size_t j = 0; j < layout.cols; ++j) {
       exponents.push_back(BigInt(CellValue(cells, layout, i, j)));
     }
-    responses[i] = PaillierCiphertext{mont.FromMontgomery(
-        SlicedMultiExpMontgomery(mont, selector_mont, exponents,
-                                 /*worker_threads=*/1))};
+    responses[i] = PaillierCiphertext{
+        mont.FromMontgomery(mont.MultiExpMontgomery(selector_mont, exponents))};
   });
   return responses;
 }

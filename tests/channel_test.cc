@@ -176,10 +176,11 @@ TEST(ChannelTest, ListenerBacklogIsConfigurable) {
   SocketListener listener = SocketListener::Bind(path, 1).ValueOrDie();
   auto client = ConnectUnixSocket(path);
   ASSERT_TRUE(client.ok());
-  auto served = listener.Accept();
-  ASSERT_TRUE(served.ok());
+  Result<std::optional<int>> fd = listener.AcceptFd();
+  ASSERT_TRUE(fd.ok() && fd->has_value());
+  std::unique_ptr<Channel> served = WrapSocket(**fd);
   ASSERT_TRUE((*client)->Send(Bytes{1, 2}).ok());
-  EXPECT_EQ((*served)->Receive().ValueOrDie(), (Bytes{1, 2}));
+  EXPECT_EQ(served->Receive().ValueOrDie(), (Bytes{1, 2}));
 }
 
 TEST(ChannelTest, TrafficStatsAccumulateOperator) {

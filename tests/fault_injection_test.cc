@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "crypto/chacha20_rng.h"
 #include "net/socket_channel.h"
@@ -136,6 +138,117 @@ TEST(FaultInjectionTest, DeterministicAcrossRuns) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
+}
+
+TEST(FaultInjectionTest, ReceiveDelayStallsThenDelivers) {
+  auto [a, b] = DuplexPipe::Create();
+  ChaCha20Rng rng(8);
+  FaultInjectionOptions options = OnlyKind(FaultKind::kDelay);
+  options.delay_ms = 40;
+  FaultInjectingChannel faulty(std::move(a), options, rng);
+  ASSERT_TRUE(b->Send(Bytes{1, 2, 3}).ok());
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(faulty.Receive().ValueOrDie(), (Bytes{1, 2, 3}));
+  EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(40));
+  EXPECT_EQ(faulty.counters().delays, 1u);
+  EXPECT_EQ(faulty.counters().frames, 1u);
+}
+
+TEST(FaultInjectionTest, ReceiveTruncateReturnsStrictPrefix) {
+  auto [a, b] = DuplexPipe::Create();
+  ChaCha20Rng rng(9);
+  FaultInjectingChannel faulty(std::move(a), OnlyKind(FaultKind::kTruncate),
+                               rng);
+  Bytes frame(64);
+  for (size_t i = 0; i < frame.size(); ++i) frame[i] = static_cast<uint8_t>(i);
+  ASSERT_TRUE(b->Send(frame).ok());
+  Bytes got = faulty.Receive().ValueOrDie();
+  EXPECT_LT(got.size(), frame.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), frame.begin()));
+  EXPECT_EQ(faulty.counters().truncations, 1u);
+}
+
+TEST(FaultInjectionTest, ReceiveGarbleKeepsLengthChangesBytes) {
+  auto [a, b] = DuplexPipe::Create();
+  ChaCha20Rng rng(10);
+  FaultInjectingChannel faulty(std::move(a), OnlyKind(FaultKind::kGarble),
+                               rng);
+  Bytes frame(64, 0xAB);
+  ASSERT_TRUE(b->Send(frame).ok());
+  Bytes got = faulty.Receive().ValueOrDie();
+  EXPECT_EQ(got.size(), frame.size());
+  EXPECT_NE(got, frame);
+  EXPECT_EQ(faulty.counters().garbles, 1u);
+}
+
+TEST(FaultInjectionTest, ReceiveDropReturnsTheNextFrame) {
+  auto [a, b] = DuplexPipe::Create();
+  ChaCha20Rng rng(11);
+  FaultInjectingChannel faulty(std::move(a), OnlyKind(FaultKind::kDrop), rng);
+  ASSERT_TRUE(b->Send(Bytes{1}).ok());
+  ASSERT_TRUE(b->Send(Bytes{2}).ok());
+  EXPECT_EQ(faulty.Receive().ValueOrDie(), Bytes{2});
+  EXPECT_EQ(faulty.counters().drops, 1u);
+  EXPECT_EQ(faulty.counters().frames, 2u);
+}
+
+TEST(FaultInjectionTest, ReceiveDropKeepsTheCallsDeadline) {
+  auto [a, b] = DuplexPipe::Create();
+  Channel* peer = b.get();
+  ChaCha20Rng rng(12);
+  FaultInjectingChannel faulty(std::move(a), OnlyKind(FaultKind::kDrop), rng);
+  faulty.set_read_deadline(milliseconds(300));
+  // The dropped frame arrives 200 ms into the call; waiting for the next
+  // one may only use the 100 ms left, not a fresh 300 ms.
+  std::thread early([peer] {
+    std::this_thread::sleep_for(milliseconds(200));
+    ASSERT_TRUE(peer->Send(Bytes{1}).ok());
+  });
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(faulty.Receive().status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds(450));
+  early.join();
+  EXPECT_EQ(faulty.counters().drops, 1u);
+  // The next call gets the whole deadline back.
+  std::thread late([peer] {
+    std::this_thread::sleep_for(milliseconds(200));
+    ASSERT_TRUE(peer->Send(Bytes{2}).ok());
+  });
+  EXPECT_EQ(faulty.Receive().ValueOrDie(), Bytes{2});
+  late.join();
+}
+
+TEST(FaultInjectionTest, ReceiveDisconnectClosesBothWays) {
+  auto [a, b] = DuplexPipe::Create();
+  ChaCha20Rng rng(13);
+  FaultInjectingChannel faulty(std::move(a),
+                               OnlyKind(FaultKind::kDisconnect), rng);
+  ASSERT_TRUE(b->Send(Bytes{1}).ok());
+  EXPECT_EQ(faulty.Receive().status().code(), StatusCode::kProtocolError);
+  EXPECT_EQ(faulty.counters().disconnects, 1u);
+  b->set_read_deadline(milliseconds(1000));  // closed, not merely quiet
+  EXPECT_EQ(b->Receive().status().code(), StatusCode::kProtocolError);
+  EXPECT_EQ(faulty.Send(Bytes{2}).code(), StatusCode::kProtocolError);
+  EXPECT_EQ(faulty.Receive().status().code(), StatusCode::kProtocolError);
+}
+
+TEST(FaultInjectionTest, SkipFramesCountsBothDirections) {
+  auto [a, b] = DuplexPipe::Create();
+  ChaCha20Rng rng(14);
+  FaultInjectionOptions options = OnlyKind(FaultKind::kDrop);
+  options.skip_frames = 2;
+  FaultInjectingChannel faulty(std::move(a), options, rng);
+  // Sent frame, received frame, then the third frame of the session —
+  // a send — is the first armed one and drops.
+  ASSERT_TRUE(faulty.Send(Bytes{1}).ok());
+  ASSERT_TRUE(b->Send(Bytes{2}).ok());
+  EXPECT_EQ(faulty.Receive().ValueOrDie(), Bytes{2});
+  ASSERT_TRUE(faulty.Send(Bytes{3}).ok());
+  EXPECT_EQ(faulty.counters().frames, 3u);
+  EXPECT_EQ(faulty.counters().drops, 1u);
+  EXPECT_EQ(b->Receive().ValueOrDie(), Bytes{1});
+  b->set_read_deadline(milliseconds(30));
+  EXPECT_EQ(b->Receive().status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(FaultInjectionTest, ForwardsDeadlinesAndStats) {

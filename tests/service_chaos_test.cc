@@ -1,8 +1,11 @@
 // Chaos matrix for the robustness layer: every transport fault, in
-// every protocol phase, on either side of the wire, must end in a
+// every protocol phase, in either direction of the wire, must end in a
 // typed Status on both ends — never a hang, never a crash, never a
-// host that stops accepting. Faults come from seeded ChaCha20 RNGs, so
-// each scenario is reproducible bit for bit.
+// host that stops accepting. The host injects nothing itself: each
+// chaos client wraps its channel in a two-way FaultInjectingChannel, so
+// faulting a frame it receives stands in for the server sending it
+// damaged. Faults come from seeded ChaCha20 RNGs, so each scenario is
+// reproducible bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "core/service_host.h"
@@ -56,6 +60,13 @@ constexpr uint32_t kServerDeadlineMs = 150 * kTimeScale;
 constexpr milliseconds kClientDeadline(2000 * kTimeScale);
 constexpr size_t kRows = 12;
 constexpr size_t kChunk = 4;  // 3 IndexBatch frames per query
+
+// A chaos client's session in the order its decorator sees the frames:
+// 0 ClientHello, 1 ServerHello, 2 QueryHeader, 3 QueryAccept, 4..6 the
+// IndexBatch chunks, 7 SumResponse, 8 Goodbye.
+constexpr uint64_t kSessionFrames = 9;
+constexpr uint64_t kSentFrames[] = {0, 2, 4, 5, 6, 8};
+constexpr uint64_t kReceivedFrames[] = {1, 3, 7};
 
 const PaillierKeyPair& SharedKeyPair() {
   static const PaillierKeyPair* kp = [] {
@@ -122,8 +133,8 @@ Database TestColumn() {
 }
 
 // One full client run (hello, one sum query, goodbye) with deadlines
-// armed and optional client-side fault injection. Returns the first
-// non-OK status the protocol produced, or OK.
+// armed and optional fault injection on both directions of the client's
+// channel. Returns the first non-OK status the protocol produced, or OK.
 Status RunChaosClient(const std::string& path,
                       const std::optional<FaultInjectionOptions>& faults,
                       uint64_t seed,
@@ -164,12 +175,13 @@ void ExpectCleanClientServed(const std::string& path, uint64_t seed) {
                            << status.ToString();
 }
 
-// One-shot fault of `kind` at 0-indexed frame `phase` of the sender.
-FaultInjectionOptions FaultAtPhase(FaultKind kind, uint64_t phase) {
+// One-shot fault of `kind` at 0-indexed frame `index` of the client's
+// session (both directions counted; see kSessionFrames).
+FaultInjectionOptions FaultAtFrame(FaultKind kind, uint64_t index) {
   FaultInjectionOptions options;
   options.fault_rate = 1.0;
   options.max_faults = 1;
-  options.skip_frames = phase;
+  options.skip_frames = index;
   // A delay longer than the server's deadline turns kDelay into a
   // deadline-expiry probe for that phase.
   options.delay_ms = 3 * kServerDeadlineMs;
@@ -185,27 +197,33 @@ constexpr FaultKind kAllKinds[] = {FaultKind::kDelay, FaultKind::kTruncate,
                                    FaultKind::kGarble, FaultKind::kDrop,
                                    FaultKind::kDisconnect};
 
-TEST_F(ServiceChaosTest, ClientSideFaultMatrix) {
-  // Fault every client frame class — ClientHello (0), QueryHeader (1),
-  // chunk stream (2, 3) — with every fault kind, against one host that
-  // must keep serving clean clients throughout.
+// Faults each of `frames` with every fault kind, one client per case,
+// against one host that must keep serving clean clients throughout.
+void RunFaultMatrix(const std::string& path,
+                    std::span<const uint64_t> frames, uint64_t seed) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
   ServiceHostOptions options;
   options.io_deadline_ms = kServerDeadlineMs;
   ServiceHost host(&registry, options);
-  std::string path = SocketPath("chaos_client_matrix");
   ASSERT_TRUE(host.Start(path).ok());
 
-  uint64_t seed = 100;
+  // The frame map the indices rely on: a fault-free session through the
+  // decorator counts every frame of both directions.
+  FaultInjectionOptions none;
+  none.fault_rate = 0.0;
+  FaultCounters counted;
+  ASSERT_TRUE(RunChaosClient(path, none, seed, &counted).ok());
+  ASSERT_EQ(counted.frames, kSessionFrames);
+
   uint64_t chaos_runs = 0;
   for (FaultKind kind : kAllKinds) {
-    for (uint64_t phase : {0u, 1u, 2u, 3u}) {
+    for (uint64_t index : frames) {
       SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
-                   " phase=" + std::to_string(phase));
+                   " frame=" + std::to_string(index));
       FaultCounters injected;
       Status status =
-          RunChaosClient(path, FaultAtPhase(kind, phase), ++seed, &injected);
+          RunChaosClient(path, FaultAtFrame(kind, index), ++seed, &injected);
       EXPECT_TRUE(IsTypedOutcome(status)) << status.ToString();
       EXPECT_EQ(injected.faults(), 1u);
       ++chaos_runs;
@@ -216,39 +234,22 @@ TEST_F(ServiceChaosTest, ClientSideFaultMatrix) {
   EXPECT_TRUE(host.running());
   host.Stop();
   ServiceHost::Stats stats = host.SnapshotStats();
-  // Every chaos connect plus every clean verifier was accepted, and all
-  // the clean ones ended ok.
-  EXPECT_EQ(stats.sessions_accepted, 2 * chaos_runs);
-  EXPECT_GE(stats.sessions_ok, chaos_runs);
+  // Every chaos connect plus every clean verifier (and the frame-map
+  // run) was accepted, and all the clean ones ended ok.
+  EXPECT_EQ(stats.sessions_accepted, 2 * chaos_runs + 1);
+  EXPECT_GE(stats.sessions_ok, chaos_runs + 1);
+}
+
+TEST_F(ServiceChaosTest, ClientSideFaultMatrix) {
+  // Every frame the client sends: ClientHello, QueryHeader, each chunk,
+  // Goodbye.
+  RunFaultMatrix(SocketPath("chaos_client_matrix"), kSentFrames, 100);
 }
 
 TEST_F(ServiceChaosTest, ServerSideFaultMatrix) {
-  // Fault every server frame class — ServerHello (0), QueryAccept (1),
-  // SumResponse (2) — with every fault kind, via the host's built-in
-  // injection hook. Each scenario needs its own host configuration.
-  ColumnRegistry registry;
-  ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  uint64_t seed = 500;
-  for (FaultKind kind : kAllKinds) {
-    for (uint64_t phase : {0u, 1u, 2u}) {
-      SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
-                   " phase=" + std::to_string(phase));
-      ServiceHostOptions options;
-      options.io_deadline_ms = kServerDeadlineMs;
-      options.fault_injection = FaultAtPhase(kind, phase);
-      options.fault_seed = ++seed;
-      ServiceHost host(&registry, options);
-      std::string path = SocketPath("chaos_server_matrix");
-      ASSERT_TRUE(host.Start(path).ok());
-
-      Status status = RunChaosClient(path, std::nullopt, seed);
-      EXPECT_TRUE(IsTypedOutcome(status)) << status.ToString();
-      ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
-      EXPECT_TRUE(host.running());
-      host.Stop();
-      EXPECT_EQ(host.SnapshotStats().sessions_accepted, 1u);
-    }
-  }
+  // Every frame the server sends, faulted as the client receives it:
+  // ServerHello, QueryAccept, SumResponse.
+  RunFaultMatrix(SocketPath("chaos_server_matrix"), kReceivedFrames, 500);
 }
 
 TEST_F(ServiceChaosTest, SixteenSeedRandomSweep) {
@@ -312,19 +313,15 @@ TEST_F(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
 }
 
 TEST_F(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
-  // The acceptance run: 32 concurrent clients, faults injected on both
-  // sides of the wire at ~1% per frame. Every client must terminate
-  // with a typed status, no thread may leak, and the host must
-  // serve a clean client afterwards.
+  // The acceptance run: 32 concurrent clients, each faulting both
+  // directions of its wire at ~1% per frame. Every client must terminate
+  // with a typed status, no thread may leak, and the host must serve a
+  // clean client afterwards.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
   ServiceHostOptions options;
   options.io_deadline_ms = 500 * kTimeScale;
   options.worker_threads = 2;
-  FaultInjectionOptions server_faults;  // defaults: 1% rate, all kinds
-  server_faults.delay_ms = 20;
-  options.fault_injection = server_faults;
-  options.fault_seed = 7700;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("chaos_32");
   ASSERT_TRUE(host.Start(path).ok());
@@ -332,8 +329,7 @@ TEST_F(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   // One warm-up session spins up the shared fold ThreadPool, whose
   // threads persist by design; only then is the thread count a valid
   // leak baseline for the storm.
-  Status warmup = RunChaosClient(path, std::nullopt, 1);
-  EXPECT_TRUE(IsTypedOutcome(warmup)) << warmup.ToString();
+  ExpectCleanClientServed(path, 1);
   ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
   size_t baseline = CountProcessThreads();
 
@@ -343,7 +339,7 @@ TEST_F(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      FaultInjectionOptions client_faults;  // 1% on the client side too
+      FaultInjectionOptions client_faults;  // defaults: 1%, all kinds
       client_faults.delay_ms = 20;
       outcomes[static_cast<size_t>(c)] =
           RunChaosClient(path, client_faults, 2000 + c);
@@ -367,11 +363,9 @@ TEST_F(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   EXPECT_TRUE(WaitFor([&] { return CountProcessThreads() <= baseline; }));
   EXPECT_TRUE(host.running());
 
-  // The host must still accept and serve. This session, like all the
-  // others, runs behind the server-side injection layer, so require a
-  // typed outcome plus the accept itself rather than strict success.
-  Status after = RunChaosClient(path, std::nullopt, 999);
-  EXPECT_TRUE(IsTypedOutcome(after)) << after.ToString();
+  // The host must still accept and serve: this session is fault-free
+  // in both directions, so it succeeds outright.
+  ExpectCleanClientServed(path, 999);
   host.Stop();
   ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, static_cast<uint64_t>(kClients) + 2);

@@ -155,6 +155,12 @@ TEST(ResultTest, MoveOnlyTypesWork) {
   EXPECT_EQ(*v, 5);
 }
 
+TEST(ResultTest, ValueOrDieOnErrorPrintsStatusAndAborts) {
+  EXPECT_DEATH(
+      (void)Result<int>(Status::NotFound("no such column")).ValueOrDie(),
+      "NotFound: no such column");
+}
+
 Result<int> ProducesValue() { return 7; }
 Result<int> ProducesError() { return Status::Internal("boom"); }
 

@@ -106,71 +106,6 @@ TEST(ThreadPoolTest, IdleWorkersStealQueuedTasks) {
   gate_cv.NotifyAll();
 }
 
-TEST(ThreadPoolTest, TrySubmitShedsLoadAtQueueDepth) {
-  // Saturate every worker with blockers, then fill the queue to the
-  // bound: the next TrySubmit must fail typed, and the failed task must
-  // never run.
-  ThreadPool pool(2);
-  Mutex gate_mu;
-  bool gate_open = false;
-  CondVar gate_cv;
-  std::atomic<int> blockers_running{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&] {
-      blockers_running.fetch_add(1);
-      MutexLock lock(gate_mu);
-      while (!gate_open) gate_cv.Wait(gate_mu);
-    });
-  }
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (blockers_running.load() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(blockers_running.load(), 2);
-
-  constexpr size_t kDepth = 4;
-  std::atomic<int> ran{0};
-  size_t accepted = 0;
-  Status rejected = Status::OK();
-  for (int i = 0; i < 16; ++i) {
-    Status s = pool.TrySubmit([&ran] { ran.fetch_add(1); }, kDepth);
-    if (s.ok()) {
-      ++accepted;
-    } else {
-      rejected = s;
-    }
-  }
-  EXPECT_EQ(accepted, kDepth);
-  EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
-  EXPECT_GE(pool.QueuedTasks(), kDepth);
-
-  {
-    MutexLock lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.NotifyAll();
-  while (ran.load() < static_cast<int>(accepted) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Exactly the accepted tasks ran — rejected ones were never enqueued.
-  EXPECT_EQ(ran.load(), static_cast<int>(accepted));
-}
-
-TEST(ThreadPoolTest, TrySubmitUnboundedWithZeroDepth) {
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 0).ok());
-  }
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (ran.load() < 100 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(ran.load(), 100);
-}
-
 TEST(ThreadPoolTest, DestructorDrainsPendingSubmissions) {
   std::atomic<int> ran{0};
   constexpr int kTasks = 200;

@@ -145,12 +145,13 @@ TEST(TransportTcpTest, EphemeralBindResolvesPortAndRoundTrips) {
     ASSERT_TRUE(echo.ok());
     EXPECT_EQ(*echo, (Bytes{4, 5}));
   });
-  Result<std::unique_ptr<Channel>> server = listener->Accept();
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  Result<Bytes> got = (*server)->Receive();
+  Result<std::optional<int>> fd = listener->AcceptFd();
+  ASSERT_TRUE(fd.ok() && fd->has_value()) << fd.status().ToString();
+  std::unique_ptr<Channel> server = WrapSocket(**fd);
+  Result<Bytes> got = server->Receive();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (Bytes{1, 2, 3}));
-  ASSERT_TRUE((*server)->Send(Bytes{4, 5}).ok());
+  ASSERT_TRUE(server->Send(Bytes{4, 5}).ok());
   client.join();
 }
 

@@ -30,9 +30,9 @@ single-TU gate (clang-tidy, -Wthread-safety) can see:
                      poll/select/epoll_wait outside the Reactor itself,
                      blocking Channel::Send/Receive, ThreadPool::Run
                      (a barrier), and unbounded ThreadPool::Submit.
-                     Work explicitly dispatched to the pool
-                     (Submit/TrySubmit lambdas) escapes shard context
-                     and is not traversed.
+                     Work explicitly dispatched to the pool (Submit
+                     lambdas) escapes shard context and is not
+                     traversed.
 
   secret-taint       Taint seeds at Paillier/Damgard-Jurik private-key
                      accessors (lambda/mu/hp/hq/p/q on key-like
@@ -345,7 +345,7 @@ class TextFrontend:
     name = "text"
 
     REGISTRARS_REACTOR = {"Post", "ArmTimer", "Add", "Arm"}
-    REGISTRARS_POOL = {"Submit", "TrySubmit", "Run"}
+    REGISTRARS_POOL = {"Submit", "Run"}
 
     def __init__(self):
         self.field_index = {}  # class -> {field: type} across files
@@ -1211,8 +1211,9 @@ def classify_blocking(call, func, strict):
         return "ThreadPool::Run() is a barrier; it blocks until the " \
                "batch drains"
     if name == "Submit" and ("pool" in recv or "threadpool" in recv):
-        return "unbounded ThreadPool::Submit() from a shard (use " \
-               "TrySubmit with a depth bound for backpressure)"
+        return "unbounded ThreadPool::Submit() from a shard (bound the " \
+               "backlog the shard can build and cite the bound in an " \
+               "allow comment)"
     if name in ("Receive", "ReceiveFrame"):
         return "blocking Channel::Receive() on the event-loop thread"
     if name == "Send" and ("channel" in recv or "chan" in recv or
