@@ -16,6 +16,7 @@
 #include "core/session_fsm.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/paillier.h"
+#include "crypto/zero_share.h"
 #include "net/channel.h"
 #include "obs/span.h"
 
@@ -238,14 +239,9 @@ Result<OpenedQuery> CoordinatorRouter::Open(const QueryHeaderMessage& header,
   }
   const CoordinatorOptions& opt = coordinator_->options_;
   if (opt.blind_partials) {
-    // Raw decrypted totals are sum + k*M for k < d (d = shard count);
-    // they must not wrap the plaintext space mod n.
-    if (BigInt(static_cast<uint64_t>(shards->size() + 1)) *
-            opt.blind_modulus >
-        pub.n()) {
-      return Status::InvalidArgument(
-          "blinding modulus too large for the key: need (d+1)M <= n");
-    }
+    // The merged plaintext carries all d shard shares (d = shard count).
+    PPSTATS_RETURN_IF_ERROR(
+        CheckBlindModulus(opt.blind_modulus, pub.n(), shards->size()));
   }
   OpenedQuery opened;
   opened.rows = shards->back().end;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "bigint/modarith.h"
+#include "crypto/zero_share.h"
 
 namespace ppstats {
 
@@ -45,26 +46,14 @@ Result<MultiClientRunResult> RunMultiClientSum(
     return Status::InvalidArgument("database smaller than client count");
   }
   const BigInt& m_mod = config.blind_modulus;
-  if (m_mod < BigInt(2)) {
-    return Status::InvalidArgument("blinding modulus must be >= 2");
-  }
   for (const PaillierPrivateKey* key : keys) {
-    if ((m_mod << 1) > key->public_key().n()) {
-      return Status::InvalidArgument(
-          "blinding modulus too large for a client key: need 2M <= n");
-    }
+    PPSTATS_RETURN_IF_ERROR(
+        CheckBlindModulus(m_mod, key->public_key().n(), /*summands=*/1));
   }
 
   // Server chooses blindings R_1..R_k with sum = 0 (mod M).
-  std::vector<BigInt> blindings;
-  blindings.reserve(k);
-  BigInt blinding_sum(0);
-  for (size_t i = 0; i + 1 < k; ++i) {
-    BigInt r = RandomBelow(rng, m_mod);
-    blinding_sum = AddMod(blinding_sum, r, m_mod);
-    blindings.push_back(std::move(r));
-  }
-  blindings.push_back(SubMod(BigInt(0), blinding_sum, m_mod));
+  PPSTATS_ASSIGN_OR_RETURN(std::vector<BigInt> blindings,
+                           DrawZeroShares(rng, k, m_mod));
 
   // Phase 1: each client runs the blinded selected-sum protocol on its
   // partition (conceptually in parallel; we execute them in turn and
@@ -93,8 +82,7 @@ Result<MultiClientRunResult> RunMultiClientSum(
     spec.partition = std::make_pair(begin, end);
     spec.blinding = blindings[i];
     PPSTATS_ASSIGN_OR_RETURN(CompiledQuery query, CompileQuery(spec, &db));
-    SumServer server(keys[i]->public_key(), query,
-                     config.server_worker_threads);
+    SumServer server(keys[i]->public_key(), query);
 
     PPSTATS_ASSIGN_OR_RETURN(SumRunResult run,
                              RunSelectedSum(client, server));

@@ -8,9 +8,11 @@
 // client's total is sum_i (P_i + R_i) = sum_i P_i (mod M), which it
 // broadcasts.
 //
-// M (the blinding modulus) must satisfy 2M <= n_i for every client key
-// (so blinded partials never wrap the plaintext space), and the true sum
-// must be < M for the result to be exact.
+// The shares come from DrawZeroShares, and M (the blinding modulus)
+// must pass CheckBlindModulus with one summand for every client key:
+// 2M <= n_i, so blinded partials never wrap the plaintext space
+// (crypto/zero_share.h). The true sum must be < M for the result to be
+// exact.
 
 #ifndef PPSTATS_CORE_MULTICLIENT_H_
 #define PPSTATS_CORE_MULTICLIENT_H_
@@ -30,11 +32,6 @@ struct MultiClientConfig {
   /// Per-client protocol options (chunking, preprocessing pools are not
   /// shared across clients and must be null here).
   size_t chunk_size = 0;
-
-  /// Worker slices for each partition server's homomorphic fold; the
-  /// slices run on the process-wide persistent ThreadPool, shared with
-  /// the single-client and PIR servers. 0 or 1 = single-threaded.
-  size_t server_worker_threads = 1;
 };
 
 /// Result and metrics of one multi-client execution.

@@ -3,7 +3,7 @@
 //
 // Every protocol variant in this repo — selected sum, weighted sum,
 // sum-of-squares for variance, x*y for covariance, partitioned
-// multi-client shares, blinded distributed partials — is the same server
+// multi-client shares, blinded shard partials — is the same server
 // fold prod_i E(I_i)^{e_i} mod n^2 with a different per-row exponent
 // e_i. A QuerySpec names the statistic and the column(s); compiling it
 // lowers the statistic kind to an ExponentTransform (the e_i rule) plus
@@ -73,7 +73,7 @@ class ExponentTransform {
 
 /// One query as the client states it: a statistic over named column(s),
 /// plus the serving-side options (blinding, partition) the multi-client
-/// and distributed protocols attach. Column names are resolved against a
+/// protocol and blinded shards attach. Column names are resolved against a
 /// ColumnRegistry; an empty name means the server's default column.
 struct QuerySpec {
   StatisticKind kind = StatisticKind::kSum;

@@ -43,10 +43,8 @@ Result<OpenedQuery> LocalQueryRouter::Open(const QueryHeaderMessage& header,
           "blinded partials requested but shard blinding is not configured");
     }
     const ShardBlindConfig& blind = *config_.shard_blind;
-    if ((blind.modulus << 1) > pub.n()) {
-      return Status::InvalidArgument(
-          "blinding modulus too large for the key: need 2M <= n");
-    }
+    PPSTATS_RETURN_IF_ERROR(
+        CheckBlindModulus(blind.modulus, pub.n(), /*summands=*/1));
     PPSTATS_ASSIGN_OR_RETURN(
         BigInt share,
         DeriveZeroShare(blind.seed, blind.shard_index, blind.shard_count,

@@ -118,8 +118,8 @@ Result<BigInt> QuerySession::RunWeighted(const QuerySpec& spec,
     return Status::FailedPrecondition("session is not connected");
   }
   if (spec.blinding.has_value() || spec.partition.has_value()) {
-    // Those are serving-side options (multi-client / distributed
-    // embeddings); the session wire does not carry them.
+    // Those are serving-side options (the multi-client protocol, a
+    // blinded shard); the session wire does not carry them.
     return Status::InvalidArgument(
         "blinding/partition cannot be requested over a session");
   }

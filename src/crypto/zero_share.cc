@@ -1,6 +1,8 @@
 #include "crypto/zero_share.h"
 
 #include <cstddef>
+#include <string>
+#include <utility>
 
 #include "bigint/modarith.h"
 #include "crypto/sha256.h"
@@ -68,6 +70,40 @@ Result<BigInt> DeriveZeroShare(BytesView seed, uint32_t index, uint32_t count,
     share = SubMod(share, PairValue(seed, a, index, nonce, modulus), modulus);
   }
   return share;
+}
+
+Result<std::vector<BigInt>> DrawZeroShares(RandomSource& rng, size_t count,
+                                           const BigInt& modulus) {
+  if (count == 0) {
+    return Status::InvalidArgument("zero shares need at least one party");
+  }
+  if (modulus < BigInt(2)) {
+    return Status::InvalidArgument("zero-share modulus must be >= 2");
+  }
+  std::vector<BigInt> shares;
+  shares.reserve(count);
+  BigInt sum(0);
+  for (size_t i = 0; i + 1 < count; ++i) {
+    BigInt r = RandomBelow(rng, modulus);
+    sum = AddMod(sum, r, modulus);
+    shares.push_back(std::move(r));
+  }
+  shares.push_back(SubMod(BigInt(0), sum, modulus));
+  return shares;
+}
+
+Status CheckBlindModulus(const BigInt& modulus, const BigInt& n,
+                         size_t summands) {
+  if (modulus < BigInt(2)) {
+    return Status::InvalidArgument("blinding modulus must be >= 2");
+  }
+  const uint64_t factor = static_cast<uint64_t>(summands) + 1;
+  if (BigInt(factor) * modulus > n) {
+    return Status::InvalidArgument(
+        "blinding modulus too large for the key: need " +
+        std::to_string(factor) + "M <= n");
+  }
+  return Status::OK();
 }
 
 }  // namespace ppstats

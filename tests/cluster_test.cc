@@ -1,6 +1,7 @@
-// Cluster subsystem tests: shard maps, zero-share blinding, the wire
-// extensions, and in-process coordinator fan-out over real sockets
-// against real shard ServiceHosts.
+// Cluster subsystem tests: shard maps, the wire extensions, and
+// in-process coordinator fan-out over real sockets against real shard
+// ServiceHosts, blinded and plain. The zero-share primitives themselves
+// are tested in zero_share_test.cc.
 
 #include "cluster/coordinator.h"
 
@@ -8,13 +9,13 @@
 
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bigint/modarith.h"
 #include "common/thread_pool.h"
-#include "core/distributed.h"
 #include "core/messages.h"
 #include "core/service_host.h"
 #include "core/session.h"
@@ -24,6 +25,7 @@
 #include "crypto/zero_share.h"
 #include "db/column_registry.h"
 #include "db/database.h"
+#include "db/workload.h"
 
 namespace ppstats {
 namespace {
@@ -122,60 +124,6 @@ TEST(ClusterShardMapTest, LocalColumnOfSameNameMustMatchShardedRows) {
       registry.SetShards("v", {MakeShard(0, "unix:/a", 0, 2)}).ok());
   EXPECT_TRUE(
       registry.SetShards("v", {MakeShard(0, "unix:/a", 0, 3)}).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Pairwise zero shares.
-
-TEST(ClusterBlindingTest, SharesSumToZeroModM) {
-  const Bytes seed = {1, 2, 3, 4};
-  const BigInt modulus = BigInt(1) << 64;
-  for (uint32_t count : {2u, 3u, 5u, 8u}) {
-    BigInt sum(0);
-    for (uint32_t i = 0; i < count; ++i) {
-      Result<BigInt> share =
-          DeriveZeroShare(seed, i, count, /*nonce=*/99, modulus);
-      ASSERT_TRUE(share.ok()) << share.status().ToString();
-      EXPECT_GE(*share, BigInt(0));
-      EXPECT_LT(*share, modulus);
-      sum = AddMod(sum, *share, modulus);
-    }
-    EXPECT_EQ(sum, BigInt(0)) << count << " parties";
-  }
-}
-
-TEST(ClusterBlindingTest, SharesAreDeterministicPerSeedAndNonce) {
-  const Bytes seed = {9, 9, 9};
-  const BigInt modulus = BigInt(1) << 64;
-  Result<BigInt> a = DeriveZeroShare(seed, 0, 4, 7, modulus);
-  Result<BigInt> b = DeriveZeroShare(seed, 0, 4, 7, modulus);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, *b);
-
-  // A different nonce (fresh query) or seed must re-randomize: a reused
-  // share would let the coordinator difference out a shard's partial.
-  const Bytes different_seed = {8, 8, 8};
-  Result<BigInt> other_nonce = DeriveZeroShare(seed, 0, 4, 8, modulus);
-  Result<BigInt> other_seed = DeriveZeroShare(different_seed, 0, 4, 7, modulus);
-  ASSERT_TRUE(other_nonce.ok() && other_seed.ok());
-  EXPECT_NE(*a, *other_nonce);
-  EXPECT_NE(*a, *other_seed);
-}
-
-TEST(ClusterBlindingTest, RejectsDegenerateInputs) {
-  const BigInt modulus = BigInt(1) << 64;
-  const Bytes seed = {1};
-  EXPECT_FALSE(DeriveZeroShare(seed, 4, 4, 0, modulus).ok());  // index range
-  EXPECT_FALSE(DeriveZeroShare(seed, 0, 0, 0, modulus).ok());  // zero parties
-  EXPECT_FALSE(DeriveZeroShare(Bytes{}, 0, 2, 0, modulus).ok());  // empty seed
-  EXPECT_FALSE(DeriveZeroShare(seed, 0, 2, 0, BigInt(1)).ok());  // modulus < 2
-}
-
-TEST(ClusterBlindingTest, SoleShardShareIsZero) {
-  const Bytes seed = {1, 2};
-  Result<BigInt> share = DeriveZeroShare(seed, 0, 1, 3, BigInt(1) << 64);
-  ASSERT_TRUE(share.ok());
-  EXPECT_EQ(*share, BigInt(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -301,13 +249,21 @@ struct TestCluster {
 
 struct TestClusterConfig {
   size_t shards = 4;
-  size_t rows_per_shard = 8;
+  /// Rows of the logical column. Shard i holds base + (i < extra) rows,
+  /// base = rows / shards and extra = rows % shards, in order.
+  size_t rows = 32;
+  /// The coordinator blinds its fan-outs with zero-shares mod
+  /// blind_modulus and the shards carry the matching ShardBlindConfig.
   bool blind = false;
+  BigInt blind_modulus = BigInt(1) << 64;
+  /// When false, a blinding coordinator fans out to shards that have
+  /// no ShardBlindConfig.
+  bool shards_know_blinding = true;
   PartialResultPolicy policy = PartialResultPolicy::kFail;
   size_t shard_attempts = 1;
   uint32_t shard_io_deadline_ms = 5000;
   /// When nonzero, the last shard serves only this many of its rows
-  /// while the shard map still claims rows_per_shard.
+  /// while the shard map still claims its whole range.
   size_t last_shard_served_rows = 0;
 };
 
@@ -315,12 +271,14 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
                                           const TestClusterConfig& config) {
   auto cluster = std::make_unique<TestCluster>();
   const Bytes blind_seed = {7, 7, 7, 7};
-  const BigInt blind_modulus = BigInt(1) << 64;
+  const size_t base = config.rows / config.shards;
+  const size_t extra = config.rows % config.shards;
   std::vector<ShardDescriptor> shards;
+  size_t begin = 0;
   for (size_t i = 0; i < config.shards; ++i) {
-    std::vector<uint32_t> slice(config.rows_per_shard);
+    std::vector<uint32_t> slice(base + (i < extra ? 1 : 0));
     for (size_t r = 0; r < slice.size(); ++r) {
-      slice[r] = static_cast<uint32_t>(10 * (i * config.rows_per_shard + r) + 1);
+      slice[r] = static_cast<uint32_t>(10 * (begin + r) + 1);
       cluster->values.push_back(slice[r]);
     }
     if (i + 1 == config.shards && config.last_shard_served_rows != 0) {
@@ -333,21 +291,22 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
     // fan-out while the shards fold on another, which the pool's
     // two-worker floor guarantees even on a 1-CPU host.
     ServiceHostOptions options;
-    if (config.blind) {
+    if (config.blind && config.shards_know_blinding) {
       ShardBlindConfig blind;
       blind.shard_index = static_cast<uint32_t>(i);
       blind.shard_count = static_cast<uint32_t>(config.shards);
       blind.seed = blind_seed;
-      blind.modulus = blind_modulus;
+      blind.modulus = config.blind_modulus;
       options.shard_blind = blind;
     }
     auto host = std::make_unique<ServiceHost>(registry.get(), options);
     const std::string path = std::string(::testing::TempDir()) + "/cl_" +
                              tag + "_s" + std::to_string(i) + ".sock";
     EXPECT_TRUE(host->Start("unix:" + path).ok());
-    shards.push_back(MakeShard(static_cast<uint32_t>(i), host->bound_uri(),
-                               i * config.rows_per_shard,
-                               (i + 1) * config.rows_per_shard));
+    const size_t end = begin + base + (i < extra ? 1 : 0);
+    shards.push_back(
+        MakeShard(static_cast<uint32_t>(i), host->bound_uri(), begin, end));
+    begin = end;
     cluster->shard_registries.push_back(std::move(registry));
     cluster->shard_hosts.push_back(std::move(host));
   }
@@ -367,7 +326,7 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
   if (config.blind) {
     coordinator_options.blind_partials = true;
     coordinator_options.blind_seed = blind_seed;
-    coordinator_options.blind_modulus = blind_modulus;
+    coordinator_options.blind_modulus = config.blind_modulus;
   }
   cluster->coordinator = std::make_unique<ShardCoordinator>(
       &cluster->map_registry, coordinator_options);
@@ -463,6 +422,7 @@ TEST(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
 TEST(ClusterServiceTest, RejectsUnknownColumns) {
   TestClusterConfig config;
   config.shards = 2;
+  config.rows = 16;
   auto cluster = StartCluster("rej", config);
   const size_t rows = cluster->values.size();
 
@@ -481,9 +441,10 @@ TEST(ClusterServiceTest, RejectsUnknownColumns) {
             std::string::npos);
 }
 
-TEST(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
+TEST(ClusterServiceTest, EmptyColumnGetsTheDefaultColumnFanOut) {
   TestClusterConfig config;
   config.shards = 2;
+  config.rows = 16;
   // An empty column name selects the coordinator's default column.
   auto cluster = StartCluster("default", config);
   const size_t rows = cluster->values.size();
@@ -506,6 +467,7 @@ TEST(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
 TEST(ClusterServiceTest, ShardRowCountContradictingItsMapIsAProtocolError) {
   TestClusterConfig config;
   config.shards = 2;
+  config.rows = 16;
   config.last_shard_served_rows = 5;  // the map says 8
   auto cluster = StartCluster("rows", config);
   const size_t rows = cluster->values.size();
@@ -627,83 +589,89 @@ TEST(ClusterCoordinatorTest, ShardPartialAnswerIsARetryableProtocolError) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the networked coordinator must agree bit-for-bit with
-// the in-process distributed protocol over the same partitions.
+// Partition sweep: the coordinator over real shard hosts returns the
+// plaintext selected sum (mod M when blinded) for even and uneven
+// partitions, one to five shards.
 
-TEST(ClusterDifferentialTest, MatchesRunDistributedSum) {
+struct SweepShape {
+  size_t shards;
+  size_t rows;
+  bool blind;
+};
+
+// Names each case in the test listing (gtest would otherwise dump the
+// struct's bytes, padding included).
+void PrintTo(const SweepShape& shape, std::ostream* os) {
+  *os << shape.shards << " shards, " << shape.rows << " rows, "
+      << (shape.blind ? "blinded" : "plain");
+}
+
+class ClusterSweepTest : public ::testing::TestWithParam<SweepShape> {};
+
+TEST_P(ClusterSweepTest, CoordinatorReturnsThePlaintextSum) {
+  const SweepShape shape = GetParam();
   TestClusterConfig config;
-  config.shards = 3;
-  config.rows_per_shard = 5;
-  auto cluster = StartCluster("diff", config);
-  const size_t rows = cluster->values.size();
+  config.shards = shape.shards;
+  config.rows = shape.rows;
+  config.blind = shape.blind;
+  auto cluster = StartCluster("sw" + std::to_string(shape.shards) + "_" +
+                                  std::to_string(shape.rows) +
+                                  (shape.blind ? "b" : "p"),
+                              config);
+  ASSERT_EQ(cluster->values.size(), shape.rows);
 
-  SelectionVector selection(rows, false);
-  for (size_t i = 0; i < rows; i += 2) selection[i] = true;
-
-  // In-process reference: the same partitions as plain Databases.
-  std::vector<Database> partitions;
-  for (size_t i = 0; i < config.shards; ++i) {
-    std::vector<uint32_t> slice(
-        cluster->values.begin() + i * config.rows_per_shard,
-        cluster->values.begin() + (i + 1) * config.rows_per_shard);
-    partitions.emplace_back("v", slice);
-  }
-  std::vector<const Database*> servers;
-  for (const Database& db : partitions) servers.push_back(&db);
-  DistributedConfig dist_config;
-  dist_config.blind_partials = false;
-  ChaCha20Rng dist_rng(21);
-  Result<DistributedRunResult> reference = RunDistributedSum(
-      SharedKeyPair().private_key, servers, selection, dist_config,
-      dist_rng);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  ChaCha20Rng rng(22);
-  QuerySession session(SharedKeyPair().private_key, rng);
+  ChaCha20Rng rng(shape.shards * 1000 + shape.rows);
+  WorkloadGenerator gen(rng);
+  SelectionVector selection = gen.RandomSelection(shape.rows, shape.rows / 2);
+  ClientSessionOptions options;
+  if (shape.blind) options.result_modulus = config.blind_modulus;
+  QuerySession session(SharedKeyPair().private_key, rng, options);
   RetryOptions retry;
   ASSERT_TRUE(
       session.ConnectWithRetry(cluster->coordinator_host->bound_uri(), retry)
           .ok());
+  EXPECT_EQ(session.server_rows(), shape.rows);
   QuerySpec spec;
   spec.column = "v";
   Result<BigInt> total = session.RunQuery(spec, selection);
   ASSERT_TRUE(total.ok()) << total.status().ToString();
-  EXPECT_EQ(*total, reference->total);
+  BigInt expected(ExpectedSum(cluster->values, selection));
+  if (shape.blind) expected = Mod(expected, config.blind_modulus);
+  EXPECT_EQ(*total, expected);
   EXPECT_TRUE(session.Finish().ok());
 }
 
-TEST(ClusterDifferentialTest, BlindedPathMatchesBlindedDistributedSum) {
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ClusterSweepTest,
+    ::testing::Values(SweepShape{1, 10, false}, SweepShape{1, 10, true},
+                      SweepShape{2, 20, false}, SweepShape{2, 20, true},
+                      SweepShape{3, 31, false}, SweepShape{3, 31, true},
+                      SweepShape{5, 47, false}, SweepShape{5, 47, true}),
+    [](const ::testing::TestParamInfo<SweepShape>& info) {
+      return std::to_string(info.param.shards) + "Shards" +
+             std::to_string(info.param.rows) + "Rows" +
+             (info.param.blind ? "Blinded" : "Plain");
+    });
+
+// ---------------------------------------------------------------------------
+// Blinding bounds on the wire.
+
+TEST(ClusterBlindBoundTest, ModulusTooLargeForTheMergeIsInvalidArgument) {
+  // M = 2^254 under a 256-bit key: each shard's 2M <= n holds, but the
+  // coordinator merging three blinded partials needs 4M <= n.
+  const BigInt& n = SharedKeyPair().public_key.n();
   TestClusterConfig config;
   config.shards = 3;
-  config.rows_per_shard = 5;
+  config.rows = 24;
   config.blind = true;
-  auto cluster = StartCluster("diffb", config);
-  const size_t rows = cluster->values.size();
+  config.blind_modulus = BigInt(1) << 254;
+  ASSERT_TRUE(CheckBlindModulus(config.blind_modulus, n, 1).ok());
+  ASSERT_FALSE(CheckBlindModulus(config.blind_modulus, n, 3).ok());
+  auto cluster = StartCluster("bigm", config);
 
-  SelectionVector selection(rows, false);
-  for (size_t i = 1; i < rows; i += 2) selection[i] = true;
-
-  std::vector<Database> partitions;
-  for (size_t i = 0; i < config.shards; ++i) {
-    std::vector<uint32_t> slice(
-        cluster->values.begin() + i * config.rows_per_shard,
-        cluster->values.begin() + (i + 1) * config.rows_per_shard);
-    partitions.emplace_back("v", slice);
-  }
-  std::vector<const Database*> servers;
-  for (const Database& db : partitions) servers.push_back(&db);
-  DistributedConfig dist_config;
-  dist_config.blind_partials = true;
-  dist_config.blind_modulus = BigInt(1) << 64;
-  ChaCha20Rng dist_rng(31);
-  Result<DistributedRunResult> reference = RunDistributedSum(
-      SharedKeyPair().private_key, servers, selection, dist_config,
-      dist_rng);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  ChaCha20Rng rng(32);
+  ChaCha20Rng rng(51);
   ClientSessionOptions options;
-  options.result_modulus = BigInt(1) << 64;
+  options.result_modulus = config.blind_modulus;
   QuerySession session(SharedKeyPair().private_key, rng, options);
   RetryOptions retry;
   ASSERT_TRUE(
@@ -711,12 +679,44 @@ TEST(ClusterDifferentialTest, BlindedPathMatchesBlindedDistributedSum) {
           .ok());
   QuerySpec spec;
   spec.column = "v";
-  Result<BigInt> total = session.RunQuery(spec, selection);
-  ASSERT_TRUE(total.ok()) << total.status().ToString();
-  // Both stacks blind differently, but the recovered totals must agree
-  // bit-for-bit: the zero-shares cancel mod M on each side.
-  EXPECT_EQ(*total, reference->total);
-  EXPECT_TRUE(session.Finish().ok());
+  Result<BigInt> total = session.RunQuery(spec, SelectionVector(24, true));
+  ASSERT_FALSE(total.ok());
+  EXPECT_EQ(total.status().code(), StatusCode::kInvalidArgument)
+      << total.status().ToString();
+  EXPECT_NE(total.status().ToString().find("need 4M <= n"), std::string::npos)
+      << total.status().ToString();
+  // Refused before the fan-out: no shard was ever dialed.
+  for (const auto& host : cluster->shard_hosts) {
+    EXPECT_EQ(host->SnapshotStats().sessions_accepted, 0u);
+  }
+}
+
+TEST(ClusterBlindBoundTest, ShardWithoutBlindConfigIsFailedPrecondition) {
+  TestClusterConfig config;
+  config.shards = 2;
+  config.rows = 16;
+  config.blind = true;
+  config.shards_know_blinding = false;
+  auto cluster = StartCluster("noblind", config);
+
+  ChaCha20Rng rng(52);
+  ClientSessionOptions options;
+  options.result_modulus = config.blind_modulus;
+  QuerySession session(SharedKeyPair().private_key, rng, options);
+  RetryOptions retry;
+  ASSERT_TRUE(
+      session.ConnectWithRetry(cluster->coordinator_host->bound_uri(), retry)
+          .ok());
+  QuerySpec spec;
+  spec.column = "v";
+  Result<BigInt> total = session.RunQuery(spec, SelectionVector(16, true));
+  ASSERT_FALSE(total.ok());
+  EXPECT_EQ(total.status().code(), StatusCode::kFailedPrecondition)
+      << total.status().ToString();
+  EXPECT_NE(total.status().ToString().find(
+                "shard blinding is not configured"),
+            std::string::npos)
+      << total.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -725,6 +725,7 @@ TEST(ClusterDifferentialTest, BlindedPathMatchesBlindedDistributedSum) {
 TEST(ClusterPolicyTest, FailPolicyPropagatesTheShardFailure) {
   TestClusterConfig config;
   config.shards = 2;
+  config.rows = 16;
   config.policy = PartialResultPolicy::kFail;
   auto cluster = StartCluster("polfail", config);
   const size_t rows = cluster->values.size();
@@ -747,6 +748,7 @@ TEST(ClusterPolicyTest, FailPolicyPropagatesTheShardFailure) {
 TEST(ClusterPolicyTest, PartialPolicyServesFlaggedCoverage) {
   TestClusterConfig config;
   config.shards = 2;
+  config.rows = 16;
   config.policy = PartialResultPolicy::kPartial;
   auto cluster = StartCluster("polpart", config);
   const size_t rows = cluster->values.size();

@@ -118,6 +118,7 @@ bool IsTypedOutcome(const Status& status) {
     case StatusCode::kProtocolError:
     case StatusCode::kSerializationError:
     case StatusCode::kNotFound:
+    case StatusCode::kAlreadyExists:
     case StatusCode::kResourceExhausted:
     case StatusCode::kInternal:
     case StatusCode::kDeadlineExceeded:
@@ -153,7 +154,9 @@ Status RunChaosClient(const std::string& path,
   }
 
   ChaCha20Rng rng(seed + 9000);
-  QuerySession session(SharedKeyPair().private_key, rng, {kChunk});
+  ClientSessionOptions options;
+  options.chunk_size = kChunk;
+  QuerySession session(SharedKeyPair().private_key, rng, options);
   Status status = session.Connect(*channel);
   if (status.ok()) {
     SelectionVector sel(kRows, false);

@@ -171,8 +171,9 @@ TEST_F(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
         ++failures;
         return;
       }
-      QuerySession session(keys[c].private_key, client_rng,
-                           {/*chunk_size=*/static_cast<size_t>(7 + c)});
+      ClientSessionOptions options;
+      options.chunk_size = static_cast<size_t>(7 + c);
+      QuerySession session(keys[c].private_key, client_rng, options);
       if (!session.Connect(**channel).ok()) {
         ++failures;
         return;
