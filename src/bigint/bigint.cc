@@ -17,6 +17,21 @@ constexpr size_t kKaratsubaThreshold = 24;  // limbs
 constexpr uint64_t kDecChunkBase = 10000000000000000000ULL;
 constexpr int kDecChunkDigits = 19;
 
+// Eight big-endian bytes <-> one limb. The shift loops are portable;
+// gcc folds each to a single load or store plus a bswap.
+uint64_t LoadBigEndian64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+void StoreBigEndian64(uint8_t* p, uint64_t v) {
+  for (int i = 7; i >= 0; --i) {
+    p[i] = static_cast<uint8_t>(v);
+    v >>= 8;
+  }
+}
+
 }  // namespace
 
 void BigInt::InitUnsigned(uint64_t value) {
@@ -461,13 +476,21 @@ Result<BigInt> BigInt::FromHexString(std::string_view s) {
 }
 
 BigInt BigInt::FromBytes(BytesView bytes) {
-  BigInt out;
-  std::vector<uint64_t> limbs((bytes.size() + 7) / 8, 0);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    // bytes are big-endian; byte i has weight 8*(size-1-i) bits.
-    size_t bitpos = 8 * (bytes.size() - 1 - i);
-    limbs[bitpos / 64] |= static_cast<uint64_t>(bytes[i]) << (bitpos % 64);
+  // bytes are big-endian: limb i is the 8 bytes ending 8*i bytes before
+  // the end, and the top limb takes the size % 8 leading bytes.
+  const size_t full = bytes.size() / 8;
+  const size_t head = bytes.size() % 8;
+  std::vector<uint64_t> limbs(full + (head != 0 ? 1 : 0));
+  const uint8_t* end = bytes.data() + bytes.size();
+  for (size_t i = 0; i < full; ++i) {
+    limbs[i] = LoadBigEndian64(end - 8 * (i + 1));
   }
+  if (head != 0) {
+    uint64_t top = 0;
+    for (size_t i = 0; i < head; ++i) top = (top << 8) | bytes[i];
+    limbs[full] = top;
+  }
+  BigInt out;
   out.limbs_ = std::move(limbs);
   out.Normalize();
   return out;
@@ -515,15 +538,29 @@ Bytes BigInt::ToBytes(size_t min_width) const {
   size_t nbytes = (BitLength() + 7) / 8;
   if (nbytes == 0) nbytes = 1;
   if (nbytes < min_width) nbytes = min_width;
-  Bytes out(nbytes, 0);
-  for (size_t i = 0; i < nbytes; ++i) {
-    size_t bitpos = 8 * i;  // weight of out[nbytes-1-i]
-    if (bitpos / 64 < limbs_.size()) {
-      out[nbytes - 1 - i] =
-          static_cast<uint8_t>(limbs_[bitpos / 64] >> (bitpos % 64));
-    }
-  }
+  Bytes out(nbytes);
+  ToBytesInto(out);
   return out;
+}
+
+void BigInt::ToBytesInto(std::span<uint8_t> out) const {
+  // Mirror of FromBytes: limb i fills the 8 bytes ending 8*i bytes
+  // before the end; the out.size() % 8 leading bytes take the low bytes
+  // of the next limb. Limbs past the buffer are not written.
+  const size_t full = out.size() / 8;
+  const size_t head = out.size() % 8;
+  auto limb = [this](size_t i) -> uint64_t {
+    return i < limbs_.size() ? limbs_[i] : 0;
+  };
+  uint8_t* end = out.data() + out.size();
+  for (size_t i = 0; i < full; ++i) {
+    StoreBigEndian64(end - 8 * (i + 1), limb(i));
+  }
+  uint64_t top = limb(full);
+  for (size_t i = head; i-- > 0;) {
+    out[i] = static_cast<uint8_t>(top);
+    top >>= 8;
+  }
 }
 
 std::ostream& operator<<(std::ostream& os, const BigInt& v) {

@@ -20,6 +20,7 @@
 #include <compare>
 #include <concepts>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -130,6 +131,11 @@ class BigInt {
   /// least `min_width` bytes. Always at least one byte (zero encodes as
   /// a single 0x00).
   Bytes ToBytes(size_t min_width = 0) const;
+
+  /// Writes the low out.size() bytes of the magnitude big-endian into
+  /// `out`, zero-padded on the left. Callers check that it fits: bytes
+  /// above out.size() are dropped.
+  void ToBytesInto(std::span<uint8_t> out) const;
 
   /// Direct limb access (little-endian) for the Montgomery kernel.
   const std::vector<uint64_t>& limbs() const { return limbs_; }

@@ -139,8 +139,10 @@ class CoordinatorRouter : public QueryRouter {
 };
 
 /// One fan-out query: buffers the client's encrypted index vector in
-/// global row order, then scatters slices to the shards and gathers
-/// their encrypted partials into one response frame.
+/// global row order as validated wire bytes, then scatters byte slices
+/// to the shards and gathers their encrypted partials into one response
+/// frame. Nothing here computes on an index ciphertext, so none is ever
+/// decoded.
 class ClusterExecution : public QueryExecution {
  public:
   ClusterExecution(CoordinatorRouter* router, ShardCoordinator* coordinator,
@@ -154,8 +156,9 @@ class ClusterExecution : public QueryExecution {
         column2_(std::move(column2)),
         shards_(std::move(shards)),
         pub_(std::move(pub)),
-        rows_(rows) {
-    weights_.reserve(rows_);
+        rows_(rows),
+        ciphertext_bytes_(pub_.CiphertextBytes()) {
+    upload_.reserve(rows_ * ciphertext_bytes_);
   }
 
   [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(
@@ -165,18 +168,16 @@ class ClusterExecution : public QueryExecution {
     if (finished_) {
       return Status::FailedPrecondition("response already produced");
     }
-    PPSTATS_ASSIGN_OR_RETURN(IndexBatchMessage batch,
-                             IndexBatchMessage::Decode(pub_, frame));
-    if (batch.start_index != weights_.size()) {
+    PPSTATS_ASSIGN_OR_RETURN(IndexBatchView batch,
+                             IndexBatchMessage::Parse(pub_, frame));
+    if (batch.start_index != BufferedRows()) {
       return Status::ProtocolError("out-of-order index chunk");
     }
-    if (batch.start_index + batch.ciphertexts.size() > rows_) {
+    if (batch.start_index + batch.count > rows_) {
       return Status::ProtocolError("index chunk overruns the database");
     }
-    for (PaillierCiphertext& ct : batch.ciphertexts) {
-      weights_.push_back(std::move(ct));
-    }
-    if (weights_.size() < rows_) return std::optional<Bytes>(std::nullopt);
+    upload_.insert(upload_.end(), batch.payload.begin(), batch.payload.end());
+    if (BufferedRows() < rows_) return std::optional<Bytes>(std::nullopt);
     PPSTATS_ASSIGN_OR_RETURN(Bytes response, FanOut());
     return std::optional<Bytes>(std::move(response));
   }
@@ -189,6 +190,8 @@ class ClusterExecution : public QueryExecution {
     Status status = Status::OK();
     std::optional<PaillierCiphertext> sum;
   };
+
+  uint64_t BufferedRows() const { return upload_.size() / ciphertext_bytes_; }
 
   [[nodiscard]] Result<Bytes> FanOut();
   [[nodiscard]] Status QueryShard(size_t i, uint64_t nonce,
@@ -204,8 +207,10 @@ class ClusterExecution : public QueryExecution {
   std::vector<ShardDescriptor> shards_;
   PaillierPublicKey pub_;
   uint64_t rows_;
-  /// Client ciphertexts E(w_i), indexed by global row.
-  std::vector<PaillierCiphertext> weights_;
+  size_t ciphertext_bytes_;
+  /// Client ciphertexts E(w_i) as wire bytes, ciphertext_bytes_ per
+  /// global row, in row order.
+  Bytes upload_;
   bool finished_ = false;
   double compute_seconds_ = 0;
 };
@@ -374,13 +379,11 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
                              ? shard_rows
                              : coordinator_->options_.chunk_size;
   for (uint64_t off = 0; off < shard_rows; off += chunk) {
-    IndexBatchMessage batch;
-    batch.start_index = off;
     const uint64_t count = std::min<uint64_t>(chunk, shard_rows - off);
-    const auto first =
-        weights_.begin() + static_cast<ptrdiff_t>(shard.begin + off);
-    batch.ciphertexts.assign(first, first + static_cast<ptrdiff_t>(count));
-    PPSTATS_RETURN_IF_ERROR(conn->Send(batch.Encode(pub_)));
+    const BytesView slice = BytesView(upload_).subspan(
+        (shard.begin + off) * ciphertext_bytes_, count * ciphertext_bytes_);
+    PPSTATS_RETURN_IF_ERROR(conn->Send(IndexBatchMessage::EncodeRaw(
+        off, static_cast<uint32_t>(count), slice)));
   }
 
   PPSTATS_ASSIGN_OR_RETURN(Bytes response, conn->Receive());

@@ -1,5 +1,7 @@
 #include "core/messages.h"
 
+#include <cstring>
+
 namespace ppstats {
 
 namespace {
@@ -10,6 +12,18 @@ Status ExpectType(WireReader& reader, MessageType expected) {
     return Status::ProtocolError("unexpected message type");
   }
   return Status::OK();
+}
+
+// Tag, start index and count: the 13 bytes ahead of an IndexBatch's
+// ciphertexts, in a writer sized for the whole frame.
+WireWriter IndexBatchHeader(uint64_t start_index, uint32_t count,
+                            size_t payload_bytes) {
+  WireWriter w;
+  w.Reserve(1 + 8 + 4 + payload_bytes);
+  w.WriteU8(static_cast<uint8_t>(MessageType::kIndexBatch));
+  w.WriteU64(start_index);
+  w.WriteU32(count);
+  return w;
 }
 
 }  // namespace
@@ -27,39 +41,64 @@ Result<MessageType> PeekMessageType(BytesView frame) {
 }
 
 Bytes IndexBatchMessage::Encode(const PaillierPublicKey& pub) const {
-  WireWriter w;
-  w.WriteU8(static_cast<uint8_t>(MessageType::kIndexBatch));
-  w.WriteU64(start_index);
-  w.WriteU32(static_cast<uint32_t>(ciphertexts.size()));
+  const size_t width = pub.CiphertextBytes();
+  WireWriter w = IndexBatchHeader(start_index,
+                                  static_cast<uint32_t>(ciphertexts.size()),
+                                  ciphertexts.size() * width);
   for (const PaillierCiphertext& ct : ciphertexts) {
     // Ciphertexts are < n^2 by construction; fixed width cannot fail.
-    w.WriteFixedBigInt(ct.value, pub.CiphertextBytes()).IgnoreError();
+    w.WriteFixedBigInt(ct.value, width).IgnoreError();
   }
   return w.Take();
 }
 
-Result<IndexBatchMessage> IndexBatchMessage::Decode(
-    const PaillierPublicKey& pub, BytesView frame) {
+Bytes IndexBatchMessage::EncodeRaw(uint64_t start_index, uint32_t count,
+                                   BytesView payload) {
+  WireWriter w = IndexBatchHeader(start_index, count, payload.size());
+  w.WriteRaw(payload);
+  return w.Take();
+}
+
+Result<IndexBatchView> IndexBatchMessage::Parse(const PaillierPublicKey& pub,
+                                                BytesView frame) {
   WireReader r(frame);
   PPSTATS_RETURN_IF_ERROR(ExpectType(r, MessageType::kIndexBatch));
-  IndexBatchMessage msg;
-  PPSTATS_ASSIGN_OR_RETURN(msg.start_index, r.ReadU64());
-  PPSTATS_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
+  IndexBatchView view;
+  PPSTATS_ASSIGN_OR_RETURN(view.start_index, r.ReadU64());
+  PPSTATS_ASSIGN_OR_RETURN(view.count, r.ReadU32());
   // Validate the claimed count against the actual payload before
-  // allocating anything: a hostile count must not drive allocation.
-  if (static_cast<uint64_t>(count) * pub.CiphertextBytes() != r.remaining()) {
+  // touching it: a hostile count must not drive allocation.
+  const size_t width = pub.CiphertextBytes();
+  if (static_cast<uint64_t>(view.count) * width != r.remaining()) {
     return Status::SerializationError("ciphertext count/payload mismatch");
   }
-  msg.ciphertexts.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    PPSTATS_ASSIGN_OR_RETURN(BigInt v,
-                             r.ReadFixedBigInt(pub.CiphertextBytes()));
-    if (v >= pub.n_squared()) {
-      return Status::ProtocolError("index ciphertext >= n^2");
+  PPSTATS_ASSIGN_OR_RETURN(view.payload, r.ReadRaw(r.remaining()));
+  // At equal width, big-endian byte order is numeric order. An n^2
+  // wider than the wire width is above every ciphertext.
+  const Bytes bound = pub.n_squared().ToBytes(width);
+  if (bound.size() == width) {
+    for (size_t i = 0; i < view.count; ++i) {
+      if (std::memcmp(view.payload.data() + i * width, bound.data(), width) >=
+          0) {
+        return Status::ProtocolError("index ciphertext >= n^2");
+      }
     }
-    msg.ciphertexts.push_back(PaillierCiphertext{std::move(v)});
   }
   PPSTATS_RETURN_IF_ERROR(r.ExpectEnd());
+  return view;
+}
+
+Result<IndexBatchMessage> IndexBatchMessage::Decode(
+    const PaillierPublicKey& pub, BytesView frame) {
+  PPSTATS_ASSIGN_OR_RETURN(IndexBatchView view, Parse(pub, frame));
+  const size_t width = pub.CiphertextBytes();
+  IndexBatchMessage msg;
+  msg.start_index = view.start_index;
+  msg.ciphertexts.reserve(view.count);
+  for (size_t i = 0; i < view.count; ++i) {
+    msg.ciphertexts.push_back(PaillierCiphertext{
+        BigInt::FromBytes(view.payload.subspan(i * width, width))});
+  }
   return msg;
 }
 

@@ -30,6 +30,16 @@ enum class MessageType : uint8_t {
   kPartialResult = 11,  ///< coordinator -> client: sum over responsive shards only
 };
 
+/// A validated IndexBatch frame whose ciphertexts stay wire bytes, for
+/// paths that forward index ciphertexts without computing on them.
+struct IndexBatchView {
+  uint64_t start_index = 0;
+  uint32_t count = 0;
+  /// `count` ciphertexts at the key's fixed wire width, each checked to
+  /// be < n^2. Aliases the parsed frame.
+  BytesView payload;
+};
+
 /// A chunk of the encrypted index vector covering rows
 /// [start_index, start_index + ciphertexts.size()).
 struct IndexBatchMessage {
@@ -37,6 +47,15 @@ struct IndexBatchMessage {
   std::vector<PaillierCiphertext> ciphertexts;
 
   Bytes Encode(const PaillierPublicKey& pub) const;
+  /// Frames `count` ciphertexts that are already wire bytes (`payload`,
+  /// count * CiphertextBytes() bytes, each < n^2) as covering rows from
+  /// `start_index`: the same bytes Encode writes for those ciphertexts.
+  static Bytes EncodeRaw(uint64_t start_index, uint32_t count,
+                         BytesView payload);
+  /// Runs every check Decode runs, with the same statuses, but leaves
+  /// the ciphertexts as bytes.
+  [[nodiscard]] static Result<IndexBatchView> Parse(const PaillierPublicKey& pub,
+                                                    BytesView frame);
   [[nodiscard]] static Result<IndexBatchMessage> Decode(const PaillierPublicKey& pub,
                                                         BytesView frame);
 };

@@ -18,6 +18,10 @@ void WireWriter::WriteU64(uint64_t v) {
 
 void WireWriter::WriteBytes(BytesView bytes) {
   WriteU32(static_cast<uint32_t>(bytes.size()));
+  WriteRaw(bytes);
+}
+
+void WireWriter::WriteRaw(BytesView bytes) {
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
 }
 
@@ -32,8 +36,9 @@ Status WireWriter::WriteFixedBigInt(const BigInt& v, size_t width) {
   if ((v.BitLength() + 7) / 8 > width) {
     return Status::OutOfRange("BigInt does not fit fixed width");
   }
-  Bytes b = v.ToBytes(width);
-  buffer_.insert(buffer_.end(), b.begin(), b.end());
+  const size_t at = buffer_.size();
+  buffer_.resize(at + width);
+  v.ToBytesInto(std::span<uint8_t>(buffer_).subspan(at, width));
   return Status::OK();
 }
 

@@ -29,12 +29,18 @@ class WireWriter {
   /// Writes a u32 length prefix followed by the raw bytes.
   void WriteBytes(BytesView bytes);
 
+  /// Appends the bytes as they are, with no length prefix.
+  void WriteRaw(BytesView bytes);
+
   /// Writes a non-negative BigInt as length-prefixed big-endian bytes.
   void WriteBigInt(const BigInt& v);
 
   /// Writes a non-negative BigInt as exactly `width` big-endian bytes
   /// with no length prefix (for fixed-width ciphertexts).
   [[nodiscard]] Status WriteFixedBigInt(const BigInt& v, size_t width);
+
+  /// Sizes the buffer for a frame of `bytes` bytes in total.
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
 
   const Bytes& bytes() const { return buffer_; }
   Bytes Take() { return std::move(buffer_); }
@@ -55,6 +61,9 @@ class WireReader {
   [[nodiscard]] Result<Bytes> ReadBytes();
   [[nodiscard]] Result<BigInt> ReadBigInt();
   [[nodiscard]] Result<BigInt> ReadFixedBigInt(size_t width);
+  /// The next `count` bytes, uncopied: the view aliases the reader's
+  /// buffer.
+  [[nodiscard]] Result<BytesView> ReadRaw(size_t count) { return Take(count); }
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+
 #include "crypto/chacha20_rng.h"
 
 namespace ppstats {
@@ -80,6 +83,65 @@ TEST(BigIntTest, ZeroSerializesToOneByte) {
   EXPECT_EQ(BigInt(0).ToBytes(), Bytes{0});
   EXPECT_TRUE(BigInt::FromBytes(Bytes{0, 0, 0}).IsZero());
   EXPECT_TRUE(BigInt::FromBytes({}).IsZero());
+}
+
+// Byte-at-a-time references for the fixed-width codec, built only from
+// shifts, addition and LowUint64.
+BigInt ReferenceFromBytes(BytesView bytes) {
+  BigInt acc;
+  for (uint8_t b : bytes) acc = (acc << 8) + BigInt(b);
+  return acc;
+}
+
+Bytes ReferenceToBytes(const BigInt& v, size_t min_width) {
+  size_t width = std::max<size_t>((v.BitLength() + 7) / 8, 1);
+  width = std::max(width, min_width);
+  Bytes out(width);
+  for (size_t i = 0; i < width; ++i) {
+    out[width - 1 - i] = static_cast<uint8_t>((v >> (8 * i)).LowUint64());
+  }
+  return out;
+}
+
+TEST(BigIntTest, ByteCodecMatchesAByteAtATimeReferenceAtEveryWidth) {
+  ChaCha20Rng rng(77);
+  for (size_t width = 0; width <= 136; ++width) {
+    Bytes random(width);
+    rng.Fill(random);
+    // The same bytes behind a run of leading zeros, so the natural
+    // width falls below the buffer's.
+    Bytes leading_zeros = random;
+    std::fill_n(leading_zeros.begin(), width / 3, 0);
+    for (const Bytes& bytes : {random, leading_zeros}) {
+      const BigInt v = BigInt::FromBytes(bytes);
+      ASSERT_EQ(v, ReferenceFromBytes(bytes)) << "width " << width;
+      const size_t natural = (v.BitLength() + 7) / 8;
+      for (size_t min_width :
+           {size_t{0}, natural > 0 ? natural - 1 : 0, natural, natural + 1,
+            width, width + 9}) {
+        const Bytes encoded = v.ToBytes(min_width);
+        ASSERT_EQ(encoded, ReferenceToBytes(v, min_width))
+            << "width " << width << " min_width " << min_width;
+        EXPECT_EQ(BigInt::FromBytes(encoded), v);
+      }
+      // Into a buffer of the frame's width: the input bytes come back.
+      Bytes into(width, 0xAA);
+      v.ToBytesInto(into);
+      EXPECT_EQ(into, bytes) << "width " << width;
+    }
+  }
+}
+
+TEST(BigIntTest, ToBytesIntoKeepsTheLowBytesOfAWiderValue) {
+  const BigInt v = Dec("1234567890123456789012345678901234567890");
+  const Bytes full = v.ToBytes();
+  for (size_t width = 0; width <= full.size(); ++width) {
+    Bytes into(width, 0xAA);
+    v.ToBytesInto(into);
+    EXPECT_EQ(into, Bytes(full.end() - static_cast<ptrdiff_t>(width),
+                          full.end()))
+        << "width " << width;
+  }
 }
 
 TEST(BigIntTest, AdditionBasics) {

@@ -26,6 +26,7 @@
 #include "db/column_registry.h"
 #include "db/database.h"
 #include "db/workload.h"
+#include "net/socket_channel.h"
 
 namespace ppstats {
 namespace {
@@ -487,6 +488,87 @@ TEST(ClusterServiceTest, ShardRowCountContradictingItsMapIsAProtocolError) {
                 "shard row count does not match its shard map range"),
             std::string::npos)
       << total.status().ToString();
+}
+
+// Opens a raw v2 session on `uri`, starts a sum query over column "v"
+// and sends `chunk` as its first index frame. Returns the status the
+// server's Error frame carries, or OK when it answers with a sum.
+Status FirstChunkOutcome(const std::string& uri, const Bytes& chunk) {
+  PPSTATS_ASSIGN_OR_RETURN(std::unique_ptr<Channel> channel,
+                           ConnectChannel(uri));
+  ClientHelloMessage hello;
+  hello.protocol_version = kSessionProtocolV2;
+  hello.public_key_blob = SerializePublicKey(SharedKeyPair().public_key);
+  PPSTATS_RETURN_IF_ERROR(channel->Send(hello.Encode()));
+  PPSTATS_ASSIGN_OR_RETURN(Bytes server_hello, channel->Receive());
+  PPSTATS_RETURN_IF_ERROR(ServerHelloMessage::Decode(server_hello).status());
+  QueryHeaderMessage header;
+  header.kind = static_cast<uint8_t>(StatisticKind::kSum);
+  header.column = "v";
+  PPSTATS_RETURN_IF_ERROR(channel->Send(header.Encode()));
+  PPSTATS_ASSIGN_OR_RETURN(Bytes accept, channel->Receive());
+  PPSTATS_RETURN_IF_ERROR(QueryAcceptMessage::Decode(accept).status());
+  PPSTATS_RETURN_IF_ERROR(channel->Send(chunk));
+  PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel->Receive());
+  PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
+  if (type == MessageType::kError) return StatusFromErrorFrame(reply);
+  return SumResponseMessage::Decode(SharedKeyPair().public_key, reply)
+      .status();
+}
+
+TEST(ClusterCoordinatorTest, HostileIndexChunksFailAsOnAPlainServer) {
+  // The coordinator validates index chunks itself and never decodes
+  // them; a client must still get the code and reason a shard host
+  // would give it.
+  TestClusterConfig config;
+  config.shards = 1;
+  config.rows = 16;
+  auto cluster = StartCluster("parity", config);
+  const PaillierPublicKey& pub = SharedKeyPair().public_key;
+  const size_t width = pub.CiphertextBytes();
+  ChaCha20Rng rng(17);
+  const Bytes zero =
+      Paillier::Encrypt(pub, BigInt(0), rng).ValueOrDie().value.ToBytes(width);
+  auto rows_of = [&](size_t count, const Bytes& last) {
+    Bytes payload;
+    for (size_t i = 0; i + 1 < count; ++i) {
+      payload.insert(payload.end(), zero.begin(), zero.end());
+    }
+    payload.insert(payload.end(), last.begin(), last.end());
+    return payload;
+  };
+  const struct {
+    const char* name;
+    Bytes frame;
+    StatusCode code;
+  } cases[] = {
+      {"valid", IndexBatchMessage::EncodeRaw(0, 16, rows_of(16, zero)),
+       StatusCode::kOk},
+      {"ciphertext equal to n^2",
+       IndexBatchMessage::EncodeRaw(
+           0, 16, rows_of(16, pub.n_squared().ToBytes(width))),
+       StatusCode::kProtocolError},
+      {"all-0xFF ciphertext",
+       IndexBatchMessage::EncodeRaw(0, 16, rows_of(16, Bytes(width, 0xFF))),
+       StatusCode::kProtocolError},
+      {"count/payload mismatch",
+       IndexBatchMessage::EncodeRaw(0, 3, rows_of(2, zero)),
+       StatusCode::kSerializationError},
+      {"out-of-order start_index",
+       IndexBatchMessage::EncodeRaw(5, 1, rows_of(1, zero)),
+       StatusCode::kProtocolError},
+      {"overrun", IndexBatchMessage::EncodeRaw(0, 17, rows_of(17, zero)),
+       StatusCode::kProtocolError},
+  };
+  for (const auto& c : cases) {
+    const Status direct =
+        FirstChunkOutcome(cluster->shard_hosts[0]->bound_uri(), c.frame);
+    const Status coordinated =
+        FirstChunkOutcome(cluster->coordinator_host->bound_uri(), c.frame);
+    EXPECT_EQ(direct.code(), c.code) << c.name << ": " << direct.ToString();
+    EXPECT_EQ(coordinated.code(), direct.code()) << c.name;
+    EXPECT_EQ(coordinated.message(), direct.message()) << c.name;
+  }
 }
 
 // A shard whose every answer is a flagged PartialResult, as a nested

@@ -103,6 +103,58 @@ TEST_F(MessagesTest, DecodeRejectsCiphertextAboveNSquared) {
   EXPECT_FALSE(SumResponseMessage::Decode(pub, w.bytes()).ok());
 }
 
+TEST_F(MessagesTest, ParseViewsThePayloadDecodeReads) {
+  const PaillierPublicKey& pub = KeyPair().public_key;
+  IndexBatchMessage msg;
+  msg.start_index = 77;
+  for (uint64_t m : {1ULL, 0ULL, 1ULL}) {
+    msg.ciphertexts.push_back(
+        Paillier::Encrypt(pub, BigInt(m), rng_).ValueOrDie());
+  }
+  const Bytes frame = msg.Encode(pub);
+  Result<IndexBatchView> view = IndexBatchMessage::Parse(pub, frame);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->start_index, 77u);
+  EXPECT_EQ(view->count, 3u);
+  // The payload is the frame after its 13-byte header, uncopied.
+  EXPECT_EQ(view->payload.data(), frame.data() + 13);
+  ASSERT_EQ(view->payload.size(), 3 * pub.CiphertextBytes());
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(BigInt::FromBytes(view->payload.subspan(
+                  i * pub.CiphertextBytes(), pub.CiphertextBytes())),
+              msg.ciphertexts[i].value);
+  }
+  // Re-framing the payload at another start row rewrites only the
+  // header.
+  const Bytes reframed = IndexBatchMessage::EncodeRaw(5, 3, view->payload);
+  msg.start_index = 5;
+  EXPECT_EQ(reframed, msg.Encode(pub));
+}
+
+TEST_F(MessagesTest, IndexCiphertextBoundIsNSquared) {
+  const PaillierPublicKey& pub = KeyPair().public_key;
+  const size_t width = pub.CiphertextBytes();
+  auto frame_of = [&](const Bytes& ciphertext) {
+    return IndexBatchMessage::EncodeRaw(0, 1, ciphertext);
+  };
+  const Bytes below = frame_of((pub.n_squared() - BigInt(1)).ToBytes(width));
+  ASSERT_TRUE(IndexBatchMessage::Parse(pub, below).ok());
+  Result<IndexBatchMessage> decoded = IndexBatchMessage::Decode(pub, below);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->ciphertexts[0].value, pub.n_squared() - BigInt(1));
+
+  for (const Bytes& hostile :
+       {pub.n_squared().ToBytes(width), Bytes(width, 0xFF)}) {
+    const Bytes frame = frame_of(hostile);
+    for (const Status& status :
+         {IndexBatchMessage::Parse(pub, frame).status(),
+          IndexBatchMessage::Decode(pub, frame).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kProtocolError);
+      EXPECT_EQ(status.message(), "index ciphertext >= n^2");
+    }
+  }
+}
+
 TEST_F(MessagesTest, PeekRejectsEmptyAndUnknown) {
   EXPECT_FALSE(PeekMessageType(Bytes{}).ok());
   EXPECT_FALSE(PeekMessageType(Bytes{0}).ok());
