@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the batched multi-exponentiation
 // kernel behind the server's homomorphic fold: naive per-row
 // ScalarMultiply + Add ladder vs Straus vs Pippenger vs the threaded
-// Pippenger split, and the whole chunked FoldEngine query and its Finish.
+// Pippenger split, the whole chunked FoldEngine query and its Finish,
+// and the whole served step (SumServer::HandleRequest over wire frames).
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,8 @@
 #include "bigint/montgomery.h"
 #include "common/thread_pool.h"
 #include "core/fold_engine.h"
+#include "core/query.h"
+#include "core/selected_sum.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/paillier.h"
 #include "obs/metrics.h"
@@ -214,9 +217,9 @@ BENCHMARK(BM_Fold2048BackendIfma)->Arg(1000)
 
 // ---------------------------------------------------------------------
 // One served-shape query through FoldEngine: a 2048-row column under a
-// 512-bit key, uploaded as four 512-row chunks, then Finish. Arg is the
-// exponent width: 7 bits (sum over 7-bit values) or 36 bits (sum of
-// squares over 18-bit values).
+// 512-bit key, uploaded as four encoded 512-row IndexBatch frames, then
+// Finish. Arg is the exponent width: 7 bits (sum over 7-bit values) or
+// 36 bits (sum of squares over 18-bit values).
 
 struct ServedQuery {
   static constexpr size_t kRows = 2048;
@@ -234,33 +237,38 @@ struct ServedQuery {
                                  << (square ? exp_bits / 2 : exp_bits);
     ChaCha20Rng rng(23);
     std::vector<uint32_t> values(kRows);
-    cts.resize(kRows);
-    for (size_t i = 0; i < kRows; ++i) {
-      values[i] = static_cast<uint32_t>(rng.NextBelow(value_bound));
-      cts[i].value = RandomBelow(rng, pub->n_squared());
+    for (size_t start = 0; start < kRows; start += kChunk) {
+      IndexBatchMessage batch;
+      batch.start_index = start;
+      for (size_t i = start; i < start + kChunk; ++i) {
+        values[i] = static_cast<uint32_t>(rng.NextBelow(value_bound));
+        batch.ciphertexts.push_back(
+            PaillierCiphertext{RandomBelow(rng, pub->n_squared())});
+      }
+      frames.push_back(batch.Encode(*pub));
     }
     db = std::make_unique<Database>("bench", values);
-    transform =
-        square ? ExponentTransform::Square() : ExponentTransform::Identity();
+    QuerySpec spec;
+    spec.kind = square ? StatisticKind::kSumOfSquares : StatisticKind::kSum;
+    query = CompileQuery(spec, db.get()).ValueOrDie();
   }
 
-  // Every chunk folded in, not yet finished.
+  // Every frame parsed and folded in, not yet finished.
   std::unique_ptr<FoldEngine> Fold() const {
     auto engine = std::make_unique<FoldEngine>(
-        *pub, std::make_unique<ColumnRowSource>(db.get()), transform, 0,
-        kRows);
-    for (size_t start = 0; start < kRows; start += kChunk) {
+        *pub, std::make_unique<ColumnRowSource>(db.get()), query.transform,
+        0, kRows);
+    for (const Bytes& frame : frames) {
       benchmark::DoNotOptimize(engine->FoldChunk(
-          start,
-          std::span<const PaillierCiphertext>(cts.data() + start, kChunk)));
+          IndexBatchMessage::Parse(*pub, frame).ValueOrDie()));
     }
     return engine;
   }
 
   const PaillierPublicKey* pub = nullptr;
-  std::vector<PaillierCiphertext> cts;
+  std::vector<Bytes> frames;
   std::unique_ptr<Database> db;
-  ExponentTransform transform = ExponentTransform::Identity();
+  CompiledQuery query;
 };
 
 void BM_FoldEngine2048Chunked(benchmark::State& state) {
@@ -283,6 +291,23 @@ void BM_FoldEngine2048Finish(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FoldEngine2048Finish)->Arg(7)->Arg(36)
+    ->Unit(benchmark::kMillisecond);
+
+// The whole server step of one served query, as a session runs it: the
+// four frames through SumServer::HandleRequest (frame validation, row
+// decode, fold) and the response (Finish, encode). Public API only, so
+// the same source times any revision of the server.
+void BM_ServedStep2048(benchmark::State& state) {
+  const ServedQuery query(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    SumServer server(*query.pub, query.query, 1);
+    for (const Bytes& frame : query.frames) {
+      benchmark::DoNotOptimize(server.HandleRequest(frame));
+    }
+    if (!server.Finished()) state.SkipWithError("query not answered");
+  }
+}
+BENCHMARK(BM_ServedStep2048)->Arg(7)->Arg(36)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -476,24 +476,31 @@ Result<BigInt> BigInt::FromHexString(std::string_view s) {
 }
 
 BigInt BigInt::FromBytes(BytesView bytes) {
+  BigInt out;
+  out.limbs_.resize((bytes.size() + 7) / 8);
+  LimbsFromBytes(bytes, out.limbs_);
+  out.Normalize();
+  return out;
+}
+
+void BigInt::LimbsFromBytes(BytesView bytes, std::span<uint64_t> out) {
   // bytes are big-endian: limb i is the 8 bytes ending 8*i bytes before
   // the end, and the top limb takes the size % 8 leading bytes.
+  assert(bytes.size() <= 8 * out.size());
   const size_t full = bytes.size() / 8;
   const size_t head = bytes.size() % 8;
-  std::vector<uint64_t> limbs(full + (head != 0 ? 1 : 0));
   const uint8_t* end = bytes.data() + bytes.size();
   for (size_t i = 0; i < full; ++i) {
-    limbs[i] = LoadBigEndian64(end - 8 * (i + 1));
+    out[i] = LoadBigEndian64(end - 8 * (i + 1));
   }
+  size_t filled = full;
   if (head != 0) {
     uint64_t top = 0;
     for (size_t i = 0; i < head; ++i) top = (top << 8) | bytes[i];
-    limbs[full] = top;
+    out[filled++] = top;
   }
-  BigInt out;
-  out.limbs_ = std::move(limbs);
-  out.Normalize();
-  return out;
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(filled), out.end(),
+            uint64_t{0});
 }
 
 std::string BigInt::ToDecimal() const {

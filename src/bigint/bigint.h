@@ -57,6 +57,12 @@ class BigInt {
   /// Interprets big-endian bytes as a non-negative integer.
   static BigInt FromBytes(BytesView bytes);
 
+  /// Writes big-endian `bytes` into `out` as little-endian limbs,
+  /// zero-filling the limbs above them: the fixed-width form the
+  /// Montgomery kernels read, with no BigInt in between. Requires
+  /// bytes.size() <= 8 * out.size().
+  static void LimbsFromBytes(BytesView bytes, std::span<uint64_t> out);
+
   /// --- Introspection -------------------------------------------------
 
   bool IsZero() const { return limbs_.empty(); }

@@ -34,10 +34,10 @@ uint64_t InverseMod2_64(uint64_t x) {
 // values (the ScalarMultiply regime) are 32-128 bits wide at most.
 constexpr size_t kSmallExpBits = 48;
 
-// Bits [window * width, (window + 1) * width) of |e|, little-endian;
-// width < 64.
-size_t WindowDigit(const BigInt& e, size_t window, size_t width) {
-  const std::vector<uint64_t>& limbs = e.limbs();
+// Bits [window * width, (window + 1) * width) of the little-endian
+// limbs `e`; width < 64.
+size_t WindowDigit(std::span<const uint64_t> limbs, size_t window,
+                   size_t width) {
   const size_t bit = window * width;
   const size_t index = bit / 64;
   const size_t offset = bit % 64;
@@ -504,7 +504,7 @@ std::vector<BigInt> MontgomeryContext::ExpBatch(std::span<const BigInt> bases,
         }
       }
     }
-    const size_t digit = WindowDigit(exp, w, kWindow);
+    const size_t digit = WindowDigit(exp.limbs(), w, kWindow);
     if (digit != 0) {
       step([&](size_t i) {
         a[i] = out[i] = slot(i, kAcc);
@@ -528,17 +528,17 @@ std::vector<BigInt> MontgomeryContext::ExpBatch(std::span<const BigInt> bases,
 }
 
 MontgomeryContext::Limbs MontgomeryContext::StrausMont(
-    const std::vector<Limbs>& bases, const std::vector<const BigInt*>& exps,
-    size_t max_bits, size_t window) const {
+    std::span<const uint64_t> bases, std::span<const uint64_t> exps,
+    size_t exp_limbs, size_t max_bits, size_t window) const {
   // Straus/simultaneous exponentiation: per-base window tables, one
   // shared squaring ladder. Best for small batches, where Pippenger's
   // bucket overhead (~2^w multiplications per window) dominates.
-  const size_t k = bases.size();
+  const size_t k = bases.size() / n_;
   const size_t table_size = size_t{1} << window;
   std::vector<std::vector<Limbs>> tables(k);
   for (size_t i = 0; i < k; ++i) {
     tables[i].resize(table_size);
-    tables[i][1] = bases[i];
+    tables[i][1].assign(bases.begin() + i * n_, bases.begin() + (i + 1) * n_);
   }
   // Table level j depends only on level j-1 of the *same* base, so one
   // batched call per level runs the k independent chains side by side
@@ -546,7 +546,7 @@ MontgomeryContext::Limbs MontgomeryContext::StrausMont(
   std::vector<const uint64_t*> prev(k);
   std::vector<const uint64_t*> base_ptrs(k);
   std::vector<uint64_t*> next(k);
-  for (size_t i = 0; i < k; ++i) base_ptrs[i] = bases[i].data();
+  for (size_t i = 0; i < k; ++i) base_ptrs[i] = tables[i][1].data();
   for (size_t j = 2; j < table_size; ++j) {
     for (size_t i = 0; i < k; ++i) {
       tables[i][j].resize(n_);
@@ -567,7 +567,8 @@ MontgomeryContext::Limbs MontgomeryContext::StrausMont(
       }
     }
     for (size_t i = 0; i < k; ++i) {
-      const size_t digit = WindowDigit(*exps[i], w, window);
+      const size_t digit =
+          WindowDigit(exps.subspan(i * exp_limbs, exp_limbs), w, window);
       if (digit != 0) {
         MontMul(acc, tables[i][digit], &tmp);
         acc.swap(tmp);
@@ -598,21 +599,37 @@ MontgomeryContext::MultiExpAccumulator::MultiExpAccumulator(
     : mont_(&mont), expected_terms_(expected_terms) {}
 
 void MontgomeryContext::MultiExpAccumulator::Add(
-    std::span<const BigInt* const> bases,
-    std::span<const BigInt* const> exponents) {
-  assert(bases.size() == exponents.size());
+    std::span<const uint64_t> bases, std::span<const uint64_t> exponents,
+    size_t exp_limbs) {
   const MontgomeryContext& mont = *mont_;
   const size_t n = mont.n_;
+  assert(bases.size() % n == 0);
+  const size_t count = bases.size() / n;
+  assert(exponents.size() == count * exp_limbs);
+  if (count == 0) return;
+  // One pass per limb position: the OR of the terms' limbs gives the
+  // widest exponent, and the 128-bit column sum (a carry of at most
+  // count per column) adds the call's exponents into exponent_sum_.
   size_t max_bits = 0;
-  for (const BigInt* e : exponents) {
-    assert(!e->IsNegative());
-    max_bits = std::max(max_bits, e->BitLength());
-    AddLimbs(&exponent_sum_, e->limbs());
+  column_sums_.assign(exp_limbs + 1, 0);
+  unsigned __int128 carry = 0;
+  for (size_t k = 0; k < exp_limbs; ++k) {
+    uint64_t any = 0;
+    unsigned __int128 column = carry;
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t limb = exponents[i * exp_limbs + k];
+      any |= limb;
+      column += limb;
+    }
+    if (any != 0) max_bits = 64 * k + std::bit_width(any);
+    column_sums_[k] = static_cast<uint64_t>(column);
+    carry = column >> 64;
   }
+  column_sums_[exp_limbs] = static_cast<uint64_t>(carry);
+  AddLimbs(&exponent_sum_, column_sums_);
   if (max_bits == 0) return;  // every term is c^0 = 1
   if (window_ == 0) {
-    window_ = PickPippengerWindow(std::max(expected_terms_, bases.size()),
-                                  max_bits)
+    window_ = PickPippengerWindow(std::max(expected_terms_, count), max_bits)
                   .first;
     deferred_.assign(size_t{1} << window_, 0);
   }
@@ -631,27 +648,13 @@ void MontgomeryContext::MultiExpAccumulator::Add(
     }
   }
 
-  // n-limb views of the bases. BigInt drops high zero limbs, so a base
-  // that short is padded once here; moving a Limbs keeps its buffer, so
-  // the views survive padded_ growing.
-  base_limbs_.clear();
-  padded_.clear();
-  for (const BigInt* base : bases) {
-    assert(!base->IsNegative() && base->limbs().size() <= n);
-    if (base->limbs().size() == n) {
-      base_limbs_.push_back(base->limbs().data());
-    } else {
-      padded_.push_back(mont.ToFixed(*base));
-      base_limbs_.push_back(padded_.back().data());
-    }
-  }
-
   for (size_t j = 0; j < windows; ++j) {
     Window& win = windows_[j];
     pending_.clear();
     round_end_.clear();
-    for (size_t i = 0; i < bases.size(); ++i) {
-      const size_t digit = WindowDigit(*exponents[i], j, window_);
+    for (size_t i = 0; i < count; ++i) {
+      const size_t digit = WindowDigit(
+          exponents.subspan(i * exp_limbs, exp_limbs), j, window_);
       if (digit == 0) continue;
       if (win.used[digit]) {
         // Deferred: one multiply into an occupied bucket, in round k
@@ -660,9 +663,9 @@ void MontgomeryContext::MultiExpAccumulator::Add(
         if (round == round_end_.size()) round_end_.push_back(0);
         ++round_end_[round];
         pending_.push_back(
-            {static_cast<uint32_t>(digit), round, base_limbs_[i]});
+            {static_cast<uint32_t>(digit), round, bases.data() + i * n});
       } else {
-        std::copy_n(base_limbs_[i], n, win.buckets + digit * n);
+        std::copy_n(bases.data() + i * n, n, win.buckets + digit * n);
         win.used[digit] = 1;
       }
     }
@@ -799,21 +802,31 @@ BigInt MontgomeryContext::MultiExpMontgomery(
     std::span<const BigInt> bases_mont, std::span<const BigInt> exponents,
     MultiExpSchedule schedule) const {
   assert(bases_mont.size() == exponents.size());
-  std::vector<const BigInt*> bases;
-  std::vector<const BigInt*> exps;
-  bases.reserve(bases_mont.size());
-  exps.reserve(exponents.size());
   size_t max_bits = 0;
+  size_t k = 0;
   for (size_t i = 0; i < bases_mont.size(); ++i) {
     assert(!exponents[i].IsNegative());
     if (exponents[i].IsZero()) continue;  // c^0 = 1: no-op factor
-    bases.push_back(&bases_mont[i]);
-    exps.push_back(&exponents[i]);
     max_bits = std::max(max_bits, exponents[i].BitLength());
+    ++k;
   }
-  if (exps.empty()) return OneMontgomery();
+  if (k == 0) return OneMontgomery();
 
-  const size_t k = exps.size();
+  // The nonzero terms as flat operands: n-limb base rows and exponents
+  // padded to the widest one's limbs.
+  const size_t exp_limbs = (max_bits + 63) / 64;
+  Limbs bases(k * n_, 0);
+  Limbs exps(k * exp_limbs, 0);
+  for (size_t i = 0, t = 0; i < bases_mont.size(); ++i) {
+    if (exponents[i].IsZero()) continue;
+    const Limbs& base = bases_mont[i].limbs();
+    const Limbs& exp = exponents[i].limbs();
+    assert(!bases_mont[i].IsNegative() && base.size() <= n_);
+    std::copy(base.begin(), base.end(), bases.begin() + t * n_);
+    std::copy(exp.begin(), exp.end(), exps.begin() + t * exp_limbs);
+    ++t;
+  }
+
   const auto [straus_w, straus_cost] = PickStrausWindow(k, max_bits);
   const double pip_cost = PickPippengerWindow(k, max_bits).second;
   const bool use_straus =
@@ -823,13 +836,11 @@ BigInt MontgomeryContext::MultiExpMontgomery(
     // One-shot Pippenger: the streaming accumulator fed once, sized for
     // exactly these k terms.
     MultiExpAccumulator acc(*this, k);
-    acc.Add(bases, exps);
+    acc.Add(bases, exps, exp_limbs);
     return acc.Finish();
   }
-  std::vector<Limbs> fixed;
-  fixed.reserve(k);
-  for (const BigInt* base : bases) fixed.push_back(ToFixed(*base));
-  return BigInt::FromLimbs(StrausMont(fixed, exps, max_bits, straus_w));
+  return BigInt::FromLimbs(
+      StrausMont(bases, exps, exp_limbs, max_bits, straus_w));
 }
 
 BigInt MontgomeryContext::MultiExp(std::span<const BigInt> bases,

@@ -149,11 +149,12 @@ class MontgomeryContext {
   void MontMulBatch(size_t count, const uint64_t* const* a,
                     const uint64_t* const* b, uint64_t* const* out) const;
 
-  // Multi-exponentiation backends over gathered nonzero terms. `bases`
-  // are n-limb Montgomery-form operands; both return Montgomery form.
-  Limbs StrausMont(const std::vector<Limbs>& bases,
-                   const std::vector<const BigInt*>& exps, size_t max_bits,
-                   size_t window) const;
+  // Straus multi-exponentiation over the flat operands of nonzero terms
+  // (see MultiExpAccumulator::Add): n-limb Montgomery-form base rows and
+  // exp_limbs-limb exponents. Returns Montgomery form.
+  Limbs StrausMont(std::span<const uint64_t> bases,
+                   std::span<const uint64_t> exps, size_t exp_limbs,
+                   size_t max_bits, size_t window) const;
 
   Limbs ToFixed(const BigInt& x) const;  // pad/truncate to n limbs
 
@@ -217,12 +218,15 @@ class MontgomeryContext::MultiExpAccumulator {
  public:
   MultiExpAccumulator(const MontgomeryContext& mont, size_t expected_terms);
 
-  /// Adds bases[i]^exponents[i] for every i. Spans must have equal
-  /// length; every base must be < the modulus and every exponent >= 0.
-  /// Zero-exponent terms are skipped. Pointers are only read during the
-  /// call.
-  void Add(std::span<const BigInt* const> bases,
-           std::span<const BigInt* const> exponents);
+  /// Adds base_i^exponent_i for every term i, over flat operands:
+  /// `bases` holds the terms' bases back to back as n-limb rows (n the
+  /// modulus' limb count, each row < the modulus), and `exponents` their
+  /// exponents back to back, `exp_limbs` little-endian limbs each. A
+  /// row's one uint64_t (exp_limbs = 1) and a BigInt's limbs() padded to
+  /// exp_limbs are both that form. Zero-exponent terms are skipped. The
+  /// spans are only read during the call.
+  void Add(std::span<const uint64_t> bases,
+           std::span<const uint64_t> exponents, size_t exp_limbs);
 
   /// The Montgomery-form product of every term added so far (the
   /// Montgomery form of 1 when there are none). Does not consume the
@@ -267,8 +271,7 @@ class MontgomeryContext::MultiExpAccumulator {
   std::vector<Deferred> pending_;
   std::vector<uint32_t> deferred_;   // per digit: inserts deferred so far
   std::vector<size_t> round_end_;    // per round: end offset in group_*
-  std::vector<const uint64_t*> base_limbs_;
-  std::vector<Limbs> padded_;
+  Limbs column_sums_;  // per exponent limb: the call's sum, carried
   std::vector<const uint64_t*> group_b_;
   std::vector<uint64_t*> group_out_;  // also the products' a operands
 };

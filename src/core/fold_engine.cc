@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bigint/modarith.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -19,7 +18,7 @@ uint32_t ReadU32Le(const uint8_t* p) {
 
 }  // namespace
 
-Status ColumnRowSource::ReadRows(size_t begin, std::span<uint64_t> out) {
+Status ColumnRowSource::ReadRows(size_t begin, std::span<uint32_t> out) {
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = db_->value(begin + i);
   }
@@ -63,14 +62,16 @@ Result<std::unique_ptr<FileRowSource>> FileRowSource::Open(
       new FileRowSource(std::move(file), rows));
 }
 
-Status FileRowSource::ReadRows(size_t begin, std::span<uint64_t> out) {
-  std::vector<uint8_t> raw(out.size() * 4);
+Status FileRowSource::ReadRows(size_t begin, std::span<uint32_t> out) {
+  // The cells land in `out` as file bytes, then each is read back as
+  // little-endian in place (a no-op on little-endian hosts).
+  auto* raw = reinterpret_cast<uint8_t*>(out.data());
   file_.seekg(4 + 4 * static_cast<std::streamoff>(begin));
-  file_.read(reinterpret_cast<char*>(raw.data()),
-             static_cast<std::streamsize>(raw.size()));
+  file_.read(reinterpret_cast<char*>(raw),
+             static_cast<std::streamsize>(out.size_bytes()));
   if (!file_) return Status::Internal("column file read failed");
   for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = ReadU32Le(raw.data() + 4 * i);
+    out[i] = ReadU32Le(raw + 4 * i);
   }
   peak_resident_rows_ = std::max(peak_resident_rows_, out.size());
   return Status::OK();
@@ -84,7 +85,11 @@ FoldEngine::FoldEngine(const PaillierPublicKey& pub,
       rows_(std::move(rows)),
       transform_(transform),
       end_(end),
-      next_expected_(begin) {
+      next_expected_(begin),
+      in_range_(pub_),
+      width_(pub_.CiphertextBytes()),
+      limbs_(pub_.n_squared().LimbCount()),
+      small_n_(pub_.n().FitsUint64() ? pub_.n().LowUint64() : 0) {
   const size_t threads = std::max<size_t>(worker_threads, 1);
   const size_t rows_per_slice = (end - begin + threads - 1) / threads;
   slices_.reserve(threads);
@@ -93,8 +98,7 @@ FoldEngine::FoldEngine(const PaillierPublicKey& pub,
   }
 }
 
-Status FoldEngine::FoldChunk(size_t start_row,
-                             std::span<const PaillierCiphertext> cts) {
+Status FoldEngine::FoldChunk(const IndexBatchView& batch) {
   static obs::Counter* const chunks =
       obs::MetricRegistry::Global().GetCounter("fold.chunks");
   static obs::Counter* const rows =
@@ -103,45 +107,58 @@ Status FoldEngine::FoldChunk(size_t start_row,
   if (done()) {
     return Status::FailedPrecondition("fold already covered its rows");
   }
-  if (start_row != next_expected_) {
+  if (batch.start_index != next_expected_) {
     return Status::ProtocolError("out-of-order index chunk");
   }
-  if (start_row + cts.size() > end_) {
+  const size_t start_row = next_expected_;
+  const size_t count = batch.count;
+  if (start_row + count > end_) {
     return Status::ProtocolError("index chunk overruns the database");
   }
-  for (const PaillierCiphertext& ct : cts) {
-    if (ct.value.IsNegative() || ct.value >= pub_.n_squared()) {
-      return Status::ProtocolError("index ciphertext outside [0, n^2)");
-    }
+  if (batch.payload.size() != count * width_) {
+    return Status::ProtocolError("ciphertext count/payload mismatch");
+  }
+  if (!in_range_.RowsInRange(batch.payload)) {
+    return Status::ProtocolError("index ciphertext outside [0, n^2)");
   }
 
-  std::vector<uint64_t> values(cts.size());
-  PPSTATS_RETURN_IF_ERROR(rows_->ReadRows(start_row, values));
+  values_.resize(count);
+  PPSTATS_RETURN_IF_ERROR(rows_->ReadRows(start_row, values_));
 
-  // Ciphertexts go into the accumulators as decoded: no copy, no
-  // conversion to Montgomery form (Finish corrects for that).
-  const size_t count = cts.size();
+  // Each slice decodes its own stretch of rows straight from the wire
+  // bytes into n-limb bases, keeping only rows with a nonzero exponent
+  // (E(I)^0 == 1: no-op factor). The decoded residues go into the
+  // accumulators unconverted (Finish corrects for that). A row < n^2
+  // fits in limbs_ limbs, so any wire bytes above them are zero and are
+  // skipped. The limb buffer is the folding thread's own, grown once to
+  // the widest stretch it has folded and reused by every later chunk
+  // and query: Add reads it only during the call, and it stays in that
+  // thread's cache.
+  const size_t skip = width_ > 8 * limbs_ ? width_ - 8 * limbs_ : 0;
   const size_t threads = std::min(slices_.size(), std::max<size_t>(count, 1));
   const size_t stride = (count + threads - 1) / threads;
-  auto fold_slice = [this, &cts, &values, start_row, count,
-                     stride](size_t t) {
+  auto fold_slice = [this, &batch, start_row, count, stride, skip](size_t t) {
+    thread_local std::vector<uint64_t> scratch;
     const size_t begin = std::min(t * stride, count);
     const size_t end = std::min(begin + stride, count);
-    std::vector<const BigInt*> bases;
-    std::vector<BigInt> exps;
-    bases.reserve(end - begin);
-    exps.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      BigInt exponent = transform_.RowExponent(start_row + i, values[i]);
-      if (exponent.IsZero()) continue;  // E(I)^0 == 1: no-op factor
-      if (exponent >= pub_.n()) exponent = Mod(exponent, pub_.n());
-      bases.push_back(&cts[i].value);
-      exps.push_back(std::move(exponent));
+    // The stretch's bases, then its exponents.
+    const size_t rows = end - begin;
+    if (scratch.size() < rows * (limbs_ + 1)) {
+      scratch.resize(rows * (limbs_ + 1));
     }
-    std::vector<const BigInt*> exp_ptrs;
-    exp_ptrs.reserve(exps.size());
-    for (const BigInt& e : exps) exp_ptrs.push_back(&e);
-    slices_[t].Add(bases, exp_ptrs);
+    const std::span<uint64_t> bases(scratch.data(), rows * limbs_);
+    const std::span<uint64_t> exponents(scratch.data() + rows * limbs_, rows);
+    size_t kept = 0;
+    for (size_t i = begin; i < end; ++i) {
+      uint64_t exponent = transform_.RowExponent(start_row + i, values_[i]);
+      if (exponent == 0) continue;
+      if (small_n_ != 0 && exponent >= small_n_) exponent %= small_n_;
+      BigInt::LimbsFromBytes(
+          batch.payload.subspan(i * width_ + skip, width_ - skip),
+          bases.subspan(kept * limbs_, limbs_));
+      exponents[kept++] = exponent;
+    }
+    slices_[t].Add(bases.first(kept * limbs_), exponents.first(kept), 1);
   };
   if (threads <= 1) {
     fold_slice(0);

@@ -15,13 +15,18 @@
 // slice keeps one streaming Pippenger accumulator
 // (MontgomeryContext::MultiExpAccumulator) open for the whole query, so
 // chunks only drop terms into buckets and the bucket reduction runs once,
-// in Finish. Ciphertexts go in as decoded, with no per-row conversion to
-// Montgomery form: a canonical residue c is the Montgomery form of
-// c * R^-1, so the fold yields prod c_i^e_i * R^-sum(e_i) in Montgomery
-// form, and Finish Montgomery-multiplies it once by the plain residue
-// R^sum(e_i) (about BitLength(sum e_i) operations to compute). That one
-// multiply cancels the R^-sum(e_i) and is the fold's single conversion
-// out of Montgomery form.
+// in Finish. Chunks arrive as the wire bytes of a parsed IndexBatch
+// frame: rows are decoded from wire bytes into a per-chunk limb buffer
+// (big-endian bytes to n little-endian limbs, no BigInt per row; the
+// buffer is the folding thread's own, sized to its stretch of the chunk
+// and reused by later chunks), and exponents are u64. Rows go into the
+// accumulators with no per-row conversion to Montgomery form: a
+// canonical residue c is the Montgomery form of c * R^-1, so the fold
+// yields prod c_i^e_i * R^-sum(e_i) in Montgomery form, and Finish
+// Montgomery-multiplies it once by the plain residue R^sum(e_i) (about
+// BitLength(sum e_i) operations to compute). That one multiply cancels
+// the R^-sum(e_i) and is the fold's single conversion out of Montgomery
+// form.
 //
 // Bit-for-bit invariant: multiplication mod n^2 is associative,
 // commutative, and exact, Montgomery products of canonical operands are
@@ -40,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "core/messages.h"
 #include "core/query.h"
 #include "crypto/paillier.h"
 
@@ -56,7 +62,7 @@ class RowSource {
 
   /// Reads rows [begin, begin + out.size()) into `out`. The range is
   /// validated by the engine before the call.
-  [[nodiscard]] virtual Status ReadRows(size_t begin, std::span<uint64_t> out) = 0;
+  [[nodiscard]] virtual Status ReadRows(size_t begin, std::span<uint32_t> out) = 0;
 
   /// Largest number of row values this source has held resident at once;
   /// 0 when the source does not track residency (in-memory columns).
@@ -69,7 +75,7 @@ class ColumnRowSource : public RowSource {
   explicit ColumnRowSource(const Database* db) : db_(db) {}
 
   size_t size() const override { return db_->size(); }
-  [[nodiscard]] Status ReadRows(size_t begin, std::span<uint64_t> out) override;
+  [[nodiscard]] Status ReadRows(size_t begin, std::span<uint32_t> out) override;
 
  private:
   const Database* db_;
@@ -92,7 +98,7 @@ class FileRowSource : public RowSource {
   [[nodiscard]] static Result<std::unique_ptr<FileRowSource>> Open(const std::string& path);
 
   size_t size() const override { return row_count_; }
-  [[nodiscard]] Status ReadRows(size_t begin, std::span<uint64_t> out) override;
+  [[nodiscard]] Status ReadRows(size_t begin, std::span<uint32_t> out) override;
   size_t peak_resident_rows() const override { return peak_resident_rows_; }
 
  private:
@@ -119,12 +125,14 @@ class FoldEngine {
              ExponentTransform transform, size_t begin, size_t end,
              size_t worker_threads = 1);
 
-  /// Folds one chunk covering rows [start_row, start_row + cts.size()).
-  /// Chunks must arrive in order with no gaps, overlap, or overrun, and
+  /// Folds one parsed chunk: `batch.count` wire ciphertexts covering
+  /// rows [batch.start_index, batch.start_index + batch.count). Chunks
+  /// must arrive in order with no gaps, overlap, or overrun, the payload
+  /// must hold exactly count ciphertexts of the key's wire width, and
   /// every ciphertext must be a canonical residue in [0, n^2) — the
   /// conversion-free fold is only exact on those — else the whole chunk
   /// is rejected with ProtocolError and nothing is folded.
-  [[nodiscard]] Status FoldChunk(size_t start_row, std::span<const PaillierCiphertext> cts);
+  [[nodiscard]] Status FoldChunk(const IndexBatchView& batch);
 
   /// True once chunks have covered every row in [begin, end).
   bool done() const { return next_expected_ >= end_; }
@@ -145,6 +153,11 @@ class FoldEngine {
   ExponentTransform transform_;
   size_t end_ = 0;
   size_t next_expected_ = 0;
+  CiphertextRangeCheck in_range_;
+  size_t width_;          // wire bytes per ciphertext
+  size_t limbs_;          // limbs of n^2: one decoded row
+  uint64_t small_n_ = 0;  // n when n < 2^64 (exponents reduce mod n), else 0
+  std::vector<uint32_t> values_;  // the current chunk's row values
   // One accumulator per worker slice, open across all chunks; slice t of
   // every chunk goes to slices_[t].
   std::vector<MontgomeryContext::MultiExpAccumulator> slices_;

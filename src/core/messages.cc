@@ -28,6 +28,20 @@ WireWriter IndexBatchHeader(uint64_t start_index, uint32_t count,
 
 }  // namespace
 
+CiphertextRangeCheck::CiphertextRangeCheck(const PaillierPublicKey& pub)
+    : width_(pub.CiphertextBytes()), bound_(pub.n_squared().ToBytes(width_)) {}
+
+bool CiphertextRangeCheck::RowsInRange(BytesView rows) const {
+  // An n^2 wider than the wire width is above every ciphertext.
+  if (bound_.size() != width_) return true;
+  for (size_t offset = 0; offset < rows.size(); offset += width_) {
+    if (std::memcmp(rows.data() + offset, bound_.data(), width_) >= 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<MessageType> PeekMessageType(BytesView frame) {
   if (frame.empty()) {
     return Status::SerializationError("empty frame");
@@ -73,16 +87,8 @@ Result<IndexBatchView> IndexBatchMessage::Parse(const PaillierPublicKey& pub,
     return Status::SerializationError("ciphertext count/payload mismatch");
   }
   PPSTATS_ASSIGN_OR_RETURN(view.payload, r.ReadRaw(r.remaining()));
-  // At equal width, big-endian byte order is numeric order. An n^2
-  // wider than the wire width is above every ciphertext.
-  const Bytes bound = pub.n_squared().ToBytes(width);
-  if (bound.size() == width) {
-    for (size_t i = 0; i < view.count; ++i) {
-      if (std::memcmp(view.payload.data() + i * width, bound.data(), width) >=
-          0) {
-        return Status::ProtocolError("index ciphertext >= n^2");
-      }
-    }
+  if (!CiphertextRangeCheck(pub).RowsInRange(view.payload)) {
+    return Status::ProtocolError("index ciphertext >= n^2");
   }
   PPSTATS_RETURN_IF_ERROR(r.ExpectEnd());
   return view;

@@ -30,14 +30,32 @@ enum class MessageType : uint8_t {
   kPartialResult = 11,  ///< coordinator -> client: sum over responsive shards only
 };
 
-/// A validated IndexBatch frame whose ciphertexts stay wire bytes, for
-/// paths that forward index ciphertexts without computing on them.
+/// A validated IndexBatch frame whose ciphertexts stay wire bytes: the
+/// coordinator forwards them, and the server fold (FoldEngine::FoldChunk)
+/// decodes each row straight into its limb buffer.
 struct IndexBatchView {
   uint64_t start_index = 0;
   uint32_t count = 0;
   /// `count` ciphertexts at the key's fixed wire width, each checked to
   /// be < n^2. Aliases the parsed frame.
   BytesView payload;
+};
+
+/// The [0, n^2) check on fixed-width wire ciphertexts: the one
+/// implementation behind IndexBatchMessage::Parse and the server fold.
+/// At equal width, big-endian byte order is numeric order, so each row
+/// is one memcmp against n^2, encoded once at construction.
+class CiphertextRangeCheck {
+ public:
+  explicit CiphertextRangeCheck(const PaillierPublicKey& pub);
+
+  /// True when every CiphertextBytes()-wide row of `rows` is < n^2.
+  /// rows.size() must be a multiple of the width.
+  bool RowsInRange(BytesView rows) const;
+
+ private:
+  size_t width_;
+  Bytes bound_;  // n^2 big-endian, at least width_ bytes
 };
 
 /// A chunk of the encrypted index vector covering rows

@@ -39,8 +39,9 @@ enum class StatisticKind : uint8_t {
 const char* StatisticKindName(StatisticKind kind);
 
 /// The per-row exponent rule a statistic kind lowers to: the server
-/// exponentiates E(w_i) with RowExponent(i, x_i). Exponents are BigInt
-/// products, so x_i^2 and x_i*y_i never wrap a fixed-width integer.
+/// exponentiates E(w_i) with RowExponent(i, x_i). Every column holds u32
+/// values, so exponents are u64: x_i^2 and x_i*y_i are at most
+/// (2^32 - 1)^2 < 2^64 and never wrap.
 class ExponentTransform {
  public:
   ExponentTransform() = default;
@@ -51,16 +52,16 @@ class ExponentTransform {
   /// size (checked at compile time by CompileQuery).
   static ExponentTransform ProductWith(const Database* second);
 
-  BigInt RowExponent(size_t row, uint64_t value) const {
+  uint64_t RowExponent(size_t row, uint32_t value) const {
     switch (kind_) {
       case StatisticKind::kSumOfSquares:
-        return BigInt(value) * BigInt(value);
+        return uint64_t{value} * value;
       case StatisticKind::kProduct:
-        return BigInt(value) * BigInt(second_->value(row));
+        return uint64_t{value} * second_->value(row);
       case StatisticKind::kSum:
         break;
     }
-    return BigInt(value);
+    return value;
   }
 
   StatisticKind kind() const { return kind_; }

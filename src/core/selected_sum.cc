@@ -134,14 +134,15 @@ Result<std::optional<Bytes>> SumServer::HandleRequest(BytesView frame) {
   if (finished_) {
     return Status::FailedPrecondition("response already produced");
   }
-  PPSTATS_ASSIGN_OR_RETURN(IndexBatchMessage msg,
-                           IndexBatchMessage::Decode(pub_, frame));
+  // The ciphertexts stay wire bytes: the engine decodes each row into
+  // its limb buffer as it folds.
+  PPSTATS_ASSIGN_OR_RETURN(IndexBatchView batch,
+                           IndexBatchMessage::Parse(pub_, frame));
 
   double elapsed = 0;
   {
     obs::ScopedPhaseTimer timer(&elapsed, obs::kSpanServerCompute);
-    PPSTATS_RETURN_IF_ERROR(
-        engine_.FoldChunk(msg.start_index, msg.ciphertexts));
+    PPSTATS_RETURN_IF_ERROR(engine_.FoldChunk(batch));
   }
   compute_seconds_ += elapsed;
   chunk_compute_seconds_.push_back(elapsed);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "crypto/chacha20_rng.h"
 
@@ -128,6 +129,24 @@ TEST(BigIntTest, ByteCodecMatchesAByteAtATimeReferenceAtEveryWidth) {
       Bytes into(width, 0xAA);
       v.ToBytesInto(into);
       EXPECT_EQ(into, bytes) << "width " << width;
+    }
+  }
+}
+
+TEST(BigIntTest, LimbsFromBytesZeroFillsTheLimbsAboveTheBytes) {
+  // The fold's fixed-width row decode: any width, into as many limbs as
+  // fit it or more, over limbs holding stale values.
+  ChaCha20Rng rng(78);
+  for (size_t width = 0; width <= 40; ++width) {
+    Bytes bytes(width);
+    rng.Fill(bytes);
+    const BigInt expected = ReferenceFromBytes(bytes);
+    for (size_t limbs = (width + 7) / 8; limbs <= (width + 7) / 8 + 2;
+         ++limbs) {
+      std::vector<uint64_t> out(limbs, ~uint64_t{0});
+      BigInt::LimbsFromBytes(bytes, out);
+      EXPECT_EQ(BigInt::FromLimbs(out), expected)
+          << "width " << width << " limbs " << limbs;
     }
   }
 }

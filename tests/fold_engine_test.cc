@@ -21,6 +21,26 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
+// The wire bytes an IndexBatch frame carries for `cts`.
+Bytes WirePayload(const PaillierPublicKey& pub,
+                  std::span<const PaillierCiphertext> cts) {
+  Bytes payload;
+  for (const PaillierCiphertext& ct : cts) {
+    const Bytes row = ct.value.ToBytes(pub.CiphertextBytes());
+    payload.insert(payload.end(), row.begin(), row.end());
+  }
+  return payload;
+}
+
+// Hands `cts` to the engine as the chunk of rows from `start`, in the
+// wire form IndexBatchMessage::Parse yields.
+Status FoldRows(FoldEngine& engine, const PaillierPublicKey& pub,
+                size_t start, std::span<const PaillierCiphertext> cts) {
+  const Bytes payload = WirePayload(pub, cts);
+  return engine.FoldChunk(
+      IndexBatchView{start, static_cast<uint32_t>(cts.size()), payload});
+}
+
 std::vector<PaillierCiphertext> EncryptWeights(const WeightVector& weights,
                                                RandomSource& rng) {
   std::vector<PaillierCiphertext> cts;
@@ -36,9 +56,9 @@ TEST(RowSourceTest, ColumnRowSourceReadsRanges) {
   Database db("d", {10, 20, 30, 40, 50});
   ColumnRowSource source(&db);
   EXPECT_EQ(source.size(), 5u);
-  std::vector<uint64_t> out(3);
+  std::vector<uint32_t> out(3);
   ASSERT_TRUE(source.ReadRows(1, out).ok());
-  EXPECT_EQ(out, (std::vector<uint64_t>{20, 30, 40}));
+  EXPECT_EQ(out, (std::vector<uint32_t>{20, 30, 40}));
   EXPECT_EQ(source.peak_resident_rows(), 0u);  // in-memory: not tracked
 }
 
@@ -50,12 +70,12 @@ TEST(RowSourceTest, FileRowSourceRoundTripsAndTracksResidency) {
 
   auto source = FileRowSource::Open(path).ValueOrDie();
   EXPECT_EQ(source->size(), 6u);
-  std::vector<uint64_t> out(2);
+  std::vector<uint32_t> out(2);
   ASSERT_TRUE(source->ReadRows(4, out).ok());
-  EXPECT_EQ(out, (std::vector<uint64_t>{11, 12}));
-  std::vector<uint64_t> bigger(4);
+  EXPECT_EQ(out, (std::vector<uint32_t>{11, 12}));
+  std::vector<uint32_t> bigger(4);
   ASSERT_TRUE(source->ReadRows(0, bigger).ok());
-  EXPECT_EQ(bigger, (std::vector<uint64_t>{7, 8, 9, 10}));
+  EXPECT_EQ(bigger, (std::vector<uint32_t>{7, 8, 9, 10}));
   EXPECT_EQ(source->peak_resident_rows(), 4u);
 }
 
@@ -98,11 +118,10 @@ TEST(FoldEngineTest, MatchesNaiveWeightedFoldBitForBit) {
                         ExponentTransform::Identity(), 0, db.size(), threads);
       for (size_t start = 0; start < cts.size(); start += chunk) {
         size_t len = std::min(chunk, cts.size() - start);
-        ASSERT_TRUE(
-            engine
-                .FoldChunk(start, std::span<const PaillierCiphertext>(
-                                      cts.data() + start, len))
-                .ok());
+        ASSERT_TRUE(FoldRows(engine, SharedKeyPair().public_key, start,
+                             std::span<const PaillierCiphertext>(
+                                 cts.data() + start, len))
+                        .ok());
       }
       ASSERT_TRUE(engine.done());
       PaillierCiphertext result = engine.Finish(std::nullopt).ValueOrDie();
@@ -135,7 +154,7 @@ TEST(FoldEngineTest, TransformsAndBlindingDecryptCorrectly) {
     FoldEngine engine(SharedKeyPair().public_key,
                       std::make_unique<ColumnRowSource>(&db), c.transform, 0,
                       db.size());
-    ASSERT_TRUE(engine.FoldChunk(0, cts).ok());
+    ASSERT_TRUE(FoldRows(engine, SharedKeyPair().public_key, 0, cts).ok());
     PaillierCiphertext result = engine.Finish(c.blinding).ValueOrDie();
     EXPECT_EQ(Paillier::Decrypt(SharedKeyPair().private_key, result)
                   .ValueOrDie(),
@@ -152,7 +171,7 @@ TEST(FoldEngineTest, PartitionFoldsOnlyItsRows) {
   FoldEngine engine(SharedKeyPair().public_key,
                     std::make_unique<ColumnRowSource>(&db),
                     ExponentTransform::Identity(), 2, 4);
-  ASSERT_TRUE(engine.FoldChunk(2, cts).ok());
+  ASSERT_TRUE(FoldRows(engine, SharedKeyPair().public_key, 2, cts).ok());
   ASSERT_TRUE(engine.done());
   PaillierCiphertext result = engine.Finish(std::nullopt).ValueOrDie();
   EXPECT_EQ(
@@ -166,23 +185,23 @@ TEST(FoldEngineTest, RejectsOutOfOrderGapsAndOverruns) {
   WeightVector weights = {1, 1, 1, 1};
   std::vector<PaillierCiphertext> cts = EncryptWeights(weights, rng);
   std::span<const PaillierCiphertext> all(cts);
+  const PaillierPublicKey& pub = SharedKeyPair().public_key;
 
-  FoldEngine engine(SharedKeyPair().public_key,
-                    std::make_unique<ColumnRowSource>(&db),
+  FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
                     ExponentTransform::Identity(), 0, db.size());
   // Premature finish.
   EXPECT_FALSE(engine.Finish(std::nullopt).ok());
   // Gap: starts at row 1 instead of 0.
-  EXPECT_EQ(engine.FoldChunk(1, all.subspan(1)).code(),
+  EXPECT_EQ(FoldRows(engine, pub, 1, all.subspan(1)).code(),
             StatusCode::kProtocolError);
   // Overrun: 4 ciphertexts starting at row 2.
-  ASSERT_TRUE(engine.FoldChunk(0, all.subspan(0, 2)).ok());
-  EXPECT_EQ(engine.FoldChunk(2, all).code(), StatusCode::kProtocolError);
+  ASSERT_TRUE(FoldRows(engine, pub, 0, all.subspan(0, 2)).ok());
+  EXPECT_EQ(FoldRows(engine, pub, 2, all).code(), StatusCode::kProtocolError);
   // Correct completion still works after rejected chunks.
-  ASSERT_TRUE(engine.FoldChunk(2, all.subspan(2)).ok());
+  ASSERT_TRUE(FoldRows(engine, pub, 2, all.subspan(2)).ok());
   ASSERT_TRUE(engine.done());
   // Extra chunk after completion.
-  EXPECT_EQ(engine.FoldChunk(4, all.subspan(0, 0)).code(),
+  EXPECT_EQ(FoldRows(engine, pub, 4, all.subspan(0, 0)).code(),
             StatusCode::kFailedPrecondition);
   ASSERT_TRUE(engine.Finish(std::nullopt).ok());
 }
@@ -203,8 +222,8 @@ TEST(FoldEngineTest, FileBackedEngineMatchesInMemory) {
   auto file_rows = FileRowSource::Open(path).ValueOrDie();
   FoldEngine file_engine(SharedKeyPair().public_key, std::move(file_rows),
                          ExponentTransform::Identity(), 0, db.size());
-  ASSERT_TRUE(memory_engine.FoldChunk(0, cts).ok());
-  ASSERT_TRUE(file_engine.FoldChunk(0, cts).ok());
+  ASSERT_TRUE(FoldRows(memory_engine, SharedKeyPair().public_key, 0, cts).ok());
+  ASSERT_TRUE(FoldRows(file_engine, SharedKeyPair().public_key, 0, cts).ok());
   EXPECT_EQ(memory_engine.Finish(std::nullopt).ValueOrDie(),
             file_engine.Finish(std::nullopt).ValueOrDie());
 }
@@ -220,7 +239,7 @@ PaillierCiphertext FoldInChunks(const PaillierPublicKey& pub,
                     0, db.size(), threads);
   for (size_t start = 0; start < cts.size(); start += chunk) {
     const size_t len = std::min(chunk, cts.size() - start);
-    EXPECT_TRUE(engine.FoldChunk(start, cts.subspan(start, len)).ok());
+    EXPECT_TRUE(FoldRows(engine, pub, start, cts.subspan(start, len)).ok());
   }
   EXPECT_TRUE(engine.done());
   return engine.Finish(blinding).ValueOrDie();
@@ -335,24 +354,123 @@ TEST(FoldEngineDifferentialTest, AllZeroExponentsFoldToOne) {
 
 TEST(FoldEngineTest, RejectsCiphertextsOutsideTheResidueRange) {
   // The conversion-free fold is only exact on canonical residues, so
-  // FoldChunk itself (not just the wire decoder) must refuse anything
-  // >= n^2 before it reaches the accumulator, and leave the fold intact.
+  // FoldChunk itself (not just IndexBatchMessage::Parse) must refuse a
+  // wire row >= n^2, or a payload that is not count rows wide, before
+  // anything reaches the accumulator, and leave the fold intact.
   const PaillierPublicKey& pub = SharedKeyPair().public_key;
-  const BigInt& n2 = pub.n_squared();
+  const size_t width = pub.CiphertextBytes();
   Database db("d", {1, 2});
   ChaCha20Rng rng(7);
   std::vector<PaillierCiphertext> good = EncryptWeights({1, 1}, rng);
-  const BigInt too_wide = BigInt(1) << (64 * (n2.LimbCount() + 1));
-  for (const BigInt& bad : {n2, n2 + BigInt(1), too_wide}) {
+  const Bytes good_rows = WirePayload(pub, good);
+  auto with_second_row = [&](const Bytes& row) {
+    Bytes payload(good_rows.begin(), good_rows.begin() + width);
+    payload.insert(payload.end(), row.begin(), row.end());
+    return payload;
+  };
+  struct Bad {
+    const char* name;
+    uint32_t count;
+    Bytes payload;
+  };
+  const std::vector<Bad> bad = {
+      {"n^2", 2, with_second_row(pub.n_squared().ToBytes(width))},
+      {"all 0xFF", 2, with_second_row(Bytes(width, 0xFF))},
+      {"count above payload", 3, good_rows},
+      {"count below payload", 1, good_rows},
+  };
+  for (const Bad& b : bad) {
     FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
                       ExponentTransform::Identity(), 0, db.size());
-    std::vector<PaillierCiphertext> chunk = {good[0], PaillierCiphertext{bad}};
-    EXPECT_EQ(engine.FoldChunk(0, chunk).code(), StatusCode::kProtocolError)
-        << bad.BitLength() << "-bit ciphertext";
-    ASSERT_TRUE(engine.FoldChunk(0, good).ok());
+    EXPECT_EQ(engine.FoldChunk(IndexBatchView{0, b.count, b.payload}).code(),
+              StatusCode::kProtocolError)
+        << b.name;
+    ASSERT_TRUE(engine.FoldChunk(IndexBatchView{0, 2, good_rows}).ok())
+        << b.name;
     EXPECT_EQ(engine.Finish(std::nullopt).ValueOrDie(),
               Paillier::WeightedFold(pub, good,
-                                     std::vector<BigInt>{BigInt(1), BigInt(2)}));
+                                     std::vector<BigInt>{BigInt(1), BigInt(2)}))
+        << b.name;
+  }
+}
+
+TEST(FoldEngineTest, WireFoldMatchesPerRowExpAndMultiply) {
+  // The wire-byte fold against the slowest obviously-correct server: per
+  // row, c^(e mod n) by one Exp with a BigInt exponent, multiplied into
+  // a plain accumulator. Keys: 60-bit (n < 2^64, so u64 exponents at or
+  // above n take the reduction; 15-byte ciphertexts), 100-bit (25-byte
+  // ciphertexts), and the 60-bit n under a declared 100-bit size, as a
+  // client's hello may state it (25-byte ciphertexts over a 2-limb n^2,
+  // so each row's leading wire bytes lie above its limbs). No wire width
+  // is a multiple of 8, so every row's top limb is partial. Values 0 and
+  // 0xFFFFFFFF, whose square and product with 0xFFFFFFFF must be exact
+  // in u64.
+  ChaCha20Rng key_rng(160);
+  const PaillierKeyPair k60 =
+      Paillier::GenerateKeyPair(60, key_rng).ValueOrDie();
+  const PaillierKeyPair k100 =
+      Paillier::GenerateKeyPair(100, key_rng).ValueOrDie();
+  const std::vector<PaillierPublicKey> keys = {
+      k60.public_key, k100.public_key,
+      PaillierPublicKey(k60.public_key.n(), 100)};
+  for (const PaillierPublicKey& pub : keys) {
+    ChaCha20Rng rng(60 + pub.CiphertextBytes());
+    const size_t bits = pub.modulus_bits();
+    ASSERT_NE(pub.CiphertextBytes() % 8, 0u);
+    ASSERT_EQ(pub.n().FitsUint64(), pub.n() == k60.public_key.n());
+    constexpr size_t kRows = 41;
+    std::vector<uint32_t> values(kRows);
+    std::vector<uint32_t> others(kRows);
+    std::vector<PaillierCiphertext> cts(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      values[i] = static_cast<uint32_t>(rng.NextUint64());
+      others[i] = static_cast<uint32_t>(rng.NextUint64());
+      cts[i].value = RandomBelow(rng, pub.n_squared());
+    }
+    values[0] = 0;
+    values[1] = 0xFFFFFFFFu;
+    others[1] = 0xFFFFFFFFu;
+    values[2] = 0xFFFFFFFFu;
+    others[2] = 0;
+    values[3] = 1;
+    cts[3].value = pub.n_squared() - BigInt(1);
+    values[4] = 0xFFFFFFFFu;
+    cts[4].value = BigInt(1);
+    const Database db("d", values);
+    const Database other("o", others);
+
+    struct Transform {
+      const char* name;
+      ExponentTransform transform;
+      BigInt (*exponent)(uint32_t x, uint32_t y);
+    };
+    const std::vector<Transform> transforms = {
+        {"identity", ExponentTransform::Identity(),
+         [](uint32_t x, uint32_t) { return BigInt(x); }},
+        {"square", ExponentTransform::Square(),
+         [](uint32_t x, uint32_t) { return BigInt(x) * BigInt(x); }},
+        {"product", ExponentTransform::ProductWith(&other),
+         [](uint32_t x, uint32_t y) { return BigInt(x) * BigInt(y); }},
+    };
+    for (const Transform& t : transforms) {
+      BigInt reference(1);
+      for (size_t i = 0; i < kRows; ++i) {
+        const BigInt e = Mod(t.exponent(values[i], others[i]), pub.n());
+        reference = MulMod(reference, pub.mont_n2().Exp(cts[i].value, e),
+                           pub.n_squared());
+      }
+      for (size_t threads : {1u, 3u}) {
+        for (size_t chunk : {size_t{1}, size_t{6}, kRows}) {
+          EXPECT_EQ(FoldInChunks(pub, db, t.transform, cts, chunk, threads,
+                                 std::nullopt)
+                        .value,
+                    reference)
+              << bits << "-bit key, n of " << pub.n().BitLength()
+              << " bits, " << t.name << ", threads=" << threads
+              << ", chunk=" << chunk;
+        }
+      }
+    }
   }
 }
 
@@ -390,9 +508,9 @@ TEST(FoldEngineOpCountTest, ChunkedFoldPaysOneReductionAndNoConversions) {
   FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
                     ExponentTransform::Identity(), 0, kRows);
   for (size_t start = 0; start < kRows; start += 512) {
-    ASSERT_TRUE(engine
-                    .FoldChunk(start, std::span<const PaillierCiphertext>(
-                                          cts.data() + start, 512))
+    ASSERT_TRUE(FoldRows(engine, pub, start,
+                         std::span<const PaillierCiphertext>(
+                             cts.data() + start, 512))
                     .ok());
   }
   const PaillierCiphertext result = engine.Finish(std::nullopt).ValueOrDie();
@@ -430,9 +548,9 @@ TEST(FoldEngineOpCountTest, SquaresFoldStaysWithinReductionBudget) {
   FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
                     ExponentTransform::Square(), 0, kRows);
   for (size_t start = 0; start < kRows; start += 512) {
-    ASSERT_TRUE(engine
-                    .FoldChunk(start, std::span<const PaillierCiphertext>(
-                                          cts.data() + start, 512))
+    ASSERT_TRUE(FoldRows(engine, pub, start,
+                         std::span<const PaillierCiphertext>(
+                             cts.data() + start, 512))
                     .ok());
   }
   const PaillierCiphertext result = engine.Finish(std::nullopt).ValueOrDie();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <utility>
@@ -184,10 +185,24 @@ TEST(MultiExpTest, WeightedFoldDecryptsToWeightedSum) {
             expected);
 }
 
-std::vector<const BigInt*> Pointers(std::span<const BigInt> values) {
-  std::vector<const BigInt*> out;
-  for (const BigInt& v : values) out.push_back(&v);
-  return out;
+// Adds the terms to `acc` as the flat operands Add takes: n-limb base
+// rows, and exponents padded to the widest one's limbs (zero-limb
+// exponents when every exponent is zero).
+void AddTerms(MontgomeryContext::MultiExpAccumulator& acc,
+              const MontgomeryContext& ctx, std::span<const BigInt> bases,
+              std::span<const BigInt> exps) {
+  const size_t n = ctx.modulus().LimbCount();
+  size_t exp_limbs = 0;
+  for (const BigInt& e : exps) exp_limbs = std::max(exp_limbs, e.LimbCount());
+  std::vector<uint64_t> flat_bases(bases.size() * n, 0);
+  std::vector<uint64_t> flat_exps(exps.size() * exp_limbs, 0);
+  for (size_t i = 0; i < bases.size(); ++i) {
+    std::copy(bases[i].limbs().begin(), bases[i].limbs().end(),
+              flat_bases.begin() + static_cast<std::ptrdiff_t>(i * n));
+    std::copy(exps[i].limbs().begin(), exps[i].limbs().end(),
+              flat_exps.begin() + static_cast<std::ptrdiff_t>(i * exp_limbs));
+  }
+  acc.Add(flat_bases, flat_exps, exp_limbs);
 }
 
 TEST(MultiExpAccumulatorTest, ArbitrarySplitsMatchOneShot) {
@@ -195,7 +210,7 @@ TEST(MultiExpAccumulatorTest, ArbitrarySplitsMatchOneShot) {
   // MultiExpMontgomery over the same terms — including a first batch of
   // narrow exponents followed by wider ones, which opens windows after
   // the width has been fixed, zero exponents, and bases short enough
-  // that BigInt stores fewer than n limbs (they must be padded).
+  // that BigInt stores fewer than n limbs (their rows are zero-padded).
   const BigInt& m = SharedKeyPair().public_key.n_squared();
   MontgomeryContext ctx(m);
   ChaCha20Rng rng(47);
@@ -213,16 +228,15 @@ TEST(MultiExpAccumulatorTest, ArbitrarySplitsMatchOneShot) {
   bases_mont[151] = m - BigInt(1);
   const BigInt expected = ctx.MultiExpMontgomery(bases_mont, exps);
 
-  const std::vector<const BigInt*> base_ptrs = Pointers(bases_mont);
-  const std::vector<const BigInt*> exp_ptrs = Pointers(exps);
-  const std::span<const BigInt* const> all_bases(base_ptrs);
-  const std::span<const BigInt* const> all_exps(exp_ptrs);
+  const std::span<const BigInt> all_bases(bases_mont);
+  const std::span<const BigInt> all_exps(exps);
   for (size_t split : {size_t{1}, size_t{7}, size_t{100}, kTerms}) {
     for (size_t expected_terms : {size_t{1}, kTerms, size_t{100000}}) {
       MontgomeryContext::MultiExpAccumulator acc(ctx, expected_terms);
       for (size_t start = 0; start < kTerms; start += split) {
         const size_t len = std::min(split, kTerms - start);
-        acc.Add(all_bases.subspan(start, len), all_exps.subspan(start, len));
+        AddTerms(acc, ctx, all_bases.subspan(start, len),
+                 all_exps.subspan(start, len));
       }
       EXPECT_LE(acc.window_bits(), MontgomeryContext::kMaxPippengerWindow);
       EXPECT_EQ(acc.Finish(), expected)
@@ -235,7 +249,8 @@ TEST(MultiExpAccumulatorTest, ArbitrarySplitsMatchOneShot) {
   BigInt sum(0);
   for (size_t start = 0; start < kTerms;) {
     const size_t len = std::min<size_t>(1 + rng.NextBelow(40), kTerms - start);
-    acc.Add(all_bases.subspan(start, len), all_exps.subspan(start, len));
+    AddTerms(acc, ctx, all_bases.subspan(start, len),
+             all_exps.subspan(start, len));
     for (size_t i = start; i < start + len; ++i) sum += exps[i];
     start += len;
     std::span<const BigInt> b(bases_mont.data(), start);
@@ -252,7 +267,7 @@ TEST(MultiExpAccumulatorTest, EmptyAndZeroExponentsFinishToOne) {
   EXPECT_EQ(acc.Finish(), ctx.OneMontgomery());
   const std::vector<BigInt> bases = {BigInt(3), BigInt(4)};
   const std::vector<BigInt> zeros(2, BigInt(0));
-  acc.Add(Pointers(bases), Pointers(zeros));
+  AddTerms(acc, ctx, bases, zeros);
   EXPECT_TRUE(acc.empty());
   EXPECT_EQ(acc.window_bits(), 0u);
   EXPECT_EQ(acc.Finish(), ctx.OneMontgomery());
@@ -277,7 +292,7 @@ TEST(MultiExpAccumulatorTest, CanonicalInputsCorrectedByRPower) {
     return ctx.Exp(ctx.OneMontgomery(), e);
   };
   MontgomeryContext::MultiExpAccumulator acc(ctx, bases.size());
-  acc.Add(Pointers(bases), Pointers(exps));
+  AddTerms(acc, ctx, bases, exps);
   EXPECT_EQ(ctx.MulMontgomery(acc.Finish(), r_pow(acc.exponent_sum())),
             NaiveFold(bases, exps, m));
   // Without the zero base the product is a unit, so the check is not
@@ -285,7 +300,7 @@ TEST(MultiExpAccumulatorTest, CanonicalInputsCorrectedByRPower) {
   std::vector<BigInt> units(bases.begin() + 1, bases.end());
   std::vector<BigInt> unit_exps(exps.begin() + 1, exps.end());
   MontgomeryContext::MultiExpAccumulator unit_acc(ctx, units.size());
-  unit_acc.Add(Pointers(units), Pointers(unit_exps));
+  AddTerms(unit_acc, ctx, units, unit_exps);
   EXPECT_EQ(ctx.MulMontgomery(unit_acc.Finish(),
                               r_pow(unit_acc.exponent_sum())),
             NaiveFold(units, unit_exps, m));
@@ -320,7 +335,7 @@ TEST(MultiExpAccumulatorTest, RoundScheduledInsertsMatchStrausPerBackend) {
       for (size_t shape = 0; shape < shapes.size(); ++shape) {
         const std::vector<BigInt>& exps = shapes[shape];
         MontgomeryContext::MultiExpAccumulator acc(ctx, kTerms);
-        acc.Add(Pointers(bases), Pointers(exps));
+        AddTerms(acc, ctx, bases, exps);
         EXPECT_EQ(acc.Finish(), ctx.MultiExpMontgomery(
                                     bases, exps, MultiExpSchedule::kStraus))
             << bits << " bits, backend " << ctx.backend_name() << ", shape "
@@ -348,9 +363,7 @@ TEST(MultiExpAccumulatorTest, LaneSplitReductionMatchesNaiveProduct) {
     MontgomeryContext::MultiExpAccumulator probe(ctx, kExpectedTerms);
     const BigInt base(1);
     const BigInt exp = (BigInt(1) << bits) - BigInt(1);
-    const BigInt* base_ptr = &base;
-    const BigInt* exp_ptr = &exp;
-    probe.Add({&base_ptr, 1}, {&exp_ptr, 1});
+    AddTerms(probe, ctx, {&base, 1}, {&exp, 1});
     return probe.window_bits();
   };
   // At most 7 bits, so that 64-bit exponents open more than 8 windows.
@@ -430,14 +443,14 @@ TEST(MultiExpAccumulatorTest, LaneSplitReductionMatchesNaiveProduct) {
       for (const BigInt& base : bases) {
         bases_mont.push_back(ctx.ToMontgomery(base));
       }
-      const std::vector<const BigInt*> base_ptrs = Pointers(bases_mont);
-      const std::vector<const BigInt*> exp_ptrs = Pointers(exps);
-      const std::span<const BigInt* const> all_bases(base_ptrs);
-      const std::span<const BigInt* const> all_exps(exp_ptrs);
+      const std::span<const BigInt> all_bases(bases_mont);
+      const std::span<const BigInt> all_exps(exps);
       MontgomeryContext::MultiExpAccumulator acc(ctx, kExpectedTerms);
-      acc.Add(all_bases.first(first_count), all_exps.first(first_count));
+      AddTerms(acc, ctx, all_bases.first(first_count),
+               all_exps.first(first_count));
       ASSERT_EQ(acc.window_bits(), w) << shape.name;
-      acc.Add(all_bases.subspan(first_count), all_exps.subspan(first_count));
+      AddTerms(acc, ctx, all_bases.subspan(first_count),
+               all_exps.subspan(first_count));
       EXPECT_EQ(ctx.FromMontgomery(acc.Finish()), expected)
           << shape.name << ", backend " << ctx.backend_name();
     }
@@ -456,19 +469,17 @@ TEST(MultiExpAccumulatorTest, LaneSplitReductionMatchesNaiveProduct) {
     }
     std::vector<BigInt> bases_mont;
     for (const BigInt& base : bases) bases_mont.push_back(ctx.ToMontgomery(base));
-    const std::vector<const BigInt*> base_ptrs = Pointers(bases_mont);
-    const std::vector<const BigInt*> exp_ptrs = Pointers(exps);
-    const std::span<const BigInt* const> all_bases(base_ptrs);
-    const std::span<const BigInt* const> all_exps(exp_ptrs);
+    const std::span<const BigInt> all_bases(bases_mont);
+    const std::span<const BigInt> all_exps(exps);
     MontgomeryContext::MultiExpAccumulator acc(ctx, kExpectedTerms);
-    acc.Add(all_bases.first(40), all_exps.first(40));
+    AddTerms(acc, ctx, all_bases.first(40), all_exps.first(40));
     const std::vector<BigInt> head_bases(bases.begin(), bases.begin() + 40);
     const std::vector<BigInt> head_exps(exps.begin(), exps.begin() + 40);
     const BigInt first = acc.Finish();
     EXPECT_EQ(ctx.FromMontgomery(first), NaiveFold(head_bases, head_exps, m))
         << ctx.backend_name();
     EXPECT_EQ(acc.Finish(), first) << ctx.backend_name();
-    acc.Add(all_bases.subspan(40), all_exps.subspan(40));
+    AddTerms(acc, ctx, all_bases.subspan(40), all_exps.subspan(40));
     EXPECT_EQ(ctx.FromMontgomery(acc.Finish()), NaiveFold(bases, exps, m))
         << ctx.backend_name();
   }

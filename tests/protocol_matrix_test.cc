@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/runner.h"
 #include "crypto/chacha20_rng.h"
 #include "db/workload.h"
@@ -27,6 +30,10 @@ const PaillierKeyPair& KeyFor(size_t bits) {
   return bits == 128 ? *k128 : *k256;
 }
 
+// gtest names each case by the struct's raw bytes. The padding is
+// spelled out as zeroed members, so those names (and the ctest IDs
+// discovered from them) are the same in every build instead of carrying
+// whatever stale bytes the compiler's padding held.
 struct MatrixCase {
   uint64_t seed;
   size_t key_bits;
@@ -34,9 +41,13 @@ struct MatrixCase {
   size_t chunk;
   bool use_encryption_pool;
   bool use_randomness_pool;
+  uint8_t pad0[6] = {};
   size_t threads;
   bool square;
+  uint8_t pad1[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<MatrixCase>,
+              "MatrixCase must have no implicit padding");
 
 class ProtocolMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
@@ -88,9 +99,14 @@ std::vector<MatrixCase> BuildMatrix() {
           for (size_t threads : {1u, 3u}) {
             // Keep the matrix tractable: squaring only on one diagonal.
             bool square = (seed % 5 == 0);
-            cases.push_back(MatrixCase{seed++, key_bits, n, chunk,
-                                       pool == 1, pool == 2, threads,
-                                       square});
+            cases.push_back(MatrixCase{.seed = seed++,
+                                       .key_bits = key_bits,
+                                       .n = n,
+                                       .chunk = chunk,
+                                       .use_encryption_pool = pool == 1,
+                                       .use_randomness_pool = pool == 2,
+                                       .threads = threads,
+                                       .square = square});
           }
         }
       }

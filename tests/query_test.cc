@@ -23,15 +23,20 @@ TEST(StatisticKindTest, UnknownWireValuesRejected) {
 
 TEST(ExponentTransformTest, RowExponentsMatchTheStatistic) {
   Database other("o", {7, 11});
-  EXPECT_EQ(ExponentTransform::Identity().RowExponent(0, 6), BigInt(6));
-  EXPECT_EQ(ExponentTransform::Square().RowExponent(1, 6), BigInt(36));
-  EXPECT_EQ(ExponentTransform::ProductWith(&other).RowExponent(1, 6),
-            BigInt(66));
+  EXPECT_EQ(ExponentTransform::Identity().RowExponent(0, 6), 6u);
+  EXPECT_EQ(ExponentTransform::Square().RowExponent(1, 6), 36u);
+  EXPECT_EQ(ExponentTransform::ProductWith(&other).RowExponent(1, 6), 66u);
 }
 
 TEST(ExponentTransformTest, SquareDoesNotWrapNearUint32Max) {
-  BigInt e = ExponentTransform::Square().RowExponent(0, 0xFFFFFFFFu);
-  EXPECT_EQ(e, BigInt(0xFFFFFFFFull) * BigInt(0xFFFFFFFFull));
+  // (2^32 - 1)^2 = 2^64 - 2^33 + 1: the widest exponent any column
+  // yields, exact in u64.
+  const uint64_t e = ExponentTransform::Square().RowExponent(0, 0xFFFFFFFFu);
+  EXPECT_EQ(e, 0xFFFFFFFE00000001ull);
+  EXPECT_EQ(BigInt(e), BigInt(0xFFFFFFFFull) * BigInt(0xFFFFFFFFull));
+  Database other("o", {0xFFFFFFFFu});
+  EXPECT_EQ(ExponentTransform::ProductWith(&other).RowExponent(0, 0xFFFFFFFFu),
+            0xFFFFFFFE00000001ull);
 }
 
 TEST(CompileQueryTest, DefaultSpecCoversWholeColumn) {
