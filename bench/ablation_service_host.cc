@@ -569,7 +569,7 @@ int RunChaosMode() {
         FaultInjectingChannel* wrapper = nullptr;
         DialFn dial =
             [&]() -> Result<std::unique_ptr<Channel>> {
-          auto socket = ConnectUnixSocket(path);
+          auto socket = ConnectChannel("unix:" + path);
           if (!socket.ok()) return socket.status();
           (*socket)->set_read_deadline(std::chrono::milliseconds(10000));
           (*socket)->set_write_deadline(std::chrono::milliseconds(10000));

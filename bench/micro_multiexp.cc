@@ -259,8 +259,7 @@ struct ServedQuery {
         *pub, std::make_unique<ColumnRowSource>(db.get()), query.transform,
         0, kRows);
     for (const Bytes& frame : frames) {
-      benchmark::DoNotOptimize(engine->FoldChunk(
-          IndexBatchMessage::Parse(*pub, frame).ValueOrDie()));
+      benchmark::DoNotOptimize(engine->FoldChunk(frame));
     }
     return engine;
   }

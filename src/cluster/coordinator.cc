@@ -70,8 +70,7 @@ class CoordinatorRouter : public QueryRouter {
   }
 
   uint64_t DefaultRows() const override {
-    const std::string name = coordinator_->DefaultName();
-    return name.empty() ? 0 : coordinator_->registry_->ShardedRows(name);
+    return coordinator_->registry_->ShardedRows(coordinator_->default_column_);
   }
 
   [[nodiscard]] Status OnClientHello(BytesView key_blob,
@@ -146,43 +145,29 @@ class CoordinatorRouter : public QueryRouter {
 class ClusterExecution : public QueryExecution {
  public:
   ClusterExecution(CoordinatorRouter* router, ShardCoordinator* coordinator,
-                   StatisticKind kind, std::string column, std::string column2,
-                   std::vector<ShardDescriptor> shards, PaillierPublicKey pub,
-                   uint64_t rows)
+                   QuerySpec query, std::vector<ShardDescriptor> shards,
+                   PaillierPublicKey pub, uint64_t rows)
       : router_(router),
         coordinator_(coordinator),
-        kind_(kind),
-        column_(std::move(column)),
-        column2_(std::move(column2)),
+        query_(std::move(query)),
         shards_(std::move(shards)),
         pub_(std::move(pub)),
-        rows_(rows),
+        upload_sequence_(0, rows),
         ciphertext_bytes_(pub_.CiphertextBytes()) {
-    upload_.reserve(rows_ * ciphertext_bytes_);
+    upload_.reserve(rows * ciphertext_bytes_);
   }
 
   [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(
       BytesView frame) override {
-    // Mirrors the FoldEngine contract (and its error strings) so a
-    // client cannot tell a coordinator from a plain server.
-    if (finished_) {
-      return Status::FailedPrecondition("response already produced");
-    }
     PPSTATS_ASSIGN_OR_RETURN(IndexBatchView batch,
-                             IndexBatchMessage::Parse(pub_, frame));
-    if (batch.start_index != BufferedRows()) {
-      return Status::ProtocolError("out-of-order index chunk");
-    }
-    if (batch.start_index + batch.count > rows_) {
-      return Status::ProtocolError("index chunk overruns the database");
-    }
+                             upload_sequence_.Next(pub_, frame));
     upload_.insert(upload_.end(), batch.payload.begin(), batch.payload.end());
-    if (BufferedRows() < rows_) return std::optional<Bytes>(std::nullopt);
+    if (!upload_sequence_.complete()) return std::optional<Bytes>();
     PPSTATS_ASSIGN_OR_RETURN(Bytes response, FanOut());
     return std::optional<Bytes>(std::move(response));
   }
 
-  bool Finished() const override { return finished_; }
+  bool Finished() const override { return upload_sequence_.complete(); }
   double compute_seconds() const override { return compute_seconds_; }
 
  private:
@@ -190,8 +175,6 @@ class ClusterExecution : public QueryExecution {
     Status status = Status::OK();
     std::optional<PaillierCiphertext> sum;
   };
-
-  uint64_t BufferedRows() const { return upload_.size() / ciphertext_bytes_; }
 
   [[nodiscard]] Result<Bytes> FanOut();
   [[nodiscard]] Status QueryShard(size_t i, uint64_t nonce,
@@ -201,63 +184,55 @@ class ClusterExecution : public QueryExecution {
 
   CoordinatorRouter* router_;
   ShardCoordinator* coordinator_;
-  StatisticKind kind_;
-  std::string column_;
-  std::string column2_;
+  QuerySpec query_;
   std::vector<ShardDescriptor> shards_;
   PaillierPublicKey pub_;
-  uint64_t rows_;
+  IndexUploadSequencer upload_sequence_;
   size_t ciphertext_bytes_;
   /// Client ciphertexts E(w_i) as wire bytes, ciphertext_bytes_ per
   /// global row, in row order.
   Bytes upload_;
-  bool finished_ = false;
   double compute_seconds_ = 0;
 };
 
 Result<OpenedQuery> CoordinatorRouter::Open(const QueryHeaderMessage& header,
                                             const PaillierPublicKey& pub) {
-  PPSTATS_ASSIGN_OR_RETURN(StatisticKind kind,
-                           StatisticKindFromWire(header.kind));
+  const ColumnRegistry& registry = *coordinator_->registry_;
+  PPSTATS_ASSIGN_OR_RETURN(
+      QuerySpec query,
+      ResolveQueryHeader(header, coordinator_->default_column_,
+                         [&registry](const std::string& name) {
+                           return registry.FindShards(name) != nullptr;
+                         }));
   if (header.blind_partial) {
     // The extension is coordinator->shard only; a client asking the
     // coordinator for blinded partials is confused (or probing).
     return Status::InvalidArgument(
         "blind_partial is not accepted from clients");
   }
-  std::string column = header.column;
-  if (column.empty()) {
-    column = coordinator_->DefaultName();
-    if (column.empty()) {
-      return Status::FailedPrecondition("server has no default column");
-    }
-  }
-  const std::vector<ShardDescriptor>* shards =
-      coordinator_->registry_->FindShards(column);
-  if (shards == nullptr) return Status::NotFound("unknown column: " + column);
-  if (kind == StatisticKind::kProduct && header.column2.empty()) {
-    return Status::InvalidArgument("product query needs a second column");
-  }
-  if (kind != StatisticKind::kProduct && !header.column2.empty()) {
+  const std::vector<ShardDescriptor>& shards =
+      *registry.FindShards(query.column);
+  // Each shard folds its slice of both columns, so the slices must be
+  // the same rows on the same shards.
+  if (!query.column2.empty() && *registry.FindShards(query.column2) != shards) {
     return Status::InvalidArgument(
-        "second column given for a single-column statistic");
+        "product columns are not sharded alike: " + query.column + ", " +
+        query.column2);
   }
   const CoordinatorOptions& opt = coordinator_->options_;
   if (opt.blind_partials) {
     // The merged plaintext carries all d shard shares (d = shard count).
     PPSTATS_RETURN_IF_ERROR(
-        CheckBlindModulus(opt.blind_modulus, pub.n(), shards->size()));
+        CheckBlindModulus(opt.blind_modulus, pub.n(), shards.size()));
   }
   OpenedQuery opened;
-  opened.rows = shards->back().end;
+  opened.rows = shards.back().end;
   opened.execution = std::make_unique<ClusterExecution>(
-      this, coordinator_, kind, column, header.column2, *shards, pub,
-      opened.rows);
+      this, coordinator_, std::move(query), shards, pub, opened.rows);
   return opened;
 }
 
 Result<Bytes> ClusterExecution::FanOut() {
-  finished_ = true;
   coordinator_->fanouts_->Increment();
   obs::ObsSpan fanout(obs::kSpanClusterFanout, coordinator_->metrics_);
   const CoordinatorOptions& opt = coordinator_->options_;
@@ -356,9 +331,9 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
                            router_->Upstream(shard.uri));
 
   QueryHeaderMessage header;
-  header.kind = static_cast<uint8_t>(kind_);
-  header.column = column_;
-  header.column2 = column2_;
+  header.kind = static_cast<uint8_t>(query_.kind);
+  header.column = query_.column;
+  header.column2 = query_.column2;
   if (coordinator_->options_.blind_partials) {
     header.blind_partial = true;
     header.blind_nonce = nonce;
@@ -409,24 +384,24 @@ ShardCoordinator::ShardCoordinator(const ColumnRegistry* registry,
   upstream_retries_ = metrics_->GetCounter("cluster.upstream_retries");
   upstream_redials_ = metrics_->GetCounter("cluster.upstream_redials");
   partials_served_ = metrics_->GetCounter("cluster.partials_served");
+  // Validate reports a default that does not resolve.
+  if (Result<std::string> name = ResolveDefault(); name.ok()) {
+    default_column_ = std::move(name).ValueOrDie();
+  }
 }
 
-std::string ShardCoordinator::DefaultName() const {
-  if (!options_.default_column.empty()) return options_.default_column;
-  std::vector<std::string> names = registry_->ShardedColumnNames();
-  if (names.size() == 1) return names.front();
-  return std::string();
+Result<std::string> ShardCoordinator::ResolveDefault() const {
+  return ResolveDefaultColumn(options_.default_column,
+                              registry_ == nullptr
+                                  ? std::vector<std::string>()
+                                  : registry_->ShardedColumnNames());
 }
 
 Status ShardCoordinator::Validate() const {
   if (registry_ == nullptr || registry_->ShardedColumnNames().empty()) {
     return Status::FailedPrecondition("coordinator has no sharded columns");
   }
-  if (!options_.default_column.empty() &&
-      registry_->FindShards(options_.default_column) == nullptr) {
-    return Status::FailedPrecondition("default column has no shard map: " +
-                                      options_.default_column);
-  }
+  PPSTATS_RETURN_IF_ERROR(ResolveDefault().status());
   if (options_.shard_attempts == 0) {
     return Status::InvalidArgument("shard_attempts must be >= 1");
   }

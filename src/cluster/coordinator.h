@@ -12,8 +12,10 @@
 // folds its slice of the vector against its local rows — and merges
 // the encrypted partial sums homomorphically (Paillier ciphertext
 // multiply = plaintext add) into the single SumResponse the client
-// expects. The client cannot tell a coordinator from a plain server
-// on the happy path.
+// expects. The client cannot tell a coordinator from a plain server:
+// both answer through the same header and upload rules (see
+// core/query_exec.h), so they refuse a query with the same Error frame.
+// A product query's two columns must carry the same shard map.
 //
 // Privacy: the coordinator decrypts nothing — partials and the merged
 // total are ciphertexts under the client's key. To also hide each
@@ -134,9 +136,6 @@ class ShardCoordinator {
   /// The coordinator must outlive the host it is plugged into.
   [[nodiscard]] std::function<std::shared_ptr<QueryRouter>()> RouterFactory();
 
-  /// The default column name ("" when none can be resolved).
-  std::string DefaultName() const;
-
  private:
   friend class CoordinatorRouter;
   friend class ClusterExecution;
@@ -148,8 +147,14 @@ class ShardCoordinator {
     return nonce_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// options_.default_column, else the sole sharded column, under the
+  /// serving side's default-column rule (ResolveDefaultColumn).
+  [[nodiscard]] Result<std::string> ResolveDefault() const;
+
   const ColumnRegistry* registry_;
   CoordinatorOptions options_;
+  /// ResolveDefault() at construction; "" when there is none.
+  std::string default_column_;
   ThreadPool* pool_;                 ///< resolved from options
   obs::MetricRegistry* metrics_;     ///< resolved from options
   std::atomic<uint64_t> nonce_{1};

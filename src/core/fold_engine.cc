@@ -84,9 +84,7 @@ FoldEngine::FoldEngine(const PaillierPublicKey& pub,
     : pub_(pub),
       rows_(std::move(rows)),
       transform_(transform),
-      end_(end),
-      next_expected_(begin),
-      in_range_(pub_),
+      upload_(begin, end),
       width_(pub_.CiphertextBytes()),
       limbs_(pub_.n_squared().LimbCount()),
       small_n_(pub_.n().FitsUint64() ? pub_.n().LowUint64() : 0) {
@@ -98,29 +96,15 @@ FoldEngine::FoldEngine(const PaillierPublicKey& pub,
   }
 }
 
-Status FoldEngine::FoldChunk(const IndexBatchView& batch) {
+Status FoldEngine::FoldChunk(BytesView frame) {
   static obs::Counter* const chunks =
       obs::MetricRegistry::Global().GetCounter("fold.chunks");
   static obs::Counter* const rows =
       obs::MetricRegistry::Global().GetCounter("fold.rows");
   obs::ObsSpan span(obs::kSpanFold);
-  if (done()) {
-    return Status::FailedPrecondition("fold already covered its rows");
-  }
-  if (batch.start_index != next_expected_) {
-    return Status::ProtocolError("out-of-order index chunk");
-  }
-  const size_t start_row = next_expected_;
+  PPSTATS_ASSIGN_OR_RETURN(IndexBatchView batch, upload_.Next(pub_, frame));
+  const size_t start_row = batch.start_index;
   const size_t count = batch.count;
-  if (start_row + count > end_) {
-    return Status::ProtocolError("index chunk overruns the database");
-  }
-  if (batch.payload.size() != count * width_) {
-    return Status::ProtocolError("ciphertext count/payload mismatch");
-  }
-  if (!in_range_.RowsInRange(batch.payload)) {
-    return Status::ProtocolError("index ciphertext outside [0, n^2)");
-  }
 
   values_.resize(count);
   PPSTATS_RETURN_IF_ERROR(rows_->ReadRows(start_row, values_));
@@ -165,7 +149,6 @@ Status FoldEngine::FoldChunk(const IndexBatchView& batch) {
   } else {
     ThreadPool::Shared().Run(threads, fold_slice);
   }
-  next_expected_ = start_row + count;
   chunks->Increment();
   rows->Add(count);
   return Status::OK();

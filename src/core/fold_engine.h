@@ -7,16 +7,17 @@
 // Damgård–Jurik multi-sum and the PIR row folds are one-shot products
 // over prepared vectors; they call DamgardJurik::WeightedFold and
 // MontgomeryContext::MultiExpMontgomery directly.) The engine owns the
-// chunk ordering, the ThreadPool slicing, and the Montgomery-form
-// accumulators; rows come from a pluggable RowSource and exponents from
-// the query layer's ExponentTransform.
+// ThreadPool slicing and the Montgomery-form accumulators; chunk
+// validation and order are its IndexUploadSequencer's (core/messages.h,
+// shared with the cluster coordinator), rows come from a pluggable
+// RowSource and exponents from the query layer's ExponentTransform.
 //
 // The Paillier fold is conversion-free and chunk-spanning. Each worker
 // slice keeps one streaming Pippenger accumulator
 // (MontgomeryContext::MultiExpAccumulator) open for the whole query, so
 // chunks only drop terms into buckets and the bucket reduction runs once,
-// in Finish. Chunks arrive as the wire bytes of a parsed IndexBatch
-// frame: rows are decoded from wire bytes into a per-chunk limb buffer
+// in Finish. Chunks arrive as IndexBatch frames whose ciphertexts stay
+// wire bytes: rows are decoded from wire bytes into a per-chunk limb buffer
 // (big-endian bytes to n little-endian limbs, no BigInt per row; the
 // buffer is the folding thread's own, sized to its stretch of the chunk
 // and reused by later chunks), and exponents are u64. Rows go into the
@@ -125,17 +126,15 @@ class FoldEngine {
              ExponentTransform transform, size_t begin, size_t end,
              size_t worker_threads = 1);
 
-  /// Folds one parsed chunk: `batch.count` wire ciphertexts covering
-  /// rows [batch.start_index, batch.start_index + batch.count). Chunks
-  /// must arrive in order with no gaps, overlap, or overrun, the payload
-  /// must hold exactly count ciphertexts of the key's wire width, and
-  /// every ciphertext must be a canonical residue in [0, n^2) — the
-  /// conversion-free fold is only exact on those — else the whole chunk
-  /// is rejected with ProtocolError and nothing is folded.
-  [[nodiscard]] Status FoldChunk(const IndexBatchView& batch);
+  /// Folds one IndexBatch frame. The engine's IndexUploadSequencer
+  /// accepts or refuses it (parse errors, out-of-order chunks, overruns,
+  /// chunks after the last row), so a refused frame folds nothing; an
+  /// accepted one holds canonical residues in [0, n^2), the only inputs
+  /// on which the conversion-free fold is exact.
+  [[nodiscard]] Status FoldChunk(BytesView frame);
 
   /// True once chunks have covered every row in [begin, end).
-  bool done() const { return next_expected_ >= end_; }
+  bool done() const { return upload_.complete(); }
 
   /// Runs each slice's bucket reduction (the fold's only one), combines
   /// the slices, Montgomery-multiplies by the plain residue R^sum(e_i) —
@@ -144,16 +143,13 @@ class FoldEngine {
   /// Requires done().
   [[nodiscard]] Result<PaillierCiphertext> Finish(const std::optional<BigInt>& blinding);
 
-  size_t row_count() const { return rows_->size(); }
   size_t peak_resident_rows() const { return rows_->peak_resident_rows(); }
 
  private:
   PaillierPublicKey pub_;
   std::unique_ptr<RowSource> rows_;
   ExponentTransform transform_;
-  size_t end_ = 0;
-  size_t next_expected_ = 0;
-  CiphertextRangeCheck in_range_;
+  IndexUploadSequencer upload_;
   size_t width_;          // wire bytes per ciphertext
   size_t limbs_;          // limbs of n^2: one decoded row
   uint64_t small_n_ = 0;  // n when n < 2^64 (exponents reduce mod n), else 0

@@ -26,21 +26,22 @@ WireWriter IndexBatchHeader(uint64_t start_index, uint32_t count,
   return w;
 }
 
-}  // namespace
-
-CiphertextRangeCheck::CiphertextRangeCheck(const PaillierPublicKey& pub)
-    : width_(pub.CiphertextBytes()), bound_(pub.n_squared().ToBytes(width_)) {}
-
-bool CiphertextRangeCheck::RowsInRange(BytesView rows) const {
-  // An n^2 wider than the wire width is above every ciphertext.
-  if (bound_.size() != width_) return true;
-  for (size_t offset = 0; offset < rows.size(); offset += width_) {
-    if (std::memcmp(rows.data() + offset, bound_.data(), width_) >= 0) {
+// The [0, n^2) check on fixed-width wire ciphertexts. At equal width,
+// big-endian byte order is numeric order, so each row is one memcmp
+// against n^2; an n^2 wider than the wire width is above every row.
+bool RowsBelowNSquared(const PaillierPublicKey& pub, BytesView rows) {
+  const size_t width = pub.CiphertextBytes();
+  const Bytes bound = pub.n_squared().ToBytes(width);
+  if (bound.size() != width) return true;
+  for (size_t offset = 0; offset < rows.size(); offset += width) {
+    if (std::memcmp(rows.data() + offset, bound.data(), width) >= 0) {
       return false;
     }
   }
   return true;
 }
+
+}  // namespace
 
 Result<MessageType> PeekMessageType(BytesView frame) {
   if (frame.empty()) {
@@ -77,21 +78,20 @@ Result<IndexBatchView> IndexBatchMessage::Parse(const PaillierPublicKey& pub,
                                                 BytesView frame) {
   WireReader r(frame);
   PPSTATS_RETURN_IF_ERROR(ExpectType(r, MessageType::kIndexBatch));
-  IndexBatchView view;
-  PPSTATS_ASSIGN_OR_RETURN(view.start_index, r.ReadU64());
-  PPSTATS_ASSIGN_OR_RETURN(view.count, r.ReadU32());
+  PPSTATS_ASSIGN_OR_RETURN(uint64_t start_index, r.ReadU64());
+  PPSTATS_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
   // Validate the claimed count against the actual payload before
   // touching it: a hostile count must not drive allocation.
   const size_t width = pub.CiphertextBytes();
-  if (static_cast<uint64_t>(view.count) * width != r.remaining()) {
+  if (static_cast<uint64_t>(count) * width != r.remaining()) {
     return Status::SerializationError("ciphertext count/payload mismatch");
   }
-  PPSTATS_ASSIGN_OR_RETURN(view.payload, r.ReadRaw(r.remaining()));
-  if (!CiphertextRangeCheck(pub).RowsInRange(view.payload)) {
+  PPSTATS_ASSIGN_OR_RETURN(BytesView payload, r.ReadRaw(r.remaining()));
+  if (!RowsBelowNSquared(pub, payload)) {
     return Status::ProtocolError("index ciphertext >= n^2");
   }
   PPSTATS_RETURN_IF_ERROR(r.ExpectEnd());
-  return view;
+  return IndexBatchView(start_index, count, payload);
 }
 
 Result<IndexBatchMessage> IndexBatchMessage::Decode(
@@ -106,6 +106,23 @@ Result<IndexBatchMessage> IndexBatchMessage::Decode(
         BigInt::FromBytes(view.payload.subspan(i * width, width))});
   }
   return msg;
+}
+
+Result<IndexBatchView> IndexUploadSequencer::Next(
+    const PaillierPublicKey& pub, BytesView frame) {
+  if (complete()) {
+    return Status::FailedPrecondition("response already produced");
+  }
+  PPSTATS_ASSIGN_OR_RETURN(IndexBatchView batch,
+                           IndexBatchMessage::Parse(pub, frame));
+  if (batch.start_index != next_) {
+    return Status::ProtocolError("out-of-order index chunk");
+  }
+  if (batch.count > end_ - next_) {
+    return Status::ProtocolError("index chunk overruns the database");
+  }
+  next_ += batch.count;
+  return batch;
 }
 
 Bytes SumResponseMessage::Encode(const PaillierPublicKey& pub) const {

@@ -32,30 +32,21 @@ enum class MessageType : uint8_t {
 
 /// A validated IndexBatch frame whose ciphertexts stay wire bytes: the
 /// coordinator forwards them, and the server fold (FoldEngine::FoldChunk)
-/// decodes each row straight into its limb buffer.
-struct IndexBatchView {
-  uint64_t start_index = 0;
-  uint32_t count = 0;
-  /// `count` ciphertexts at the key's fixed wire width, each checked to
-  /// be < n^2. Aliases the parsed frame.
-  BytesView payload;
-};
-
-/// The [0, n^2) check on fixed-width wire ciphertexts: the one
-/// implementation behind IndexBatchMessage::Parse and the server fold.
-/// At equal width, big-endian byte order is numeric order, so each row
-/// is one memcmp against n^2, encoded once at construction.
-class CiphertextRangeCheck {
+/// decodes each row straight into its limb buffer. Only
+/// IndexBatchMessage::Parse builds one, so holding a view is the proof
+/// that the payload is `count` ciphertexts at the key's fixed wire
+/// width, each < n^2; no consumer checks again.
+class IndexBatchView {
  public:
-  explicit CiphertextRangeCheck(const PaillierPublicKey& pub);
-
-  /// True when every CiphertextBytes()-wide row of `rows` is < n^2.
-  /// rows.size() must be a multiple of the width.
-  bool RowsInRange(BytesView rows) const;
+  const uint64_t start_index;
+  const uint32_t count;
+  /// Aliases the parsed frame.
+  const BytesView payload;
 
  private:
-  size_t width_;
-  Bytes bound_;  // n^2 big-endian, at least width_ bytes
+  friend struct IndexBatchMessage;
+  IndexBatchView(uint64_t start, uint32_t rows, BytesView bytes)
+      : start_index(start), count(rows), payload(bytes) {}
 };
 
 /// A chunk of the encrypted index vector covering rows
@@ -76,6 +67,32 @@ struct IndexBatchMessage {
                                                     BytesView frame);
   [[nodiscard]] static Result<IndexBatchMessage> Decode(const PaillierPublicKey& pub,
                                                         BytesView frame);
+};
+
+/// The upload rule of one query, the one implementation behind every
+/// serving side (the server fold and the cluster coordinator), so a
+/// client gets the same Error frame from either: each IndexBatch frame
+/// must parse, and the frames must cover rows [begin, end) in order with
+/// no gap, overlap, or overrun.
+class IndexUploadSequencer {
+ public:
+  IndexUploadSequencer(uint64_t begin, uint64_t end)
+      : next_(begin), end_(end) {}
+
+  /// Accepts `frame` as the next chunk of the upload, or refuses it:
+  /// FailedPrecondition once every row has arrived (the response is
+  /// already produced), then Parse's errors, then ProtocolError for a
+  /// chunk that does not start where the last one ended or runs past
+  /// the end.
+  [[nodiscard]] Result<IndexBatchView> Next(const PaillierPublicKey& pub,
+                                            BytesView frame);
+
+  /// True once chunks have covered every row in [begin, end).
+  bool complete() const { return next_ >= end_; }
+
+ private:
+  uint64_t next_;
+  uint64_t end_;
 };
 
 /// The server's single response: the encrypted selected sum.

@@ -1,5 +1,7 @@
 #include "core/query.h"
 
+#include <algorithm>
+
 namespace ppstats {
 
 Result<StatisticKind> StatisticKindFromWire(uint8_t wire) {
@@ -49,12 +51,30 @@ ExponentTransform ExponentTransform::ProductWith(const Database* second) {
 
 namespace {
 
-// Lowering shared by both compile paths once the columns are resolved.
-Result<CompiledQuery> Lower(const QuerySpec& spec, const Database* primary,
-                            const Database* second) {
+// The "column2 only for product" rule, shared by the header rule and
+// both compile paths.
+Status CheckSecondColumn(StatisticKind kind, bool has_second) {
+  if (kind == StatisticKind::kProduct && !has_second) {
+    return Status::InvalidArgument("product query needs a second column");
+  }
+  if (kind != StatisticKind::kProduct && has_second) {
+    return Status::InvalidArgument(
+        "second column given for a single-column statistic");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<CompiledQuery> CompileQuery(const QuerySpec& spec,
+                                   const Database* primary,
+                                   const Database* second) {
   if (primary == nullptr) {
     return Status::InvalidArgument("query has no primary column");
   }
+  PPSTATS_RETURN_IF_ERROR(
+      StatisticKindFromWire(static_cast<uint8_t>(spec.kind)).status());
+  PPSTATS_RETURN_IF_ERROR(CheckSecondColumn(spec.kind, second != nullptr));
   CompiledQuery query;
   query.column = primary;
   switch (spec.kind) {
@@ -65,22 +85,12 @@ Result<CompiledQuery> Lower(const QuerySpec& spec, const Database* primary,
       query.transform = ExponentTransform::Square();
       break;
     case StatisticKind::kProduct:
-      if (second == nullptr) {
-        return Status::InvalidArgument(
-            "product query needs a second column");
-      }
       if (second->size() != primary->size()) {
         return Status::InvalidArgument(
             "product column size != primary database size");
       }
       query.transform = ExponentTransform::ProductWith(second);
       break;
-    default:
-      return Status::InvalidArgument("unknown statistic kind");
-  }
-  if (spec.kind != StatisticKind::kProduct && second != nullptr) {
-    return Status::InvalidArgument(
-        "second column given for a single-column statistic");
   }
   query.begin = 0;
   query.end = primary->size();
@@ -96,36 +106,49 @@ Result<CompiledQuery> Lower(const QuerySpec& spec, const Database* primary,
   return query;
 }
 
-}  // namespace
-
-Result<CompiledQuery> CompileQuery(const QuerySpec& spec,
-                                   const Database* primary,
-                                   const Database* second) {
-  return Lower(spec, primary, second);
+Result<QuerySpec> ResolveQueryHeader(
+    const QueryHeaderMessage& header, const std::string& default_column,
+    const std::function<bool(const std::string&)>& known) {
+  QuerySpec out;
+  PPSTATS_ASSIGN_OR_RETURN(out.kind, StatisticKindFromWire(header.kind));
+  out.column = header.column.empty() ? default_column : header.column;
+  if (out.column.empty()) {
+    return Status::NotFound("server has no default column");
+  }
+  PPSTATS_RETURN_IF_ERROR(
+      CheckSecondColumn(out.kind, !header.column2.empty()));
+  out.column2 = header.column2;
+  for (const std::string* name : {&out.column, &out.column2}) {
+    if (!name->empty() && !known(*name)) {
+      return Status::NotFound("unknown column: " + *name);
+    }
+  }
+  return out;
 }
 
-Result<CompiledQuery> CompileQuery(const QuerySpec& spec,
-                                   const ColumnRegistry& registry,
-                                   const Database* default_column) {
-  const Database* primary = spec.column.empty()
-                                ? default_column
-                                : registry.Find(spec.column);
-  if (primary == nullptr) {
-    return Status::NotFound(spec.column.empty()
-                                ? "server has no default column"
-                                : "unknown column: " + spec.column);
-  }
-  const Database* second = nullptr;
-  if (spec.kind == StatisticKind::kProduct) {
-    second = registry.Find(spec.column2);
-    if (second == nullptr) {
-      return Status::NotFound("unknown column: " + spec.column2);
+Result<std::string> ResolveDefaultColumn(
+    const std::string& configured, const std::vector<std::string>& names) {
+  if (!configured.empty()) {
+    if (std::find(names.begin(), names.end(), configured) == names.end()) {
+      return Status::NotFound("unknown default column: " + configured);
     }
-  } else if (!spec.column2.empty()) {
-    return Status::InvalidArgument(
-        "second column given for a single-column statistic");
+    return configured;
   }
-  return Lower(spec, primary, second);
+  return names.size() == 1 ? names.front() : std::string();
+}
+
+Result<CompiledQuery> CompileQuery(const QueryHeaderMessage& header,
+                                   const ColumnRegistry& registry,
+                                   const std::string& default_column) {
+  PPSTATS_ASSIGN_OR_RETURN(
+      QuerySpec spec,
+      ResolveQueryHeader(header, default_column,
+                         [&registry](const std::string& name) {
+                           return registry.Find(name) != nullptr;
+                         }));
+  return CompileQuery(
+      spec, registry.Find(spec.column),
+      spec.column2.empty() ? nullptr : registry.Find(spec.column2));
 }
 
 }  // namespace ppstats

@@ -14,11 +14,14 @@
 #ifndef PPSTATS_CORE_QUERY_H_
 #define PPSTATS_CORE_QUERY_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bigint/bigint.h"
+#include "core/messages.h"
 #include "db/column_registry.h"
 #include "db/database.h"
 
@@ -107,12 +110,31 @@ struct CompiledQuery {
                                                  const Database* primary,
                                                  const Database* second = nullptr);
 
-/// Compiles `spec` by resolving its column names in `registry` (the
-/// session path). An empty primary name resolves to `default_column`
-/// when provided.
-[[nodiscard]] Result<CompiledQuery> CompileQuery(const QuerySpec& spec,
-                                                 const ColumnRegistry& registry,
-                                                 const Database* default_column = nullptr);
+/// The header rule of every serving side, so a client gets the same
+/// Error frame from a server (names of local columns) and a coordinator
+/// (names of shard maps): turns `header` into the spec of its statistic
+/// over resolved column names (column never empty). In order:
+///  * the kind must be a StatisticKind (InvalidArgument);
+///  * an empty primary name means `default_column`; with no default the
+///    query is NotFound;
+///  * a kProduct needs column2 (InvalidArgument), any other kind must
+///    leave it empty (InvalidArgument);
+///  * a name for which `known` is false is NotFound, naming the column.
+[[nodiscard]] Result<QuerySpec> ResolveQueryHeader(
+    const QueryHeaderMessage& header, const std::string& default_column,
+    const std::function<bool(const std::string&)>& known);
+
+/// The default-column rule of every serving side: the configured name
+/// when given (it must be one of `names`, else NotFound), else the sole
+/// entry of `names`, else "" (no default).
+[[nodiscard]] Result<std::string> ResolveDefaultColumn(
+    const std::string& configured, const std::vector<std::string>& names);
+
+/// Compiles a QueryHeader against the columns of `registry` under the
+/// header rule (the session path). Blinding is the router's business.
+[[nodiscard]] Result<CompiledQuery> CompileQuery(
+    const QueryHeaderMessage& header, const ColumnRegistry& registry,
+    const std::string& default_column = "");
 
 }  // namespace ppstats
 

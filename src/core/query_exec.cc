@@ -3,35 +3,21 @@
 #include <utility>
 
 #include "core/query.h"
+#include "core/selected_sum.h"
 #include "crypto/zero_share.h"
 
 namespace ppstats {
 
 uint64_t LocalQueryRouter::DefaultRows() const {
-  return config_.default_column == nullptr ? 0 : config_.default_column->size();
-}
-
-Status LocalQueryRouter::OnClientHello(BytesView key_blob,
-                                       const PaillierPublicKey& pub) {
-  (void)key_blob;
-  (void)pub;
-  return Status::OK();
+  const Database* column = registry_->Find(config_.default_column);
+  return column == nullptr ? 0 : column->size();
 }
 
 Result<OpenedQuery> LocalQueryRouter::Open(const QueryHeaderMessage& header,
                                            const PaillierPublicKey& pub) {
-  PPSTATS_ASSIGN_OR_RETURN(StatisticKind kind,
-                           StatisticKindFromWire(header.kind));
-  QuerySpec spec;
-  spec.kind = kind;
-  spec.column = header.column;
-  spec.column2 = header.column2;
-  static const ColumnRegistry kEmptyRegistry;
-  const ColumnRegistry& registry =
-      registry_ == nullptr ? kEmptyRegistry : *registry_;
   PPSTATS_ASSIGN_OR_RETURN(
       CompiledQuery query,
-      CompileQuery(spec, registry, config_.default_column));
+      CompileQuery(header, *registry_, config_.default_column));
   if (query.rows() == 0) {
     // An empty cover would mean QueryAccept rows=0 and an immediate
     // response with no chunks; simpler and clearer to reject it.
@@ -53,8 +39,8 @@ Result<OpenedQuery> LocalQueryRouter::Open(const QueryHeaderMessage& header,
   }
   OpenedQuery opened;
   opened.rows = query.rows();
-  opened.execution = std::make_unique<LocalQueryExecution>(
-      pub, query, config_.worker_threads);
+  opened.execution =
+      std::make_unique<SumServer>(pub, query, config_.worker_threads);
   return opened;
 }
 

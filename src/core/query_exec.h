@@ -7,12 +7,19 @@
 //
 //  * QueryRouter — per-session policy object: resolves a QueryHeader
 //    into an opened query. The default LocalQueryRouter compiles
-//    against the session's ColumnRegistry and executes locally; the
-//    cluster coordinator (src/cluster) substitutes a router that fans
-//    the query out to shard servers instead.
+//    against the session's ColumnRegistry and folds locally (its
+//    execution is a SumServer); the cluster coordinator (src/cluster)
+//    substitutes a router that fans the query out to shard servers
+//    instead.
 //  * QueryExecution — per-query object: consumes the client's request
 //    frames and eventually yields one encoded response frame, exactly
 //    the SumServer::HandleRequest contract.
+//
+// Both routers share one query contract, so a client cannot tell them
+// apart by their errors: QueryHeaders pass the header rule
+// (ResolveQueryHeader and ResolveDefaultColumn, core/query.h) and
+// IndexBatch frames the upload rule (IndexUploadSequencer,
+// core/messages.h).
 //
 // ServiceHost resolves one QueryRouterFactory at Start and hands every
 // session a fresh router from it: ServiceHostOptions::router_factory
@@ -25,12 +32,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "bigint/bigint.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "core/messages.h"
-#include "core/selected_sum.h"
 #include "crypto/paillier.h"
 #include "db/column_registry.h"
 
@@ -50,8 +57,9 @@ struct ShardBlindConfig {
 };
 
 /// One in-flight query: frames in, at most one response frame out.
-/// Mirrors SumServer::HandleRequest so local and remote execution are
-/// interchangeable to the protocol drivers.
+/// SumServer is the local implementation and the coordinator's
+/// ClusterExecution the remote one; the protocol drivers cannot tell
+/// them apart.
 ///
 /// Threading: like its QueryRouter, an execution belongs to exactly
 /// one session and is only ever driven by that session's FSM, which
@@ -108,43 +116,28 @@ class QueryRouter {
 /// Builds the router for one new session.
 using QueryRouterFactory = std::function<std::shared_ptr<QueryRouter>()>;
 
-/// Wraps a CompiledQuery + SumServer fold as a QueryExecution.
-class LocalQueryExecution : public QueryExecution {
- public:
-  LocalQueryExecution(const PaillierPublicKey& pub, const CompiledQuery& query,
-                      size_t worker_threads)
-      : server_(pub, query, worker_threads) {}
-
-  [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(
-      BytesView frame) override {
-    return server_.HandleRequest(frame);
-  }
-  bool Finished() const override { return server_.Finished(); }
-  double compute_seconds() const override { return server_.compute_seconds(); }
-
- private:
-  SumServer server_;
-};
-
 /// Everything LocalQueryRouter needs besides the registry. ServiceHost
 /// fills it once per Start from its options.
 struct LocalRouterConfig {
-  const Database* default_column = nullptr;
+  /// Column an empty QueryHeader name resolves to ("" = none); see
+  /// ResolveDefaultColumn.
+  std::string default_column;
   size_t worker_threads = 1;
   std::optional<ShardBlindConfig> shard_blind;
 };
 
 /// The classic in-process path: compile the header against the
-/// registry, fold locally. `registry` may be null (default-column-only
-/// servers).
+/// registry, fold locally. `registry` must outlive the router.
 class LocalQueryRouter : public QueryRouter {
  public:
   LocalQueryRouter(const ColumnRegistry* registry, LocalRouterConfig config)
       : registry_(registry), config_(std::move(config)) {}
 
   uint64_t DefaultRows() const override;
-  [[nodiscard]] Status OnClientHello(BytesView key_blob,
-                                     const PaillierPublicKey& pub) override;
+  [[nodiscard]] Status OnClientHello(
+      BytesView /*key_blob*/, const PaillierPublicKey& /*pub*/) override {
+    return Status::OK();
+  }
   [[nodiscard]] Result<OpenedQuery> Open(const QueryHeaderMessage& header,
                                          const PaillierPublicKey& pub) override;
 

@@ -29,10 +29,6 @@ constexpr uint32_t kMaxAcceptBackoffMs = 100;
 /// client that connects and then neither talks nor reads.
 constexpr uint32_t kRejectWriteDeadlineMs = 100;
 
-/// Inbound frame size limit — matches WrapSocket's default, so the host
-/// rejects the same hostile length prefixes a blocking channel does.
-constexpr size_t kMaxMessageBytes = size_t{1} << 28;
-
 /// recv() scratch size per call; the read loop drains to EAGAIN anyway
 /// (edge-triggered contract), this only bounds one copy.
 constexpr size_t kReadChunkBytes = 64 * 1024;
@@ -382,15 +378,13 @@ void ReactorEngine::ParseFrames(size_t shard,
   while (!s->closed && !s->closing && !s->read_error.has_value()) {
     const size_t avail = s->read_buf.size() - s->read_pos;
     if (avail < kFrameOverheadBytes) break;
-    uint32_t len = 0;
-    for (size_t i = 0; i < kFrameOverheadBytes; ++i) {
-      len = (len << 8) | s->read_buf[s->read_pos + i];
-    }
-    if (len > kMaxMessageBytes) {
-      HandleReadFailure(
-          shard, s, Status::ProtocolError("incoming frame exceeds the limit"));
+    const Result<uint32_t> prefix =
+        DecodeFrameLength(s->read_buf.data() + s->read_pos);
+    if (!prefix.ok()) {
+      HandleReadFailure(shard, s, prefix.status());
       break;
     }
+    const size_t len = *prefix;
     if (avail < kFrameOverheadBytes + len) break;
     const auto frame_begin =
         s->read_buf.begin() +
@@ -488,11 +482,8 @@ void ReactorEngine::AppendOutbound(const std::shared_ptr<SessionState>& s,
   if (s->transport_dead) return;
   Bytes wire;
   wire.reserve(kFrameOverheadBytes + payload.size());
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  for (size_t i = 0; i < kFrameOverheadBytes; ++i) {
-    wire.push_back(
-        static_cast<uint8_t>(len >> (8 * (kFrameOverheadBytes - 1 - i))));
-  }
+  const auto prefix = EncodeFrameLength(payload.size());
+  wire.insert(wire.end(), prefix.begin(), prefix.end());
   wire.insert(wire.end(), payload.begin(), payload.end());
   s->outbox.push_back(std::move(wire));
 }

@@ -16,15 +16,6 @@ WeightVector SelectionToWeights(const SelectionVector& selection) {
   return weights;
 }
 
-CompiledQuery WholeColumnSum(const Database* db) {
-  CompiledQuery query;
-  query.column = db;
-  query.transform = ExponentTransform::Identity();
-  query.begin = 0;
-  query.end = db->size();
-  return query;
-}
-
 FoldEngine WholeSourceEngine(const PaillierPublicKey& pub,
                              std::unique_ptr<RowSource> rows,
                              size_t worker_threads) {
@@ -116,7 +107,7 @@ Result<BigInt> SumClient::HandleResponse(const PaillierCiphertext& sum) {
 }
 
 SumServer::SumServer(PaillierPublicKey pub, const Database* db)
-    : SumServer(std::move(pub), WholeColumnSum(db)) {}
+    : SumServer(std::move(pub), std::make_unique<ColumnRowSource>(db)) {}
 
 SumServer::SumServer(PaillierPublicKey pub, const CompiledQuery& query,
                      size_t worker_threads)
@@ -131,18 +122,12 @@ SumServer::SumServer(PaillierPublicKey pub, std::unique_ptr<RowSource> rows,
       engine_(WholeSourceEngine(pub_, std::move(rows), worker_threads)) {}
 
 Result<std::optional<Bytes>> SumServer::HandleRequest(BytesView frame) {
-  if (finished_) {
-    return Status::FailedPrecondition("response already produced");
-  }
-  // The ciphertexts stay wire bytes: the engine decodes each row into
-  // its limb buffer as it folds.
-  PPSTATS_ASSIGN_OR_RETURN(IndexBatchView batch,
-                           IndexBatchMessage::Parse(pub_, frame));
-
+  // The engine's upload sequencer validates the frame; the ciphertexts
+  // stay wire bytes, decoded into the engine's limb buffer as it folds.
   double elapsed = 0;
   {
     obs::ScopedPhaseTimer timer(&elapsed, obs::kSpanServerCompute);
-    PPSTATS_RETURN_IF_ERROR(engine_.FoldChunk(batch));
+    PPSTATS_RETURN_IF_ERROR(engine_.FoldChunk(frame));
   }
   compute_seconds_ += elapsed;
   chunk_compute_seconds_.push_back(elapsed);

@@ -27,6 +27,7 @@
 #include "core/fold_engine.h"
 #include "core/messages.h"
 #include "core/query.h"
+#include "core/query_exec.h"
 #include "crypto/pool.h"
 #include "db/database.h"
 
@@ -105,8 +106,9 @@ class SumClient {
 };
 
 /// Server endpoint: executes one compiled query, accumulating the
-/// homomorphic product as index chunks arrive.
-class SumServer {
+/// homomorphic product as index chunks arrive. It is the QueryExecution
+/// a LocalQueryRouter opens for every local query.
+class SumServer : public QueryExecution {
  public:
   /// Plain selected/weighted sum over the whole of `db` (the common
   /// case: the figure harnesses).
@@ -128,17 +130,18 @@ class SumServer {
 
   /// Consumes one request frame. Returns the encoded response frame once
   /// the last expected row has been processed, std::nullopt before that.
-  [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(BytesView frame);
+  [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(
+      BytesView frame) override;
 
   /// True once the response has been produced.
-  bool Finished() const { return finished_; }
+  bool Finished() const override { return finished_; }
 
   /// Largest number of row values the row source has held resident at
   /// once (0 for in-memory columns, which do not track it).
   size_t peak_resident_rows() const { return engine_.peak_resident_rows(); }
 
   // --- timing --------------------------------------------------------
-  double compute_seconds() const { return compute_seconds_; }
+  double compute_seconds() const override { return compute_seconds_; }
   const std::vector<double>& chunk_compute_seconds() const {
     return chunk_compute_seconds_;
   }

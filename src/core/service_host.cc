@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/query.h"
 #include "core/reactor_host.h"
 #include "obs/export.h"
 
@@ -36,15 +37,10 @@ Status ServiceHost::Start(const std::string& uri) {
       return Status::FailedPrecondition("service host has no columns");
     }
     LocalRouterConfig config;
-    if (!options_.default_column.empty()) {
-      config.default_column = registry_->Find(options_.default_column);
-      if (config.default_column == nullptr) {
-        return Status::NotFound("default column not in the registry: " +
-                                options_.default_column);
-      }
-    } else if (registry_->size() == 1) {
-      config.default_column = registry_->Find(registry_->ColumnNames().front());
-    }
+    PPSTATS_ASSIGN_OR_RETURN(
+        config.default_column,
+        ResolveDefaultColumn(options_.default_column,
+                             registry_->ColumnNames()));
     config.worker_threads = options_.worker_threads;
     config.shard_blind = options_.shard_blind;
     router_factory = [registry = registry_, config = std::move(config)] {

@@ -33,6 +33,8 @@ struct ShardDescriptor {
   std::string uri;     ///< dialable endpoint ("unix:/path" | "tcp:host:port")
   uint64_t begin = 0;  ///< first global row owned by the shard (inclusive)
   uint64_t end = 0;    ///< one past the last global row (exclusive)
+
+  bool operator==(const ShardDescriptor&) const = default;
 };
 
 /// Name -> column catalog served by one ServiceHost.

@@ -22,6 +22,16 @@ ChannelMetrics& ChannelMetrics::Get() {
   return *metrics;
 }
 
+Result<uint32_t> DecodeFrameLength(const uint8_t* prefix, size_t max_bytes) {
+  const uint32_t length = (uint32_t{prefix[0]} << 24) |
+                          (uint32_t{prefix[1]} << 16) |
+                          (uint32_t{prefix[2]} << 8) | prefix[3];
+  if (length > max_bytes) {
+    return Status::ProtocolError("incoming frame exceeds the limit");
+  }
+  return length;
+}
+
 namespace {
 
 // One direction of a duplex in-memory pipe.

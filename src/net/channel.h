@@ -13,6 +13,7 @@
 #ifndef PPSTATS_NET_CHANNEL_H_
 #define PPSTATS_NET_CHANNEL_H_
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -31,6 +32,26 @@ namespace ppstats {
 /// amount so simulated and real runs report identical byte counts for
 /// identical frame sequences.
 inline constexpr size_t kFrameOverheadBytes = 4;
+
+/// Largest frame a stream transport accepts from its peer by default: a
+/// longer length prefix is refused before anything is allocated
+/// (corrupt or hostile peers).
+inline constexpr size_t kMaxFrameBytes = size_t{1} << 28;
+
+/// The one frame codec of the stream transports (socket channels and
+/// the reactor host): a frame is its length as a kFrameOverheadBytes
+/// big-endian prefix, then its bytes.
+inline std::array<uint8_t, kFrameOverheadBytes> EncodeFrameLength(
+    size_t length) {
+  return {static_cast<uint8_t>(length >> 24),
+          static_cast<uint8_t>(length >> 16),
+          static_cast<uint8_t>(length >> 8), static_cast<uint8_t>(length)};
+}
+
+/// Reads the length prefix at `prefix`; a length above `max_bytes` is a
+/// ProtocolError.
+[[nodiscard]] Result<uint32_t> DecodeFrameLength(
+    const uint8_t* prefix, size_t max_bytes = kMaxFrameBytes);
 
 /// Counters for traffic sent in one direction.
 struct TrafficStats {

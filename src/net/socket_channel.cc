@@ -70,13 +70,9 @@ class SocketChannel : public Channel {
     // One deadline covers the whole frame (header + payload), so a peer
     // draining one byte per backoff cannot stretch a Send indefinitely.
     std::optional<TimePoint> deadline = AbsoluteDeadline(write_deadline_);
-    uint8_t header[4];
-    uint32_t len = static_cast<uint32_t>(message.size());
-    for (int i = 0; i < 4; ++i) {
-      header[i] = static_cast<uint8_t>(len >> (24 - 8 * i));
-    }
+    const auto header = EncodeFrameLength(message.size());
     Status written = [&] {
-      PPSTATS_RETURN_IF_ERROR(WriteAll(header, 4, deadline));
+      PPSTATS_RETURN_IF_ERROR(WriteAll(header.data(), header.size(), deadline));
       return WriteAll(message.data(), message.size(), deadline);
     }();
     if (!written.ok()) {
@@ -118,13 +114,10 @@ class SocketChannel : public Channel {
  private:
   Result<Bytes> ReceiveFrame() {
     std::optional<TimePoint> deadline = AbsoluteDeadline(read_deadline_);
-    uint8_t header[4];
-    PPSTATS_RETURN_IF_ERROR(ReadAll(header, 4, deadline));
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) len = (len << 8) | header[i];
-    if (len > max_message_bytes_) {
-      return Status::ProtocolError("incoming frame exceeds the limit");
-    }
+    uint8_t header[kFrameOverheadBytes];
+    PPSTATS_RETURN_IF_ERROR(ReadAll(header, kFrameOverheadBytes, deadline));
+    PPSTATS_ASSIGN_OR_RETURN(uint32_t len,
+                             DecodeFrameLength(header, max_message_bytes_));
     Bytes out(len);
     PPSTATS_RETURN_IF_ERROR(ReadAll(out.data(), out.size(), deadline));
     return out;
@@ -556,14 +549,6 @@ Result<SocketListener> SocketListener::Bind(const Endpoint& endpoint,
                         options.sndbuf_bytes);
 }
 
-Result<SocketListener> SocketListener::Bind(const std::string& path,
-                                            int backlog) {
-  PPSTATS_ASSIGN_OR_RETURN(Endpoint endpoint, ParseEndpoint(path));
-  ListenOptions options;
-  options.backlog = backlog;
-  return Bind(endpoint, options);
-}
-
 Result<SocketListener> SocketListener::Duplicate() const {
   if (fd_ < 0) return Status::FailedPrecondition("listener is closed");
   int fd = ::dup(fd_);
@@ -661,13 +646,6 @@ Result<std::unique_ptr<Channel>> ConnectChannel(const std::string& uri,
                                                 uint32_t connect_deadline_ms) {
   PPSTATS_ASSIGN_OR_RETURN(Endpoint endpoint, ParseEndpoint(uri));
   return ConnectEndpoint(endpoint, connect_deadline_ms);
-}
-
-Result<std::unique_ptr<Channel>> ConnectUnixSocket(const std::string& path) {
-  Endpoint endpoint;
-  endpoint.kind = EndpointKind::kUnix;
-  endpoint.path = path;
-  return ConnectEndpoint(endpoint);
 }
 
 Result<std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>>>

@@ -84,7 +84,7 @@ CreateSocketChannelPair();
 /// length; a frame larger than `max_message_bytes` is rejected without
 /// allocation (protects against corrupt or hostile peers).
 std::unique_ptr<Channel> WrapSocket(int fd,
-                                    size_t max_message_bytes = 1 << 28);
+                                    size_t max_message_bytes = kMaxFrameBytes);
 
 /// Listens on an Endpoint: a filesystem AF_UNIX socket path (unlinked
 /// on destruction) or a TCP host:port. Used by ServiceHost and the
@@ -103,10 +103,6 @@ class SocketListener {
   /// endpoint() reports the resolved one.
   [[nodiscard]] static Result<SocketListener> Bind(
       const Endpoint& endpoint, const ListenOptions& options = {});
-
-  /// Historical form: binds an AF_UNIX path (or any endpoint URI).
-  [[nodiscard]] static Result<SocketListener> Bind(const std::string& path,
-                                                   int backlog = 16);
 
   /// Duplicates the listener: the copy shares the same open file
   /// description (dup(2)), so both see the same accept queue. Used for
@@ -166,9 +162,6 @@ class SocketListener {
 /// Connects to an endpoint URI ("unix:/p", "tcp:host:port", bare path).
 [[nodiscard]] Result<std::unique_ptr<Channel>> ConnectChannel(
     const std::string& uri, uint32_t connect_deadline_ms = 0);
-
-/// Connects to a listening AF_UNIX socket path.
-[[nodiscard]] Result<std::unique_ptr<Channel>> ConnectUnixSocket(const std::string& path);
 
 }  // namespace ppstats
 

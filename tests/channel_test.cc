@@ -170,11 +170,18 @@ TEST(ChannelTest, ZeroDeadlineBlocksAsBefore) {
 }
 
 TEST(ChannelTest, ListenerBacklogIsConfigurable) {
-  std::string path = std::string(::testing::TempDir()) + "/backlog.sock";
-  EXPECT_FALSE(SocketListener::Bind(path, 0).ok());
-  EXPECT_FALSE(SocketListener::Bind(path, -3).ok());
-  SocketListener listener = SocketListener::Bind(path, 1).ValueOrDie();
-  auto client = ConnectUnixSocket(path);
+  const std::string uri =
+      "unix:" + std::string(::testing::TempDir()) + "/backlog.sock";
+  const Endpoint endpoint = ParseEndpoint(uri).ValueOrDie();
+  ListenOptions options;
+  for (int backlog : {0, -3}) {
+    options.backlog = backlog;
+    EXPECT_FALSE(SocketListener::Bind(endpoint, options).ok()) << backlog;
+  }
+  options.backlog = 1;
+  SocketListener listener =
+      SocketListener::Bind(endpoint, options).ValueOrDie();
+  auto client = ConnectChannel(uri);
   ASSERT_TRUE(client.ok());
   Result<std::optional<int>> fd = listener.AcceptFd();
   ASSERT_TRUE(fd.ok() && fd->has_value());

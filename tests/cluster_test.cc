@@ -17,6 +17,7 @@
 #include "bigint/modarith.h"
 #include "common/thread_pool.h"
 #include "core/messages.h"
+#include "core/query.h"
 #include "core/service_host.h"
 #include "core/session.h"
 #include "crypto/chacha20_rng.h"
@@ -233,6 +234,7 @@ TEST(ClusterCoordinatorTest, ValidateCatchesMisconfiguration) {
 
 struct TestCluster {
   std::vector<uint32_t> values;  ///< the logical column, concatenated
+  std::vector<uint32_t> values2;  ///< column "w", when configured
   std::vector<std::unique_ptr<ColumnRegistry>> shard_registries;
   std::vector<std::unique_ptr<ServiceHost>> shard_hosts;
   ColumnRegistry map_registry;
@@ -266,6 +268,11 @@ struct TestClusterConfig {
   /// When nonzero, the last shard serves only this many of its rows
   /// while the shard map still claims its whole range.
   size_t last_shard_served_rows = 0;
+  /// Adds a second column "w" (value 3 * row + 2) under the same shard
+  /// map, so the registries hold two columns.
+  bool second_column = false;
+  /// Default column of every host ("" = the sole column, if any).
+  std::string default_column;
 };
 
 std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
@@ -278,20 +285,27 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
   size_t begin = 0;
   for (size_t i = 0; i < config.shards; ++i) {
     std::vector<uint32_t> slice(base + (i < extra ? 1 : 0));
+    std::vector<uint32_t> slice2(slice.size());
     for (size_t r = 0; r < slice.size(); ++r) {
       slice[r] = static_cast<uint32_t>(10 * (begin + r) + 1);
+      slice2[r] = static_cast<uint32_t>(3 * (begin + r) + 2);
       cluster->values.push_back(slice[r]);
+      if (config.second_column) cluster->values2.push_back(slice2[r]);
     }
     if (i + 1 == config.shards && config.last_shard_served_rows != 0) {
       slice.resize(config.last_shard_served_rows);
     }
     auto registry = std::make_unique<ColumnRegistry>();
     EXPECT_TRUE(registry->Register(Database("v", slice)).ok());
+    if (config.second_column) {
+      EXPECT_TRUE(registry->Register(Database("w", slice2)).ok());
+    }
     // Shard and coordinator hosts share this process's ThreadPool::
     // Shared(): the coordinator session parks one worker on its blocking
     // fan-out while the shards fold on another, which the pool's
     // two-worker floor guarantees even on a 1-CPU host.
     ServiceHostOptions options;
+    options.default_column = config.default_column;
     if (config.blind && config.shards_know_blinding) {
       ShardBlindConfig blind;
       blind.shard_index = static_cast<uint32_t>(i);
@@ -311,6 +325,9 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
     cluster->shard_registries.push_back(std::move(registry));
     cluster->shard_hosts.push_back(std::move(host));
   }
+  if (config.second_column) {
+    EXPECT_TRUE(cluster->map_registry.SetShards("w", shards).ok());
+  }
   EXPECT_TRUE(cluster->map_registry.SetShards("v", std::move(shards)).ok());
 
   // A dedicated fan-out pool: legs do blocking upstream I/O, and on a
@@ -318,6 +335,7 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
   // hosts' own fold tasks mid-test.
   cluster->pool = std::make_unique<ThreadPool>(config.shards);
   CoordinatorOptions coordinator_options;
+  coordinator_options.default_column = config.default_column;
   coordinator_options.shard_attempts = config.shard_attempts;
   coordinator_options.shard_io_deadline_ms = config.shard_io_deadline_ms;
   coordinator_options.retry.initial_backoff_ms = 1;
@@ -490,10 +508,8 @@ TEST(ClusterServiceTest, ShardRowCountContradictingItsMapIsAProtocolError) {
       << total.status().ToString();
 }
 
-// Opens a raw v2 session on `uri`, starts a sum query over column "v"
-// and sends `chunk` as its first index frame. Returns the status the
-// server's Error frame carries, or OK when it answers with a sum.
-Status FirstChunkOutcome(const std::string& uri, const Bytes& chunk) {
+// Opens a raw v2 session on `uri`: hello sent, ServerHello received.
+Result<std::unique_ptr<Channel>> OpenRawSession(const std::string& uri) {
   PPSTATS_ASSIGN_OR_RETURN(std::unique_ptr<Channel> channel,
                            ConnectChannel(uri));
   ClientHelloMessage hello;
@@ -502,6 +518,27 @@ Status FirstChunkOutcome(const std::string& uri, const Bytes& chunk) {
   PPSTATS_RETURN_IF_ERROR(channel->Send(hello.Encode()));
   PPSTATS_ASSIGN_OR_RETURN(Bytes server_hello, channel->Receive());
   PPSTATS_RETURN_IF_ERROR(ServerHelloMessage::Decode(server_hello).status());
+  return channel;
+}
+
+// Sends `header` on a raw session to `uri`. Returns the status the
+// server's Error frame carries, or OK when it accepts the query.
+Status HeaderOutcome(const std::string& uri, const QueryHeaderMessage& header) {
+  PPSTATS_ASSIGN_OR_RETURN(std::unique_ptr<Channel> channel,
+                           OpenRawSession(uri));
+  PPSTATS_RETURN_IF_ERROR(channel->Send(header.Encode()));
+  PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel->Receive());
+  PPSTATS_ASSIGN_OR_RETURN(MessageType type, PeekMessageType(reply));
+  if (type == MessageType::kError) return StatusFromErrorFrame(reply);
+  return QueryAcceptMessage::Decode(reply).status();
+}
+
+// Opens a raw v2 session on `uri`, starts a sum query over column "v"
+// and sends `chunk` as its first index frame. Returns the status the
+// server's Error frame carries, or OK when it answers with a sum.
+Status FirstChunkOutcome(const std::string& uri, const Bytes& chunk) {
+  PPSTATS_ASSIGN_OR_RETURN(std::unique_ptr<Channel> channel,
+                           OpenRawSession(uri));
   QueryHeaderMessage header;
   header.kind = static_cast<uint8_t>(StatisticKind::kSum);
   header.column = "v";
@@ -569,6 +606,78 @@ TEST(ClusterCoordinatorTest, HostileIndexChunksFailAsOnAPlainServer) {
     EXPECT_EQ(coordinated.code(), direct.code()) << c.name;
     EXPECT_EQ(coordinated.message(), direct.message()) << c.name;
   }
+}
+
+TEST(ClusterCoordinatorTest, QueryHeadersFailAsOnAPlainServer) {
+  // The coordinator resolves QueryHeaders against shard maps under the
+  // server's header rule: each refusal carries the code and reason a
+  // shard host gives, before any index chunk is sent. Two columns and no
+  // default on either side.
+  TestClusterConfig config;
+  config.shards = 1;
+  config.rows = 16;
+  config.second_column = true;
+  auto cluster = StartCluster("header", config);
+  auto header = [](uint8_t kind, std::string column, std::string column2) {
+    QueryHeaderMessage h;
+    h.kind = kind;
+    h.column = std::move(column);
+    h.column2 = std::move(column2);
+    return h;
+  };
+  const uint8_t sum = static_cast<uint8_t>(StatisticKind::kSum);
+  const uint8_t product = static_cast<uint8_t>(StatisticKind::kProduct);
+  const struct {
+    const char* name;
+    QueryHeaderMessage header;
+    StatusCode code;
+  } cases[] = {
+      {"valid product", header(product, "v", "w"), StatusCode::kOk},
+      {"unknown kind", header(9, "v", ""), StatusCode::kInvalidArgument},
+      {"unknown column", header(sum, "nope", ""), StatusCode::kNotFound},
+      {"empty column, no default", header(sum, "", ""),
+       StatusCode::kNotFound},
+      {"product without column2", header(product, "v", ""),
+       StatusCode::kInvalidArgument},
+      {"product with unknown column2", header(product, "v", "nope"),
+       StatusCode::kNotFound},
+      {"column2 on a sum", header(sum, "v", "w"),
+       StatusCode::kInvalidArgument},
+  };
+  for (const auto& c : cases) {
+    const Status direct =
+        HeaderOutcome(cluster->shard_hosts[0]->bound_uri(), c.header);
+    const Status coordinated =
+        HeaderOutcome(cluster->coordinator_host->bound_uri(), c.header);
+    EXPECT_EQ(direct.code(), c.code) << c.name << ": " << direct.ToString();
+    EXPECT_EQ(coordinated.code(), direct.code()) << c.name;
+    EXPECT_EQ(coordinated.message(), direct.message()) << c.name;
+  }
+}
+
+TEST(ClusterCoordinatorTest, ProductColumnsMustShareOneShardMap) {
+  // Each shard folds its slice of both columns, so a product over
+  // columns sharded differently is refused at the QueryHeader.
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.SetShards("v", {MakeShard(0, "unix:/a", 0, 10)}).ok());
+  ASSERT_TRUE(registry.SetShards("w", {MakeShard(0, "unix:/b", 0, 10)}).ok());
+  ASSERT_TRUE(registry.SetShards("x", {MakeShard(0, "unix:/a", 0, 10)}).ok());
+  ShardCoordinator coordinator(&registry, {});
+  ASSERT_TRUE(coordinator.Validate().ok());
+  std::shared_ptr<QueryRouter> router = coordinator.RouterFactory()();
+  QueryHeaderMessage header;
+  header.kind = static_cast<uint8_t>(StatisticKind::kProduct);
+  header.column = "v";
+  header.column2 = "w";
+  Result<OpenedQuery> mismatched =
+      router->Open(header, SharedKeyPair().public_key);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+  header.column2 = "x";
+  Result<OpenedQuery> aligned =
+      router->Open(header, SharedKeyPair().public_key);
+  ASSERT_TRUE(aligned.ok()) << aligned.status().ToString();
+  EXPECT_EQ(aligned->rows, 10u);
 }
 
 // A shard whose every answer is a flagged PartialResult, as a nested
@@ -672,13 +781,15 @@ TEST(ClusterCoordinatorTest, ShardPartialAnswerIsARetryableProtocolError) {
 
 // ---------------------------------------------------------------------------
 // Partition sweep: the coordinator over real shard hosts returns the
-// plaintext selected sum (mod M when blinded) for even and uneven
-// partitions, one to five shards.
+// plaintext statistic (mod M when blinded) for even and uneven
+// partitions, one to five shards: the selected sum, the sum of squares,
+// and the product with a second column under the same shard map.
 
 struct SweepShape {
   size_t shards;
   size_t rows;
   bool blind;
+  StatisticKind kind = StatisticKind::kSum;
 };
 
 // Names each case in the test listing (gtest would otherwise dump the
@@ -686,20 +797,43 @@ struct SweepShape {
 void PrintTo(const SweepShape& shape, std::ostream* os) {
   *os << shape.shards << " shards, " << shape.rows << " rows, "
       << (shape.blind ? "blinded" : "plain");
+  if (shape.kind != StatisticKind::kSum) {
+    *os << ", " << StatisticKindName(shape.kind);
+  }
+}
+
+std::vector<SweepShape> SweepShapes() {
+  std::vector<SweepShape> shapes;
+  for (StatisticKind kind : {StatisticKind::kSum, StatisticKind::kSumOfSquares,
+                             StatisticKind::kProduct}) {
+    for (const auto& [shards, rows] :
+         {std::pair<size_t, size_t>{1, 10}, {2, 20}, {3, 31}, {5, 47}}) {
+      for (bool blind : {false, true}) {
+        shapes.push_back(SweepShape{shards, rows, blind, kind});
+      }
+    }
+  }
+  return shapes;
 }
 
 class ClusterSweepTest : public ::testing::TestWithParam<SweepShape> {};
 
 TEST_P(ClusterSweepTest, CoordinatorReturnsThePlaintextSum) {
   const SweepShape shape = GetParam();
+  const bool product = shape.kind == StatisticKind::kProduct;
   TestClusterConfig config;
   config.shards = shape.shards;
   config.rows = shape.rows;
   config.blind = shape.blind;
-  auto cluster = StartCluster("sw" + std::to_string(shape.shards) + "_" +
-                                  std::to_string(shape.rows) +
-                                  (shape.blind ? "b" : "p"),
-                              config);
+  if (product) {
+    config.second_column = true;
+    config.default_column = "v";
+  }
+  auto cluster = StartCluster(
+      "sw" + std::to_string(shape.shards) + "_" + std::to_string(shape.rows) +
+          (shape.blind ? "b" : "p") +
+          std::to_string(static_cast<int>(shape.kind)),
+      config);
   ASSERT_EQ(cluster->values.size(), shape.rows);
 
   ChaCha20Rng rng(shape.shards * 1000 + shape.rows);
@@ -714,25 +848,36 @@ TEST_P(ClusterSweepTest, CoordinatorReturnsThePlaintextSum) {
           .ok());
   EXPECT_EQ(session.server_rows(), shape.rows);
   QuerySpec spec;
+  spec.kind = shape.kind;
   spec.column = "v";
+  if (product) spec.column2 = "w";
   Result<BigInt> total = session.RunQuery(spec, selection);
   ASSERT_TRUE(total.ok()) << total.status().ToString();
-  BigInt expected(ExpectedSum(cluster->values, selection));
+  // The plaintext oracle: sum over the selected rows of x, x^2 or x*y.
+  uint64_t oracle = 0;
+  for (size_t i = 0; i < shape.rows; ++i) {
+    if (!selection[i]) continue;
+    const uint64_t x = cluster->values[i];
+    oracle += shape.kind == StatisticKind::kSum ? x
+              : product                         ? x * cluster->values2[i]
+                                                : x * x;
+  }
+  BigInt expected(oracle);
   if (shape.blind) expected = Mod(expected, config.blind_modulus);
   EXPECT_EQ(*total, expected);
   EXPECT_TRUE(session.Finish().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, ClusterSweepTest,
-    ::testing::Values(SweepShape{1, 10, false}, SweepShape{1, 10, true},
-                      SweepShape{2, 20, false}, SweepShape{2, 20, true},
-                      SweepShape{3, 31, false}, SweepShape{3, 31, true},
-                      SweepShape{5, 47, false}, SweepShape{5, 47, true}),
+    Shapes, ClusterSweepTest, ::testing::ValuesIn(SweepShapes()),
     [](const ::testing::TestParamInfo<SweepShape>& info) {
-      return std::to_string(info.param.shards) + "Shards" +
-             std::to_string(info.param.rows) + "Rows" +
-             (info.param.blind ? "Blinded" : "Plain");
+      const SweepShape& shape = info.param;
+      std::string name = std::to_string(shape.shards) + "Shards" +
+                         std::to_string(shape.rows) + "Rows" +
+                         (shape.blind ? "Blinded" : "Plain");
+      if (shape.kind == StatisticKind::kSumOfSquares) name += "SumOfSquares";
+      if (shape.kind == StatisticKind::kProduct) name += "Product";
+      return name;
     });
 
 // ---------------------------------------------------------------------------

@@ -32,13 +32,12 @@ Bytes WirePayload(const PaillierPublicKey& pub,
   return payload;
 }
 
-// Hands `cts` to the engine as the chunk of rows from `start`, in the
-// wire form IndexBatchMessage::Parse yields.
+// Hands `cts` to the engine as the IndexBatch frame of rows from
+// `start`.
 Status FoldRows(FoldEngine& engine, const PaillierPublicKey& pub,
                 size_t start, std::span<const PaillierCiphertext> cts) {
-  const Bytes payload = WirePayload(pub, cts);
-  return engine.FoldChunk(
-      IndexBatchView{start, static_cast<uint32_t>(cts.size()), payload});
+  return engine.FoldChunk(IndexBatchMessage::EncodeRaw(
+      start, static_cast<uint32_t>(cts.size()), WirePayload(pub, cts)));
 }
 
 std::vector<PaillierCiphertext> EncryptWeights(const WeightVector& weights,
@@ -353,10 +352,11 @@ TEST(FoldEngineDifferentialTest, AllZeroExponentsFoldToOne) {
 }
 
 TEST(FoldEngineTest, RejectsCiphertextsOutsideTheResidueRange) {
-  // The conversion-free fold is only exact on canonical residues, so
-  // FoldChunk itself (not just IndexBatchMessage::Parse) must refuse a
-  // wire row >= n^2, or a payload that is not count rows wide, before
-  // anything reaches the accumulator, and leave the fold intact.
+  // The conversion-free fold is only exact on canonical residues. The
+  // engine folds only frames its upload sequencer accepts, so a wire row
+  // >= n^2, or a payload that is not count rows wide, is refused with
+  // IndexBatchMessage::Parse's status before anything reaches the
+  // accumulator, and the fold stays intact.
   const PaillierPublicKey& pub = SharedKeyPair().public_key;
   const size_t width = pub.CiphertextBytes();
   Database db("d", {1, 2});
@@ -372,20 +372,26 @@ TEST(FoldEngineTest, RejectsCiphertextsOutsideTheResidueRange) {
     const char* name;
     uint32_t count;
     Bytes payload;
+    StatusCode code;
   };
   const std::vector<Bad> bad = {
-      {"n^2", 2, with_second_row(pub.n_squared().ToBytes(width))},
-      {"all 0xFF", 2, with_second_row(Bytes(width, 0xFF))},
-      {"count above payload", 3, good_rows},
-      {"count below payload", 1, good_rows},
+      {"n^2", 2, with_second_row(pub.n_squared().ToBytes(width)),
+       StatusCode::kProtocolError},
+      {"all 0xFF", 2, with_second_row(Bytes(width, 0xFF)),
+       StatusCode::kProtocolError},
+      {"count above payload", 3, good_rows, StatusCode::kSerializationError},
+      {"count below payload", 1, good_rows, StatusCode::kSerializationError},
   };
   for (const Bad& b : bad) {
     FoldEngine engine(pub, std::make_unique<ColumnRowSource>(&db),
                       ExponentTransform::Identity(), 0, db.size());
-    EXPECT_EQ(engine.FoldChunk(IndexBatchView{0, b.count, b.payload}).code(),
-              StatusCode::kProtocolError)
+    EXPECT_EQ(
+        engine.FoldChunk(IndexBatchMessage::EncodeRaw(0, b.count, b.payload))
+            .code(),
+        b.code)
         << b.name;
-    ASSERT_TRUE(engine.FoldChunk(IndexBatchView{0, 2, good_rows}).ok())
+    ASSERT_TRUE(
+        engine.FoldChunk(IndexBatchMessage::EncodeRaw(0, 2, good_rows)).ok())
         << b.name;
     EXPECT_EQ(engine.Finish(std::nullopt).ValueOrDie(),
               Paillier::WeightedFold(pub, good,

@@ -19,6 +19,7 @@
 #include "core/messages.h"
 #include "core/session.h"
 #include "core/session_fsm.h"
+#include "db/column_registry.h"
 #include "db/database.h"
 
 namespace {
@@ -52,11 +53,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         __builtin_trap();
       }
       if (msg.protocol_version != ppstats::kSessionProtocolV2) {
-        static const ppstats::Database db("d", {1, 2, 3});
+        static const ppstats::ColumnRegistry* registry = [] {
+          auto* r = new ppstats::ColumnRegistry();
+          r->Register(ppstats::Database("d", {1, 2, 3})).IgnoreError();
+          return r;
+        }();
         ppstats::LocalRouterConfig config;
-        config.default_column = &db;
+        config.default_column = "d";
         ppstats::ServerProtocolFsm fsm(
-            std::make_shared<ppstats::LocalQueryRouter>(nullptr, config));
+            std::make_shared<ppstats::LocalQueryRouter>(registry, config));
         ppstats::ServerFsmOutput out = fsm.OnFrame(view);
         if (!out.done || out.frames.size() != 1 ||
             !IsProtocolErrorFrame(out.frames[0])) {

@@ -93,11 +93,11 @@ TEST(CompileQueryTest, RegistryResolvesNamedColumns) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("x", {1, 2})).ok());
   ASSERT_TRUE(registry.Register(Database("y", {3, 4})).ok());
-  QuerySpec spec;
-  spec.kind = StatisticKind::kProduct;
-  spec.column = "x";
-  spec.column2 = "y";
-  CompiledQuery query = CompileQuery(spec, registry).ValueOrDie();
+  QueryHeaderMessage header;
+  header.kind = static_cast<uint8_t>(StatisticKind::kProduct);
+  header.column = "x";
+  header.column2 = "y";
+  CompiledQuery query = CompileQuery(header, registry).ValueOrDie();
   EXPECT_EQ(query.column, registry.Find("x"));
   EXPECT_EQ(query.transform.second_column(), registry.Find("y"));
 }
@@ -105,11 +105,12 @@ TEST(CompileQueryTest, RegistryResolvesNamedColumns) {
 TEST(CompileQueryTest, EmptyNameFallsBackToDefaultColumn) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("x", {1, 2})).ok());
-  const Database* x = registry.Find("x");
-  CompiledQuery query = CompileQuery(QuerySpec{}, registry, x).ValueOrDie();
-  EXPECT_EQ(query.column, x);
+  QueryHeaderMessage header;
+  header.kind = static_cast<uint8_t>(StatisticKind::kSum);
+  CompiledQuery query = CompileQuery(header, registry, "x").ValueOrDie();
+  EXPECT_EQ(query.column, registry.Find("x"));
 
-  Result<CompiledQuery> no_default = CompileQuery(QuerySpec{}, registry);
+  Result<CompiledQuery> no_default = CompileQuery(header, registry);
   EXPECT_FALSE(no_default.ok());
   EXPECT_EQ(no_default.status().code(), StatusCode::kNotFound);
 }
@@ -117,11 +118,24 @@ TEST(CompileQueryTest, EmptyNameFallsBackToDefaultColumn) {
 TEST(CompileQueryTest, UnknownColumnNameIsNotFound) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("x", {1, 2})).ok());
-  QuerySpec spec;
-  spec.column = "nope";
-  Result<CompiledQuery> query = CompileQuery(spec, registry);
+  QueryHeaderMessage header;
+  header.kind = static_cast<uint8_t>(StatisticKind::kSum);
+  header.column = "nope";
+  Result<CompiledQuery> query = CompileQuery(header, registry);
   EXPECT_FALSE(query.ok());
   EXPECT_EQ(query.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(query.status().message(), "unknown column: nope");
+}
+
+TEST(CompileQueryTest, DefaultColumnIsTheConfiguredElseTheSoleName) {
+  const std::vector<std::string> one = {"a"};
+  const std::vector<std::string> two = {"a", "b"};
+  EXPECT_EQ(ResolveDefaultColumn("", one).ValueOrDie(), "a");
+  EXPECT_EQ(ResolveDefaultColumn("", two).ValueOrDie(), "");
+  EXPECT_EQ(ResolveDefaultColumn("b", two).ValueOrDie(), "b");
+  Result<std::string> unknown = ResolveDefaultColumn("c", two);
+  EXPECT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ColumnRegistryTest, RegisterFindAndNames) {

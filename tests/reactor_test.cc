@@ -317,7 +317,7 @@ class ServerFsmTest : public ::testing::Test {
   // A machine answering from `registry_`, "col" as its default column.
   ServerProtocolFsm MakeFsm() const {
     LocalRouterConfig config;
-    config.default_column = registry_.Find("col");
+    config.default_column = "col";
     return ServerProtocolFsm(
         std::make_shared<LocalQueryRouter>(&registry_, std::move(config)));
   }

@@ -162,8 +162,10 @@ TEST(RetryTest, ConnectDeadlineBoundsABlackholedEndpoint) {
   // DeadlineExceeded. Simulated locally: a listener that never accepts
   // and whose tiny backlog we fill, so further SYNs are dropped on the
   // floor (Linux leaves the dialer in SYN-SENT rather than refusing).
-  Result<SocketListener> listener =
-      SocketListener::Bind(std::string("tcp:127.0.0.1:0"), /*backlog=*/1);
+  ListenOptions options;
+  options.backlog = 1;
+  Result<SocketListener> listener = SocketListener::Bind(
+      ParseEndpoint("tcp:127.0.0.1:0").ValueOrDie(), options);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   DialFn dial = UriDialer(listener->endpoint().ToUri(),
                           /*io_deadline_ms=*/0,
@@ -195,7 +197,7 @@ TEST(RetryTest, ConnectDeadlineBoundsABlackholedEndpoint) {
 TEST(RetryTest, ConnectDeadlineStillDialsALiveListener) {
   // The non-blocking connect path must not break ordinary dials.
   Result<SocketListener> listener =
-      SocketListener::Bind(std::string("tcp:127.0.0.1:0"));
+      SocketListener::Bind(ParseEndpoint("tcp:127.0.0.1:0").ValueOrDie());
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   DialFn dial = UriDialer(listener->endpoint().ToUri(),
                           /*io_deadline_ms=*/0,

@@ -140,7 +140,7 @@ Status RunChaosClient(const std::string& path,
                       const std::optional<FaultInjectionOptions>& faults,
                       uint64_t seed,
                       FaultCounters* injected = nullptr) {
-  Result<std::unique_ptr<Channel>> dialed = ConnectUnixSocket(path);
+  Result<std::unique_ptr<Channel>> dialed = ConnectChannel("unix:" + path);
   if (!dialed.ok()) return dialed.status();
   (*dialed)->set_read_deadline(kClientDeadline);
   (*dialed)->set_write_deadline(kClientDeadline);

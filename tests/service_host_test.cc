@@ -166,7 +166,7 @@ TEST_F(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
       WorkloadGenerator client_gen(client_rng);
       SelectionVector sel = client_gen.RandomSelection(40, 10 + c);
 
-      auto channel = ConnectUnixSocket(path);
+      auto channel = ConnectChannel("unix:" + path);
       if (!channel.ok()) {
         ++failures;
         return;
@@ -234,7 +234,7 @@ TEST_F(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
 
   // A plain sum over the default column (the paper's Fig 1 query).
   {
-    auto channel = ConnectUnixSocket(path).ValueOrDie();
+    auto channel = ConnectChannel("unix:" + path).ValueOrDie();
     SelectionVector sel = {true, false, true, false};
     EXPECT_EQ(QueryOnce(*channel, sel, 11).ValueOrDie(), BigInt(12));
   }
@@ -242,7 +242,7 @@ TEST_F(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   // A client asking for an unknown column fails its session with an
   // Error frame; the host keeps serving others afterwards.
   {
-    auto channel = ConnectUnixSocket(path).ValueOrDie();
+    auto channel = ConnectChannel("unix:" + path).ValueOrDie();
     ChaCha20Rng rng(12);
     QuerySession session(SharedKeyPair().private_key, rng);
     ASSERT_TRUE(session.Connect(*channel).ok());
@@ -256,7 +256,7 @@ TEST_F(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
 
   // Still serving.
   {
-    auto channel = ConnectUnixSocket(path).ValueOrDie();
+    auto channel = ConnectChannel("unix:" + path).ValueOrDie();
     ChaCha20Rng rng(13);
     QuerySession session(SharedKeyPair().private_key, rng);
     ASSERT_TRUE(session.Connect(*channel).ok());
@@ -309,7 +309,7 @@ TEST_F(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
 
   constexpr int kClients = 6;
   for (int c = 0; c < kClients; ++c) {
-    auto channel = ConnectUnixSocket(path).ValueOrDie();
+    auto channel = ConnectChannel("unix:" + path).ValueOrDie();
     ChaCha20Rng rng(40 + c);
     QuerySession session(SharedKeyPair().private_key, rng);
     ASSERT_TRUE(session.Connect(*channel).ok());
@@ -341,7 +341,7 @@ TEST_F(ServiceHostTest, SilentClientEvictedWithinDeadline) {
 
   // Connect and say nothing: the server's first read (ClientHello) must
   // hit its 100ms deadline instead of pinning the session forever.
-  auto channel = ConnectUnixSocket(path).ValueOrDie();
+  auto channel = ConnectChannel("unix:" + path).ValueOrDie();
   auto start = steady_clock::now();
   Result<Bytes> frame = channel->Receive();  // blocks until eviction
   auto elapsed = steady_clock::now() - start;
@@ -411,7 +411,7 @@ TEST_F(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   ASSERT_TRUE(host.Start(path).ok());
 
   // Client A occupies the only slot and keeps its session open.
-  auto slot = ConnectUnixSocket(path).ValueOrDie();
+  auto slot = ConnectChannel("unix:" + path).ValueOrDie();
   ChaCha20Rng rng_a(21);
   QuerySession a(SharedKeyPair().private_key, rng_a);
   ASSERT_TRUE(a.Connect(*slot).ok());
@@ -420,7 +420,7 @@ TEST_F(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   // Client B is over capacity: the host answers its connect with a
   // ResourceExhausted Error frame — a typed, retryable status, not a
   // hang or a bare close.
-  auto rejected = ConnectUnixSocket(path).ValueOrDie();
+  auto rejected = ConnectChannel("unix:" + path).ValueOrDie();
   ChaCha20Rng rng_b(22);
   QuerySession b(SharedKeyPair().private_key, rng_b);
   Status refused = b.Connect(*rejected);
@@ -433,7 +433,7 @@ TEST_F(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   ASSERT_TRUE(a.Finish().ok());
   ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
 
-  auto channel = ConnectUnixSocket(path).ValueOrDie();
+  auto channel = ConnectChannel("unix:" + path).ValueOrDie();
   ChaCha20Rng rng_c(23);
   QuerySession c(SharedKeyPair().private_key, rng_c);
   ASSERT_TRUE(c.Connect(*channel).ok());
@@ -481,7 +481,7 @@ TEST_F(ServiceHostTest, AcceptingSurvivesFdExhaustion) {
   EXPECT_TRUE(host.running());
 
   // Once the pressure clears, the very next connection is served.
-  auto channel = ConnectUnixSocket(path).ValueOrDie();
+  auto channel = ConnectChannel("unix:" + path).ValueOrDie();
   SelectionVector sel = {true, false};
   EXPECT_EQ(QueryOnce(*channel, sel, 31).ValueOrDie(), BigInt(7));
 
@@ -500,7 +500,7 @@ TEST_F(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   std::string path = SocketPath("svc_reset");
   ASSERT_TRUE(host.Start(path).ok());
   {
-    auto channel = ConnectUnixSocket(path).ValueOrDie();
+    auto channel = ConnectChannel("unix:" + path).ValueOrDie();
     SelectionVector sel = {true, true};
     EXPECT_EQ(QueryOnce(*channel, sel, 51).ValueOrDie(), BigInt(19));
   }
@@ -516,7 +516,7 @@ TEST_F(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   EXPECT_EQ(fresh.queries_served, 0u);
   EXPECT_EQ(fresh.distinct_client_keys, 0u);
   {
-    auto channel = ConnectUnixSocket(path).ValueOrDie();
+    auto channel = ConnectChannel("unix:" + path).ValueOrDie();
     SelectionVector sel = {false, true};
     EXPECT_EQ(QueryOnce(*channel, sel, 52).ValueOrDie(), BigInt(10));
   }
@@ -538,7 +538,7 @@ TEST_F(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
   std::string path = SocketPath("svc_live");
   ASSERT_TRUE(host.Start(path).ok());
 
-  auto channel = ConnectUnixSocket(path).ValueOrDie();
+  auto channel = ConnectChannel("unix:" + path).ValueOrDie();
   ChaCha20Rng rng(61);
   QuerySession session(SharedKeyPair().private_key, rng, {});
   ASSERT_TRUE(session.Connect(*channel).ok());
@@ -581,7 +581,7 @@ TEST_F(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
   }));
 
   {
-    auto channel = ConnectUnixSocket(path).ValueOrDie();
+    auto channel = ConnectChannel("unix:" + path).ValueOrDie();
     SelectionVector sel = {true, true, false, false};
     EXPECT_EQ(QueryOnce(*channel, sel, 62).ValueOrDie(), BigInt(3));
   }

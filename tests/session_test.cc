@@ -426,7 +426,7 @@ TEST(SocketChannelTest, ListenerAcceptsAndServes) {
   ASSERT_TRUE(host.Start(path).ok());
   EXPECT_EQ(host.bound_uri(), "unix:" + path);
 
-  auto channel = ConnectUnixSocket(path).ValueOrDie();
+  auto channel = ConnectChannel("unix:" + path).ValueOrDie();
   SelectionVector sel = {true, false, true, false};
   Result<BigInt> sum = QueryOnce(*channel, sel, 0, 7);
   channel.reset();
@@ -437,13 +437,14 @@ TEST(SocketChannelTest, ListenerAcceptsAndServes) {
 
 TEST(SocketChannelTest, ListenerRejectsOverlongPath) {
   std::string path(200, 'x');
-  EXPECT_FALSE(SocketListener::Bind("/tmp/" + path).ok());
-  EXPECT_FALSE(ConnectUnixSocket("/tmp/" + path).ok());
+  const std::string uri = "unix:/tmp/" + path;
+  EXPECT_FALSE(SocketListener::Bind(ParseEndpoint(uri).ValueOrDie()).ok());
+  EXPECT_FALSE(ConnectChannel(uri).ok());
 }
 
 TEST(SocketChannelTest, ConnectToMissingSocketFails) {
   Result<std::unique_ptr<Channel>> r =
-      ConnectUnixSocket("/tmp/ppstats-no-such-socket-xyz.sock");
+      ConnectChannel("unix:/tmp/ppstats-no-such-socket-xyz.sock");
   EXPECT_FALSE(r.ok());
 }
 

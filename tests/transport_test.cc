@@ -198,7 +198,8 @@ TEST(TransportUnixBindTest, StaleSocketFileIsReplaced) {
   ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   ::close(fd);
 
-  Result<SocketListener> listener = SocketListener::Bind("unix:" + path);
+  Result<SocketListener> listener =
+      SocketListener::Bind(ParseEndpoint("unix:" + path).ValueOrDie());
   EXPECT_TRUE(listener.ok()) << listener.status().ToString();
 }
 
@@ -215,7 +216,8 @@ TEST(TransportUnixBindTest, LiveSocketRefusedAndLeftIntact) {
   ServiceHost first(&registry, options);
   ASSERT_TRUE(first.Start("unix:" + path).ok());
 
-  Result<SocketListener> second = SocketListener::Bind("unix:" + path);
+  Result<SocketListener> second =
+      SocketListener::Bind(ParseEndpoint("unix:" + path).ValueOrDie());
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kAlreadyExists)
       << second.status().ToString();
