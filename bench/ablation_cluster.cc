@@ -106,7 +106,7 @@ std::unique_ptr<BenchCluster> StartCluster(size_t shards,
 
   cluster->pool = std::make_unique<ThreadPool>(shards);
   CoordinatorOptions coordinator_options;
-  coordinator_options.shard_attempts = 1;
+  coordinator_options.retry.max_attempts = 1;
   coordinator_options.shard_io_deadline_ms = 10000;
   coordinator_options.connect_deadline_ms = 2000;
   coordinator_options.partial_policy = policy;

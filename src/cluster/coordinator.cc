@@ -1,19 +1,15 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <map>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
 #include "core/messages.h"
 #include "core/query.h"
 #include "core/session.h"
-#include "core/session_fsm.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/paillier.h"
 #include "crypto/zero_share.h"
@@ -25,47 +21,23 @@ namespace ppstats {
 /// Per-session fan-out router. One instance serves one client session:
 /// it remembers the client's key from the handshake (shards must
 /// encrypt against the same key) and keeps one persistent upstream
-/// session per shard endpoint — a channel plus the ClientProtocolFsm
-/// driving it — dialed lazily on first use and redialed after any
-/// failure.
+/// ClientConnection per shard endpoint, dialed lazily on first use and
+/// redialed after any failure.
 ///
-/// Locking: conn_mu_ only guards the *map structure* (find/insert of
-/// nodes). The session inside a node is touched exclusively by the one
-/// fan-out leg working that endpoint — shard URIs are unique within a
-/// shard map and a session runs one query at a time — so dialing and
-/// I/O happen outside the lock and legs never serialize on each other.
+/// No lock: the map is only touched by FanOut, which runs one query at
+/// a time and resolves every leg's slot before the legs start, and by
+/// the destructor. Each leg then uses only its own slot (shard URIs are
+/// unique within a shard map).
 class CoordinatorRouter : public QueryRouter {
  public:
-  /// One upstream session: a blocking driver's view of the channel and
-  /// its protocol machine.
-  struct ShardConn {
-    std::unique_ptr<Channel> channel;
-    std::optional<ClientProtocolFsm> fsm;
-
-    /// One frame out or in; a dead transport ends the machine.
-    [[nodiscard]] Status Send(BytesView frame) {
-      Status status = channel->Send(frame);
-      if (!status.ok()) fsm->OnTransportError();
-      return status;
-    }
-    [[nodiscard]] Result<Bytes> Receive() {
-      Result<Bytes> frame = channel->Receive();
-      if (!frame.ok()) fsm->OnTransportError();
-      return frame;
-    }
-  };
-
   explicit CoordinatorRouter(ShardCoordinator* coordinator)
       : coordinator_(coordinator) {}
 
   ~CoordinatorRouter() override {
     // Best-effort clean goodbye so shard hosts count these sessions as
     // finished rather than vanished.
-    MutexLock lock(conn_mu_);
     for (auto& [uri, conn] : conns_) {
-      if (conn.channel == nullptr) continue;
-      Result<Bytes> goodbye = conn.fsm->Goodbye();
-      if (goodbye.ok()) (void)conn.channel->Send(*goodbye);
+      if (conn != nullptr) conn->Finish().IgnoreError();
     }
   }
 
@@ -83,58 +55,34 @@ class CoordinatorRouter : public QueryRouter {
   [[nodiscard]] Result<OpenedQuery> Open(const QueryHeaderMessage& header,
                                          const PaillierPublicKey& pub) override;
 
-  /// The live session to `uri`, dialing and handshaking a new one if
-  /// none is cached. The returned pointer stays valid until
-  /// DropUpstream(uri) or destruction; a failed handshake leaves the
-  /// session for DropUpstream to end.
-  [[nodiscard]] Result<ShardConn*> Upstream(const std::string& uri)
-      PPSTATS_EXCLUDES(conn_mu_) {
-    ShardConn* conn = Slot(uri);
-    if (conn->channel != nullptr) return conn;
+  /// The slot holding the upstream connection to `uri` (null until
+  /// dialed). Stays valid for the router's lifetime.
+  std::unique_ptr<ClientConnection>& Upstream(const std::string& uri) {
+    return conns_[uri];  // map nodes are stable across inserts
+  }
+
+  /// A fresh upstream connection to `uri`, hello exchanged. Safe to call
+  /// from concurrent legs: it reads only what the handshake set.
+  [[nodiscard]] Result<std::unique_ptr<ClientConnection>> Dial(
+      const std::string& uri) const {
     coordinator_->upstream_redials_->Increment();
     const CoordinatorOptions& opt = coordinator_->options_;
     PPSTATS_ASSIGN_OR_RETURN(
         std::unique_ptr<Channel> channel,
         UriDialer(uri, opt.shard_io_deadline_ms, opt.connect_deadline_ms)());
-    conn->channel = std::move(channel);
     // Partials are opted in only so the leg can refuse them itself (see
     // QueryShardOnce).
-    conn->fsm.emplace(key_blob_, pub_, /*accept_partial=*/true);
-    PPSTATS_ASSIGN_OR_RETURN(Bytes hello, conn->fsm->Hello());
-    PPSTATS_RETURN_IF_ERROR(conn->Send(hello));
-    PPSTATS_ASSIGN_OR_RETURN(Bytes reply, conn->Receive());
-    PPSTATS_RETURN_IF_ERROR(conn->fsm->OnServerHello(reply).status());
+    auto conn = std::make_unique<ClientConnection>(
+        std::move(channel), key_blob_, pub_, /*accept_partial=*/true);
+    PPSTATS_RETURN_IF_ERROR(conn->Hello().status());
     return conn;
   }
 
-  /// Ends the session to `uri` after a failed leg — telling the shard
-  /// why when it is still listening — and forgets it: its protocol
-  /// state is unknown, so the next attempt redials from scratch.
-  void DropUpstream(const std::string& uri, const Status& failure)
-      PPSTATS_EXCLUDES(conn_mu_) {
-    ShardConn* conn = Slot(uri);
-    if (conn->channel == nullptr) return;
-    if (std::optional<Bytes> error = conn->fsm->Abort(failure)) {
-      (void)conn->channel->Send(*error);
-    }
-    conn->channel.reset();
-    conn->fsm.reset();
-  }
-
  private:
-  ShardConn* Slot(const std::string& uri) PPSTATS_EXCLUDES(conn_mu_) {
-    MutexLock lock(conn_mu_);
-    return &conns_[uri];  // map nodes are stable across inserts
-  }
-
   ShardCoordinator* coordinator_;
   Bytes key_blob_;
   PaillierPublicKey pub_;
-  Mutex conn_mu_;
-  /// Map *structure* only — see the class comment: node contents are
-  /// used outside the lock through the stable ShardConn* that Slot()
-  /// hands out, which the annotation (deliberately) does not track.
-  std::map<std::string, ShardConn> conns_ PPSTATS_GUARDED_BY(conn_mu_);
+  std::map<std::string, std::unique_ptr<ClientConnection>> conns_;
 };
 
 /// One fan-out query: buffers the client's encrypted index vector in
@@ -177,9 +125,13 @@ class ClusterExecution : public QueryExecution {
   };
 
   [[nodiscard]] Result<Bytes> FanOut();
+  /// Shard i's leg over its upstream slot `conn`, retried per
+  /// CoordinatorOptions::retry; a failed attempt ends and drops `conn`.
   [[nodiscard]] Status QueryShard(size_t i, uint64_t nonce,
+                                  std::unique_ptr<ClientConnection>& conn,
                                   PaillierCiphertext* out);
   [[nodiscard]] Status QueryShardOnce(size_t i, uint64_t nonce,
+                                      std::unique_ptr<ClientConnection>& conn,
                                       PaillierCiphertext* out);
 
   CoordinatorRouter* router_;
@@ -240,9 +192,13 @@ Result<Bytes> ClusterExecution::FanOut() {
       opt.blind_partials ? coordinator_->NextNonce() : 0;
 
   std::vector<ShardOutcome> outcomes(shards_.size());
+  std::vector<std::unique_ptr<ClientConnection>*> conns(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    conns[i] = &router_->Upstream(shards_[i].uri);
+  }
   coordinator_->pool_->Run(shards_.size(), [&](size_t i) {
     PaillierCiphertext sum;
-    Status status = QueryShard(i, nonce, &sum);
+    Status status = QueryShard(i, nonce, *conns[i], &sum);
     if (status.ok()) outcomes[i].sum = std::move(sum);
     outcomes[i].status = std::move(status);
   });
@@ -298,37 +254,38 @@ Result<Bytes> ClusterExecution::FanOut() {
 }
 
 Status ClusterExecution::QueryShard(size_t i, uint64_t nonce,
+                                    std::unique_ptr<ClientConnection>& conn,
                                     PaillierCiphertext* out) {
   obs::ObsSpan span(obs::kSpanClusterShardQuery, coordinator_->metrics_);
-  const CoordinatorOptions& opt = coordinator_->options_;
   // Deterministic per-(query, shard) jitter stream: fan-outs stay
   // reproducible under a fixed nonce sequence.
   ChaCha20Rng backoff_rng(nonce * 1000003 + shards_[i].id);
-  Status last = Status::OK();
-  for (size_t attempt = 1; attempt <= opt.shard_attempts; ++attempt) {
-    if (attempt > 1) {
-      coordinator_->upstream_retries_->Increment();
-      const uint32_t backoff_ms =
-          RetryBackoffMs(attempt - 1, opt.retry, backoff_rng);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+  auto attempt = [&]() -> Status {
+    Status status = QueryShardOnce(i, nonce, conn, out);
+    if (!status.ok() && conn != nullptr) {
+      // Its protocol state is unknown: end it (telling the shard why
+      // when it is still listening) so the next attempt redials.
+      conn->Abort(status);
+      conn.reset();
     }
-    last = QueryShardOnce(i, nonce, out);
-    if (last.ok()) {
-      coordinator_->shard_queries_ok_->Increment();
-      return last;
-    }
-    router_->DropUpstream(shards_[i].uri, last);
-    if (!IsRetryableStatus(last)) break;
-  }
-  coordinator_->shard_queries_failed_->Increment();
-  return last;
+    return status;
+  };
+  Status status = RetryWithBackoff(
+      coordinator_->options_.retry, backoff_rng, attempt,
+      [this](uint32_t) { coordinator_->upstream_retries_->Increment(); });
+  (status.ok() ? coordinator_->shard_queries_ok_
+               : coordinator_->shard_queries_failed_)
+      ->Increment();
+  return status;
 }
 
 Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
+                                        std::unique_ptr<ClientConnection>& conn,
                                         PaillierCiphertext* out) {
   const ShardDescriptor& shard = shards_[i];
-  PPSTATS_ASSIGN_OR_RETURN(CoordinatorRouter::ShardConn * conn,
-                           router_->Upstream(shard.uri));
+  if (conn == nullptr) {
+    PPSTATS_ASSIGN_OR_RETURN(conn, router_->Dial(shard.uri));
+  }
 
   QueryHeaderMessage header;
   header.kind = static_cast<uint8_t>(query_.kind);
@@ -338,10 +295,7 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
     header.blind_partial = true;
     header.blind_nonce = nonce;
   }
-  PPSTATS_ASSIGN_OR_RETURN(Bytes header_frame, conn->fsm->Query(header));
-  PPSTATS_RETURN_IF_ERROR(conn->Send(header_frame));
-  PPSTATS_ASSIGN_OR_RETURN(Bytes accept, conn->Receive());
-  PPSTATS_ASSIGN_OR_RETURN(uint64_t rows, conn->fsm->OnAccept(accept));
+  PPSTATS_ASSIGN_OR_RETURN(uint64_t rows, conn->Open(header));
   const uint64_t shard_rows = shard.end - shard.begin;
   if (rows != shard_rows) {
     return Status::ProtocolError(
@@ -357,12 +311,11 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
     const uint64_t count = std::min<uint64_t>(chunk, shard_rows - off);
     const BytesView slice = BytesView(upload_).subspan(
         (shard.begin + off) * ciphertext_bytes_, count * ciphertext_bytes_);
-    PPSTATS_RETURN_IF_ERROR(conn->Send(IndexBatchMessage::EncodeRaw(
+    PPSTATS_RETURN_IF_ERROR(conn->Upload(IndexBatchMessage::EncodeRaw(
         off, static_cast<uint32_t>(count), slice)));
   }
 
-  PPSTATS_ASSIGN_OR_RETURN(Bytes response, conn->Receive());
-  PPSTATS_ASSIGN_OR_RETURN(ClientAnswer answer, conn->fsm->OnAnswer(response));
+  PPSTATS_ASSIGN_OR_RETURN(ClientAnswer answer, conn->Await());
   if (answer.partial.has_value()) {
     // A shard's own partial would pass for its whole range. Refused as a
     // (retryable) protocol error, so the partial policy still applies.
@@ -402,8 +355,8 @@ Status ShardCoordinator::Validate() const {
     return Status::FailedPrecondition("coordinator has no sharded columns");
   }
   PPSTATS_RETURN_IF_ERROR(ResolveDefault().status());
-  if (options_.shard_attempts == 0) {
-    return Status::InvalidArgument("shard_attempts must be >= 1");
+  if (options_.retry.max_attempts == 0) {
+    return Status::InvalidArgument("retry.max_attempts must be >= 1");
   }
   if (options_.blind_partials) {
     if (options_.blind_seed.empty()) {

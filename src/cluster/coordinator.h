@@ -26,13 +26,17 @@
 // yet the shares cancel in the merged sum (mod the shared blinding
 // modulus M, which the client reduces by).
 //
-// Failure story: each shard leg is retried per CoordinatorOptions
-// (bounded connects via net/retry's connect deadline, per-attempt
-// backoff); when a shard stays down, partial_policy picks between
-// failing the query and answering with an explicit PartialResult
-// frame that declares exactly which fraction of the row space the
-// sum covers. Blinded partials force the fail policy: a missing
-// shard's zero-share would not cancel, leaving garbage.
+// Failure story: each shard leg reaches its shard through a
+// ClientConnection (core/session.h), the client driver QuerySession
+// uses too, kept across the session's queries and ended with a Goodbye
+// when the session ends. A failed attempt ends the connection; the leg
+// retries on a fresh dial (net/retry's RetryWithBackoff, up to
+// CoordinatorOptions::retry.max_attempts, bounded connects). When a
+// shard stays down, partial_policy picks between failing the query and
+// answering with an explicit PartialResult frame that declares exactly
+// which fraction of the row space the sum covers. Blinded partials
+// force the fail policy: a missing shard's zero-share would not
+// cancel, leaving garbage.
 //
 // Everything is observable under cluster.* counters and the
 // span.cluster_* histograms in the chosen MetricRegistry.
@@ -77,11 +81,6 @@ struct CoordinatorOptions {
   /// the registry's sole sharded column when it has exactly one.
   std::string default_column;
 
-  /// Attempts per shard per query, including the first (>= 1). Each
-  /// retry redials the shard (the cached upstream connection is
-  /// dropped on any failure).
-  size_t shard_attempts = 2;
-
   /// Read/write deadline on every upstream channel; a shard that
   /// stalls longer mid-query fails that attempt with DeadlineExceeded.
   /// 0 = block forever.
@@ -92,9 +91,10 @@ struct CoordinatorOptions {
   /// own timeout. 0 = kernel default.
   uint32_t connect_deadline_ms = 0;
 
-  /// Backoff parameters between shard attempts (max_attempts is
-  /// ignored here; shard_attempts is the budget).
-  RetryOptions retry;
+  /// Attempts per shard per query (max_attempts, including the first;
+  /// >= 1) and the backoff between them. Each retry redials the shard:
+  /// the upstream connection is dropped on any failure.
+  RetryOptions retry{.max_attempts = 2};
 
   /// Failure policy once a shard exhausts its attempts.
   PartialResultPolicy partial_policy = PartialResultPolicy::kFail;

@@ -1,7 +1,5 @@
 #include "core/messages.h"
 
-#include <cstring>
-
 namespace ppstats {
 
 namespace {
@@ -27,16 +25,25 @@ WireWriter IndexBatchHeader(uint64_t start_index, uint32_t count,
 }
 
 // The [0, n^2) check on fixed-width wire ciphertexts. At equal width,
-// big-endian byte order is numeric order, so each row is one memcmp
-// against n^2; an n^2 wider than the wire width is above every row.
+// big-endian byte order is numeric order, so each row is compared with
+// n^2 byte by byte from the top, read straight from n^2's limbs (no
+// encoding per frame); an n^2 wider than the wire width is above every
+// row.
 bool RowsBelowNSquared(const PaillierPublicKey& pub, BytesView rows) {
   const size_t width = pub.CiphertextBytes();
-  const Bytes bound = pub.n_squared().ToBytes(width);
-  if (bound.size() != width) return true;
+  const BigInt& bound = pub.n_squared();
+  if (bound.BitLength() > 8 * width) return true;
+  auto bound_byte = [&bound, width](size_t i) -> uint8_t {
+    const size_t k = width - 1 - i;  // little-endian byte index
+    return k / 8 < bound.LimbCount()
+               ? static_cast<uint8_t>(bound.limbs()[k / 8] >> (8 * (k % 8)))
+               : 0;
+  };
   for (size_t offset = 0; offset < rows.size(); offset += width) {
-    if (std::memcmp(rows.data() + offset, bound.data(), width) >= 0) {
-      return false;
-    }
+    const uint8_t* row = rows.data() + offset;
+    size_t i = 0;
+    while (i < width && row[i] == bound_byte(i)) ++i;
+    if (i == width || row[i] > bound_byte(i)) return false;
   }
   return true;
 }

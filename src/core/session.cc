@@ -1,7 +1,5 @@
 #include "core/session.h"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "bigint/modarith.h"
@@ -12,24 +10,84 @@
 
 namespace ppstats {
 
-namespace {
+ClientConnection::ClientConnection(Channel& channel, Bytes key_blob,
+                                   PaillierPublicKey pub, bool accept_partial)
+    : channel_(&channel),
+      fsm_(std::make_unique<ClientProtocolFsm>(std::move(key_blob),
+                                               std::move(pub),
+                                               accept_partial)) {}
 
-// Process-wide retry counters, shared by every session's ConnectWithRetry.
-struct RetryCounters {
-  obs::Counter* attempts =
-      obs::MetricRegistry::Global().GetCounter("retry.attempts");
-  obs::Counter* retryable_failures =
-      obs::MetricRegistry::Global().GetCounter("retry.retryable_failures");
-  obs::Counter* backoff_ms =
-      obs::MetricRegistry::Global().GetCounter("retry.backoff_ms");
-};
-
-RetryCounters& Retries() {
-  static RetryCounters* counters = new RetryCounters();  // leaked on purpose
-  return *counters;
+ClientConnection::ClientConnection(std::unique_ptr<Channel> channel,
+                                   Bytes key_blob, PaillierPublicKey pub,
+                                   bool accept_partial)
+    : ClientConnection(*channel, std::move(key_blob), std::move(pub),
+                       accept_partial) {
+  owned_channel_ = std::move(channel);
 }
 
-}  // namespace
+ClientConnection::~ClientConnection() = default;
+
+template <typename T>
+Result<T> ClientConnection::EndOnFailure(Result<T> result) {
+  if (!result.ok()) Abort(result.status());
+  return result;
+}
+
+Result<uint64_t> ClientConnection::Hello() {
+  return EndOnFailure([&]() -> Result<uint64_t> {
+    PPSTATS_ASSIGN_OR_RETURN(Bytes hello, fsm_->Hello());
+    PPSTATS_RETURN_IF_ERROR(Send(hello));
+    PPSTATS_ASSIGN_OR_RETURN(Bytes reply, Receive());
+    return fsm_->OnServerHello(reply);
+  }());
+}
+
+Result<uint64_t> ClientConnection::Open(const QueryHeaderMessage& header) {
+  return EndOnFailure([&]() -> Result<uint64_t> {
+    PPSTATS_ASSIGN_OR_RETURN(Bytes header_frame, fsm_->Query(header));
+    PPSTATS_RETURN_IF_ERROR(Send(header_frame));
+    PPSTATS_ASSIGN_OR_RETURN(Bytes accept, Receive());
+    return fsm_->OnAccept(accept);
+  }());
+}
+
+Status ClientConnection::Upload(BytesView index_frame) {
+  if (fsm_->phase() != ClientFsmPhase::kAwaitAnswer) {
+    return Status::FailedPrecondition("Upload called out of protocol order");
+  }
+  return Send(index_frame);
+}
+
+Result<ClientAnswer> ClientConnection::Await() {
+  return EndOnFailure([&]() -> Result<ClientAnswer> {
+    PPSTATS_ASSIGN_OR_RETURN(Bytes answer, Receive());
+    return fsm_->OnAnswer(answer);
+  }());
+}
+
+void ClientConnection::Abort(const Status& status) {
+  if (std::optional<Bytes> error = fsm_->Abort(status)) {
+    channel_->Send(*error).IgnoreError();  // best effort; we are done
+  }
+}
+
+Status ClientConnection::Finish() {
+  if (fsm_->done()) return Status::OK();
+  PPSTATS_ASSIGN_OR_RETURN(Bytes goodbye, fsm_->Goodbye());
+  return Send(goodbye);
+}
+
+Status ClientConnection::Send(BytesView frame) {
+  Status status = channel_->Send(frame);
+  if (!status.ok()) fsm_->OnTransportError();
+  return status;
+}
+
+Result<Bytes> ClientConnection::Receive() {
+  Result<Bytes> frame = channel_->Receive();
+  if (!frame.ok()) fsm_->OnTransportError();
+  return frame;
+}
 
 QuerySession::QuerySession(const PaillierPrivateKey& key, RandomSource& rng,
                            ClientSessionOptions options)
@@ -38,61 +96,59 @@ QuerySession::QuerySession(const PaillierPrivateKey& key, RandomSource& rng,
 QuerySession::~QuerySession() = default;
 
 Status QuerySession::Connect(Channel& channel) {
-  if (channel_ != nullptr) {
+  const PaillierPublicKey& pub = key_->public_key();
+  return Connect(std::make_unique<ClientConnection>(
+      channel, SerializePublicKey(pub), pub, options_.accept_partial));
+}
+
+Status QuerySession::Connect(std::unique_ptr<ClientConnection> connection) {
+  if (connection_ != nullptr) {
     return Status::FailedPrecondition("session already connected");
   }
   obs::ObsSpan handshake(obs::kSpanHandshake);
-  const PaillierPublicKey& pub = key_->public_key();
-  auto fsm = std::make_unique<ClientProtocolFsm>(SerializePublicKey(pub), pub,
-                                                 options_.accept_partial);
-  PPSTATS_ASSIGN_OR_RETURN(Bytes hello, fsm->Hello());
-  PPSTATS_RETURN_IF_ERROR(channel.Send(hello));
-  PPSTATS_ASSIGN_OR_RETURN(Bytes reply, channel.Receive());
+  PPSTATS_ASSIGN_OR_RETURN(server_rows_, connection->Hello());
   handshake.Stop();
-  Result<uint64_t> rows = fsm->OnServerHello(reply);
-  if (!rows.ok()) {
-    if (std::optional<Bytes> error = fsm->Abort(rows.status())) {
-      channel.Send(*error).IgnoreError();  // best effort; we are done
-    }
-    return rows.status();
-  }
-  server_rows_ = *rows;
-  fsm_ = std::move(fsm);
-  channel_ = &channel;
+  connection_ = std::move(connection);
   return Status::OK();
 }
 
 Status QuerySession::ConnectWithRetry(const DialFn& dial,
                                       const RetryOptions& retry) {
-  if (channel_ != nullptr) {
+  if (connection_ != nullptr) {
     return Status::FailedPrecondition("session already connected");
   }
+  // Process-wide, shared by every session's ConnectWithRetry.
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  static obs::Counter* const attempts = metrics.GetCounter("retry.attempts");
+  static obs::Counter* const retryable_failures =
+      metrics.GetCounter("retry.retryable_failures");
+  static obs::Counter* const backoff_ms =
+      metrics.GetCounter("retry.backoff_ms");
   retry_metrics_ = {};
-  size_t max_attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
-  Status last = Status::Internal("no connection attempt was made");
-  for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1) {
-      uint32_t backoff = RetryBackoffMs(attempt - 1, retry, *rng_);
-      retry_metrics_.backoff_ms_total += backoff;
-      Retries().backoff_ms->Add(backoff);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    }
+  const PaillierPublicKey& pub = key_->public_key();
+  const Bytes key_blob = SerializePublicKey(pub);
+  auto attempt = [&]() -> Status {
     ++retry_metrics_.attempts;
-    Retries().attempts->Increment();
+    attempts->Increment();
     obs::ObsSpan attempt_span(obs::kSpanRetryAttempt);
     Result<std::unique_ptr<Channel>> channel = dial();
-    Status status = channel.ok() ? Connect(**channel) : channel.status();
+    Status status = channel.ok()
+                        ? Connect(std::make_unique<ClientConnection>(
+                              std::move(*channel), key_blob, pub,
+                              options_.accept_partial))
+                        : channel.status();
     attempt_span.Stop();
-    if (status.ok()) {
-      owned_channel_ = std::move(*channel);  // keep the dialed transport
-      return status;
+    if (IsRetryableStatus(status)) {
+      ++retry_metrics_.retryable_failures;
+      retryable_failures->Increment();
     }
-    if (!IsRetryableStatus(status)) return status;
-    ++retry_metrics_.retryable_failures;
-    Retries().retryable_failures->Increment();
-    last = status;
-  }
-  return last;
+    return status;
+  };
+  auto on_backoff = [&](uint32_t ms) {
+    retry_metrics_.backoff_ms_total += ms;
+    backoff_ms->Add(ms);
+  };
+  return RetryWithBackoff(retry, *rng_, attempt, on_backoff);
 }
 
 Status QuerySession::ConnectWithRetry(const std::string& uri,
@@ -114,7 +170,7 @@ Result<BigInt> QuerySession::RunQuery(const QuerySpec& spec,
 
 Result<BigInt> QuerySession::RunWeighted(const QuerySpec& spec,
                                          WeightVector weights) {
-  if (channel_ == nullptr) {
+  if (connection_ == nullptr) {
     return Status::FailedPrecondition("session is not connected");
   }
   if (spec.blinding.has_value() || spec.partition.has_value()) {
@@ -124,31 +180,25 @@ Result<BigInt> QuerySession::RunWeighted(const QuerySpec& spec,
         "blinding/partition cannot be requested over a session");
   }
   Result<BigInt> value = Exchange(spec, std::move(weights));
-  if (!value.ok()) {
-    // The stream may now be out of step with the server: end the
-    // session, telling the peer why when it is still listening.
-    if (std::optional<Bytes> error = fsm_->Abort(value.status())) {
-      channel_->Send(*error).IgnoreError();
-    }
-  }
+  // A failure the connection saw has ended the session already; one
+  // detected here (a weights length, a decryption) ends it now.
+  if (!value.ok()) connection_->Abort(value.status());
   return value;
 }
 
-// The communication spans cover time spent inside channel calls only:
-// encryption (NextRequest) and decryption (HandleResponse) keep their
-// own component spans. Note the receive leg necessarily includes the
-// wait for the server's fold — the wire cannot tell propagation from
-// peer compute (docs/OBSERVABILITY.md discusses reconciliation).
+// The communication spans cover time spent inside the connection's
+// upload and receive calls only: encryption (NextRequest) and
+// decryption (HandleResponse) keep their own component spans. Note the
+// receive leg necessarily includes the wait for the server's fold — the
+// wire cannot tell propagation from peer compute
+// (docs/OBSERVABILITY.md discusses reconciliation).
 Result<BigInt> QuerySession::Exchange(const QuerySpec& spec,
                                       WeightVector weights) {
   QueryHeaderMessage header;
   header.kind = static_cast<uint8_t>(spec.kind);
   header.column = spec.column;
   header.column2 = spec.column2;
-  PPSTATS_ASSIGN_OR_RETURN(Bytes header_frame, fsm_->Query(header));
-  PPSTATS_RETURN_IF_ERROR(Send(header_frame));
-  PPSTATS_ASSIGN_OR_RETURN(Bytes accept, Receive());
-  PPSTATS_ASSIGN_OR_RETURN(uint64_t rows, fsm_->OnAccept(accept));
+  PPSTATS_ASSIGN_OR_RETURN(uint64_t rows, connection_->Open(header));
   if (weights.size() != rows) {
     return Status::InvalidArgument("weights length != query row count");
   }
@@ -164,16 +214,15 @@ Result<BigInt> QuerySession::Exchange(const QuerySpec& spec,
   while (!client.RequestsDone()) {
     PPSTATS_ASSIGN_OR_RETURN(Bytes request, client.NextRequest());
     obs::ObsSpan send_span(obs::kSpanCommunication);
-    PPSTATS_RETURN_IF_ERROR(Send(request));
+    PPSTATS_RETURN_IF_ERROR(connection_->Upload(request));
     send_span.Stop();
   }
   obs::ObsSpan recv_span(obs::kSpanCommunication);
-  Result<Bytes> response = Receive();
+  Result<ClientAnswer> answer = connection_->Await();
   recv_span.Stop();
-  PPSTATS_RETURN_IF_ERROR(response.status());
-  PPSTATS_ASSIGN_OR_RETURN(ClientAnswer answer, fsm_->OnAnswer(*response));
-  PPSTATS_ASSIGN_OR_RETURN(BigInt value, client.HandleResponse(answer.sum));
-  last_partial_ = answer.partial;
+  PPSTATS_RETURN_IF_ERROR(answer.status());
+  PPSTATS_ASSIGN_OR_RETURN(BigInt value, client.HandleResponse(answer->sum));
+  last_partial_ = answer->partial;
   if (options_.result_modulus.has_value()) {
     value = Mod(value, *options_.result_modulus);
   }
@@ -181,25 +230,11 @@ Result<BigInt> QuerySession::Exchange(const QuerySpec& spec,
   return value;
 }
 
-Status QuerySession::Send(BytesView frame) {
-  Status status = channel_->Send(frame);
-  if (!status.ok()) fsm_->OnTransportError();
-  return status;
-}
-
-Result<Bytes> QuerySession::Receive() {
-  Result<Bytes> frame = channel_->Receive();
-  if (!frame.ok()) fsm_->OnTransportError();
-  return frame;
-}
-
 Status QuerySession::Finish() {
-  if (channel_ == nullptr) {
+  if (connection_ == nullptr) {
     return Status::FailedPrecondition("session is not connected");
   }
-  if (fsm_->done()) return Status::OK();
-  PPSTATS_ASSIGN_OR_RETURN(Bytes goodbye, fsm_->Goodbye());
-  return Send(goodbye);
+  return connection_->Finish();
 }
 
 }  // namespace ppstats

@@ -24,9 +24,10 @@
 // column names, and arity mismatches abort the session with an Error
 // frame carrying a status code, so the peer gets a diagnosable failure
 // instead of a hang. Each side's protocol lives in one sans-IO machine
-// (core/session_fsm.h). QuerySession is the blocking client driver; the
-// server machine is driven only by the reactor host
-// (core/service_host.h).
+// (core/session_fsm.h). ClientConnection is the one blocking driver of
+// the client machine: QuerySession and the cluster coordinator's shard
+// legs both talk to servers through it. The server machine is driven
+// only by the reactor host (core/service_host.h).
 
 #ifndef PPSTATS_CORE_SESSION_H_
 #define PPSTATS_CORE_SESSION_H_
@@ -35,6 +36,7 @@
 #include <optional>
 #include <string>
 
+#include "core/messages.h"
 #include "core/query.h"
 #include "core/selected_sum.h"
 #include "net/channel.h"
@@ -69,10 +71,70 @@ struct PartialResultInfo {
   uint64_t rows_covered = 0;
 };
 
+/// One decoded query answer: the encrypted sum, plus its shard coverage
+/// when the server flagged it as partial.
+struct ClientAnswer {
+  PaillierCiphertext sum;
+  std::optional<PartialResultInfo> partial;
+};
+
 class ClientProtocolFsm;
 
+/// A channel and the ClientProtocolFsm driving it, from the public key
+/// alone: the only blocking driver of the client machine. A dead
+/// transport ends the machine; a failed Hello, Open or Await ends the
+/// session (the stream may be out of step) after sending the Error frame
+/// owed to the peer, and later steps fail with FailedPrecondition.
+class ClientConnection {
+ public:
+  /// Drives `channel`, which must outlive the connection. `key_blob` is
+  /// the serialized public key the hello carries, `pub` the same key
+  /// (see ClientProtocolFsm).
+  ClientConnection(Channel& channel, Bytes key_blob, PaillierPublicKey pub,
+                   bool accept_partial);
+  /// Drives and owns `channel`.
+  ClientConnection(std::unique_ptr<Channel> channel, Bytes key_blob,
+                   PaillierPublicKey pub, bool accept_partial);
+  ~ClientConnection();
+
+  /// The hello exchange; returns the size of the server's default
+  /// column (0 when it has none).
+  [[nodiscard]] Result<uint64_t> Hello();
+
+  /// Sends the QueryHeader and returns the row count QueryAccept
+  /// announces, which the index upload must cover.
+  [[nodiscard]] Result<uint64_t> Open(const QueryHeaderMessage& header);
+
+  /// Sends one IndexBatch frame of the query Open accepted; outside one,
+  /// fails with FailedPrecondition and writes nothing.
+  [[nodiscard]] Status Upload(BytesView index_frame);
+
+  /// Receives the open query's answer.
+  [[nodiscard]] Result<ClientAnswer> Await();
+
+  /// Ends the session after a failure the caller detected, sending an
+  /// Error frame carrying `status` when the peer is still owed one.
+  void Abort(const Status& status);
+
+  /// Ends the session cleanly with Goodbye. A session that already
+  /// ended has nothing left to send, and Finish returns OK.
+  [[nodiscard]] Status Finish();
+
+ private:
+  /// Ends the session when `result` failed (see the class comment).
+  template <typename T>
+  Result<T> EndOnFailure(Result<T> result);
+  /// One frame out or in; a dead transport ends the machine.
+  [[nodiscard]] Status Send(BytesView frame);
+  [[nodiscard]] Result<Bytes> Receive();
+
+  std::unique_ptr<Channel> owned_channel_;
+  Channel* channel_;
+  std::unique_ptr<ClientProtocolFsm> fsm_;
+};
+
 /// A client session: one connection, N queries against named columns.
-/// A blocking driver over ClientProtocolFsm that encrypts each query's
+/// A ClientConnection plus the private key: it encrypts each query's
 /// index vector and decrypts its answer.
 class QuerySession {
  public:
@@ -130,19 +192,16 @@ class QuerySession {
   }
 
  private:
+  /// Performs the hello exchange on `connection` and keeps it.
+  [[nodiscard]] Status Connect(std::unique_ptr<ClientConnection> connection);
   /// Runs one query on the connected session (RunWeighted's body).
   [[nodiscard]] Result<BigInt> Exchange(const QuerySpec& spec,
                                         WeightVector weights);
-  /// One frame out or in; a dead transport ends the machine.
-  [[nodiscard]] Status Send(BytesView frame);
-  [[nodiscard]] Result<Bytes> Receive();
 
   const PaillierPrivateKey* key_;
   RandomSource* rng_;
   ClientSessionOptions options_;
-  std::unique_ptr<Channel> owned_channel_;  // set by ConnectWithRetry
-  Channel* channel_ = nullptr;
-  std::unique_ptr<ClientProtocolFsm> fsm_;  // set by Connect
+  std::unique_ptr<ClientConnection> connection_;  // set by Connect
   RetryMetrics retry_metrics_;
   std::optional<PartialResultInfo> last_partial_;
   uint64_t server_rows_ = 0;

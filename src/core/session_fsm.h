@@ -27,7 +27,8 @@
 // the query in the host's snapshot.
 //
 // ClientProtocolFsm is the client side. It needs only the client's
-// public key, so it serves both QuerySession and the cluster
+// public key, so its one blocking driver, ClientConnection
+// (core/session.h), serves both QuerySession and the cluster
 // coordinator's shard legs:
 //
 //   kStart ─Hello()─▶ kAwaitHello ─OnServerHello()─▶ kIdle ─Goodbye()─▶ kDone
@@ -151,13 +152,6 @@ enum class ClientFsmPhase : uint8_t {
   kAwaitAccept,  ///< QueryHeader sent, waiting for QueryAccept
   kAwaitAnswer,  ///< accepted: the driver uploads, then awaits the answer
   kDone,         ///< terminal: goodbye sent, or the session failed
-};
-
-/// One decoded query answer: the encrypted sum, plus its shard coverage
-/// when the server flagged it as partial.
-struct ClientAnswer {
-  PaillierCiphertext sum;
-  std::optional<PartialResultInfo> partial;
 };
 
 /// See the file comment. Not thread-safe; one driver owns it.

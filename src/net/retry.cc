@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "net/socket_channel.h"
@@ -21,6 +22,21 @@ uint32_t RetryBackoffMs(size_t retry, const RetryOptions& options,
   uint64_t fixed = backoff - window;
   if (window > 0) fixed += rng.NextBelow(window + 1);
   return static_cast<uint32_t>(fixed);
+}
+
+Status RetryWithBackoff(const RetryOptions& options, RandomSource& rng,
+                        const std::function<Status()>& attempt,
+                        const std::function<void(uint32_t)>& on_backoff) {
+  const size_t max_attempts = std::max<size_t>(options.max_attempts, 1);
+  Status status = attempt();
+  for (size_t retry = 1; retry < max_attempts && IsRetryableStatus(status);
+       ++retry) {
+    const uint32_t backoff_ms = RetryBackoffMs(retry, options, rng);
+    if (on_backoff) on_backoff(backoff_ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    status = attempt();
+  }
+  return status;
 }
 
 bool IsRetryableStatus(const Status& status) {

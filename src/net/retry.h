@@ -4,9 +4,9 @@
 //
 // Retrying is only sound for operations that commit no server-side
 // state: dialing, the hello exchange, and (for this protocol) whole
-// queries, which are pure reads. The session layer (core/session.h)
-// applies this policy; the math and the classification live here so
-// they are testable in isolation.
+// queries, which are pure reads. RetryWithBackoff is the one retry
+// loop: QuerySession::ConnectWithRetry (core/session.h) retries its
+// connect with it and the cluster coordinator its shard legs.
 
 #ifndef PPSTATS_NET_RETRY_H_
 #define PPSTATS_NET_RETRY_H_
@@ -50,6 +50,16 @@ struct RetryMetrics {
 /// failure). Exponential with cap, jittered via `rng`.
 uint32_t RetryBackoffMs(size_t retry, const RetryOptions& options,
                         RandomSource& rng);
+
+/// Runs `attempt` until it returns OK or a non-retryable status, at
+/// most max(1, options.max_attempts) times, and returns the last status.
+/// Before retry number r it calls on_backoff(ms) when set, then sleeps
+/// ms = RetryBackoffMs(r, options, rng); no other draw is made from
+/// `rng`.
+[[nodiscard]] Status RetryWithBackoff(
+    const RetryOptions& options, RandomSource& rng,
+    const std::function<Status()>& attempt,
+    const std::function<void(uint32_t backoff_ms)>& on_backoff = {});
 
 /// True when `status` reports a transport-level or capacity failure
 /// that is safe to retry on a fresh connection: the peer never acted on

@@ -12,7 +12,7 @@ std::atomic<bool> g_enabled{true};
 
 }  // namespace
 
-size_t ShardSlot() {
+size_t ThreadShardIndex() {
   static std::atomic<size_t> next{0};
   thread_local size_t slot = next.fetch_add(1, std::memory_order_relaxed);
   return slot;

@@ -42,7 +42,7 @@ inline constexpr size_t kHistogramBuckets = 65;
 
 /// Stable per-thread shard index (assigned once per thread, round-robin
 /// across the process). Callers take it modulo their shard count.
-size_t ShardSlot();
+size_t ThreadShardIndex();
 
 /// Bucket index for a recorded value.
 inline constexpr size_t BucketOf(uint64_t value) {
@@ -61,7 +61,7 @@ inline constexpr uint64_t BucketUpperBound(size_t bucket) {
 class Counter {
  public:
   void Add(uint64_t delta) {
-    cells_[ShardSlot() % kCounterShards].value.fetch_add(
+    cells_[ThreadShardIndex() % kCounterShards].value.fetch_add(
         delta, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
@@ -121,7 +121,7 @@ struct HistogramSnapshot {
 class Histogram {
  public:
   void Record(uint64_t value) {
-    Shard& shard = shards_[ShardSlot() % kHistogramShards];
+    Shard& shard = shards_[ThreadShardIndex() % kHistogramShards];
     shard.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
     shard.sum.fetch_add(value, std::memory_order_relaxed);
   }

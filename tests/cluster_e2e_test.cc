@@ -332,4 +332,70 @@ TEST_F(ClusterE2eTest, ShardKillHonorsBothFailurePolicies) {
       << out;
 }
 
+// Runs a tool expected to refuse its command line; returns its exit
+// code, or -1 when it has printed no usage line within a few seconds
+// (it is then killed: a tool that accepted the flags may be serving).
+int RefusedExitCode(const std::vector<std::string>& argv, std::string* output) {
+  ChildProcess tool;
+  if (!tool.Spawn(argv)) return -1;
+  const bool refused = !tool.WaitForLine("usage: ", 5000).empty();
+  *output = tool.output();
+  if (!refused) return -1;
+  return tool.Wait();
+}
+
+TEST_F(ClusterE2eTest, ToolsTakeBothFlagFormsAndRefuseMalformedNumbers) {
+  SetUpCluster("flags", 1, 4);  // one server: v = 1, 4, 7, 10
+  const std::string db = "v=" + dir_ + "/shard0.txt";
+
+  // `--flag=v` works wherever `--flag v` does, numbers included.
+  std::string out;
+  ASSERT_EQ(RunClient({"--column=v", "--chunk=1"}, key_path_,
+                      shard_uris_[0], rows_, {"0,3"}, &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("11\n"), std::string::npos) << out;
+  std::vector<std::string> argv = {ToolPath("ppstats_client"),
+                                   "--key=" + key_path_,
+                                   "--connect=" + shard_uris_[0],
+                                   "--rows=4", "--select=1,2", "--seed=3"};
+  ChildProcess client;
+  ASSERT_TRUE(client.Spawn(argv));
+  EXPECT_EQ(client.Wait(), 0) << client.output();
+  EXPECT_NE(client.output().find("11\n"), std::string::npos)
+      << client.output();
+  ChildProcess server;
+  ASSERT_TRUE(server.Spawn({ToolPath("ppstats_server"), "--db=" + db,
+                            "--listen=tcp:127.0.0.1:0",
+                            "--io-deadline-ms=5000", "--threads=1"}));
+  EXPECT_FALSE(server.WaitForLine("listening on ").empty())
+      << server.output();
+
+  // A numeric value that is not all digits is a usage error (exit 2),
+  // in either form, for every tool.
+  const std::vector<std::vector<std::string>> malformed = {
+      {ToolPath("ppstats_server"), "--db", db, "--listen",
+       "tcp:127.0.0.1:0", "--io-deadline-ms", "5x"},
+      {ToolPath("ppstats_server"), "--db", db, "--listen",
+       "tcp:127.0.0.1:0", "--threads=abc"},
+      {ToolPath("ppstats_server"), "--db", db, "--listen",
+       "tcp:127.0.0.1:0", "--backlog", "-1"},
+      {ToolPath("ppstats_client"), "--key", key_path_, "--connect",
+       shard_uris_[0], "--select", "0", "--rows", "4x"},
+      {ToolPath("ppstats_coordinator"), "--map",
+       "v=0-4@" + shard_uris_[0], "--listen", "tcp:127.0.0.1:0",
+       "--shard-attempts", "abc"},
+      {ToolPath("ppstats_coordinator"), "--map",
+       "v=0-4x@" + shard_uris_[0], "--listen", "tcp:127.0.0.1:0"},
+      {ToolPath("ppstats_keygen"), "--bits=256x", "--out",
+       dir_ + "/unused"},
+  };
+  for (const std::vector<std::string>& command : malformed) {
+    std::string refusal;
+    EXPECT_EQ(RefusedExitCode(command, &refusal), 2)
+        << command[0] << " " << command[command.size() - 1] << ":\n"
+        << refusal;
+  }
+}
+
 }  // namespace

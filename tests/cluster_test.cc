@@ -28,6 +28,7 @@
 #include "db/database.h"
 #include "db/workload.h"
 #include "net/socket_channel.h"
+#include "obs/metrics.h"
 
 namespace ppstats {
 namespace {
@@ -209,7 +210,7 @@ TEST(ClusterCoordinatorTest, ValidateCatchesMisconfiguration) {
   EXPECT_FALSE(ShardCoordinator(&registry, bad_default).Validate().ok());
 
   CoordinatorOptions no_attempts;
-  no_attempts.shard_attempts = 0;
+  no_attempts.retry.max_attempts = 0;
   EXPECT_FALSE(ShardCoordinator(&registry, no_attempts).Validate().ok());
 
   CoordinatorOptions blind_no_seed;
@@ -265,6 +266,10 @@ struct TestClusterConfig {
   PartialResultPolicy policy = PartialResultPolicy::kFail;
   size_t shard_attempts = 1;
   uint32_t shard_io_deadline_ms = 5000;
+  /// I/O deadline of each shard host. A host stops only once its
+  /// sessions end, so one that must stop while the coordinator holds an
+  /// idle session to it needs this to evict that session.
+  uint32_t shard_host_io_deadline_ms = 0;
   /// When nonzero, the last shard serves only this many of its rows
   /// while the shard map still claims its whole range.
   size_t last_shard_served_rows = 0;
@@ -306,6 +311,7 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
     // two-worker floor guarantees even on a 1-CPU host.
     ServiceHostOptions options;
     options.default_column = config.default_column;
+    options.io_deadline_ms = config.shard_host_io_deadline_ms;
     if (config.blind && config.shards_know_blinding) {
       ShardBlindConfig blind;
       blind.shard_index = static_cast<uint32_t>(i);
@@ -336,7 +342,7 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
   cluster->pool = std::make_unique<ThreadPool>(config.shards);
   CoordinatorOptions coordinator_options;
   coordinator_options.default_column = config.default_column;
-  coordinator_options.shard_attempts = config.shard_attempts;
+  coordinator_options.retry.max_attempts = config.shard_attempts;
   coordinator_options.shard_io_deadline_ms = config.shard_io_deadline_ms;
   coordinator_options.retry.initial_backoff_ms = 1;
   coordinator_options.retry.max_backoff_ms = 5;
@@ -748,7 +754,7 @@ TEST(ClusterCoordinatorTest, ShardPartialAnswerIsARetryableProtocolError) {
       map.SetShards("v", {MakeShard(0, shard.bound_uri(), 0, rows)}).ok());
   ThreadPool pool(1);
   CoordinatorOptions coordinator_options;
-  coordinator_options.shard_attempts = 2;
+  coordinator_options.retry.max_attempts = 2;
   coordinator_options.retry.initial_backoff_ms = 1;
   coordinator_options.retry.max_backoff_ms = 2;
   coordinator_options.pool = &pool;
@@ -1028,6 +1034,91 @@ TEST(ClusterPolicyTest, PartialPolicyServesFlaggedCoverage) {
   EXPECT_TRUE(partial_again.ok());
   EXPECT_TRUE(session.last_partial().has_value());
   EXPECT_TRUE(session.Finish().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Upstream connections: reused across queries, redialed after a shard
+// restart, and ended with a Goodbye.
+
+uint64_t GlobalCounter(const char* name) {
+  return obs::MetricRegistry::Global().GetCounter(name)->Value();
+}
+
+TEST(ClusterUpstreamTest, ShardRestartedBetweenQueriesIsRedialedOnce) {
+  // One shard: the host's I/O deadline evicts every idle upstream
+  // session, so a second shard's would be redialed too.
+  TestClusterConfig config;
+  config.shards = 1;
+  config.rows = 8;
+  config.shard_attempts = 2;
+  config.shard_host_io_deadline_ms = 300;
+  auto cluster = StartCluster("restart", config);
+  const size_t rows = cluster->values.size();
+
+  ChaCha20Rng rng(44);
+  QuerySession session(SharedKeyPair().private_key, rng);
+  RetryOptions retry;
+  ASSERT_TRUE(
+      session.ConnectWithRetry(cluster->coordinator_host->bound_uri(), retry)
+          .ok());
+  QuerySpec spec;
+  spec.column = "v";
+  SelectionVector selection(rows, true);
+  const uint64_t expected = ExpectedSum(cluster->values, selection);
+  Result<BigInt> first = session.RunQuery(spec, selection);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(*first, BigInt(expected));
+
+  // The shard restarts on the same URI; the coordinator's cached
+  // session to it is dead, so the next leg fails once and redials.
+  ServiceHost& shard = *cluster->shard_hosts[0];
+  const std::string uri = shard.bound_uri();
+  shard.Stop();
+  ASSERT_TRUE(shard.Start(uri).ok());
+  ASSERT_EQ(shard.bound_uri(), uri);
+
+  const uint64_t retries = GlobalCounter("cluster.upstream_retries");
+  const uint64_t redials = GlobalCounter("cluster.upstream_redials");
+  Result<BigInt> second = session.RunQuery(spec, selection);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, BigInt(expected));
+  EXPECT_EQ(GlobalCounter("cluster.upstream_retries"), retries + 1);
+  EXPECT_EQ(GlobalCounter("cluster.upstream_redials"), redials + 1);
+  EXPECT_TRUE(session.Finish().ok());
+}
+
+TEST(ClusterUpstreamTest, EndedClientSessionSaysGoodbyeToEveryShard) {
+  TestClusterConfig config;
+  config.shards = 3;
+  config.rows = 12;
+  auto cluster = StartCluster("goodbye", config);
+  const size_t rows = cluster->values.size();
+
+  ChaCha20Rng rng(45);
+  QuerySession session(SharedKeyPair().private_key, rng);
+  RetryOptions retry;
+  ASSERT_TRUE(
+      session.ConnectWithRetry(cluster->coordinator_host->bound_uri(), retry)
+          .ok());
+  QuerySpec spec;
+  spec.column = "v";
+  for (int repeat = 0; repeat < 2; ++repeat) {  // one upstream per shard
+    Result<BigInt> total = session.RunQuery(spec, SelectionVector(rows, true));
+    ASSERT_TRUE(total.ok()) << total.status().ToString();
+  }
+  ASSERT_TRUE(session.Finish().ok());
+
+  // Tearing down the client's session tears down its router, whose
+  // upstream sessions end with a Goodbye: each shard counts one clean
+  // session. Stopping the shards after the coordinator drains them.
+  cluster->coordinator_host->Stop();
+  for (auto& host : cluster->shard_hosts) {
+    host->Stop();
+    const ServiceHost::Stats stats = host->SnapshotStats();
+    EXPECT_EQ(stats.sessions_accepted, 1u);
+    EXPECT_EQ(stats.sessions_ok, 1u);
+    EXPECT_EQ(stats.sessions_failed, 0u);
+  }
 }
 
 }  // namespace

@@ -32,15 +32,13 @@
 // so their receive leg includes the server's fold time — the wire cannot
 // tell waiting from transfer (see docs/OBSERVABILITY.md).
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "core/session.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/key_io.h"
@@ -64,24 +62,6 @@ int Usage() {
   return 2;
 }
 
-/// Matches `--flag value` and `--flag=value`; advances *i past a
-/// consumed separate value argument.
-bool FlagValue(const char* flag, int argc, char** argv, int* i,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(flag);
-  if (std::strncmp(arg, flag, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
 /// Total seconds recorded under the span `name` in `snapshot`.
 double SpanSeconds(const ppstats::obs::MetricsSnapshot& snapshot,
                    const char* name) {
@@ -103,51 +83,33 @@ ppstats::Result<ppstats::Bytes> ReadHexFile(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace ppstats;
 
-  std::string key_path, connect_uri, stat = "sum", column, column2;
+  std::string key_path, connect_uri, stat = "sum";
   std::vector<std::string> selects;
-  size_t rows = 0, chunk = 0, retries = 0;
-  uint32_t io_deadline_ms = 0;
-  uint32_t connect_deadline_ms = 0;
-  bool accept_partial = false;
-  size_t result_mod_bits = 0;
+  QuerySpec spec;
+  ClientSessionOptions session_options;
+  size_t rows = 0, retries = 0, result_mod_bits = 0;
+  uint32_t io_deadline_ms = 0, connect_deadline_ms = 0;
   uint64_t seed = std::random_device{}();
   std::string trace_json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (FlagValue("--trace-json", argc, argv, &i, &trace_json_path)) {
-      // handled
-    } else if (!std::strcmp(argv[i], "--key") && i + 1 < argc) {
-      key_path = argv[++i];
-    } else if (FlagValue("--connect", argc, argv, &i, &connect_uri)) {
-      // handled
-    } else if (!std::strcmp(argv[i], "--select") && i + 1 < argc) {
-      selects.emplace_back(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--stat") && i + 1 < argc) {
-      stat = argv[++i];
-    } else if (!std::strcmp(argv[i], "--column") && i + 1 < argc) {
-      column = argv[++i];
-    } else if (!std::strcmp(argv[i], "--column2") && i + 1 < argc) {
-      column2 = argv[++i];
-    } else if (!std::strcmp(argv[i], "--rows") && i + 1 < argc) {
-      rows = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--chunk") && i + 1 < argc) {
-      chunk = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--retries") && i + 1 < argc) {
-      retries = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--io-deadline-ms") && i + 1 < argc) {
-      io_deadline_ms =
-          static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--connect-deadline-ms") &&
-               i + 1 < argc) {
-      connect_deadline_ms =
-          static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--accept-partial")) {
-      accept_partial = true;
-    } else if (!std::strcmp(argv[i], "--result-mod-bits") && i + 1 < argc) {
-      result_mod_bits =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else {
+  std::string value;
+  for (cli::Args args(argc, argv); args.Next();) {
+    if (args.Value("--select", &value)) {
+      selects.push_back(value);
+    } else if (args.Switch("--accept-partial")) {
+      session_options.accept_partial = true;
+    } else if (!(args.Value("--trace-json", &trace_json_path) ||
+                 args.Value("--key", &key_path) ||
+                 args.Value("--connect", &connect_uri) ||
+                 args.Value("--stat", &stat) ||
+                 args.Value("--column", &spec.column) ||
+                 args.Value("--column2", &spec.column2) ||
+                 args.Value("--rows", &rows) ||
+                 args.Value("--chunk", &session_options.chunk_size) ||
+                 args.Value("--seed", &seed) ||
+                 args.Value("--retries", &retries) ||
+                 args.Value("--io-deadline-ms", &io_deadline_ms) ||
+                 args.Value("--connect-deadline-ms", &connect_deadline_ms) ||
+                 args.Value("--result-mod-bits", &result_mod_bits))) {
       return Usage();
     }
   }
@@ -156,7 +118,6 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  QuerySpec spec;
   if (stat == "sum") {
     spec.kind = StatisticKind::kSum;
   } else if (stat == "sumsq") {
@@ -167,8 +128,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --stat: %s\n", stat.c_str());
     return Usage();
   }
-  spec.column = column;
-  spec.column2 = column2;
 
   Result<Bytes> key_blob = ReadHexFile(key_path);
   if (!key_blob.ok()) {
@@ -184,9 +143,6 @@ int main(int argc, char** argv) {
   if (!trace_json_path.empty()) obs::TraceLog::Global().Enable();
 
   ChaCha20Rng rng(seed);
-  ClientSessionOptions session_options;
-  session_options.chunk_size = chunk;
-  session_options.accept_partial = accept_partial;
   if (result_mod_bits > 0) {
     session_options.result_modulus = BigInt(1) << result_mod_bits;
   }

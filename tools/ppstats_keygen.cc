@@ -6,11 +6,11 @@
 // produces mykey.pub and mykey.priv (see crypto/key_io.h for the format).
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
 
+#include "cli.h"
 #include "common/bytes.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/key_io.h"
@@ -38,14 +38,9 @@ int main(int argc, char** argv) {
   size_t bits = 1024;
   std::string prefix;
   uint64_t seed = std::random_device{}();
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--bits") && i + 1 < argc) {
-      bits = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      prefix = argv[++i];
-    } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
+  for (cli::Args args(argc, argv); args.Next();) {
+    if (!(args.Value("--bits", &bits) || args.Value("--out", &prefix) ||
+          args.Value("--seed", &seed))) {
       return Usage();
     }
   }
