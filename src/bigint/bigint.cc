@@ -17,21 +17,6 @@ constexpr size_t kKaratsubaThreshold = 24;  // limbs
 constexpr uint64_t kDecChunkBase = 10000000000000000000ULL;
 constexpr int kDecChunkDigits = 19;
 
-// Eight big-endian bytes <-> one limb. The shift loops are portable;
-// gcc folds each to a single load or store plus a bswap.
-uint64_t LoadBigEndian64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
-void StoreBigEndian64(uint8_t* p, uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<uint8_t>(v);
-    v >>= 8;
-  }
-}
-
 }  // namespace
 
 void BigInt::InitUnsigned(uint64_t value) {

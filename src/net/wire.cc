@@ -5,15 +5,15 @@ namespace ppstats {
 void WireWriter::WriteU8(uint8_t v) { buffer_.push_back(v); }
 
 void WireWriter::WriteU32(uint32_t v) {
-  for (int i = 3; i >= 0; --i) {
-    buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  const size_t at = buffer_.size();
+  buffer_.resize(at + 4);
+  StoreBigEndian32(buffer_.data() + at, v);
 }
 
 void WireWriter::WriteU64(uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  const size_t at = buffer_.size();
+  buffer_.resize(at + 8);
+  StoreBigEndian64(buffer_.data() + at, v);
 }
 
 void WireWriter::WriteBytes(BytesView bytes) {
@@ -58,16 +58,12 @@ Result<uint8_t> WireReader::ReadU8() {
 
 Result<uint32_t> WireReader::ReadU32() {
   PPSTATS_ASSIGN_OR_RETURN(BytesView b, Take(4));
-  uint32_t v = 0;
-  for (uint8_t byte : b) v = (v << 8) | byte;
-  return v;
+  return LoadBigEndian32(b.data());
 }
 
 Result<uint64_t> WireReader::ReadU64() {
   PPSTATS_ASSIGN_OR_RETURN(BytesView b, Take(8));
-  uint64_t v = 0;
-  for (uint8_t byte : b) v = (v << 8) | byte;
-  return v;
+  return LoadBigEndian64(b.data());
 }
 
 Result<Bytes> WireReader::ReadBytes() {

@@ -133,6 +133,43 @@ TEST(BigIntTest, ByteCodecMatchesAByteAtATimeReferenceAtEveryWidth) {
   }
 }
 
+TEST(BigIntTest, ByteCodecMatchesTheReferenceAtEveryBufferOffset) {
+  // The word codec loads and stores 8 bytes at a time at any alignment:
+  // IndexBatch rows start 13 bytes into their frame. Every width at
+  // offsets 0-7 of a buffer whose bytes around the value must survive.
+  ChaCha20Rng rng(79);
+  for (size_t width = 0; width <= 136; ++width) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      Bytes buffer(offset + width + 8);
+      rng.Fill(buffer);
+      const BytesView bytes(buffer.data() + offset, width);
+      const BigInt expected = ReferenceFromBytes(bytes);
+      ASSERT_EQ(BigInt::FromBytes(bytes), expected)
+          << "width " << width << " offset " << offset;
+      std::vector<uint64_t> limbs((width + 7) / 8 + 1, ~uint64_t{0});
+      BigInt::LimbsFromBytes(bytes, limbs);
+      EXPECT_EQ(BigInt::FromLimbs(limbs), expected)
+          << "width " << width << " offset " << offset;
+
+      Bytes into(offset + width + 8, 0xAA);
+      expected.ToBytesInto(std::span<uint8_t>(into).subspan(offset, width));
+      const Bytes reference = ReferenceToBytes(expected, width);
+      // ReferenceToBytes writes at least one byte; a zero width keeps none.
+      EXPECT_TRUE(std::equal(into.begin() + static_cast<ptrdiff_t>(offset),
+                             into.begin() +
+                                 static_cast<ptrdiff_t>(offset + width),
+                             reference.end() - static_cast<ptrdiff_t>(width)))
+          << "width " << width << " offset " << offset;
+      EXPECT_TRUE(std::all_of(into.begin(),
+                              into.begin() + static_cast<ptrdiff_t>(offset),
+                              [](uint8_t b) { return b == 0xAA; }));
+      EXPECT_TRUE(std::all_of(
+          into.begin() + static_cast<ptrdiff_t>(offset + width), into.end(),
+          [](uint8_t b) { return b == 0xAA; }));
+    }
+  }
+}
+
 TEST(BigIntTest, LimbsFromBytesZeroFillsTheLimbsAboveTheBytes) {
   // The fold's fixed-width row decode: any width, into as many limbs as
   // fit it or more, over limbs holding stale values.

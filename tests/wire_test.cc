@@ -27,6 +27,24 @@ TEST(WireTest, IntegersAreBigEndian) {
   EXPECT_EQ(w.bytes(), (Bytes{1, 2, 3, 4}));
 }
 
+TEST(WireTest, WordsAreBigEndianAtEveryOffset) {
+  for (size_t offset = 0; offset < 8; ++offset) {
+    WireWriter w;
+    for (size_t i = 0; i < offset; ++i) w.WriteU8(0xEE);
+    w.WriteU64(0x0102030405060708ULL);
+    w.WriteU32(0x090A0B0C);
+    Bytes expected(offset, 0xEE);
+    for (uint8_t b = 1; b <= 12; ++b) expected.push_back(b);
+    EXPECT_EQ(w.bytes(), expected) << "offset " << offset;
+
+    WireReader r(expected);
+    for (size_t i = 0; i < offset; ++i) ASSERT_TRUE(r.ReadU8().ok());
+    EXPECT_EQ(r.ReadU64().ValueOrDie(), 0x0102030405060708ULL);
+    EXPECT_EQ(r.ReadU32().ValueOrDie(), 0x090A0B0Cu);
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
 TEST(WireTest, LengthPrefixedBytesRoundTrip) {
   WireWriter w;
   w.WriteBytes(Bytes{9, 8, 7});
