@@ -28,6 +28,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "DeadlineExceeded";
     case StatusCode::kAlreadyExists:
       return "AlreadyExists";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -37,12 +37,13 @@ enum class StatusCode {
   kInternal,          ///< invariant violation inside the library
   kDeadlineExceeded,  ///< a blocking operation ran past its deadline
   kAlreadyExists,     ///< the entity (socket path, name) is already taken
+  kUnavailable,       ///< the service is shutting down; try again elsewhere or later
 };
 
 /// Number of StatusCode values. Keep in sync when adding a code: the
 /// status test walks [0, kStatusCodeCount) and fails if StatusCodeName
 /// does not know every code (switch-exhaustiveness tripwire).
-inline constexpr size_t kStatusCodeCount = 12;
+inline constexpr size_t kStatusCodeCount = 13;
 
 /// Human-readable name of a StatusCode ("OK", "InvalidArgument", ...).
 [[nodiscard]] std::string_view StatusCodeName(StatusCode code);
@@ -94,6 +95,9 @@ class [[nodiscard]] Status {
   }
   static Status AlreadyExists(std::string msg) {
     return Status(StatusCode::kAlreadyExists, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }

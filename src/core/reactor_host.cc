@@ -193,13 +193,21 @@ void ReactorEngine::Stop() {
     if (shard.listener.has_value()) shard.listener->Close();
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i].reactor->Post([this, i] { RemoveListener(i); });
+    shards_[i].reactor->Post([this, i] {
+      RemoveListener(i);
+      // Copied first: ending a session erases it from the map.
+      std::vector<std::shared_ptr<SessionState>> sessions;
+      for (const auto& entry : shards_[i].sessions) {
+        sessions.push_back(entry.second);
+      }
+      for (const auto& s : sessions) EndIfIdleAtStop(i, s);
+    });
   }
   {
-    // Drain: sessions in flight run to completion (bounded by the I/O
-    // deadline when one is set). Worker completions keep landing on the
-    // reactors until the last session finalizes, so the loops must stay
-    // up.
+    // Drain: idle sessions ended just above; the rest run until they are
+    // idle (HandleFsmOutput ends them then), bounded by the I/O deadline
+    // when one is set. Worker completions keep landing on the reactors
+    // until the last session finalizes, so the loops must stay up.
     MutexLock lock(drain_mu_);
     while (live_sessions_ > 0) drain_cv_.Wait(drain_mu_);
   }
@@ -474,6 +482,7 @@ void ReactorEngine::HandleFsmOutput(size_t shard,
     BeginClose(shard, s);
     return;
   }
+  if (EndIfIdleAtStop(shard, s)) return;
   ArmReadTimer(shard, s);  // back to waiting on the client
 }
 
@@ -628,11 +637,34 @@ void ReactorEngine::OnReadDeadline(size_t shard,
   // client, so the FSM is safe to touch here.
   if (s->closed || s->closing || s->processing) return;
   ChannelMetrics::Get().deadline_expirations->Increment();
-  ServerFsmOutput out = s->fsm->OnDeadline();
+  EvictSession(shard, s,
+               Status::DeadlineExceeded("session i/o deadline exceeded"));
+}
+
+void ReactorEngine::EvictSession(size_t shard,
+                                 const std::shared_ptr<SessionState>& s,
+                                 Status status) {
+  ServerFsmOutput out = s->fsm->Evict(std::move(status));
   for (const Bytes& frame : out.frames) {
     AppendOutbound(s, frame);
   }
   BeginClose(shard, s);
+}
+
+bool ReactorEngine::EndIfIdleAtStop(size_t shard,
+                                    const std::shared_ptr<SessionState>& s) {
+  if (!stopping_.load(std::memory_order_acquire) ||
+      s->mode != SessionState::Mode::kServing || s->closed || s->closing ||
+      s->processing || !s->inbox.empty() || !s->read_buf.empty()) {
+    return false;
+  }
+  const ServerFsmPhase phase = s->fsm->phase();
+  if (phase != ServerFsmPhase::kHandshake &&
+      phase != ServerFsmPhase::kAwaitQuery) {
+    return false;
+  }
+  EvictSession(shard, s, Status::Unavailable("server shutting down"));
+  return true;
 }
 
 void ReactorEngine::HandleReadFailure(size_t shard,

@@ -28,6 +28,11 @@
 //    complete frame, so a client trickling single bytes (Slowloris) is
 //    still evicted, with the FSM's DeadlineExceeded Error frame.
 //    Stalled writes are bounded the same way.
+//  * Stop() ends every idle session (in handshake or between queries,
+//    with no fold running and no frame half read) with an Unavailable
+//    Error frame, and each other session as soon as it is idle again,
+//    so a client that stays connected and silent cannot hold Stop()
+//    even with no I/O deadline.
 //  * Over-capacity connects get a ResourceExhausted Error frame after a
 //    best-effort hello drain (bounded at 100 ms), then the socket
 //    closes.
@@ -95,9 +100,11 @@ class ReactorEngine {
   /// after a successful Start() until the next Start().
   const Endpoint& endpoint() const { return endpoint_; }
 
-  /// Stops accepting, waits for in-flight sessions to drain (bounded by
-  /// io_deadline_ms when set), then stops and joins every reactor
-  /// thread. Idempotent.
+  /// Stops accepting and ends idle sessions with an Unavailable Error
+  /// frame; a session with a query in flight or a frame half read runs
+  /// on until it is idle (bounded by io_deadline_ms when set) and is then
+  /// ended the same way. Then stops and joins every reactor thread.
+  /// Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -151,6 +158,13 @@ class ReactorEngine {
   void BeginReject(size_t shard, const std::shared_ptr<SessionState>& s);
   void BeginClose(size_t shard, const std::shared_ptr<SessionState>& s);
   void OnReadDeadline(size_t shard, const std::shared_ptr<SessionState>& s);
+  /// Sends the FSM's Error frame for `status` and closes the session.
+  void EvictSession(size_t shard, const std::shared_ptr<SessionState>& s,
+                    Status status);
+  /// Once Stop() has begun, evicts `s` with Unavailable if it is idle: in
+  /// handshake or between queries, no fold running, no frame half read.
+  /// Returns whether it did.
+  bool EndIfIdleAtStop(size_t shard, const std::shared_ptr<SessionState>& s);
   void HandleReadFailure(size_t shard, const std::shared_ptr<SessionState>& s,
                          Status error);
   void HandleSendFailure(size_t shard, const std::shared_ptr<SessionState>& s,

@@ -168,9 +168,12 @@ class ServiceHost {
   /// Clients can dial this string verbatim (net/retry.h UriDialer).
   std::string bound_uri() const { return bound_endpoint_.ToUri(); }
 
-  /// Stops accepting and drains: sessions already in flight run to
-  /// completion (bounded by io_deadline_ms when set), then every host
-  /// thread is joined. Idempotent.
+  /// Stops accepting and drains: idle sessions (in handshake or between
+  /// queries, nothing half read) end at once with an Unavailable Error
+  /// frame, so a silent client cannot hold Stop() even without
+  /// io_deadline_ms; a session with a query in flight finishes that
+  /// query (bounded by io_deadline_ms when set) and is then ended the
+  /// same way. Then every host thread is joined. Idempotent.
   void Stop() PPSTATS_EXCLUDES(mu_);
 
   bool running() const { return engine_ != nullptr; }

@@ -57,11 +57,9 @@ ServerFsmOutput ServerProtocolFsm::OnFrame(BytesView frame) {
   return out;
 }
 
-ServerFsmOutput ServerProtocolFsm::OnDeadline() {
+ServerFsmOutput ServerProtocolFsm::Evict(Status status) {
   ServerFsmOutput out;
-  if (!done()) {
-    Abort(out, Status::DeadlineExceeded("session i/o deadline exceeded"));
-  }
+  if (!done()) Abort(out, std::move(status));
   out.done = true;
   return out;
 }

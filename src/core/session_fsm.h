@@ -13,9 +13,10 @@
 //      kDone ◀───────────────────┘
 //
 // The driver feeds each complete inbound frame to OnFrame() and writes
-// the returned frames to its transport in order; a peer that misses its
-// deadline enters through OnDeadline() (which yields the eviction Error
-// frame), a dead transport through OnTransportError(). Frame processing
+// the returned frames to its transport in order; a session the host ends
+// — a peer that missed its deadline, or an idle one when the host stops —
+// enters through Evict() (which yields the eviction Error frame), a dead
+// transport through OnTransportError(). Frame processing
 // is CPU-heavy (key deserialization, homomorphic folds), so event loops
 // run OnFrame on a worker pool, never on the loop thread.
 //
@@ -110,9 +111,11 @@ class ServerProtocolFsm {
   /// loop. Frames arriving after kDone are ignored.
   ServerFsmOutput OnFrame(BytesView frame);
 
-  /// The peer stalled past its I/O deadline: produces the eviction
-  /// Error frame and moves to kDone with DeadlineExceeded.
-  ServerFsmOutput OnDeadline();
+  /// The host ends the session (DeadlineExceeded for a peer that
+  /// stalled past its I/O deadline, Unavailable for an idle one when the
+  /// host stops): produces the Error frame for `status` and moves to
+  /// kDone with it. Once done, produces nothing.
+  ServerFsmOutput Evict(Status status);
 
   /// The transport died (EOF mid-protocol, reset, write failure): moves
   /// to kDone with `error`; nothing can be sent.

@@ -23,9 +23,7 @@ ChannelMetrics& ChannelMetrics::Get() {
 }
 
 Result<uint32_t> DecodeFrameLength(const uint8_t* prefix, size_t max_bytes) {
-  const uint32_t length = (uint32_t{prefix[0]} << 24) |
-                          (uint32_t{prefix[1]} << 16) |
-                          (uint32_t{prefix[2]} << 8) | prefix[3];
+  const uint32_t length = LoadBigEndian32(prefix);
   if (length > max_bytes) {
     return Status::ProtocolError("incoming frame exceeds the limit");
   }

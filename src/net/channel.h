@@ -43,9 +43,9 @@ inline constexpr size_t kMaxFrameBytes = size_t{1} << 28;
 /// big-endian prefix, then its bytes.
 inline std::array<uint8_t, kFrameOverheadBytes> EncodeFrameLength(
     size_t length) {
-  return {static_cast<uint8_t>(length >> 24),
-          static_cast<uint8_t>(length >> 16),
-          static_cast<uint8_t>(length >> 8), static_cast<uint8_t>(length)};
+  std::array<uint8_t, kFrameOverheadBytes> prefix;
+  StoreBigEndian32(prefix.data(), static_cast<uint32_t>(length));
+  return prefix;
 }
 
 /// Reads the length prefix at `prefix`; a length above `max_bytes` is a

@@ -45,6 +45,7 @@ bool IsRetryableStatus(const Status& status) {
     case StatusCode::kSerializationError:  // corrupted frame in transit
     case StatusCode::kDeadlineExceeded:    // peer or link stalled
     case StatusCode::kResourceExhausted:   // peer over capacity: try later
+    case StatusCode::kUnavailable:         // peer shutting down: redial
     case StatusCode::kInternal:            // dial failed (connect/socket)
       return true;
     default:

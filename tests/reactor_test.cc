@@ -375,7 +375,9 @@ TEST_F(ServerFsmTest, GarbageHandshakeFrameAborts) {
 
 TEST_F(ServerFsmTest, DeadlineProducesEvictionFrameOnce) {
   ServerProtocolFsm fsm = MakeFsm();
-  ServerFsmOutput out = fsm.OnDeadline();
+  const Status deadline =
+      Status::DeadlineExceeded("session i/o deadline exceeded");
+  ServerFsmOutput out = fsm.Evict(deadline);
   ASSERT_EQ(out.frames.size(), 1u);
   EXPECT_TRUE(out.done);
   ErrorMessage error = ErrorMessage::Decode(out.frames[0]).ValueOrDie();
@@ -384,7 +386,7 @@ TEST_F(ServerFsmTest, DeadlineProducesEvictionFrameOnce) {
   EXPECT_EQ(error.reason, "session i/o deadline exceeded");
   EXPECT_EQ(fsm.final_status().code(), StatusCode::kDeadlineExceeded);
   // A second deadline (stale timer) must not produce another frame.
-  out = fsm.OnDeadline();
+  out = fsm.Evict(deadline);
   EXPECT_TRUE(out.frames.empty());
   EXPECT_TRUE(out.done);
 }

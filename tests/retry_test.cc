@@ -63,6 +63,7 @@ TEST(RetryTest, RetryableClassification) {
   EXPECT_TRUE(IsRetryableStatus(Status::SerializationError("garbled")));
   EXPECT_TRUE(IsRetryableStatus(Status::DeadlineExceeded("stalled")));
   EXPECT_TRUE(IsRetryableStatus(Status::ResourceExhausted("capacity")));
+  EXPECT_TRUE(IsRetryableStatus(Status::Unavailable("shutting down")));
   EXPECT_TRUE(IsRetryableStatus(Status::Internal("connect failed")));
   EXPECT_FALSE(IsRetryableStatus(Status::OK()));
   EXPECT_FALSE(IsRetryableStatus(Status::InvalidArgument("bad arity")));

@@ -122,6 +122,7 @@ bool IsTypedOutcome(const Status& status) {
     case StatusCode::kResourceExhausted:
     case StatusCode::kInternal:
     case StatusCode::kDeadlineExceeded:
+    case StatusCode::kUnavailable:
       return true;
   }
   return false;

@@ -362,6 +362,57 @@ TEST_F(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
+TEST_F(ServiceHostTest, StopEndsIdleSessionsWithoutAnIoDeadline) {
+  // No io_deadline_ms, so nothing but Stop() ends a client that stays
+  // connected and says nothing. Two such clients, one idle between
+  // queries and one that never sent its hello, each hang up on their own
+  // after at most 2 s. Stop() must end both sessions at once instead of
+  // waiting for that.
+  Database db("d", {1, 2});
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(db).ok());
+  ServiceHost host(&registry);
+  std::string path = SocketPath("svc_stop_idle");
+  ASSERT_TRUE(host.Start(path).ok());
+
+  auto channel = ConnectChannel("unix:" + path).ValueOrDie();
+  auto silent = ConnectChannel("unix:" + path).ValueOrDie();
+  ChaCha20Rng rng(61);
+  QuerySession session(SharedKeyPair().private_key, rng);
+  ASSERT_TRUE(session.Connect(*channel).ok());
+  ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 2; }));
+
+  std::atomic<bool> stopped{false};
+  Result<Bytes> silent_frame = Status::Internal("not received");
+  Result<BigInt> next_query = Status::Internal("not run");
+  std::thread clients([&] {
+    silent->set_read_deadline(seconds(2));
+    silent_frame = silent->Receive();
+    WaitFor([&] { return stopped.load(); }, seconds(2));
+    next_query = session.RunQuery(QuerySpec{}, SelectionVector{true, true});
+    silent.reset();  // hang up
+    channel.reset();
+  });
+
+  auto start = steady_clock::now();
+  host.Stop();
+  auto elapsed = steady_clock::now() - start;
+  stopped = true;
+  clients.join();
+
+  EXPECT_LT(elapsed, seconds(1));
+  ASSERT_TRUE(silent_frame.ok()) << silent_frame.status().ToString();
+  ErrorMessage msg = ErrorMessage::Decode(*silent_frame).ValueOrDie();
+  EXPECT_EQ(static_cast<StatusCode>(msg.code), StatusCode::kUnavailable);
+  EXPECT_EQ(msg.reason, "server shutting down");
+  // The session that said hello was ended the same way; its next query
+  // fails with a status instead of hanging.
+  EXPECT_FALSE(next_query.ok());
+  ServiceHost::Stats stats = host.SnapshotStats();
+  EXPECT_EQ(stats.sessions_failed, 2u);
+  EXPECT_EQ(stats.sessions_evicted, 0u);
+}
+
 TEST_F(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
   // The deadline is per whole frame, not per byte: a client feeding one
   // byte at a time (classic Slowloris) must still be evicted, because
